@@ -18,7 +18,6 @@ from .matrix_core import (
 )
 from .block_encoding import (
     BlockEncoding,
-    PhaseConvention,
     StatePrepPair,
     VerificationReport,
     adjoint_encoding,
@@ -31,7 +30,6 @@ from .block_encoding import (
     reset_composition_log,
     trivial_encoding,
     verify,
-    weighted_combination,
 )
 from .centering import (
     ClassPartition,

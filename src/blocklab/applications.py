@@ -37,6 +37,7 @@ from .matrix_core import (
     is_hermitian,
     next_power_of_two,
 )
+from .oracles import ols_closed_form, padded_scatter, scatters
 from .spectral import EstimationMethod, exact_evolution, phase_estimation
 
 __all__ = [
@@ -144,8 +145,7 @@ def scatter_total_encoding(x, system_dim: int | None = None) -> BlockEncoding:
     x = as_complex_matrix(x)
     if system_dim is None:
         system_dim = next_power_of_two(max(2, *x.shape))
-    x_e = _embed_to(x, system_dim)
-    data = matrix_encoding(x_e)
+    data = matrix_encoding(embed_power_of_two(x, system_dim))
     cent = centering_encoding(system_dim)
     return product(product(data, cent), adjoint_encoding(data))
 
@@ -158,18 +158,10 @@ def cross_scatter_encoding(x, y, system_dim: int | None = None) -> BlockEncoding
         raise ValueError("paired data matrices must share a shape")
     if system_dim is None:
         system_dim = next_power_of_two(max(2, *x.shape))
-    data_x = matrix_encoding(_embed_to(x, system_dim))
-    data_y = matrix_encoding(_embed_to(y, system_dim))
+    data_x = matrix_encoding(embed_power_of_two(x, system_dim))
+    data_y = matrix_encoding(embed_power_of_two(y, system_dim))
     cent = centering_encoding(system_dim)
     return product(product(data_x, cent), adjoint_encoding(data_y))
-
-
-def _embed_to(x: np.ndarray, dim: int) -> np.ndarray:
-    if x.shape[0] > dim or x.shape[1] > dim:
-        raise ValueError("embedding target smaller than the matrix")
-    out = np.zeros((dim, dim), dtype=complex)
-    out[: x.shape[0], : x.shape[1]] = x
-    return out
 
 
 def scatter_within_encoding(ds: LabeledDataset, system_dim: int | None = None) -> BlockEncoding:
@@ -192,7 +184,7 @@ def scatter_within_encoding(ds: LabeledDataset, system_dim: int | None = None) -
         p_k = max(2, next_power_of_two(xk.shape[1]))
         if p_k > system_dim:
             raise ValueError("class block exceeds the system dimension")
-        data_k = matrix_encoding(_embed_to(xk, system_dim))
+        data_k = matrix_encoding(embed_power_of_two(xk, system_dim))
         cent_k = _system_extend_encoding(centering_encoding(p_k), system_dim // p_k)
         chains.append(product(product(data_k, cent_k), adjoint_encoding(data_k)))
     f = max(be.alpha for be in chains)
@@ -238,9 +230,7 @@ def pca(x, d: int, t_bits: int = 8) -> EigenResult:
     dim = be.system_dim
     if not 1 < d <= dim:
         raise ValueError(f"d must satisfy 1 < d <= {dim}")
-    x_e = _embed_to(x, dim)
-    scatter = x_e @ centering_matrix(dim) @ x_e.conj().T
-    values, vectors = np.linalg.eigh(scatter)
+    values, vectors = np.linalg.eigh(padded_scatter(x, dim))
     order = np.argsort(values)[::-1][:d]
     classical_vals = values[order].real
     candidates = vectors[:, order]
@@ -322,8 +312,8 @@ def lda(ds: LabeledDataset, d: int) -> EigenResult:
     """Discriminant directions from the (total; within-class) scatter pencil.
 
     When no padding is involved, the between-class scatter computed as the
-    difference of the two encoded constructions is cross-checked against its
-    direct per-class-mean form.
+    difference of the total and within-class centering products is
+    cross-checked against its direct per-class-mean form.
     """
     part = ds.partition
     system_dim = next_power_of_two(max(2, ds.x.shape[0], ds.x.shape[1],
@@ -336,21 +326,14 @@ def lda(ds: LabeledDataset, d: int) -> EigenResult:
         and all(next_power_of_two(nk) == nk for nk in part.class_sizes)
     )
     if exact_layout:
-        x_e = _embed_to(ds.x, system_dim)
-        s_t = x_e @ centering_matrix(system_dim) @ x_e.conj().T
+        rows = ds.x.shape[0]
+        s_t = padded_scatter(ds.x, system_dim)[:rows, :rows]
         s_w = np.zeros_like(s_t)
         for k in range(part.class_count):
             xk = ds.class_columns(k)
-            ck = centering_matrix(xk.shape[1])
-            s_w[: xk.shape[0], : xk.shape[0]] += xk @ ck @ xk.conj().T
-        grand = ds.x.mean(axis=1)
-        s_b_direct = np.zeros((system_dim, system_dim), dtype=complex)
-        for k in range(part.class_count):
-            xk = ds.class_columns(k)
-            diff = np.zeros(system_dim, dtype=complex)
-            diff[: xk.shape[0]] = xk.mean(axis=1) - grand
-            s_b_direct += xk.shape[1] * np.outer(diff, diff.conj())
-        if np.max(np.abs((s_t - s_w) - s_b_direct)) > 1e-7:
+            s_w += xk @ centering_matrix(xk.shape[1]) @ xk.conj().T
+        _, _, s_b = scatters(ds)
+        if np.max(np.abs((s_t - s_w) - s_b)) > 1e-7:
             raise AssertionError("between-class scatter identity violated")
     return generalized_eig(st_be, sw_be, d)
 
@@ -391,8 +374,8 @@ def class_correlation_encoding(
         system_dim = next_power_of_two(
             max(2, ds_x.x.shape[0], ds_y.x.shape[0], x_pad.shape[1])
         )
-    data_x = matrix_encoding(_embed_to(x_pad, system_dim))
-    data_y = matrix_encoding(_embed_to(y_pad, system_dim))
+    data_x = matrix_encoding(embed_power_of_two(x_pad, system_dim))
+    data_y = matrix_encoding(embed_power_of_two(y_pad, system_dim))
     cent = centering_encoding(system_dim)
     sim = similarity_encoding(part, total_dim=system_dim)
     chain = product(product(product(product(data_x, cent), sim), cent),
@@ -454,14 +437,10 @@ def ols(x, y_vec) -> RegressionResult:
     if y.shape[0] != x.shape[1]:
         raise ValueError("target vector length must match the sample count")
     x_e = embed_power_of_two(x)
-    dim = x_e.shape[0]
-    y_e = np.zeros(dim, dtype=complex)
+    y_e = np.zeros(x_e.shape[0], dtype=complex)
     y_e[: y.shape[0]] = y
 
-    c = centering_matrix(dim)
-    normal = x_e.conj().T @ c @ x_e
-    closed = np.linalg.pinv(normal, rcond=_RANK_RTOL) @ (x_e.conj().T @ (c @ y_e))
-
+    closed = ols_closed_form(x, y)
     be = mc_encoding(x_e, CenteringMode.CX)
     design = be.alpha * be.extract_block()
     sv = np.linalg.svd(design, compute_uv=False)

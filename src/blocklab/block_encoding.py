@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +38,6 @@ __all__ = [
     "BlockEncoding",
     "StatePrepPair",
     "VerificationReport",
-    "PhaseConvention",
     "trivial_encoding",
     "extract_block",
     "verify",
@@ -48,7 +46,6 @@ __all__ = [
     "rescale_encoding",
     "make_state_prep_pair",
     "linear_combination",
-    "weighted_combination",
     "composition_log",
     "reset_composition_log",
 ]
@@ -401,13 +398,6 @@ class VerificationReport:
         }
 
 
-class PhaseConvention(Enum):
-    """Where the phases of signed/complex coefficients are folded."""
-
-    FOLD_RIGHT = "fold-right"
-    FOLD_LEFT = "fold-left"
-
-
 # ---------------------------------------------------------------------------
 # Composition audit
 # ---------------------------------------------------------------------------
@@ -546,16 +536,13 @@ def rescale_encoding(be: BlockEncoding, new_alpha: float) -> BlockEncoding:
                          epsilon=be.epsilon, system_qubits=be.system_qubits)
 
 
-def make_state_prep_pair(
-    y,
-    phase_convention: PhaseConvention = PhaseConvention.FOLD_RIGHT,
-) -> StatePrepPair:
+def make_state_prep_pair(y) -> StatePrepPair:
     """Build a preparation pair for the coefficient vector y.
 
     beta = ||y||_1 and b = ceil(log2(len(y))), at least 1.  Both first columns
     carry sqrt(|y_j|/beta) amplitudes; the coefficient phases are folded into
-    one column (the right one by default), so the pair satisfies the defining
-    sum for signed and complex coefficients directly.
+    the right column, so the pair satisfies the defining sum for signed and
+    complex coefficients directly.
     """
     y = np.asarray(y, dtype=complex).reshape(-1)
     if y.size == 0 or not np.any(y):
@@ -569,14 +556,8 @@ def make_state_prep_pair(
     nz = np.abs(y) > 0
     phases[: y.size][nz] = y[nz] / np.abs(y[nz])
 
-    plain = amps.astype(complex)
-    folded = amps * phases
-    if phase_convention is PhaseConvention.FOLD_RIGHT:
-        c_col, d_col = plain, folded
-    else:
-        c_col, d_col = folded.conj(), plain
-    p_left = unitary_completion([c_col], slots)
-    p_right = unitary_completion([d_col], slots)
+    p_left = unitary_completion([amps.astype(complex)], slots)
+    p_right = unitary_completion([amps * phases], slots)
     pair = StatePrepPair(
         p_left=p_left, p_right=p_right, coefficients=y.copy(),
         beta=beta, prep_qubits=b, epsilon_y=0.0,
@@ -637,31 +618,6 @@ def linear_combination(
         epsilon_expected=epsilon, epsilon_actual=out.epsilon,
     ))
     return out
-
-
-def weighted_combination(y, encodings: Sequence[BlockEncoding]) -> BlockEncoding:
-    """Combination sum_j y_j A_j for encodings with heterogeneous scale factors.
-
-    Each term is reinterpreted at the common scale alpha_max = max_j alpha_j
-    by folding alpha_j/alpha_max into its coefficient, so no extra ancillas
-    are needed; the resulting scale factor is sum_j |y_j| alpha_j.  Ancilla
-    counts must still agree across terms.
-    """
-    y = np.asarray(y, dtype=complex).reshape(-1)
-    if len(y) != len(encodings):
-        raise ValueError("need exactly one coefficient per encoding")
-    if not encodings:
-        raise ValueError("at least one encoding is required")
-    alpha_max = max(be.alpha for be in encodings)
-    folded = y * np.array([be.alpha for be in encodings]) / alpha_max
-    pair = make_state_prep_pair(folded)
-    uniform = [
-        BlockEncoding(be._form, alpha=alpha_max, ancillas=be.ancillas,
-                      epsilon=(alpha_max / be.alpha) * be.epsilon,
-                      system_qubits=be.system_qubits)
-        for be in encodings
-    ]
-    return linear_combination(pair, uniform, common_alpha=alpha_max)
 
 
 # Internal helpers used by the higher-level constructions ---------------------

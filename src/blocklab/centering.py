@@ -80,31 +80,22 @@ class ClassPartition:
 
 
 def centering_matrix(n: int) -> np.ndarray:
-    """The projector I - (1/n) ee^T that removes means on multiplication."""
+    """The real projector I - (1/n) ee^T that removes means on multiplication."""
     if n < 1:
         raise ValueError("dimension must be positive")
-    return np.eye(n, dtype=complex) - np.ones((n, n), dtype=complex) / n
+    return np.eye(n) - np.full((n, n), 1.0 / n)
 
 
-def similarity_matrix(partition: ClassPartition, padded: bool = False) -> np.ndarray:
-    """Block-diagonal of per-class all-ones blocks.
+def similarity_matrix(partition: ClassPartition) -> np.ndarray:
+    """Block-diagonal of per-class all-ones blocks on the padded layout.
 
-    With ``padded=True`` each class block is placed at offset k * block_dim of
-    the padded layout used by the encodings; otherwise blocks are contiguous.
+    Class block k sits at offset k * block_dim, the layout the encodings use.
     """
-    if padded:
-        dim = partition.padded_total
-        out = np.zeros((dim, dim), dtype=complex)
-        for k, nk in enumerate(partition.class_sizes):
-            lo = k * partition.block_dim
-            out[lo:lo + nk, lo:lo + nk] = 1.0
-        return out
-    dim = partition.total
+    dim = partition.padded_total
     out = np.zeros((dim, dim), dtype=complex)
-    off = 0
-    for nk in partition.class_sizes:
-        out[off:off + nk, off:off + nk] = 1.0
-        off += nk
+    for k, nk in enumerate(partition.class_sizes):
+        lo = k * partition.block_dim
+        out[lo:lo + nk, lo:lo + nk] = 1.0
     return out
 
 

@@ -14,7 +14,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +39,15 @@ from .matrix_core import (
     write_matrix_csv,
 )
 from .mean_centering import CenteringMode, classical_center, mc_encoding
-from .suite import _pencil_oracle, _classical_scatters, run_suite
+from .oracles import (
+    ols_closed_form,
+    padded_scatter,
+    pencil_blocks,
+    pencil_eigs,
+    reflection,
+    scatters,
+)
+from .suite import run_suite
 from . import __version__
 
 EXIT_OK = 0
@@ -48,23 +55,8 @@ EXIT_VERIFICATION = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
 
-
-@dataclass
-class RunConfig:
-    """Resolved invocation: command, inputs, and numeric parameters."""
-
-    command: str
-    inputs: list[str] = field(default_factory=list)
-    mode: str = "cxc"
-    d: int = 2
-    t_bits: int = 8
-    tol: float | None = None
-    seed: int = 42
-    out: str | None = None
-    target: str = "c"
-    n: int = 8
-    classes: str = ""
-    matrix_out: str | None = None
+# Positional arguments that name input files; each is digested into the report.
+_INPUT_ARGS = ("matrix", "matrix_x", "matrix_y", "labels", "target_file")
 
 
 def _digest(path: str) -> str:
@@ -105,25 +97,26 @@ def _encoding_meta(name: str, be: BlockEncoding) -> dict:
     }
 
 
-def _emit(doc: dict, config: RunConfig, started: float) -> None:
+def _emit(doc: dict, out: str | None, started: float) -> None:
     doc["timing"] = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "wall_time_s": time.perf_counter() - started,
     }
     text = json.dumps(_jsonable(doc), sort_keys=True, indent=2)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
 
 
-def _base_doc(config: RunConfig) -> dict:
+def _base_doc(args: argparse.Namespace) -> dict:
+    paths = [getattr(args, name) for name in _INPUT_ARGS if hasattr(args, name)]
     return {
-        "command": config.command,
+        "command": args.command,
         "version": __version__,
-        "seed": config.seed,
-        "inputs": {path: {"sha256": _digest(path)} for path in config.inputs},
+        "seed": args.seed,
+        "inputs": {path: {"sha256": _digest(path)} for path in paths},
     }
 
 
@@ -139,79 +132,74 @@ def _read_labels(path: str) -> np.ndarray:
 # Command handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_center(config: RunConfig) -> tuple[int, dict]:
-    x = read_matrix_csv(config.inputs[0])
-    x = embed_power_of_two(x)
-    mode = CenteringMode.parse(config.mode)
+def _cmd_center(args: argparse.Namespace) -> tuple[int, dict]:
+    x = embed_power_of_two(read_matrix_csv(args.matrix))
+    mode = CenteringMode.parse(args.mode)
     centered = classical_center(x, mode)
     be = mc_encoding(x, mode)
-    tol = config.tol if config.tol is not None else 1e-8
+    tol = args.tol if args.tol is not None else 1e-8
     report = verify(be, centered, tol=tol)
-    doc = _base_doc(config)
+    doc = _base_doc(args)
     doc["params"] = {"mode": mode.value, "tol": tol}
     doc["encodings"] = [_encoding_meta("centered-matrix", be)]
     doc["verification"] = report.to_dict()
     doc["matrix"] = centered
-    if config.matrix_out:
-        write_matrix_csv(config.matrix_out, centered)
+    if args.matrix_out:
+        write_matrix_csv(args.matrix_out, centered)
     return (EXIT_OK if report.passed else EXIT_VERIFICATION), doc
 
 
-def _cmd_encode(config: RunConfig) -> tuple[int, dict]:
-    x = embed_power_of_two(read_matrix_csv(config.inputs[0]))
+def _cmd_encode(args: argparse.Namespace) -> tuple[int, dict]:
+    x = embed_power_of_two(read_matrix_csv(args.matrix))
     be = matrix_encoding(x)
-    tol = config.tol if config.tol is not None else 1e-9
+    tol = args.tol if args.tol is not None else 1e-9
     report = verify(be, x, tol=tol)
-    doc = _base_doc(config)
+    doc = _base_doc(args)
     doc["params"] = {"tol": tol}
     doc["encodings"] = [_encoding_meta("data-matrix", be)]
     doc["verification"] = report.to_dict()
     return (EXIT_OK if report.passed else EXIT_VERIFICATION), doc
 
 
-def _cmd_verify(config: RunConfig) -> tuple[int, dict]:
-    target_name = config.target.lower()
-    tol = config.tol if config.tol is not None else 1e-12
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
+    target_name = args.target.lower()
+    tol = args.tol if args.tol is not None else 1e-12
     if target_name == "c":
-        be = centering_encoding(config.n)
-        target = centering_matrix(config.n)
+        be = centering_encoding(args.n)
+        target = centering_matrix(args.n)
     elif target_name == "uc":
-        uc = build_uc(qubit_count(config.n))
+        uc = build_uc(qubit_count(args.n))
         be = trivial_encoding(uc)
-        n = config.n
-        target = (2.0 / n) * np.ones((n, n)) - np.eye(n)
+        target = reflection(args.n)
     elif target_name == "ones":
-        be = ones_matrix_encoding(config.n)
-        target = np.ones((config.n, config.n))
+        be = ones_matrix_encoding(args.n)
+        target = np.ones((args.n, args.n))
     elif target_name == "similarity":
-        sizes = tuple(int(s) for s in config.classes.split(",") if s)
+        sizes = tuple(int(s) for s in args.classes.split(",") if s)
         if not sizes:
             raise ValueError("--classes is required for the similarity target")
         part = ClassPartition(sizes)
         be = similarity_encoding(part)
-        target = similarity_matrix(part, padded=True)
+        target = similarity_matrix(part)
     else:
-        raise ValueError(f"unknown verify target {config.target!r}")
+        raise ValueError(f"unknown verify target {args.target!r}")
     report = verify(be, target, tol=tol)
-    doc = _base_doc(config)
-    doc["params"] = {"target": target_name, "n": config.n, "tol": tol,
-                     "classes": config.classes}
+    doc = _base_doc(args)
+    doc["params"] = {"target": target_name, "n": args.n, "tol": tol,
+                     "classes": args.classes}
     doc["encodings"] = [_encoding_meta(target_name, be)]
     doc["verification"] = report.to_dict()
     return (EXIT_OK if report.passed else EXIT_VERIFICATION), doc
 
 
-def _cmd_pca(config: RunConfig) -> tuple[int, dict]:
-    x = read_matrix_csv(config.inputs[0])
-    result = pca(x, d=config.d, t_bits=config.t_bits)
-    x_e = embed_power_of_two(x)
-    dim = x_e.shape[0]
-    scatter = x_e @ centering_matrix(dim) @ x_e.conj().T
-    classical = np.sort(np.linalg.eigvalsh(scatter))[::-1][: config.d]
-    bound = float(np.linalg.norm(x) ** 2 * 2.0 ** (-config.t_bits))
+def _cmd_pca(args: argparse.Namespace) -> tuple[int, dict]:
+    x = read_matrix_csv(args.matrix)
+    result = pca(x, d=args.d, t_bits=args.t_bits)
+    classical = np.sort(np.linalg.eigvalsh(padded_scatter(x)))[::-1][: args.d]
+    bound = float(np.linalg.norm(x) ** 2 * 2.0 ** (-args.t_bits))
     delta = float(np.max(np.abs(result.eigenvalues - classical)))
-    doc = _base_doc(config)
-    doc["params"] = {"d": config.d, "t_bits": config.t_bits}
+    doc = _base_doc(args)
+    doc["params"] = {"d": args.d, "t_bits": args.t_bits}
     doc["results"] = {
         "eigenvalues_estimated": result.eigenvalues,
         "eigenvalues_classical": classical,
@@ -223,12 +211,12 @@ def _cmd_pca(config: RunConfig) -> tuple[int, dict]:
     return (EXIT_OK if delta <= bound else EXIT_VERIFICATION), doc
 
 
-def _pencil_doc(config: RunConfig, result, a_cl, b_cl) -> tuple[int, dict]:
-    oracle_vals, _ = _pencil_oracle(a_cl, b_cl, config.d)
-    tol = config.tol if config.tol is not None else 1e-6
+def _pencil_doc(args: argparse.Namespace, result, a_cl, b_cl) -> tuple[int, dict]:
+    oracle_vals, _ = pencil_eigs(a_cl, b_cl, args.d)
+    tol = args.tol if args.tol is not None else 1e-6
     delta = float(np.max(np.abs(result.eigenvalues - oracle_vals)))
-    doc = _base_doc(config)
-    doc["params"] = {"d": config.d, "tol": tol}
+    doc = _base_doc(args)
+    doc["params"] = {"d": args.d, "tol": tol}
     doc["results"] = {
         "eigenvalues": result.eigenvalues,
         "eigenvalues_oracle": oracle_vals,
@@ -239,68 +227,47 @@ def _pencil_doc(config: RunConfig, result, a_cl, b_cl) -> tuple[int, dict]:
     return (EXIT_OK if delta <= tol else EXIT_VERIFICATION), doc
 
 
-def _cmd_lda(config: RunConfig) -> tuple[int, dict]:
-    x = read_matrix_csv(config.inputs[0])
-    labels = _read_labels(config.inputs[1])
-    ds = LabeledDataset(x, labels)
-    result = lda(ds, config.d)
-    s_t, s_w, _ = _classical_scatters(ds)
-    return _pencil_doc(config, result, s_t, s_w)
+def _cmd_lda(args: argparse.Namespace) -> tuple[int, dict]:
+    ds = LabeledDataset(read_matrix_csv(args.matrix), _read_labels(args.labels))
+    result = lda(ds, args.d)
+    s_t, s_w, _ = scatters(ds)
+    return _pencil_doc(args, result, s_t, s_w)
 
 
-def _cmd_cca(config: RunConfig) -> tuple[int, dict]:
-    x = read_matrix_csv(config.inputs[0])
-    y = read_matrix_csv(config.inputs[1])
-    result = cca(x, y, config.d)
+def _cmd_cca(args: argparse.Namespace) -> tuple[int, dict]:
+    x = read_matrix_csv(args.matrix_x)
+    y = read_matrix_csv(args.matrix_y)
+    result = cca(x, y, args.d)
     c = centering_matrix(x.shape[1])
-    m = x @ c @ y.conj().T
-    dim = x.shape[0]
-    h_x = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    h_x[:dim, dim:] = m
-    h_x[dim:, :dim] = m.conj().T
-    h_y = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    h_y[:dim, :dim] = x @ c @ x.conj().T
-    h_y[dim:, dim:] = y @ c @ y.conj().T
-    return _pencil_doc(config, result, h_x, h_y)
+    h_x, h_y = pencil_blocks(x @ c @ y.conj().T, x, y, c)
+    return _pencil_doc(args, result, h_x, h_y)
 
 
-def _cmd_dcca(config: RunConfig) -> tuple[int, dict]:
-    x = read_matrix_csv(config.inputs[0])
-    y = read_matrix_csv(config.inputs[1])
-    labels = _read_labels(config.inputs[2])
+def _cmd_dcca(args: argparse.Namespace) -> tuple[int, dict]:
+    x = read_matrix_csv(args.matrix_x)
+    y = read_matrix_csv(args.matrix_y)
+    labels = _read_labels(args.labels)
     ds_x = LabeledDataset(x, labels)
     ds_y = LabeledDataset(y, labels)
-    result = dcca(ds_x, ds_y, config.d)
+    result = dcca(ds_x, ds_y, args.d)
     n = x.shape[1]
     c = centering_matrix(n)
-    e_pad = similarity_matrix(ds_x.partition, padded=True)
+    e_pad = similarity_matrix(ds_x.partition)
     if e_pad.shape[0] != n:
         raise ValueError("label partition is incompatible with a square comparison; "
                          "use power-of-two class sizes covering all samples")
-    m = x @ c @ e_pad @ c @ y.conj().T
-    dim = x.shape[0]
-    h_d = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    h_d[:dim, dim:] = m
-    h_d[dim:, :dim] = m.conj().T
-    h_y = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    h_y[:dim, :dim] = x @ c @ x.conj().T
-    h_y[dim:, dim:] = y @ c @ y.conj().T
-    return _pencil_doc(config, result, h_d, h_y)
+    h_d, h_y = pencil_blocks(x @ c @ e_pad @ c @ y.conj().T, x, y, c)
+    return _pencil_doc(args, result, h_d, h_y)
 
 
-def _cmd_ols(config: RunConfig) -> tuple[int, dict]:
-    x = read_matrix_csv(config.inputs[0])
-    y = read_vector_csv(config.inputs[1])
+def _cmd_ols(args: argparse.Namespace) -> tuple[int, dict]:
+    x = read_matrix_csv(args.matrix)
+    y = read_vector_csv(args.target_file)
     reg = ols(x, y)
-    x_e = embed_power_of_two(x)
-    dim = x_e.shape[0]
-    y_e = np.zeros(dim, dtype=complex)
-    y_e[: y.shape[0]] = y
-    c = centering_matrix(dim)
-    closed = np.linalg.pinv(x_e.conj().T @ c @ x_e, rcond=1e-12) @ (x_e.conj().T @ (c @ y_e))
-    tol = config.tol if config.tol is not None else 1e-8
+    closed = ols_closed_form(x, y)
+    tol = args.tol if args.tol is not None else 1e-8
     delta = float(np.max(np.abs(reg.beta_hat - closed)))
-    doc = _base_doc(config)
+    doc = _base_doc(args)
     doc["params"] = {"tol": tol}
     doc["results"] = {
         "beta": reg.beta_hat,
@@ -312,14 +279,14 @@ def _cmd_ols(config: RunConfig) -> tuple[int, dict]:
     return (EXIT_OK if delta <= tol else EXIT_VERIFICATION), doc
 
 
-def _cmd_suite(config: RunConfig) -> tuple[int, dict]:
-    doc = run_suite(config.seed)
+def _cmd_suite(args: argparse.Namespace) -> tuple[int, dict]:
+    doc = run_suite(args.seed)
     width = max(len(c["title"]) for c in doc["suite"]["criteria"])
     for crit in doc["suite"]["criteria"]:
         status = "PASS" if crit["pass"] else "FAIL"
         print(f"criterion {crit['id']:>2}  {status}  {crit['title']:<{width}}")
     all_pass = doc["suite"]["all_pass"]
-    print(f"suite: {'PASS' if all_pass else 'FAIL'} (seed {config.seed})")
+    print(f"suite: {'PASS' if all_pass else 'FAIL'} (seed {args.seed})")
     return (EXIT_OK if all_pass else EXIT_VERIFICATION), doc
 
 
@@ -393,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ols", help="least squares on the centered design")
     p.add_argument("matrix")
-    p.add_argument("target")
+    p.add_argument("target_file", metavar="target")
     common(p)
 
     p = sub.add_parser("suite", help="run the full acceptance battery")
@@ -401,44 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    # positional inputs in order: matrices first, then labels/target files
-    ordered = []
-    for name in ("matrix", "matrix_x", "matrix_y", "labels", "target"):
-        if hasattr(args, name) and args.command != "verify":
-            value = getattr(args, name)
-            if isinstance(value, str):
-                ordered.append(value)
-    return RunConfig(
-        command=args.command,
-        inputs=ordered,
-        mode=getattr(args, "mode", "cxc"),
-        d=getattr(args, "d", 2),
-        t_bits=getattr(args, "t_bits", 8),
-        tol=getattr(args, "tol", None),
-        seed=getattr(args, "seed", 42),
-        out=getattr(args, "out", None),
-        target=getattr(args, "target", "c") if args.command == "verify" else "c",
-        n=getattr(args, "n", 8),
-        classes=getattr(args, "classes", ""),
-        matrix_out=getattr(args, "matrix_out", None),
-    )
-
-
-def run(config: RunConfig) -> int:
-    """Execute one configured command, emitting its JSON document."""
-    started = time.perf_counter()
-    handler = _HANDLERS[config.command]
-    code, doc = handler(config)
-    _emit(doc, config, started)
-    return code
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = _config_from_args(args)
+    started = time.perf_counter()
     try:
-        return run(config)
+        code, doc = _HANDLERS[args.command](args)
+        _emit(doc, args.out, started)
+        return code
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

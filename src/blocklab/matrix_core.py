@@ -87,14 +87,18 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def embed_power_of_two(a) -> np.ndarray:
-    """Embed a matrix as the leading block of the next power-of-two square.
+def embed_power_of_two(a, dim: int | None = None) -> np.ndarray:
+    """Embed a matrix as the leading block of a dim x dim square.
 
-    Returns the input unchanged when it is already a power-of-two square.
+    ``dim`` defaults to the next power of two of the larger side.  Returns the
+    input unchanged when it is already dim x dim.
     """
     a = as_complex_matrix(a)
     rows, cols = a.shape
-    dim = next_power_of_two(max(rows, cols))
+    if dim is None:
+        dim = next_power_of_two(max(rows, cols))
+    elif rows > dim or cols > dim:
+        raise ValueError("embedding target smaller than the matrix")
     if rows == cols == dim:
         return a
     out = np.zeros((dim, dim), dtype=complex)

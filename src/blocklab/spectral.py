@@ -148,13 +148,10 @@ def phase_estimation(
     alpha: float = 1.0,
     evolution_time: float | None = None,
     nonnegative_spectrum: bool = False,
-    shots: int | None = None,
-    seed: int | None = None,
 ) -> PhaseEstimate:
     """Phase estimation with the full output distribution computed exactly.
 
-    The returned phase is the distribution argmax (or the sample mode when
-    ``shots`` is given, drawn from a seeded generator).  The eigenvalue
+    The returned phase is the distribution argmax.  The eigenvalue
     reconstruction depends on the method: for exact evolution e^{iAt} it is
     2*pi*phase/t with phases above 1/2 wrapped to negative values unless
     ``nonnegative_spectrum`` is set; for the walk operator it is
@@ -175,13 +172,7 @@ def phase_estimation(
 
     dist = _phase_distribution(u, state, t_bits)
     grid = 1 << t_bits
-    if shots is None:
-        m_star = int(np.argmax(dist))
-    else:
-        rng = np.random.default_rng(seed)
-        samples = rng.choice(grid, size=shots, p=dist / dist.sum())
-        m_star = int(np.bincount(samples, minlength=grid).argmax())
-    phase = m_star / grid
+    phase = int(np.argmax(dist)) / grid
 
     if method is EstimationMethod.QUBITIZATION_WALK:
         eigenvalue = alpha * np.cos(2.0 * np.pi * phase)

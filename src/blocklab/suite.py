@@ -31,15 +31,21 @@ from .centering import (
     ClassPartition,
     build_uc,
     centering_encoding,
+    centering_matrix,
     per_class_centering,
     similarity_matrix,
 )
 from .data_encoding import hermitian_extension, matrix_encoding, preparation_unitaries
 from .matrix_core import is_unitary, spectral_norm
 from .mean_centering import CenteringMode, classical_center, mc_encoding, mean_vectors
+from .oracles import pencil_blocks, pencil_eigs, reflection, scatters
 from .spectral import walk_operator
 
-__all__ = ["CriterionOutcome", "run_battery", "run_suite", "canonical_payload", "CRITERIA"]
+__all__ = ["CriterionOutcome", "run_battery", "run_suite", "canonical_payload", "CRITERIA",
+           "BUDGETS_S"]
+
+# Wall-clock budget in seconds per criterion id; criteria 4 and 10 have none.
+BUDGETS_S = {1: 1.0, 2: 1.0, 3: 30.0, 5: 10.0, 6: 20.0, 7: 60.0, 8: 60.0, 9: 10.0}
 
 
 @dataclass
@@ -90,14 +96,14 @@ def criterion_1(seed: int) -> CriterionOutcome:
     distances = {}
     ok = True
     for n in (2, 4, 8, 16):
-        target = np.eye(n) - np.full((n, n), 1.0 / n)
+        target = centering_matrix(n)
         be = centering_encoding(n)
         rep = verify(be, target, tol=1e-12)
         meta_ok = be.alpha == 1.0 and be.ancillas == 1 and be.epsilon <= 1e-12
         distances[str(n)] = _f(rep.distance_measured)
         ok = ok and rep.passed and meta_ok and rep.distance_measured <= 1e-12
     return CriterionOutcome(1, "centering encoding exactness", ok,
-                            {"spectral_distance": distances}, budget_s=1.0)
+                            {"spectral_distance": distances})
 
 
 def criterion_2(seed: int) -> CriterionOutcome:
@@ -108,8 +114,7 @@ def criterion_2(seed: int) -> CriterionOutcome:
     for k in (1, 2, 3, 4):
         n = 1 << k
         uc = build_uc(k)
-        closed_form = (2.0 / n) * np.ones((n, n)) - np.eye(n)
-        err = np.max(np.abs(uc - closed_form))
+        err = np.max(np.abs(uc - reflection(n)))
         inv = np.max(np.abs(uc @ uc - np.eye(n)))
         worst_identity = max(worst_identity, _f(err))
         worst_involution = max(worst_involution, _f(inv))
@@ -121,7 +126,6 @@ def criterion_2(seed: int) -> CriterionOutcome:
             "max_entry_error": worst_identity,
             "max_involution_error": worst_involution,
         },
-        budget_s=1.0,
     )
 
 
@@ -133,7 +137,7 @@ def criterion_3(seed: int) -> CriterionOutcome:
     count = 0
     ok = True
     for n in (2, 4, 8, 16):
-        c = np.eye(n) - np.full((n, n), 1.0 / n)
+        c = centering_matrix(n)
         for _ in range(50):
             x = rng.standard_normal((n, n))
             u, v, xbar = mean_vectors(x)
@@ -162,7 +166,6 @@ def criterion_3(seed: int) -> CriterionOutcome:
             "max_quantum_classical_distance": worst_quantum,
             "max_entrywise_vs_product": worst_oracle,
         },
-        budget_s=30.0,
     )
 
 
@@ -205,7 +208,6 @@ def criterion_5(seed: int) -> CriterionOutcome:
             "max_block_distance": worst_dist,
             "preparations_unitary": unitary_ok,
         },
-        budget_s=10.0,
     )
 
 
@@ -219,28 +221,6 @@ def _random_dataset(rng: np.random.Generator, n: int, classes: int,
     return LabeledDataset(x, labels)
 
 
-def _classical_scatters(ds: LabeledDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Total/within/between scatters from per-sample outer products."""
-    x = ds.x
-    n = x.shape[1]
-    grand = x.mean(axis=1)
-    s_t = np.zeros((x.shape[0], x.shape[0]), dtype=complex)
-    for i in range(n):
-        diff = x[:, i] - grand
-        s_t += np.outer(diff, diff.conj())
-    s_w = np.zeros_like(s_t)
-    s_b = np.zeros_like(s_t)
-    for k in range(ds.partition.class_count):
-        xk = ds.class_columns(k)
-        mean_k = xk.mean(axis=1)
-        for i in range(xk.shape[1]):
-            diff = xk[:, i] - mean_k
-            s_w += np.outer(diff, diff.conj())
-        gap = mean_k - grand
-        s_b += xk.shape[1] * np.outer(gap, gap.conj())
-    return s_t, s_w, s_b
-
-
 def criterion_6(seed: int) -> CriterionOutcome:
     """Scatter identities hold between independent constructions."""
     rng = _rng(seed, 6)
@@ -250,7 +230,7 @@ def criterion_6(seed: int) -> CriterionOutcome:
     ok = True
     for i in range(50):
         ds = _random_dataset(rng, 8, 2 if i % 2 == 0 else 4)
-        s_t, s_w, s_b = _classical_scatters(ds)
+        s_t, s_w, s_b = scatters(ds)
         st_be = scatter_total_encoding(ds.x)
         sw_be = scatter_within_encoding(ds)
         d_total = spectral_norm(s_t - st_be.alpha * st_be.extract_block())
@@ -268,7 +248,6 @@ def criterion_6(seed: int) -> CriterionOutcome:
             "max_within_scatter_distance": worst_within,
             "max_split_identity_distance": worst_split,
         },
-        budget_s=20.0,
     )
 
 
@@ -280,11 +259,11 @@ def criterion_7(seed: int) -> CriterionOutcome:
     # full eigenphase multisets on small encodings
     worst_cos = 0.0
     small_cases = []
-    small_cases.append((centering_encoding(4), np.eye(4) - np.full((4, 4), 0.25)))
+    c4 = centering_matrix(4)
+    small_cases.append((centering_encoding(4), c4))
     herm = hermitian_extension(rng.standard_normal((4, 4)))
     small_cases.append((matrix_encoding(herm), herm))
     x4 = rng.standard_normal((4, 4))
-    c4 = np.eye(4) - np.full((4, 4), 0.25)
     small_cases.append((scatter_total_encoding(x4), x4 @ c4 @ x4.T))
     for be, target in small_cases:
         w = walk_operator(be)
@@ -299,7 +278,7 @@ def criterion_7(seed: int) -> CriterionOutcome:
     x8 = rng.standard_normal((8, 8))
     st = scatter_total_encoding(x8)
     w = walk_operator(st)
-    c8 = np.eye(8) - np.full((8, 8), 0.125)
+    c8 = centering_matrix(8)
     lam8, vec8 = np.linalg.eigh(x8 @ c8 @ x8.T)
     worst_resid = 0.0
     for j in range(8):
@@ -328,21 +307,7 @@ def criterion_7(seed: int) -> CriterionOutcome:
             "max_quadratic_identity_residual": worst_resid,
             "max_pca_delta_over_bound": worst_ratio,
         },
-        budget_s=60.0,
     )
-
-
-def _pencil_oracle(a: np.ndarray, b: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Independent dense solve of A v = lambda B v via the pseudo-inverse."""
-    vals, vecs = np.linalg.eig(np.linalg.pinv(b) @ a)
-    scale = max(1.0, float(np.abs(vals).max()))
-    real = np.abs(vals.imag) <= 1e-8 * scale
-    vals = vals[real].real
-    vecs = vecs[:, real]
-    order = np.argsort(vals)[::-1][:d]
-    picked = vecs[:, order]
-    picked = picked / np.linalg.norm(picked, axis=0)
-    return vals[order], picked
 
 
 def _clean_cut(vals: np.ndarray, d: int, gap: float = 1e-6) -> int:
@@ -370,7 +335,7 @@ def criterion_8(seed: int) -> CriterionOutcome:
         nonlocal worst_val, worst_angle, ok
         dim = a_cl.shape[0]
         extended = min(dim, d_req + 4)
-        oracle_vals, oracle_vecs = _pencil_oracle(a_cl, b_cl, extended)
+        oracle_vals, oracle_vecs = pencil_eigs(a_cl, b_cl, extended)
         gap_val = np.max(np.abs(result.eigenvalues[:d_req] - oracle_vals[:d_req]))
         worst_val = max(worst_val, _f(gap_val))
         ok = ok and gap_val <= 1e-6
@@ -380,37 +345,26 @@ def criterion_8(seed: int) -> CriterionOutcome:
             worst_angle = max(worst_angle, angle)
             ok = ok and angle <= 1e-5
 
-    c8 = np.eye(8) - np.full((8, 8), 0.125)
+    c8 = centering_matrix(8)
     for i in range(50):
         ds = _random_dataset(rng, 8, 2 if i % 2 == 0 else 4, features=5 + (i % 4))
-        s_t, s_w, _ = _classical_scatters(ds)
+        s_t, s_w, _ = scatters(ds)
         compare(lda(ds, d), s_t, s_w, d)
     for i in range(50):
         x = np.zeros((8, 8))
         y = np.zeros((8, 8))
         x[:3] = rng.standard_normal((3, 8))
         y[:3] = rng.standard_normal((3, 8))
-        m = x @ c8 @ y.T
-        h_x = np.zeros((16, 16))
-        h_x[:8, 8:] = m
-        h_x[8:, :8] = m.T
-        h_y = np.zeros((16, 16))
-        h_y[:8, :8] = x @ c8 @ x.T
-        h_y[8:, 8:] = y @ c8 @ y.T
+        h_x, h_y = pencil_blocks(x @ c8 @ y.T, x, y, c8)
         compare(cca(x, y, d), h_x, h_y, d)
     for i in range(50):
         feat = 3
         classes = 2 if i % 2 == 0 else 4
         ds_x = _random_dataset(rng, 8, classes, features=feat)
         ds_y = _random_dataset(rng, 8, classes, features=feat)
-        e_pad = similarity_matrix(ds_x.partition, padded=True).real
-        m = ds_x.x.real @ c8 @ e_pad @ c8 @ ds_y.x.real.T
-        h_d = np.zeros((16, 16))
-        h_d[:8, 8:] = m
-        h_d[8:, :8] = m.T
-        h_y = np.zeros((16, 16))
-        h_y[:8, :8] = ds_x.x.real @ c8 @ ds_x.x.real.T
-        h_y[8:, 8:] = ds_y.x.real @ c8 @ ds_y.x.real.T
+        x, y = ds_x.x.real, ds_y.x.real
+        e_pad = similarity_matrix(ds_x.partition).real
+        h_d, h_y = pencil_blocks(x @ c8 @ e_pad @ c8 @ y.T, x, y, c8)
         compare(dcca(ds_x, ds_y, d), h_d, h_y, d)
 
     # single-class degeneracy: the class-correlation chain must vanish
@@ -427,7 +381,6 @@ def criterion_8(seed: int) -> CriterionOutcome:
             "max_principal_angle": worst_angle,
             "single_class_chain_max": degenerate,
         },
-        budget_s=60.0,
     )
 
 
@@ -444,7 +397,7 @@ def criterion_9(seed: int) -> CriterionOutcome:
             x[:, 6] = x[:, 2]
         y = rng.standard_normal(8)
         reg = ols(x, y)
-        c = np.eye(8) - np.full((8, 8), 0.125)
+        c = centering_matrix(8)
         closed = np.linalg.pinv(x.T @ c @ x, rcond=1e-12) @ (x.T @ c @ y)
         gap = np.max(np.abs(reg.beta_hat - closed))
         worst = max(worst, _f(gap))
@@ -456,7 +409,6 @@ def criterion_9(seed: int) -> CriterionOutcome:
     return CriterionOutcome(
         9, "least-squares path agreement", ok,
         {"instances": 50, "max_beta_gap": worst, "rank_deficient_count": deficient},
-        budget_s=10.0,
     )
 
 
@@ -509,6 +461,7 @@ def run_battery(seed: int) -> list[CriterionOutcome]:
         t0 = time.perf_counter()
         out = fn(seed)
         out.runtime_s = time.perf_counter() - t0
+        out.budget_s = BUDGETS_S.get(out.cid)
         outcomes.append(out)
     outcomes.sort(key=lambda o: o.cid)
     return outcomes

@@ -382,7 +382,7 @@ class TestDcca:
         ds_y = LabeledDataset(rng.standard_normal((8, 8)), labels)
         chain = class_correlation_encoding(ds_x, ds_y)
         c = centering_matrix(8).real
-        e = similarity_matrix(ds_x.partition, padded=True).real
+        e = similarity_matrix(ds_x.partition).real
         target = ds_x.x.real @ c @ e @ c @ ds_y.x.real.T
         assert np.linalg.norm(target - chain.alpha * extract_block(chain), 2) <= 1e-6
 
@@ -404,7 +404,7 @@ class TestDcca:
         ds_y = LabeledDataset(x, labels)  # shared view
         res = dcca(ds_x, ds_y, d=2)
         c = centering_matrix(8).real
-        e = similarity_matrix(ds_x.partition, padded=True).real
+        e = similarity_matrix(ds_x.partition).real
         m = x @ c @ e @ c @ x.T
         h_d = np.block([[np.zeros((8, 8)), m], [m.T, np.zeros((8, 8))]])
         h_y = scipy.linalg.block_diag(x @ c @ x.T, x @ c @ x.T)
@@ -437,7 +437,7 @@ class TestDcca:
         yp = np.zeros((8, 8))
         yp[:6] = _grouped_padded(ds_y, part.block_dim).real
         c = centering_matrix(8).real
-        e = similarity_matrix(part, padded=True).real
+        e = similarity_matrix(part).real
         m = xp @ c @ e @ c @ yp.T
         h_d = np.block([[np.zeros((8, 8)), m], [m.T, np.zeros((8, 8))]])
         h_y = scipy.linalg.block_diag(xp @ c @ xp.T, yp @ c @ yp.T)

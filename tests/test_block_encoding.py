@@ -4,7 +4,6 @@ import pytest
 import blocklab.block_encoding as bek
 from blocklab.block_encoding import (
     BlockEncoding,
-    PhaseConvention,
     adjoint_encoding,
     composition_log,
     extract_block,
@@ -173,11 +172,10 @@ class TestStatePrepPair:
     def test_complex_coefficients(self):
         rng = np.random.default_rng(4)
         y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        for conv in PhaseConvention:
-            pair = make_state_prep_pair(y, conv)
-            assert pair.definition_defect() <= 1e-12
-            assert is_unitary(pair.p_left, 1e-10)
-            assert is_unitary(pair.p_right, 1e-10)
+        pair = make_state_prep_pair(y)
+        assert pair.definition_defect() <= 1e-12
+        assert is_unitary(pair.p_left, 1e-10)
+        assert is_unitary(pair.p_right, 1e-10)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -243,44 +241,6 @@ class TestLinearCombination:
         terms = [trivial_encoding(np.eye(2))] * 3
         with pytest.raises(ValueError, match="slots"):
             linear_combination(pair, terms, 1.0)
-
-
-class TestWeightedCombination:
-    def test_heterogeneous_alphas_fold_into_coefficients(self):
-        rng = np.random.default_rng(30)
-        targets = []
-        encodings = []
-        for alpha in (1.0, 2.5, 0.75):
-            u = random_unitary(8, rng)
-            be = BlockEncoding(u, alpha=alpha, ancillas=1, epsilon=0.0,
-                               system_qubits=2)
-            encodings.append(be)
-            targets.append(alpha * extract_block(be))
-        y = np.array([0.5, -1.0, 2.0 + 1.0j])
-        from blocklab.block_encoding import weighted_combination
-
-        out = weighted_combination(y, encodings)
-        expected = sum(yj * t for yj, t in zip(y, targets))
-        np.testing.assert_allclose(out.alpha * extract_block(out), expected,
-                                   atol=1e-9)
-        assert np.isclose(out.alpha, sum(abs(yj) * be.alpha
-                                         for yj, be in zip(y, encodings)))
-        assert out.ancillas == 1 + 2  # shared term ancilla + two prep qubits
-
-    def test_no_extra_per_term_ancillas(self):
-        rng = np.random.default_rng(31)
-        a = trivial_encoding(random_unitary(4, rng))
-        b = rescale_encoding(trivial_encoding(random_unitary(4, rng)), 3.0)
-        from blocklab.block_encoding import weighted_combination
-
-        with pytest.raises(ValueError, match="ancilla"):
-            weighted_combination(np.ones(2), [a, b])
-
-    def test_coefficient_count_must_match(self):
-        from blocklab.block_encoding import weighted_combination
-
-        with pytest.raises(ValueError):
-            weighted_combination(np.ones(2), [trivial_encoding(np.eye(2))])
 
 
 class TestRescaleAndAdjoint:

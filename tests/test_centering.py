@@ -137,7 +137,7 @@ class TestSimilarity:
     def test_matches_padded_layout(self, sizes):
         part = ClassPartition(sizes)
         be = similarity_encoding(part)
-        target = similarity_matrix(part, padded=True)
+        target = similarity_matrix(part)
         assert be.alpha == float(max(sizes))
         assert np.max(np.abs(be.alpha * extract_block(be) - target)) <= 1e-10
 
@@ -159,7 +159,7 @@ class TestSimilarity:
         part = ClassPartition((2, 4))
         be = similarity_encoding(part)
         assert be.alpha == 4.0
-        target = similarity_matrix(part, padded=True)
+        target = similarity_matrix(part)
         np.testing.assert_allclose(be.alpha * extract_block(be), target, atol=1e-12)
 
     def test_materialized_unitary(self):
@@ -175,14 +175,9 @@ class TestSimilarity:
         assert be.system_dim == 8
         blk = be.alpha * extract_block(be)
         np.testing.assert_allclose(blk[:4, :4],
-                                   similarity_matrix(part, padded=True), atol=1e-12)
+                                   similarity_matrix(part), atol=1e-12)
         assert np.max(np.abs(blk[4:, :])) <= 1e-12
         assert np.max(np.abs(blk[:, 4:])) <= 1e-12
-
-    def test_unpadded_layout(self):
-        e = similarity_matrix(ClassPartition((2, 3)))
-        assert e.shape == (5, 5)
-        assert e[0, 1] == 1.0 and e[1, 2] == 0.0 and e[2, 4] == 1.0
 
 
 class TestPerClassCentering:

@@ -89,6 +89,22 @@ class TestEmbed:
                 expected = a[i, j] if i < 3 and j < 2 else 0.0
                 assert out[i, j] == expected
 
+    def test_explicit_dim(self):
+        a = np.arange(6.0).reshape(2, 3)
+        out = embed_power_of_two(a, 8)
+        assert out.shape == (8, 8)
+        np.testing.assert_array_equal(out[:2, :3], a)
+        assert np.count_nonzero(out) == np.count_nonzero(a)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (5, 5)])
+    def test_dim_smaller_than_matrix_raises(self, shape):
+        with pytest.raises(ValueError, match="smaller"):
+            embed_power_of_two(np.ones(shape), 4)
+
+    def test_already_dim_square_unchanged(self):
+        a = np.random.default_rng(3).standard_normal((8, 8))
+        np.testing.assert_array_equal(embed_power_of_two(a, 8), a)
+
     def test_norm_preserved(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((3, 3))

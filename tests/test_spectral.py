@@ -161,12 +161,6 @@ class TestPhaseEstimation:
                                evolution_time=1.0)
         assert abs(est.eigenvalue - (-1.0)) <= 2 * np.pi * 2.0 ** -10
 
-    def test_sampled_mode_seeded(self):
-        u = np.diag([1.0, np.exp(1j * np.pi / 2)])
-        a = phase_estimation(u, np.array([0.0, 1.0]), 6, shots=64, seed=5)
-        b = phase_estimation(u, np.array([0.0, 1.0]), 6, shots=64, seed=5)
-        assert a.phase == b.phase == 0.25
-
     def test_eigenvalue_within_alpha(self):
         rng = np.random.default_rng(10)
         be, target = hermitian_test_encoding(rng)
