@@ -114,6 +114,8 @@ class _Product(_UnitaryForm):
 class _Lcu(_UnitaryForm):
     """(P_L^dag (x) I) [ sum_j |j><j| (x) U_j + rest (x) I ] (P_R (x) I).
 
+    Its (a, b) block is sum_j conj(P_L[j, a]) P_R[j, b] U_j, with U_j = I on
+    the unused slots; ``materialize`` builds exactly that.
     Corner law: sum_j conj(c_j) d_j (block of U_j), extended over the unused
     selector slots by conj(c_j) d_j * I (zero for a valid preparation pair).
     """
@@ -129,15 +131,11 @@ class _Lcu(_UnitaryForm):
         ensure_dimension(self.dim)
 
     def materialize(self) -> np.ndarray:
-        sel = np.zeros((self.dim, self.dim), dtype=complex)
         eye = np.eye(self.inner_dim, dtype=complex)
-        for j in range(self.slots):
-            blk = self.terms[j].materialize() if j < len(self.terms) else eye
-            lo, hi = j * self.inner_dim, (j + 1) * self.inner_dim
-            sel[lo:hi, lo:hi] = blk
-        left = np.kron(self.p_left.conj().T, eye)
-        right = np.kron(self.p_right, eye)
-        return left @ sel @ right
+        mats = [self.terms[j].materialize() if j < len(self.terms) else eye
+                for j in range(self.slots)]
+        out = np.einsum("ja,jb,jxy->axby", self.p_left.conj(), self.p_right, np.stack(mats))
+        return out.reshape(self.dim, self.dim)
 
     def corner(self, b: int) -> np.ndarray:
         c = self.p_left[:, 0]
@@ -168,10 +166,8 @@ class _MiddleSelect(_UnitaryForm):
         ensure_dimension(self.dim)
 
     def materialize(self) -> np.ndarray:
-        mats = [op.materialize() for op in self.ops]
-        from .matrix_core import middle_select
-
-        return middle_select(self.anc_dim, mats, self.inner_sys_dim)
+        blocks = {(k, k): op.materialize() for k, op in enumerate(self.ops)}
+        return place_middle_blocks(self.anc_dim, len(self.ops), self.inner_sys_dim, blocks)
 
     def corner(self, b: int) -> np.ndarray:
         inner = b // len(self.ops)
@@ -248,8 +244,9 @@ class _Adjoint(_UnitaryForm):
 
 
 class _Rescale(_UnitaryForm):
-    """(R_gamma (x) I) (I_2 (x) U) with R_gamma a rotation whose (0,0) entry
-    is gamma; shrinks the encoded block by gamma using one extra ancilla.
+    """(R_gamma (x) I) (I_2 (x) U) = [[gamma U, -s U], [s U, gamma U]] with
+    s = sqrt(1 - gamma^2); shrinks the encoded block by gamma using one extra
+    ancilla.
     """
 
     def __init__(self, inner: _UnitaryForm, gamma: float):
@@ -263,9 +260,8 @@ class _Rescale(_UnitaryForm):
     def materialize(self) -> np.ndarray:
         g = self.gamma
         s = np.sqrt(max(0.0, 1.0 - g * g))
-        rot = np.array([[g, -s], [s, g]], dtype=complex)
-        eye = np.eye(self.inner.dim, dtype=complex)
-        return np.kron(rot, eye) @ np.kron(np.eye(2, dtype=complex), self.inner.materialize())
+        u = self.inner.materialize()
+        return np.block([[g * u, -s * u], [s * u, g * u]])
 
     def corner(self, b: int) -> np.ndarray:
         return self.gamma * self.inner.corner(b)
@@ -556,8 +552,8 @@ def make_state_prep_pair(y) -> StatePrepPair:
     nz = np.abs(y) > 0
     phases[: y.size][nz] = y[nz] / np.abs(y[nz])
 
-    p_left = unitary_completion([amps.astype(complex)], slots)
-    p_right = unitary_completion([amps * phases], slots)
+    p_left = unitary_completion(amps, slots)
+    p_right = unitary_completion(amps * phases, slots)
     pair = StatePrepPair(
         p_left=p_left, p_right=p_right, coefficients=y.copy(),
         beta=beta, prep_qubits=b, epsilon_y=0.0,

@@ -87,12 +87,12 @@ def centering_matrix(n: int) -> np.ndarray:
 
 
 def similarity_matrix(partition: ClassPartition) -> np.ndarray:
-    """Block-diagonal of per-class all-ones blocks on the padded layout.
+    """Real block-diagonal of per-class all-ones blocks on the padded layout.
 
     Class block k sits at offset k * block_dim, the layout the encodings use.
     """
     dim = partition.padded_total
-    out = np.zeros((dim, dim), dtype=complex)
+    out = np.zeros((dim, dim))
     for k, nk in enumerate(partition.class_sizes):
         lo = k * partition.block_dim
         out[lo:lo + nk, lo:lo + nk] = 1.0

@@ -108,7 +108,7 @@ def preparation_unitaries(x) -> tuple[np.ndarray, np.ndarray]:
     for i in range(n):
         if tree.row_norms[i] > 0.0:
             r_i = np.conj(x[i]) / tree.row_norms[i]
-            block = unitary_completion([r_i], n)
+            block = unitary_completion(r_i, n)
         else:
             block = np.eye(n, dtype=complex)
         u_rows[i * n:(i + 1) * n, i * n:(i + 1) * n] = block
@@ -116,8 +116,7 @@ def preparation_unitaries(x) -> tuple[np.ndarray, np.ndarray]:
 
     # u_norms = W (x) I with W completing the row-norm column
     weights = tree.row_norms / tree.frobenius_norm
-    u_norms = np.kron(unitary_completion([weights.astype(complex)], n),
-                      np.eye(n, dtype=complex))
+    u_norms = np.kron(unitary_completion(weights, n), np.eye(n, dtype=complex))
     return u_rows, u_norms
 
 

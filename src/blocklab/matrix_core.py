@@ -1,5 +1,5 @@
 """Dense complex matrix substrate: Kronecker products, power-of-two embeddings,
-unitarity checks, deterministic unitary completion, and register-structured
+unitarity checks, Householder completion of one column, and register-structured
 assembly helpers used by every encoding construction.
 
 Conventions:
@@ -14,7 +14,7 @@ Conventions:
 from __future__ import annotations
 
 import os
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -133,70 +133,30 @@ def spectral_norm(m) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def unitary_completion(
-    prescribed_columns: Sequence[np.ndarray],
-    dimension: int,
-    positions: Sequence[int] | None = None,
-    orthonormal_tol: float = 1e-10,
-) -> np.ndarray:
-    """Complete prescribed orthonormal columns to a full unitary.
+def unitary_completion(column, dimension: int) -> np.ndarray:
+    """Complete a unit column v to a unitary whose column 0 is v.
 
-    The prescribed vectors are placed at ``positions`` (defaults to 0..k-1);
-    remaining columns come from modified Gram-Schmidt over the canonical basis
-    taken in index order, skipping candidates whose residual falls below
-    0.5/sqrt(dimension).  The procedure is deterministic, so completions are
-    reproducible across runs.
+    One Householder reflection (Householder 1958): with phi the phase of v[0]
+    (1 when v[0] = 0) and w = e_0 - v/phi, phi (I - 2 ww^dag/|w|^2) maps e_0
+    to v, and it is phi I when w = 0.  Column 0 is then stored as v itself, so
+    every encoded block, which reads only that column, carries v exactly.
     """
-    cols = [np.asarray(c, dtype=complex).reshape(-1) for c in prescribed_columns]
-    k = len(cols)
-    if k > dimension:
-        raise ValueError("more prescribed columns than the dimension allows")
-    for c in cols:
-        if c.shape[0] != dimension:
-            raise ValueError("prescribed column has wrong dimension")
-    if positions is None:
-        positions = list(range(k))
-    else:
-        positions = list(positions)
-        if len(positions) != k:
-            raise ValueError("positions must match the prescribed column count")
-        if len(set(positions)) != k or any(p < 0 or p >= dimension for p in positions):
-            raise ValueError("positions must be distinct valid column indices")
-    if k:
-        stacked = np.stack(cols, axis=1)
-        gram = stacked.conj().T @ stacked
-        np.fill_diagonal(gram, gram.diagonal() - 1.0)
-        if np.max(np.abs(gram)) > orthonormal_tol:
-            raise ValueError("prescribed columns are not orthonormal within tolerance")
-
-    basis = np.zeros((dimension, dimension), dtype=complex)
-    # residual of every canonical candidate under the running projector
-    residual = np.eye(dimension, dtype=complex)
-    for j, c in enumerate(cols):
-        basis[:, j] = c
-        residual -= np.outer(c, c.conj() @ residual)
-    count = k
-    threshold = 0.5 / np.sqrt(dimension)
-    for i in range(dimension):
-        if count == dimension:
-            break
-        v = residual[:, i]
-        norm = np.linalg.norm(v)
-        if norm < threshold:
-            continue
-        v = v / norm
-        basis[:, count] = v
-        residual -= np.outer(v, v.conj() @ residual)
-        count += 1
-    if count != dimension:
-        raise ValueError("completion failed: candidate pool exhausted")
-
-    out = np.zeros((dimension, dimension), dtype=complex)
-    free = [j for j in range(dimension) if j not in set(positions)]
-    for j, p in enumerate(positions):
-        out[:, p] = basis[:, j]
-    for j, p in enumerate(free):
-        out[:, p] = basis[:, k + j]
+    v = np.asarray(column, dtype=complex).reshape(-1)
+    if v.shape[0] != dimension:
+        raise ValueError("prescribed column has wrong dimension")
+    if abs(np.vdot(v, v) - 1.0) > 1e-10:
+        raise ValueError("prescribed column is not a unit vector within 1e-10")
+    phi = v[0] / abs(v[0]) if v[0] != 0 else 1.0
+    tail = np.vdot(v[1:], v[1:]).real
+    # 1 - |v[0]| written as tail / (1 + |v[0]|): no cancellation near v = phi e_0
+    head = tail / (1.0 + abs(v[0]))
+    w = -v / phi
+    w[0] = head
+    norm2 = head * head + tail
+    out = phi * np.eye(dimension, dtype=complex)
+    if norm2 > 0.0:
+        out -= (2.0 * phi / norm2) * np.outer(w, w.conj())
+    out[:, 0] = v
     return out
 
 
@@ -240,11 +200,6 @@ def place_middle_blocks(
             raise ValueError("block shape inconsistent with front/back dimensions")
         out[:, r, :, :, c, :] = op.reshape(front, back, front, back)
     return out.reshape(out_dim, out_dim)
-
-
-def middle_select(front: int, ops: Sequence[np.ndarray], back: int) -> np.ndarray:
-    """Block-diagonal select over the middle register: sum_k |k><k| (x) ops[k]."""
-    return place_middle_blocks(front, len(ops), back, {(k, k): op for k, op in enumerate(ops)})
 
 
 # ---------------------------------------------------------------------------

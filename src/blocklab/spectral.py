@@ -18,7 +18,6 @@ from .matrix_core import (
     ensure_dimension,
     is_hermitian,
     is_unitary,
-    kron,
 )
 
 __all__ = [
@@ -65,22 +64,23 @@ def hermitianize_encoding(be: BlockEncoding) -> BlockEncoding:
     """A Hermitian encoding unitary with the same encoded block.
 
     If the unitary is already Hermitian it is returned unchanged.  Otherwise
-    one ancilla qubit carries the standard off-diagonal dilation of U and
-    U^dag conjugated by a Hadamard, which is Hermitian, unitary, and keeps
-    the leading block intact.
+    one ancilla qubit carries the off-diagonal dilation [[0, U], [U^dag, 0]]
+    conjugated by a Hadamard on that qubit, written out in closed form as
+
+        1/2 [[U + U^dag, U^dag - U], [U - U^dag, -(U + U^dag)]],
+
+    which is Hermitian, unitary, and keeps the leading block intact.
     """
     u = be.unitary
     if np.max(np.abs(u - u.conj().T)) <= 1e-10:
         return be
-    d = u.shape[0]
-    ensure_dimension(2 * d)
-    dil = np.zeros((2 * d, 2 * d), dtype=complex)
-    dil[:d, d:] = u
-    dil[d:, :d] = u.conj().T
-    h = kron(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
-             np.eye(d, dtype=complex))
-    return BlockEncoding(h @ dil @ h, alpha=be.alpha, ancillas=be.ancillas + 1,
-                         epsilon=be.epsilon, system_qubits=be.system_qubits)
+    ensure_dimension(2 * u.shape[0])
+    u_dag = u.conj().T
+    even = (u + u_dag) / 2.0
+    odd = (u_dag - u) / 2.0
+    return BlockEncoding(np.block([[even, odd], [-odd, -even]]), alpha=be.alpha,
+                         ancillas=be.ancillas + 1, epsilon=be.epsilon,
+                         system_qubits=be.system_qubits)
 
 
 def walk_operator(be: BlockEncoding) -> np.ndarray:
@@ -88,17 +88,15 @@ def walk_operator(be: BlockEncoding) -> np.ndarray:
 
     U~ is a Hermitian representative of the encoding (see
     ``hermitianize_encoding``) and Pi_0 projects the ancillas onto |0...0>.
-    For every eigenvalue lambda of the encoded Hermitian operator, W has an
-    eigenphase pair +/- arccos(lambda/alpha).
+    The reflection is diagonal, so W is U~ with every row outside the
+    ancilla-zero block negated.  For every eigenvalue lambda of the encoded
+    Hermitian operator, W has an eigenphase pair +/- arccos(lambda/alpha).
     """
     _encoded_hermitian(be)
     herm = hermitianize_encoding(be)
-    u = herm.unitary
-    dim = u.shape[0]
-    sys_dim = herm.system_dim
-    reflect = -np.eye(dim, dtype=complex)
-    reflect[:sys_dim, :sys_dim] += 2.0 * np.eye(sys_dim)
-    return reflect @ u
+    walk = herm.unitary.copy()
+    walk[herm.system_dim:] *= -1.0
+    return walk
 
 
 def exact_evolution(be: BlockEncoding, t: float) -> np.ndarray:

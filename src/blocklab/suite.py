@@ -363,7 +363,7 @@ def criterion_8(seed: int) -> CriterionOutcome:
         ds_x = _random_dataset(rng, 8, classes, features=feat)
         ds_y = _random_dataset(rng, 8, classes, features=feat)
         x, y = ds_x.x.real, ds_y.x.real
-        e_pad = similarity_matrix(ds_x.partition).real
+        e_pad = similarity_matrix(ds_x.partition)
         h_d, h_y = pencil_blocks(x @ c8 @ e_pad @ c8 @ y.T, x, y, c8)
         compare(dcca(ds_x, ds_y, d), h_d, h_y, d)
 

@@ -19,32 +19,7 @@ from blocklab.applications import (
 from blocklab.block_encoding import extract_block, trivial_encoding
 from blocklab.centering import ClassPartition, centering_matrix, similarity_matrix
 from blocklab.data_encoding import hermitian_extension, matrix_encoding
-
-
-def per_sample_scatters(x, labels):
-    """Total/within/between scatters from per-sample outer products."""
-    n = x.shape[1]
-    grand = x.mean(axis=1)
-    s_t = sum(np.outer(x[:, i] - grand, x[:, i] - grand) for i in range(n))
-    s_w = np.zeros_like(s_t)
-    s_b = np.zeros_like(s_t)
-    for label in sorted(set(labels.tolist())):
-        cols = x[:, labels == label]
-        mean_k = cols.mean(axis=1)
-        s_w += sum(np.outer(cols[:, i] - mean_k, cols[:, i] - mean_k)
-                   for i in range(cols.shape[1]))
-        s_b += cols.shape[1] * np.outer(mean_k - grand, mean_k - grand)
-    return s_t, s_w, s_b
-
-
-def pencil_oracle(a, b, d):
-    vals, vecs = np.linalg.eig(np.linalg.pinv(b) @ a)
-    scale = max(1.0, float(np.abs(vals).max()))
-    keep = np.abs(vals.imag) <= 1e-8 * scale
-    vals = vals[keep].real
-    vecs = vecs[:, keep]
-    order = np.argsort(vals)[::-1][:d]
-    return vals[order], vecs[:, order] / np.linalg.norm(vecs[:, order], axis=0)
+from blocklab.oracles import pencil_blocks, pencil_eigs, scatters
 
 
 def two_cluster_dataset(rng, n=8, gap=6.0):
@@ -106,8 +81,7 @@ class TestScatterTotal:
     def test_matches_per_sample_oracle(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((8, 8))
-        labels = np.zeros(8, dtype=int)
-        s_t, _, _ = per_sample_scatters(x, labels)
+        s_t, _, _ = scatters(LabeledDataset(x, np.zeros(8, dtype=int)))
         be = scatter_total_encoding(x)
         assert np.linalg.norm(s_t - be.alpha * extract_block(be), 2) <= 1e-7
 
@@ -134,7 +108,7 @@ class TestScatterWithin:
         x = rng.standard_normal((8, 8))
         labels = np.array([0] * 4 + [1] * 4)
         ds = LabeledDataset(x, labels)
-        _, s_w, _ = per_sample_scatters(x, labels)
+        _, s_w, _ = scatters(ds)
         sw = scatter_within_encoding(ds)
         assert np.linalg.norm(s_w - sw.alpha * extract_block(sw), 2) <= 1e-7
 
@@ -170,10 +144,10 @@ class TestGeneralizedEig:
         x = rng.standard_normal((8, 8))
         labels = np.array([0] * 4 + [1] * 4)
         ds = LabeledDataset(x, labels)
-        s_t, s_w, _ = per_sample_scatters(x, labels)
+        s_t, s_w, _ = scatters(ds)
         res = generalized_eig(scatter_total_encoding(x),
                               scatter_within_encoding(ds), d=2)
-        oracle_vals, _ = pencil_oracle(s_t, s_w, 2)
+        oracle_vals, _ = pencil_eigs(s_t, s_w, 2)
         np.testing.assert_allclose(res.eigenvalues, oracle_vals, atol=1e-6)
 
     def test_scaling_invariance(self):
@@ -206,7 +180,7 @@ class TestPca:
     def test_prescribed_singular_values(self):
         rng = np.random.default_rng(10)
         n = 8
-        c = centering_matrix(n).real
+        c = centering_matrix(n)
         vals, vecs = np.linalg.eigh(c)
         basis = vecs[:, 1:]  # orthonormal, orthogonal to the ones vector
         scales = np.array([9.0, 7.5, 5.0, 3.0, 2.0, 1.0, 0.5])
@@ -224,7 +198,7 @@ class TestPca:
         rng = np.random.default_rng(11)
         x = rng.standard_normal((8, 8))
         res = pca(x, d=2, t_bits=8)
-        s_t, _, _ = per_sample_scatters(x, np.zeros(8, dtype=int))
+        s_t, _, _ = scatters(LabeledDataset(x, np.zeros(8, dtype=int)))
         lam = np.sort(np.linalg.eigvalsh(s_t))[::-1][:2]
         bound = np.linalg.norm(x) ** 2 * 2.0 ** -8
         assert np.max(np.abs(res.eigenvalues - lam)) <= bound
@@ -245,7 +219,7 @@ class TestPca:
     def test_degenerate_pair_flagged(self):
         rng = np.random.default_rng(13)
         n = 8
-        c = centering_matrix(n).real
+        c = centering_matrix(n)
         _, vecs = np.linalg.eigh(c)
         basis = vecs[:, 1:]
         scales = np.array([4.0, 4.0, 2.0, 1.0, 0.5, 0.25, 0.1])
@@ -271,7 +245,7 @@ class TestLda:
         half = rng.standard_normal((8, 4))
         x = np.concatenate([half, half], axis=1)  # class means coincide
         ds = LabeledDataset(x, np.array([0] * 4 + [1] * 4))
-        _, _, s_b = per_sample_scatters(x, ds.labels)
+        _, _, s_b = scatters(ds)
         assert np.max(np.abs(s_b)) <= 1e-12
         res = lda(ds, d=2)
         np.testing.assert_allclose(res.eigenvalues, 1.0, atol=1e-8)
@@ -289,9 +263,9 @@ class TestLda:
             x = rng.standard_normal((8, 8))
             labels = np.repeat(np.arange(classes), 8 // classes)
             ds = LabeledDataset(x, labels)
-            s_t, s_w, _ = per_sample_scatters(x, labels)
+            s_t, s_w, _ = scatters(ds)
             res = lda(ds, d=2)
-            oracle_vals, _ = pencil_oracle(s_t, s_w, 2)
+            oracle_vals, _ = pencil_eigs(s_t, s_w, 2)
             np.testing.assert_allclose(res.eigenvalues, oracle_vals, atol=1e-6)
 
     def test_complex_data(self):
@@ -305,7 +279,7 @@ class TestLda:
         for k in (0, 1):
             xk = x[:, labels == k]
             s_w += xk @ centering_matrix(4) @ xk.conj().T
-        oracle_vals, _ = pencil_oracle(s_t, s_w, 2)
+        oracle_vals, _ = pencil_eigs(s_t, s_w, 2)
         np.testing.assert_allclose(res.eigenvalues, oracle_vals, atol=1e-6)
 
 
@@ -326,7 +300,7 @@ class TestCca:
         assert np.max(np.abs(blk - blk.conj().T)) <= 1e-9
         assert np.max(np.abs(blk[:8, :8])) <= 1e-9
         assert np.max(np.abs(blk[8:, 8:])) <= 1e-9
-        c = centering_matrix(8).real
+        c = centering_matrix(8)
         np.testing.assert_allclose(blk[:8, 8:], x @ c @ y.T, atol=1e-8)
 
     def test_paired_scatter_blockdiag(self):
@@ -335,7 +309,7 @@ class TestCca:
         y = rng.standard_normal((8, 8))
         h_y = paired_scatter_encoding(x, y)
         blk = h_y.alpha * extract_block(h_y)
-        c = centering_matrix(8).real
+        c = centering_matrix(8)
         np.testing.assert_allclose(blk[:8, :8], x @ c @ x.T, atol=1e-8)
         np.testing.assert_allclose(blk[8:, 8:], y @ c @ y.T, atol=1e-8)
         assert np.max(np.abs(blk[:8, 8:])) <= 1e-10
@@ -347,18 +321,16 @@ class TestCca:
         x[:3] = rng.standard_normal((3, 8))
         y[:3] = rng.standard_normal((3, 8))
         res = cca(x, y, d=2)
-        c = centering_matrix(8).real
-        m = x @ c @ y.T
-        h_x = np.block([[np.zeros((8, 8)), m], [m.T, np.zeros((8, 8))]])
-        h_y = scipy.linalg.block_diag(x @ c @ x.T, y @ c @ y.T)
-        oracle_vals, oracle_vecs = pencil_oracle(h_x, h_y, 2)
+        c = centering_matrix(8)
+        h_x, h_y = pencil_blocks(x @ c @ y.T, x, y, c)
+        oracle_vals, oracle_vecs = pencil_eigs(h_x, h_y, 2)
         np.testing.assert_allclose(res.eigenvalues, oracle_vals, atol=1e-6)
         angles = scipy.linalg.subspace_angles(res.eigenvectors[:, :1],
                                               oracle_vecs[:, :1])
         assert np.max(angles) <= 1e-5
         # the dilation makes the spectrum symmetric; top-d is the nonnegative branch
         assert np.all(res.eigenvalues >= -1e-9)
-        full_vals, _ = pencil_oracle(h_x, h_y, 16)
+        full_vals, _ = pencil_eigs(h_x, h_y, 16)
         nonzero = np.sort(full_vals[np.abs(full_vals) > 1e-9])
         np.testing.assert_allclose(nonzero, -nonzero[::-1], atol=1e-8)
 
@@ -381,8 +353,8 @@ class TestDcca:
         ds_x = LabeledDataset(rng.standard_normal((8, 8)), labels)
         ds_y = LabeledDataset(rng.standard_normal((8, 8)), labels)
         chain = class_correlation_encoding(ds_x, ds_y)
-        c = centering_matrix(8).real
-        e = similarity_matrix(ds_x.partition).real
+        c = centering_matrix(8)
+        e = similarity_matrix(ds_x.partition)
         target = ds_x.x.real @ c @ e @ c @ ds_y.x.real.T
         assert np.linalg.norm(target - chain.alpha * extract_block(chain), 2) <= 1e-6
 
@@ -403,12 +375,10 @@ class TestDcca:
         ds_x = LabeledDataset(x, labels)
         ds_y = LabeledDataset(x, labels)  # shared view
         res = dcca(ds_x, ds_y, d=2)
-        c = centering_matrix(8).real
-        e = similarity_matrix(ds_x.partition).real
-        m = x @ c @ e @ c @ x.T
-        h_d = np.block([[np.zeros((8, 8)), m], [m.T, np.zeros((8, 8))]])
-        h_y = scipy.linalg.block_diag(x @ c @ x.T, x @ c @ x.T)
-        oracle_vals, _ = pencil_oracle(h_d, h_y, 2)
+        c = centering_matrix(8)
+        e = similarity_matrix(ds_x.partition)
+        h_d, h_y = pencil_blocks(x @ c @ e @ c @ x.T, x, x, c)
+        oracle_vals, _ = pencil_eigs(h_d, h_y, 2)
         np.testing.assert_allclose(res.eigenvalues, oracle_vals, atol=1e-6)
 
     def test_partition_mismatch(self):
@@ -436,12 +406,10 @@ class TestDcca:
         xp[:6] = _grouped_padded(ds_x, part.block_dim).real
         yp = np.zeros((8, 8))
         yp[:6] = _grouped_padded(ds_y, part.block_dim).real
-        c = centering_matrix(8).real
-        e = similarity_matrix(part).real
-        m = xp @ c @ e @ c @ yp.T
-        h_d = np.block([[np.zeros((8, 8)), m], [m.T, np.zeros((8, 8))]])
-        h_y = scipy.linalg.block_diag(xp @ c @ xp.T, yp @ c @ yp.T)
-        oracle_vals, _ = pencil_oracle(h_d, h_y, 2)
+        c = centering_matrix(8)
+        e = similarity_matrix(part)
+        h_d, h_y = pencil_blocks(xp @ c @ e @ c @ yp.T, xp, yp, c)
+        oracle_vals, _ = pencil_eigs(h_d, h_y, 2)
         np.testing.assert_allclose(res.eigenvalues, oracle_vals, atol=1e-6)
 
 
@@ -449,7 +417,7 @@ class TestOls:
     def test_target_in_design_column_space(self):
         rng = np.random.default_rng(26)
         x = rng.standard_normal((8, 8))
-        c = centering_matrix(8).real
+        c = centering_matrix(8)
         y = c @ x @ rng.standard_normal(8)
         reg = ols(x, y)
         assert reg.residual_norm <= 1e-8
@@ -466,7 +434,7 @@ class TestOls:
             x = rng.standard_normal((8, 8))
             y = rng.standard_normal(8)
             reg = ols(x, y)
-            c = centering_matrix(8).real
+            c = centering_matrix(8)
             oracle, *_ = np.linalg.lstsq(c @ x, y, rcond=1e-12)
             np.testing.assert_allclose(reg.beta_hat, oracle, atol=1e-8)
 
@@ -475,7 +443,7 @@ class TestOls:
         x = rng.standard_normal((8, 8))
         y = rng.standard_normal(8)
         reg = ols(x, y)
-        c = centering_matrix(8).real
+        c = centering_matrix(8)
         recomputed = np.linalg.norm(c @ x @ reg.beta_hat - y)
         assert abs(reg.residual_norm - recomputed) <= 1e-10
 
@@ -487,6 +455,6 @@ class TestOls:
         y = rng.standard_normal(8)
         reg = ols(x, y)
         assert reg.effective_rank < 7
-        c = centering_matrix(8).real
+        c = centering_matrix(8)
         oracle, *_ = np.linalg.lstsq(c @ x, y, rcond=1e-12)
         np.testing.assert_allclose(reg.beta_hat, oracle, atol=1e-8)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import blocklab.block_encoding as bek
 from blocklab.block_encoding import (
@@ -226,6 +227,17 @@ class TestLinearCombination:
         expected_eps = pair.epsilon_y + pair.beta * max(t.epsilon for t in terms)
         assert be.epsilon == expected_eps
 
+    def test_materialize_matches_dense_select(self):
+        rng = np.random.default_rng(12)
+        terms = [random_encoding(rng, 2, 1) for _ in range(3)]
+        pair = make_state_prep_pair(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        be = linear_combination(pair, terms, common_alpha=1.0)
+        eye = np.eye(terms[0].dim, dtype=complex)
+        select = scipy.linalg.block_diag(*[t.unitary for t in terms], eye)
+        dense = (np.kron(pair.p_left.conj().T, eye) @ select
+                 @ np.kron(pair.p_right, eye))
+        np.testing.assert_allclose(be.unitary, dense, rtol=0, atol=1e-14)
+
     def test_heterogeneous_alpha_rejected(self):
         rng = np.random.default_rng(8)
         a = random_encoding(rng, 1, 0)
@@ -254,6 +266,17 @@ class TestRescaleAndAdjoint:
         mat = out.unitary
         assert is_unitary(mat, 1e-10)
         np.testing.assert_allclose(mat[:4, :4], extract_block(out), atol=1e-13)
+
+    def test_rescale_matches_kron_product(self):
+        rng = np.random.default_rng(13)
+        be = random_encoding(rng, 2, 1)
+        out = rescale_encoding(be, 2.5)
+        g = be.alpha / 2.5
+        s = np.sqrt(1.0 - g * g)
+        rot = np.array([[g, -s], [s, g]], dtype=complex)
+        dense = (np.kron(rot, np.eye(be.dim, dtype=complex))
+                 @ np.kron(np.eye(2, dtype=complex), be.unitary))
+        np.testing.assert_array_equal(out.unitary, dense)
 
     def test_rescale_smaller_rejected(self):
         rng = np.random.default_rng(10)

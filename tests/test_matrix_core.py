@@ -8,7 +8,6 @@ from blocklab.matrix_core import (
     insert_middle_identity,
     is_unitary,
     kron,
-    middle_select,
     parse_complex_token,
     place_middle_blocks,
     read_matrix_csv,
@@ -128,52 +127,56 @@ class TestIsUnitary:
 
 class TestUnitaryCompletion:
     def test_first_basis_vector_gives_identity(self):
-        out = unitary_completion([np.array([1.0, 0.0])], 2)
+        out = unitary_completion(np.array([1.0, 0.0]), 2)
         np.testing.assert_array_equal(out, np.eye(2))
 
     def test_hadamard_column(self):
-        out = unitary_completion([np.array([1.0, 1.0]) / np.sqrt(2)], 2)
+        out = unitary_completion(np.array([1.0, 1.0]) / np.sqrt(2), 2)
         np.testing.assert_allclose(out, HADAMARD, atol=1e-15)
         gram = out.conj().T @ out
         np.testing.assert_allclose(gram, np.eye(2), atol=1e-12)
 
-    def test_full_prescription_returned(self):
-        rng = np.random.default_rng(3)
-        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        out = unitary_completion([q[:, j] for j in range(4)], 4)
-        np.testing.assert_allclose(out, q, atol=1e-14)
-
     def test_random_partial_is_unitary(self):
         rng = np.random.default_rng(4)
-        for dim, k in ((8, 3), (16, 5), (32, 1)):
-            z = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
-            q, _ = np.linalg.qr(z)
-            cols = [q[:, j] for j in range(k)]
-            out = unitary_completion(cols, dim)
+        for dim in (8, 16, 32):
+            z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            col = z / np.linalg.norm(z)
+            out = unitary_completion(col, dim)
             assert is_unitary(out, 1e-10)
-            for j in range(k):
-                np.testing.assert_allclose(out[:, j], cols[j], atol=1e-14)
+            np.testing.assert_array_equal(out[:, 0], col)
 
-    def test_positions(self):
-        col = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
-        out = unitary_completion([col], 4, positions=[2])
-        np.testing.assert_array_equal(out[:, 2], col)
+    @pytest.mark.parametrize("col", [
+        np.array([0.0, 0.6, 0.0, 0.8j]),  # zero first entry: phi = 1
+        np.array([1.0, 2e-9, -1e-9j, 3e-9]),  # near e_0, unit to round-off
+    ], ids=["zero-first-entry", "near-first-basis-vector"])
+    def test_structured_column(self, col):
+        out = unitary_completion(col, 4)
         assert is_unitary(out, 1e-10)
+        np.testing.assert_array_equal(out[:, 0], col)
+
+    def test_phased_first_basis_vector(self):
+        # v = e^{i theta} e_0 leaves w = 0: the completion is e^{i theta} I
+        phase = np.exp(0.7j)
+        col = np.zeros(8, dtype=complex)
+        col[0] = phase
+        out = unitary_completion(col, 8)
+        assert is_unitary(out, 1e-10)
+        np.testing.assert_array_equal(out[:, 0], col)
+        np.testing.assert_allclose(out, phase * np.eye(8), atol=1e-15)
 
     def test_deterministic(self):
         col = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
-        a = unitary_completion([col], 4)
-        b = unitary_completion([col], 4)
+        a = unitary_completion(col, 4)
+        b = unitary_completion(col, 4)
         np.testing.assert_array_equal(a, b)
 
     def test_non_orthonormal_raises(self):
-        with pytest.raises(ValueError):
-            unitary_completion([np.array([1.0, 1.0])], 2)
+        with pytest.raises(ValueError, match="unit vector"):
+            unitary_completion(np.array([1.0, 1.0]), 2)
 
-    def test_too_many_columns_raises(self):
-        with pytest.raises(ValueError):
-            unitary_completion([np.array([1.0, 0]), np.array([0, 1.0]),
-                                np.array([1.0, 0])], 2)
+    def test_wrong_length_column_raises(self):
+        with pytest.raises(ValueError, match="wrong dimension"):
+            unitary_completion(np.array([1.0, 0.0, 0.0]), 2)
 
 
 class TestRegisterAssembly:
@@ -196,7 +199,7 @@ class TestRegisterAssembly:
 
     def test_middle_select_blockdiag(self):
         ops = [np.eye(2, dtype=complex), 2 * np.eye(2, dtype=complex)]
-        out = middle_select(1, ops, 2)
+        out = place_middle_blocks(1, 2, 2, {(k, k): op for k, op in enumerate(ops)})
         expected = np.zeros((4, 4), dtype=complex)
         expected[:2, :2] = ops[0]
         expected[2:, 2:] = ops[1]

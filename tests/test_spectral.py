@@ -31,6 +31,17 @@ class TestHermitianize:
         np.testing.assert_allclose(extract_block(herm), extract_block(be),
                                    atol=1e-12)
 
+    def test_matches_hadamard_conjugated_dilation(self):
+        rng = np.random.default_rng(4)
+        be, _ = hermitian_test_encoding(rng)
+        u = be.unitary
+        zero = np.zeros_like(u)
+        dilation = np.block([[zero, u], [u.conj().T, zero]])
+        h = np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2.0), np.eye(u.shape[0]))
+        herm = hermitianize_encoding(be).unitary
+        np.testing.assert_allclose(herm, h @ dilation @ h, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(herm, herm.conj().T)
+
     def test_already_hermitian_passthrough(self):
         be = trivial_encoding(np.diag([1.0, -1.0]))
         assert hermitianize_encoding(be) is be
@@ -69,6 +80,15 @@ class TestWalkOperator:
             psi[:sys_dim] = vec[:, j]
             resid = w @ (w @ psi) - 2 * (lam[j] / be.alpha) * (w @ psi) + psi
             assert np.linalg.norm(resid) <= 1e-10
+
+    def test_matches_dense_reflection_product(self):
+        rng = np.random.default_rng(5)
+        be, target = hermitian_test_encoding(rng)
+        u = hermitianize_encoding(be).unitary
+        sys_dim = target.shape[0]
+        reflect = -np.eye(u.shape[0], dtype=complex)
+        reflect[:sys_dim, :sys_dim] += 2.0 * np.eye(sys_dim)
+        np.testing.assert_array_equal(walk_operator(be), reflect @ u)
 
     def test_non_hermitian_block_rejected(self):
         rng = np.random.default_rng(3)
