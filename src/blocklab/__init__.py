@@ -21,13 +21,12 @@ from .block_encoding import (
     StatePrepPair,
     VerificationReport,
     adjoint_encoding,
-    composition_log,
     extract_block,
     linear_combination,
     make_state_prep_pair,
+    placement_encoding,
     product,
     rescale_encoding,
-    reset_composition_log,
     trivial_encoding,
     verify,
 )

@@ -19,10 +19,9 @@ from .block_encoding import (
     adjoint_encoding,
     linear_combination,
     make_state_prep_pair,
+    placement_encoding,
     product,
     rescale_encoding,
-    _middle_select_encoding,
-    _system_extend_encoding,
 )
 from .centering import (
     ClassPartition,
@@ -185,7 +184,9 @@ def scatter_within_encoding(ds: LabeledDataset, system_dim: int | None = None) -
         if p_k > system_dim:
             raise ValueError("class block exceeds the system dimension")
         data_k = matrix_encoding(embed_power_of_two(xk, system_dim))
-        cent_k = _system_extend_encoding(centering_encoding(p_k), system_dim // p_k)
+        factor = system_dim // p_k
+        cent = centering_encoding(p_k)
+        cent_k = placement_encoding(factor, {(j, j): cent for j in range(factor)})
         chains.append(product(product(data_k, cent_k), adjoint_encoding(data_k)))
     f = max(be.alpha for be in chains)
     rescaled = [rescale_encoding(be, f) for be in chains]
@@ -210,8 +211,7 @@ def paired_scatter_encoding(x, y, system_dim: int | None = None) -> BlockEncodin
     alpha = max(q.alpha, p.alpha)
     q_r = rescale_encoding(q, alpha)
     p_r = rescale_encoding(p, alpha)
-    return _middle_select_encoding([q_r, p_r], alpha=alpha,
-                                   epsilon=max(q_r.epsilon, p_r.epsilon))
+    return placement_encoding(2, {(0, 0): q_r, (1, 1): p_r})
 
 
 # ---------------------------------------------------------------------------

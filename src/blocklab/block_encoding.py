@@ -7,25 +7,25 @@ qubits (ancillas most significant):
 
     || A - alpha (<0|^a (x) I) U (|0>^a (x) I) || <= epsilon
 
-Composite encodings (products, linear combinations, selects, dilations) store
-their structure and materialize the full unitary only on demand; the encoded
-block itself is always available cheaply through the exact corner identities
-of each composition rule.  Tests cross-check those identities against the
-materialized unitaries.
+Every encoding is a node of one composition tree.  A ``BlockEncoding`` built
+from a matrix is a leaf.  A composite (product, linear combination, adjoint,
+rescale, register placement) holds its child encodings in ``children``,
+derives its own (alpha, ancillas, epsilon) and dimension from them by its
+composition law, and materializes the full unitary only on demand; the
+encoded block is always available cheaply through the exact corner law of
+the node.  Tests cross-check those laws against the materialized unitaries.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .matrix_core import (
     as_complex_matrix,
     ensure_dimension,
-    insert_middle_identity,
     is_power_of_two,
     is_unitary,
     place_middle_blocks,
@@ -46,225 +46,8 @@ __all__ = [
     "rescale_encoding",
     "make_state_prep_pair",
     "linear_combination",
-    "composition_log",
-    "reset_composition_log",
+    "placement_encoding",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Unitary representations
-# ---------------------------------------------------------------------------
-
-class _UnitaryForm:
-    """Lazy description of an encoding unitary.
-
-    ``dim`` is the full dimension; ``materialize`` builds the dense matrix and
-    ``corner(b)`` returns the leading b x b block via the exact corner law of
-    the node, without materializing.
-    """
-
-    dim: int
-
-    def materialize(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def corner(self, b: int) -> np.ndarray:
-        raise NotImplementedError
-
-
-class _Explicit(_UnitaryForm):
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = as_complex_matrix(matrix)
-        if self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError("encoding unitary must be square")
-        self.dim = self.matrix.shape[0]
-
-    def materialize(self) -> np.ndarray:
-        return self.matrix
-
-    def corner(self, b: int) -> np.ndarray:
-        return self.matrix[:b, :b]
-
-
-class _Product(_UnitaryForm):
-    """(I_b (x) U) (I_a (x) V) with V lifted over U's ancillas.
-
-    Corner law: the encoded block of the composite is (block of U)(block of V).
-    """
-
-    def __init__(self, left: _UnitaryForm, right: _UnitaryForm, system_dim: int):
-        self.left = left
-        self.right = right
-        self.system_dim = system_dim
-        self.left_anc = left.dim // system_dim
-        self.right_anc = right.dim // system_dim
-        self.dim = self.right_anc * left.dim
-        ensure_dimension(self.dim)
-
-    def materialize(self) -> np.ndarray:
-        u = self.left.materialize()
-        v = self.right.materialize()
-        lifted = insert_middle_identity(v, self.right_anc, self.left_anc, self.system_dim)
-        return np.kron(np.eye(self.right_anc, dtype=complex), u) @ lifted
-
-    def corner(self, b: int) -> np.ndarray:
-        return self.left.corner(b) @ self.right.corner(b)
-
-
-class _Lcu(_UnitaryForm):
-    """(P_L^dag (x) I) [ sum_j |j><j| (x) U_j + rest (x) I ] (P_R (x) I).
-
-    Its (a, b) block is sum_j conj(P_L[j, a]) P_R[j, b] U_j, with U_j = I on
-    the unused slots; ``materialize`` builds exactly that.
-    Corner law: sum_j conj(c_j) d_j (block of U_j), extended over the unused
-    selector slots by conj(c_j) d_j * I (zero for a valid preparation pair).
-    """
-
-    def __init__(self, p_left: np.ndarray, p_right: np.ndarray,
-                 terms: Sequence[_UnitaryForm]):
-        self.p_left = p_left
-        self.p_right = p_right
-        self.terms = tuple(terms)
-        self.slots = p_left.shape[0]
-        self.inner_dim = self.terms[0].dim
-        self.dim = self.slots * self.inner_dim
-        ensure_dimension(self.dim)
-
-    def materialize(self) -> np.ndarray:
-        eye = np.eye(self.inner_dim, dtype=complex)
-        mats = [self.terms[j].materialize() if j < len(self.terms) else eye
-                for j in range(self.slots)]
-        out = np.einsum("ja,jb,jxy->axby", self.p_left.conj(), self.p_right, np.stack(mats))
-        return out.reshape(self.dim, self.dim)
-
-    def corner(self, b: int) -> np.ndarray:
-        c = self.p_left[:, 0]
-        d = self.p_right[:, 0]
-        out = np.zeros((b, b), dtype=complex)
-        for j in range(self.slots):
-            w = np.conj(c[j]) * d[j]
-            if w == 0:
-                continue
-            if j < len(self.terms):
-                out += w * self.terms[j].corner(b)
-            else:
-                out += w * np.eye(b, dtype=complex)
-        return out
-
-
-class _MiddleSelect(_UnitaryForm):
-    """sum_k |k><k| on a register inserted between ancillas and system.
-
-    Corner law: block-diagonal of the member blocks.
-    """
-
-    def __init__(self, ops: Sequence[_UnitaryForm], anc_dim: int, inner_sys_dim: int):
-        self.ops = tuple(ops)
-        self.anc_dim = anc_dim
-        self.inner_sys_dim = inner_sys_dim
-        self.dim = len(ops) * self.ops[0].dim
-        ensure_dimension(self.dim)
-
-    def materialize(self) -> np.ndarray:
-        blocks = {(k, k): op.materialize() for k, op in enumerate(self.ops)}
-        return place_middle_blocks(self.anc_dim, len(self.ops), self.inner_sys_dim, blocks)
-
-    def corner(self, b: int) -> np.ndarray:
-        inner = b // len(self.ops)
-        out = np.zeros((b, b), dtype=complex)
-        for k, op in enumerate(self.ops):
-            lo, hi = k * inner, (k + 1) * inner
-            out[lo:hi, lo:hi] = op.corner(inner)
-        return out
-
-
-class _OffDiagonalDilation(_UnitaryForm):
-    """|0><1| (x) U + |1><0| (x) U^dag on a qubit inserted before the system.
-
-    Corner law: [[0, B], [B^dag, 0]] for the inner block B.
-    """
-
-    def __init__(self, inner: _UnitaryForm, anc_dim: int, inner_sys_dim: int):
-        self.inner = inner
-        self.anc_dim = anc_dim
-        self.inner_sys_dim = inner_sys_dim
-        self.dim = 2 * inner.dim
-        ensure_dimension(self.dim)
-
-    def materialize(self) -> np.ndarray:
-        u = self.inner.materialize()
-        return place_middle_blocks(
-            self.anc_dim, 2, self.inner_sys_dim,
-            {(0, 1): u, (1, 0): u.conj().T},
-        )
-
-    def corner(self, b: int) -> np.ndarray:
-        inner = b // 2
-        blk = self.inner.corner(inner)
-        out = np.zeros((b, b), dtype=complex)
-        out[:inner, inner:] = blk
-        out[inner:, :inner] = blk.conj().T
-        return out
-
-
-class _SystemExtend(_UnitaryForm):
-    """Tensor an identity factor into the high part of the system register.
-
-    Corner law: I_factor (x) inner block.
-    """
-
-    def __init__(self, inner: _UnitaryForm, factor: int, inner_sys_dim: int):
-        self.inner = inner
-        self.factor = factor
-        self.inner_sys_dim = inner_sys_dim
-        self.anc_dim = inner.dim // inner_sys_dim
-        self.dim = factor * inner.dim
-        ensure_dimension(self.dim)
-
-    def materialize(self) -> np.ndarray:
-        return insert_middle_identity(
-            self.inner.materialize(), self.anc_dim, self.factor, self.inner_sys_dim
-        )
-
-    def corner(self, b: int) -> np.ndarray:
-        inner = b // self.factor
-        return np.kron(np.eye(self.factor, dtype=complex), self.inner.corner(inner))
-
-
-class _Adjoint(_UnitaryForm):
-    def __init__(self, inner: _UnitaryForm):
-        self.inner = inner
-        self.dim = inner.dim
-
-    def materialize(self) -> np.ndarray:
-        return self.inner.materialize().conj().T
-
-    def corner(self, b: int) -> np.ndarray:
-        return self.inner.corner(b).conj().T
-
-
-class _Rescale(_UnitaryForm):
-    """(R_gamma (x) I) (I_2 (x) U) = [[gamma U, -s U], [s U, gamma U]] with
-    s = sqrt(1 - gamma^2); shrinks the encoded block by gamma using one extra
-    ancilla.
-    """
-
-    def __init__(self, inner: _UnitaryForm, gamma: float):
-        if not 0.0 < gamma <= 1.0:
-            raise ValueError("rescale factor must lie in (0, 1]")
-        self.inner = inner
-        self.gamma = float(gamma)
-        self.dim = 2 * inner.dim
-        ensure_dimension(self.dim)
-
-    def materialize(self) -> np.ndarray:
-        g = self.gamma
-        s = np.sqrt(max(0.0, 1.0 - g * g))
-        u = self.inner.materialize()
-        return np.block([[g * u, -s * u], [s * u, g * u]])
-
-    def corner(self, b: int) -> np.ndarray:
-        return self.gamma * self.inner.corner(b)
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +60,25 @@ class BlockEncoding:
     The unitary acts on ``system_qubits + ancillas`` qubits with ancillas most
     significant; ``alpha * extract_block(...)`` approximates the target within
     ``epsilon`` in spectral norm.  Instances are immutable.
+
+    Built directly from a matrix, an encoding is a leaf of the composition
+    tree (``kind == "leaf"``, no ``children``).  Composite nodes subclass it
+    and supply ``_materialize`` (the dense unitary) and ``_block`` (the
+    encoded block by the node's corner law).
     """
 
-    __slots__ = ("_form", "alpha", "ancillas", "epsilon", "system_qubits", "_cache")
+    __slots__ = ("alpha", "ancillas", "epsilon", "system_qubits", "dim", "children", "_cache")
+    kind = "leaf"
 
     def __init__(self, unitary, alpha: float, ancillas: int, epsilon: float,
-                 system_qubits: int, validate_unitary: bool = False):
-        form = unitary if isinstance(unitary, _UnitaryForm) else _Explicit(unitary)
+                 system_qubits: int):
+        matrix = as_complex_matrix(unitary)
+        if matrix.shape[0] != matrix.shape[1]:
+            raise ValueError("encoding unitary must be square")
+        self._certify(alpha, ancillas, epsilon, system_qubits, matrix.shape[0], ())
+        object.__setattr__(self, "_cache", matrix)
+
+    def _certify(self, alpha, ancillas, epsilon, system_qubits, dim, children) -> None:
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         if epsilon < 0:
@@ -292,20 +87,20 @@ class BlockEncoding:
             raise ValueError("ancilla count must be nonnegative")
         if system_qubits < 1:
             raise ValueError("system qubit count must be positive")
-        if not is_power_of_two(form.dim):
+        if not is_power_of_two(dim):
             raise ValueError("encoding dimension must be a power of two")
-        if qubit_count(form.dim) != system_qubits + ancillas:
+        if qubit_count(dim) != system_qubits + ancillas:
             raise ValueError(
-                f"unitary dimension {form.dim} inconsistent with "
+                f"unitary dimension {dim} inconsistent with "
                 f"{system_qubits} system + {ancillas} ancilla qubits"
             )
-        if validate_unitary and not is_unitary(form.materialize()):
-            raise ValueError("encoding matrix is not unitary within 1e-10")
-        object.__setattr__(self, "_form", form)
+        ensure_dimension(dim)
         object.__setattr__(self, "alpha", float(alpha))
         object.__setattr__(self, "ancillas", int(ancillas))
         object.__setattr__(self, "epsilon", float(epsilon))
         object.__setattr__(self, "system_qubits", int(system_qubits))
+        object.__setattr__(self, "dim", int(dim))
+        object.__setattr__(self, "children", tuple(children))
         object.__setattr__(self, "_cache", None)
 
     def __setattr__(self, name, value):
@@ -320,22 +115,26 @@ class BlockEncoding:
         return self.system_qubits + self.ancillas
 
     @property
-    def dim(self) -> int:
-        return self._form.dim
-
-    @property
     def unitary(self) -> np.ndarray:
         """The full encoding unitary (materialized on demand and cached)."""
         cached = self._cache
         if cached is None:
-            cached = self._form.materialize()
-            cached.setflags(write=False)
+            cached = self._materialize()
             object.__setattr__(self, "_cache", cached)
+        cached.setflags(write=False)  # a leaf's matrix is frozen on first read too
         return cached
 
     def extract_block(self) -> np.ndarray:
         """Leading system-dim block; multiply by alpha to approximate the target."""
-        return self._form.corner(self.system_dim)
+        return self._block()
+
+    def _dense(self) -> np.ndarray:
+        """The full unitary, without caching it on a composite node."""
+        return self._cache if self._cache is not None else self._materialize()
+
+    def _block(self) -> np.ndarray:
+        b = self.system_dim
+        return self._cache[:b, :b]
 
     def validate(self, tol: float = 1e-10) -> bool:
         """Materialize and check unitarity (intended for tests and small sizes)."""
@@ -381,7 +180,6 @@ class VerificationReport:
     distance_measured: float
     tolerance: float
     passed: bool
-    max_abs_entry_error: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -395,46 +193,206 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Composition audit
+# Composite nodes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CompositionRecord:
-    kind: str
-    alpha_expected: float
-    alpha_actual: float
-    ancillas_expected: int
-    ancillas_actual: int
-    epsilon_expected: float
-    epsilon_actual: float
+class _Product(BlockEncoding):
+    """(I_Ra (x) U) (I_La (x) V) with V lifted over U's La ancilla slots.
+
+    Scale factors multiply, ancilla counts add, and the error composes as
+    alpha_U eps_V + alpha_V eps_U.  Corner law: the encoded block is
+    (block of U)(block of V).
+    """
+
+    __slots__ = ()
+    kind = "product"
+
+    def __init__(self, left: BlockEncoding, right: BlockEncoding):
+        if left.system_qubits != right.system_qubits:
+            raise ValueError("system dimension mismatch between product factors")
+        self._certify(left.alpha * right.alpha, left.ancillas + right.ancillas,
+                      left.alpha * right.epsilon + right.alpha * left.epsilon,
+                      left.system_qubits, (1 << right.ancillas) * left.dim, (left, right))
+
+    def _materialize(self) -> np.ndarray:
+        left, right = self.children
+        s, la, ra = self.system_dim, 1 << left.ancillas, 1 << right.ancillas
+        u = left._dense().reshape(la, s, la, s)
+        v = right._dense().reshape(ra, s, ra, s)
+        # out[r, l, x, r', l', x'] = sum_y U[l, x, l', y] V[r, y, r', x']
+        out = np.tensordot(u, v, axes=([3], [1]))
+        return out.transpose(3, 0, 1, 4, 2, 5).reshape(self.dim, self.dim)
+
+    def _block(self) -> np.ndarray:
+        left, right = self.children
+        return left._block() @ right._block()
+
+
+class _Lcu(BlockEncoding):
+    """(P_L^dag (x) I) [ sum_j |j><j| (x) U_j + rest (x) I ] (P_R (x) I).
+
+    From uniform (alpha, a, eps) terms: alpha' = alpha * beta, a' = a + b and
+    eps' = alpha * eps_y + alpha * beta * max_j eps_j.  Its (a, b) block is
+    sum_j conj(P_L[j, a]) P_R[j, b] U_j, with U_j = I on the unused slots;
+    ``_materialize`` builds exactly that.  Corner law: sum_j conj(c_j) d_j
+    (block of U_j), extended over the unused selector slots by
+    conj(c_j) d_j * I (zero for a valid preparation pair).
+    """
+
+    __slots__ = ("pair",)
+    kind = "lcu"
+
+    def __init__(self, pair: StatePrepPair, terms: Sequence[BlockEncoding],
+                 common_alpha: float):
+        if not terms:
+            raise ValueError("at least one encoding is required")
+        first = terms[0]
+        for be in terms:
+            if be.system_qubits != first.system_qubits:
+                raise ValueError("all combined encodings must share the system size")
+            if be.ancillas != first.ancillas:
+                raise ValueError("all combined encodings must share the ancilla count")
+            if be.alpha != common_alpha:
+                raise ValueError(
+                    "all combined encodings must share alpha; rescale before combining"
+                )
+        slots = 1 << pair.prep_qubits
+        if len(terms) > slots:
+            raise ValueError(
+                f"{len(terms)} terms exceed the {slots} selector slots of the pair"
+            )
+        if len(pair.coefficients) < len(terms):
+            raise ValueError("fewer coefficients than encodings")
+        object.__setattr__(self, "pair", pair)
+        eps_terms = max(be.epsilon for be in terms)
+        self._certify(common_alpha * pair.beta, first.ancillas + pair.prep_qubits,
+                      common_alpha * pair.epsilon_y + common_alpha * pair.beta * eps_terms,
+                      first.system_qubits, slots * first.dim, terms)
+
+    def _materialize(self) -> np.ndarray:
+        p_left, p_right = self.pair.p_left, self.pair.p_right
+        eye = np.eye(self.children[0].dim, dtype=complex)
+        mats = [self.children[j]._dense() if j < len(self.children) else eye
+                for j in range(p_left.shape[0])]
+        out = np.einsum("ja,jb,jxy->axby", p_left.conj(), p_right, np.stack(mats))
+        return out.reshape(self.dim, self.dim)
+
+    def _block(self) -> np.ndarray:
+        c = self.pair.p_left[:, 0]
+        d = self.pair.p_right[:, 0]
+        b = self.system_dim
+        out = np.zeros((b, b), dtype=complex)
+        for j in range(len(c)):
+            w = np.conj(c[j]) * d[j]
+            if w == 0:
+                continue
+            if j < len(self.children):
+                out += w * self.children[j]._block()
+            else:
+                out += w * np.eye(b, dtype=complex)
+        return out
+
+
+class _Adjoint(BlockEncoding):
+    """The adjoint unitary; it encodes the adjoint target with the same
+    (alpha, ancillas, epsilon)."""
+
+    __slots__ = ()
+    kind = "adjoint"
+
+    def __init__(self, inner: BlockEncoding):
+        self._certify(inner.alpha, inner.ancillas, inner.epsilon, inner.system_qubits,
+                      inner.dim, (inner,))
+
+    def _materialize(self) -> np.ndarray:
+        return self.children[0]._dense().conj().T
+
+    def _block(self) -> np.ndarray:
+        return self.children[0]._block().conj().T
+
+
+class _Rescale(BlockEncoding):
+    """(R_gamma (x) I) (I_2 (x) U) = [[gamma U, -s U], [s U, gamma U]] with
+    gamma = alpha_U / alpha and s = sqrt(1 - gamma^2): one extra ancilla
+    shrinks the encoded block by gamma, so the same target is certified at
+    the larger alpha with the same epsilon.
+    """
+
+    __slots__ = ()
+    kind = "rescale"
+
+    def __init__(self, inner: BlockEncoding, alpha: float):
+        if not alpha >= inner.alpha:
+            raise ValueError("can only rescale to a larger alpha")
+        self._certify(alpha, inner.ancillas + 1, inner.epsilon, inner.system_qubits,
+                      2 * inner.dim, (inner,))
 
     @property
-    def ok(self) -> bool:
-        return (
-            self.alpha_expected == self.alpha_actual
-            and self.ancillas_expected == self.ancillas_actual
-            and self.epsilon_expected == self.epsilon_actual
-        )
+    def gamma(self) -> float:
+        return self.children[0].alpha / self.alpha
+
+    def _materialize(self) -> np.ndarray:
+        g = self.gamma
+        s = np.sqrt(max(0.0, 1.0 - g * g))
+        u = self.children[0]._dense()
+        return np.block([[g * u, -s * u], [s * u, g * u]])
+
+    def _block(self) -> np.ndarray:
+        return self.gamma * self.children[0]._block()
 
 
-_audit_lock = threading.Lock()
-_audit: list[CompositionRecord] = []
+class _Placement(BlockEncoding):
+    """sum_(r, c) |r><c| (x) U_rc on a middle register of ``mid`` slots that
+    sits between the children's ancillas and their system.
 
+    The middle register joins the system, so the encoded block holds the
+    block of child (r, c) at block position (r, c) and zeros elsewhere.  All
+    children share alpha, ancillas and system size, and the slots form a
+    permutation (one per row and per column), so the placement is unitary.
+    The error matrix splits into one block-permutation per offset c - r,
+    whose norm is the largest child error on it, so epsilon is the sum over
+    offsets of that maximum.
+    Corner law: the same placement of the child blocks.
+    """
 
-def _record(rec: CompositionRecord) -> None:
-    with _audit_lock:
-        _audit.append(rec)
+    __slots__ = ("mid", "slots")
+    kind = "placement"
 
+    def __init__(self, mid: int, slots: Mapping[tuple[int, int], BlockEncoding]):
+        if not is_power_of_two(mid):
+            raise ValueError("the middle register size must be a power of two")
+        if sorted(r for r, _ in slots) != list(range(mid)) or \
+                sorted(c for _, c in slots) != list(range(mid)):
+            raise ValueError("slots must fill each row and each column exactly once")
+        first = next(iter(slots.values()))
+        offsets: dict[int, float] = {}
+        for (r, c), be in slots.items():
+            if (be.system_qubits, be.ancillas, be.alpha) != (
+                    first.system_qubits, first.ancillas, first.alpha):
+                raise ValueError("placed encodings must share system size, ancillas and alpha")
+            offsets[c - r] = max(offsets.get(c - r, 0.0), be.epsilon)
+        object.__setattr__(self, "mid", mid)
+        object.__setattr__(self, "slots", dict(slots))
+        self._certify(first.alpha, first.ancillas, sum(offsets.values()),
+                      first.system_qubits + qubit_count(mid), mid * first.dim,
+                      tuple(slots.values()))
 
-def composition_log() -> tuple[CompositionRecord, ...]:
-    """All product/linear-combination metadata records since the last reset."""
-    with _audit_lock:
-        return tuple(_audit)
+    def _materialize(self) -> np.ndarray:
+        first = self.children[0]
+        dense: dict[int, np.ndarray] = {}
+        blocks = {}
+        for slot, be in self.slots.items():
+            if id(be) not in dense:
+                dense[id(be)] = be._dense()
+            blocks[slot] = dense[id(be)]
+        return place_middle_blocks(1 << first.ancillas, self.mid, first.system_dim, blocks)
 
-
-def reset_composition_log() -> None:
-    with _audit_lock:
-        _audit.clear()
+    def _block(self) -> np.ndarray:
+        inner = self.children[0].system_dim
+        out = np.zeros((self.system_dim, self.system_dim), dtype=complex)
+        for (r, c), be in self.slots.items():
+            out[r * inner:(r + 1) * inner, c * inner:(c + 1) * inner] = be._block()
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +425,7 @@ def verify(be: BlockEncoding, target, tol: float = 1e-9) -> VerificationReport:
         )
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    diff = target - be.alpha * be.extract_block()
-    dist = spectral_norm(diff)
-    max_abs = float(np.max(np.abs(diff)))
+    dist = spectral_norm(target - be.alpha * be.extract_block())
     passed = dist <= max(be.epsilon, tol)
     return VerificationReport(
         alpha=be.alpha,
@@ -478,7 +434,6 @@ def verify(be: BlockEncoding, target, tol: float = 1e-9) -> VerificationReport:
         distance_measured=dist,
         tolerance=tol,
         passed=bool(passed),
-        max_abs_entry_error=max_abs,
     )
 
 
@@ -489,29 +444,12 @@ def product(u_be: BlockEncoding, v_be: BlockEncoding) -> BlockEncoding:
     alpha_A * eps_B + alpha_B * eps_A.  Each factor keeps its own ancillas;
     the encoded block of the result is exactly the product of the blocks.
     """
-    if u_be.system_qubits != v_be.system_qubits:
-        raise ValueError("system dimension mismatch between product factors")
-    alpha = u_be.alpha * v_be.alpha
-    ancillas = u_be.ancillas + v_be.ancillas
-    epsilon = u_be.alpha * v_be.epsilon + v_be.alpha * u_be.epsilon
-    form = _Product(u_be._form, v_be._form, u_be.system_dim)
-    out = BlockEncoding(form, alpha=alpha, ancillas=ancillas, epsilon=epsilon,
-                        system_qubits=u_be.system_qubits)
-    _record(CompositionRecord(
-        kind="product",
-        alpha_expected=u_be.alpha * v_be.alpha, alpha_actual=out.alpha,
-        ancillas_expected=u_be.ancillas + v_be.ancillas,
-        ancillas_actual=qubit_count(out.dim) - out.system_qubits,
-        epsilon_expected=u_be.alpha * v_be.epsilon + v_be.alpha * u_be.epsilon,
-        epsilon_actual=out.epsilon,
-    ))
-    return out
+    return _Product(u_be, v_be)
 
 
 def adjoint_encoding(be: BlockEncoding) -> BlockEncoding:
     """Encoding of the adjoint target, from the adjoint unitary."""
-    return BlockEncoding(_Adjoint(be._form), alpha=be.alpha, ancillas=be.ancillas,
-                         epsilon=be.epsilon, system_qubits=be.system_qubits)
+    return _Adjoint(be)
 
 
 def rescale_encoding(be: BlockEncoding, new_alpha: float) -> BlockEncoding:
@@ -521,15 +459,7 @@ def rescale_encoding(be: BlockEncoding, new_alpha: float) -> BlockEncoding:
     old_alpha/new_alpha, so new_alpha * block still reproduces the target and
     the declared error bound is unchanged.
     """
-    if new_alpha < be.alpha:
-        raise ValueError("can only rescale to a larger alpha")
-    if new_alpha == be.alpha:
-        gamma = 1.0
-    else:
-        gamma = be.alpha / new_alpha
-    form = _Rescale(be._form, gamma)
-    return BlockEncoding(form, alpha=float(new_alpha), ancillas=be.ancillas + 1,
-                         epsilon=be.epsilon, system_qubits=be.system_qubits)
+    return _Rescale(be, new_alpha)
 
 
 def make_state_prep_pair(y) -> StatePrepPair:
@@ -579,85 +509,18 @@ def linear_combination(
     with alpha' = alpha * beta, a' = a + b, and
     eps' = alpha * eps_y + alpha * beta * max_j eps_j.
     """
-    if not encodings:
-        raise ValueError("at least one encoding is required")
-    first = encodings[0]
-    for be in encodings:
-        if be.system_qubits != first.system_qubits:
-            raise ValueError("all combined encodings must share the system size")
-        if be.ancillas != first.ancillas:
-            raise ValueError("all combined encodings must share the ancilla count")
-        if be.alpha != common_alpha:
-            raise ValueError(
-                "all combined encodings must share alpha; rescale before combining"
-            )
-    slots = 1 << pair.prep_qubits
-    if len(encodings) > slots:
-        raise ValueError(
-            f"{len(encodings)} terms exceed the {slots} selector slots of the pair"
-        )
-    if len(pair.coefficients) < len(encodings):
-        raise ValueError("fewer coefficients than encodings")
-
-    form = _Lcu(pair.p_left, pair.p_right, [be._form for be in encodings])
-    alpha = common_alpha * pair.beta
-    ancillas = first.ancillas + pair.prep_qubits
-    eps_terms = max(be.epsilon for be in encodings)
-    epsilon = common_alpha * pair.epsilon_y + common_alpha * pair.beta * eps_terms
-    out = BlockEncoding(form, alpha=alpha, ancillas=ancillas, epsilon=epsilon,
-                        system_qubits=first.system_qubits)
-    _record(CompositionRecord(
-        kind="lcu",
-        alpha_expected=common_alpha * pair.beta, alpha_actual=out.alpha,
-        ancillas_expected=first.ancillas + pair.prep_qubits,
-        ancillas_actual=qubit_count(out.dim) - out.system_qubits,
-        epsilon_expected=epsilon, epsilon_actual=out.epsilon,
-    ))
-    return out
+    return _Lcu(pair, encodings, common_alpha)
 
 
-# Internal helpers used by the higher-level constructions ---------------------
+def placement_encoding(mid: int,
+                       slots: Mapping[tuple[int, int], BlockEncoding]) -> BlockEncoding:
+    """Encoding of the block matrix with the target of ``slots[(r, c)]`` at
+    block position (r, c) of a ``mid`` x ``mid`` grid, zeros elsewhere.
 
-def _middle_select_encoding(
-    members: Sequence[BlockEncoding],
-    alpha: float,
-    epsilon: float,
-) -> BlockEncoding:
-    """sum_k |k><k| (x) U_k with the selector as the high system register.
-
-    All members must share dimensions and ancilla counts; the selector
-    register becomes part of the system, so the encoded block is the block
-    diagonal of the member blocks.
+    ``mid`` must be a power of two and the slots must fill each row and each
+    column exactly once; the grid index becomes the most significant system
+    register.  A select puts its members on the diagonal,
+    a Hermitian dilation puts M at (0, 1) and its adjoint at (1, 0), and a
+    system extension puts the same encoding on every diagonal slot.
     """
-    first = members[0]
-    if len(members) < 1 or not is_power_of_two(len(members)):
-        raise ValueError("member count must be a power of two")
-    for be in members:
-        if be.system_qubits != first.system_qubits or be.ancillas != first.ancillas:
-            raise ValueError("select members must share system and ancilla sizes")
-    form = _MiddleSelect([be._form for be in members],
-                         anc_dim=1 << first.ancillas,
-                         inner_sys_dim=first.system_dim)
-    sys_qubits = first.system_qubits + qubit_count(len(members))
-    return BlockEncoding(form, alpha=alpha, ancillas=first.ancillas,
-                         epsilon=epsilon, system_qubits=sys_qubits)
-
-
-def _off_diagonal_dilation_encoding(be: BlockEncoding, epsilon: float) -> BlockEncoding:
-    """[[0, B], [B^dag, 0]] on one extra system qubit (most significant)."""
-    form = _OffDiagonalDilation(be._form, anc_dim=1 << be.ancillas,
-                                inner_sys_dim=be.system_dim)
-    return BlockEncoding(form, alpha=be.alpha, ancillas=be.ancillas,
-                         epsilon=epsilon, system_qubits=be.system_qubits + 1)
-
-
-def _system_extend_encoding(be: BlockEncoding, factor: int) -> BlockEncoding:
-    """Tensor the target with I_factor on a new high system register."""
-    if not is_power_of_two(factor):
-        raise ValueError("extension factor must be a power of two")
-    if factor == 1:
-        return be
-    form = _SystemExtend(be._form, factor, be.system_dim)
-    return BlockEncoding(form, alpha=be.alpha, ancillas=be.ancillas,
-                         epsilon=be.epsilon,
-                         system_qubits=be.system_qubits + qubit_count(factor))
+    return _Placement(mid, slots)

@@ -14,10 +14,11 @@ from .block_encoding import (
     BlockEncoding,
     linear_combination,
     make_state_prep_pair,
+    placement_encoding,
     trivial_encoding,
-    _middle_select_encoding,
 )
 from .matrix_core import (
+    embed_power_of_two,
     ensure_dimension,
     is_power_of_two,
     kron,
@@ -173,13 +174,10 @@ def _class_block_terms(n_k: int, block_dim: int) -> tuple[list[float], list[np.n
     coeffs: list[float] = []
     mats: list[np.ndarray] = []
     if n_k >= 2:
+        pad = np.arange(n_k, block_dim)
         for t in range(n_k):
-            m = np.zeros((block_dim, block_dim), dtype=complex)
-            for s in range(n_k):
-                m[(s + t) % n_k, s] = 1.0
-            w = np.exp(2j * np.pi * t / n_k)
-            for s in range(n_k, block_dim):
-                m[s, s] = w
+            m = embed_power_of_two(cyclic_shift(n_k, t), block_dim)
+            m[pad, pad] = np.exp(2j * np.pi * t / n_k)
             coeffs.append(1.0)
             mats.append(m)
     else:
@@ -234,5 +232,4 @@ def similarity_encoding(partition: ClassPartition, total_dim: int | None = None)
         pair = make_state_prep_pair(y)
         terms = [trivial_encoding(m) for m in mats]
         members.append(linear_combination(pair, terms, common_alpha=1.0))
-    return _middle_select_encoding(members, alpha=float(n_tilde),
-                                   epsilon=max(m.epsilon for m in members))
+    return placement_encoding(c_pad, {(k, k): m for k, m in enumerate(members)})

@@ -13,10 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_encoding import (
-    BlockEncoding,
-    _off_diagonal_dilation_encoding,
-)
+from .block_encoding import BlockEncoding, adjoint_encoding, placement_encoding
 from .matrix_core import (
     as_complex_matrix,
     embed_power_of_two,
@@ -39,51 +36,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NormTree:
-    """Binary partial-sum trees over squared entry magnitudes.
+    """Roots of the binary partial-sum trees over squared entry magnitudes:
+    the row norms ||x_i|| and the Frobenius norm ||X||_F."""
 
-    ``row_levels[i]`` lists the levels of row i's tree from leaves |x_ij|^2 up
-    to the single-entry root ||x_i||^2; ``norm_levels`` aggregates the row
-    roots up to ||X||_F^2.
-    """
-
-    rows: tuple[np.ndarray, ...]
     row_norms: np.ndarray
     frobenius_norm: float
-    row_levels: tuple[tuple[np.ndarray, ...], ...]
-    norm_levels: tuple[np.ndarray, ...]
 
 
-def _sum_tree(leaves: np.ndarray) -> tuple[np.ndarray, ...]:
-    width = next_power_of_two(max(1, leaves.size))
-    level = np.zeros(width)
-    level[: leaves.size] = leaves
-    levels = [level]
-    while levels[-1].size > 1:
-        prev = levels[-1]
-        levels.append(prev[0::2] + prev[1::2])
-    return tuple(levels)
+def _pairwise_sums(sq: np.ndarray) -> np.ndarray:
+    """Row sums of ``sq`` by pairwise halving over its zero-padded columns."""
+    s = np.zeros((sq.shape[0], next_power_of_two(sq.shape[1])))
+    s[:, : sq.shape[1]] = sq
+    while s.shape[1] > 1:
+        s = s[:, 0::2] + s[:, 1::2]
+    return s[:, 0]
 
 
 def build_norm_tree(x) -> NormTree:
     """Deterministic partial-sum structure for the preparation amplitudes."""
     x = as_complex_matrix(x)
-    sq = np.abs(x) ** 2
-    row_levels = tuple(_sum_tree(sq[i]) for i in range(x.shape[0]))
-    row_norm_sq = np.array([lv[-1][0] for lv in row_levels])
-    norm_levels = _sum_tree(row_norm_sq)
-    frobenius = float(np.sqrt(norm_levels[-1][0]))
+    row_norm_sq = _pairwise_sums(np.abs(x) ** 2)
+    frobenius = float(np.sqrt(_pairwise_sums(row_norm_sq[np.newaxis, :])[0]))
     if frobenius == 0.0:
         raise ValueError("matrix has Frobenius norm zero; nothing to encode")
-    return NormTree(
-        rows=tuple(x[i].copy() for i in range(x.shape[0])),
-        row_norms=np.sqrt(row_norm_sq),
-        frobenius_norm=frobenius,
-        row_levels=row_levels,
-        norm_levels=norm_levels,
-    )
+    return NormTree(row_norms=np.sqrt(row_norm_sq), frobenius_norm=frobenius)
 
 
-def preparation_unitaries(x) -> tuple[np.ndarray, np.ndarray]:
+def preparation_unitaries(x, tree: NormTree | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The two completed preparation unitaries (rows, norms) for a matrix.
 
     Both act on a (row x column) register pair of log2(n) qubits each.  The
@@ -92,6 +71,7 @@ def preparation_unitaries(x) -> tuple[np.ndarray, np.ndarray]:
     the row-norm state on the row register with the column register pinned
     to j.  Each is assembled from per-register completions, so the
     prescribed columns are met exactly and the rest is deterministic.
+    ``tree`` is the norm tree of ``x`` when the caller has built it already.
     """
     x = as_complex_matrix(x)
     n = x.shape[0]
@@ -100,7 +80,8 @@ def preparation_unitaries(x) -> tuple[np.ndarray, np.ndarray]:
                          "of dimension >= 2; embed first")
     dim = n * n
     ensure_dimension(dim)
-    tree = build_norm_tree(x)
+    if tree is None:
+        tree = build_norm_tree(x)
 
     # u_rows = select(R_i) composed with a register swap: |0>|i> -> |i>|r_i>
     u_rows = np.zeros((dim, dim), dtype=complex)
@@ -128,9 +109,10 @@ def matrix_encoding(x) -> BlockEncoding:
     residual, which sits at completion round-off.
     """
     x = as_complex_matrix(x)
-    u_rows, u_norms = preparation_unitaries(x)
+    tree = build_norm_tree(x)
+    u_rows, u_norms = preparation_unitaries(x, tree)
     n = x.shape[0]
-    frob = build_norm_tree(x).frobenius_norm
+    frob = tree.frobenius_norm
     unitary = u_rows.conj().T @ u_norms
     measured = float(np.linalg.norm(x - frob * unitary[:n, :n], 2))
     return BlockEncoding(unitary, alpha=frob, ancillas=qubit_count(n),
@@ -156,6 +138,6 @@ def hermitian_dilation(be: BlockEncoding) -> BlockEncoding:
     """Encoding of [[0, M], [M^dag, 0]] from an encoding of M.
 
     Adds one system qubit (most significant); the scale factor is unchanged
-    and the declared error bound doubles.
+    and the declared error bound doubles, one epsilon per off-diagonal.
     """
-    return _off_diagonal_dilation_encoding(be, epsilon=2.0 * be.epsilon)
+    return placement_encoding(2, {(0, 1): be, (1, 0): adjoint_encoding(be)})

@@ -164,20 +164,6 @@ def unitary_completion(column, dimension: int) -> np.ndarray:
 # Register-structured assembly
 # ---------------------------------------------------------------------------
 
-def insert_middle_identity(op: np.ndarray, front: int, mid: int, back: int) -> np.ndarray:
-    """Lift an operator on (front x back) to (front x mid x back), identity on mid."""
-    op = as_complex_matrix(op)
-    if op.shape != (front * back, front * back):
-        raise ValueError("operator shape inconsistent with front/back dimensions")
-    out_dim = front * mid * back
-    ensure_dimension(out_dim)
-    op4 = op.reshape(front, back, front, back)
-    out = np.zeros((front, mid, back, front, mid, back), dtype=complex)
-    for m in range(mid):
-        out[:, m, :, :, m, :] = op4
-    return out.reshape(out_dim, out_dim)
-
-
 def place_middle_blocks(
     front: int,
     mid: int,

@@ -9,7 +9,7 @@ import json
 import pytest
 
 from blocklab.cli import EXIT_OK, main
-from blocklab.suite import run_battery
+from blocklab.suite import _composition_corpus, _obeys_law, check_composition_laws, run_battery
 
 SEED = 42
 BUDGETED = {1, 2, 3, 5, 6, 7, 8, 9}
@@ -36,6 +36,30 @@ def test_criterion(battery, cid):
 
 def test_budgeted_criteria(battery):
     assert {cid for cid, o in battery.items() if o.budget_s is not None} == BUDGETED
+
+
+def _first_node(trees, kind):
+    stack = list(trees)
+    while stack:
+        be = stack.pop()
+        if be.kind == kind:
+            return be
+        stack.extend(be.children)
+    raise LookupError(kind)
+
+
+@pytest.mark.parametrize("field", ["alpha", "ancillas", "epsilon"])
+@pytest.mark.parametrize("kind", ["product", "lcu", "adjoint", "rescale", "placement"])
+def test_criterion_4_counts_a_broken_law(kind, field):
+    trees = _composition_corpus(SEED)
+    assert check_composition_laws(trees)[1] == 0
+    node = _first_node(trees, kind)
+    # alpha halves so a rescale falls below its child's alpha
+    broken = {"alpha": node.alpha / 2, "ancillas": node.ancillas + 1,
+              "epsilon": node.epsilon + 1.0}[field]
+    object.__setattr__(node, field, broken)
+    assert not _obeys_law(node)
+    assert check_composition_laws(trees)[1] >= 1
 
 
 def test_criterion_11_cli_determinism(tmp_path):

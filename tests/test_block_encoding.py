@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import blocklab.block_encoding as bek
 from blocklab.block_encoding import (
     BlockEncoding,
     adjoint_encoding,
-    composition_log,
     extract_block,
     linear_combination,
     make_state_prep_pair,
+    placement_encoding,
     product,
     rescale_encoding,
-    reset_composition_log,
     trivial_encoding,
     verify,
 )
@@ -147,6 +145,20 @@ class TestProduct:
         # corner law survives materialization for the nested composite too
         mat = left.unitary
         np.testing.assert_allclose(mat[:4, :4], extract_block(left), atol=1e-12)
+
+    def test_materialize_matches_dense_lift(self):
+        rng = np.random.default_rng(15)
+        for (sq, a1, a2) in ((1, 1, 2), (2, 2, 1), (2, 0, 3)):
+            u = random_encoding(rng, sq, a1)
+            v = random_encoding(rng, sq, a2)
+            s, la, ra = 1 << sq, 1 << a1, 1 << a2
+            # V lifted to (Ra, La, s) with the identity on U's ancilla register
+            lifted = np.zeros((ra, la, s, ra, la, s), dtype=complex)
+            for m in range(la):
+                lifted[:, m, :, :, m, :] = v.unitary.reshape(ra, s, ra, s)
+            lifted = lifted.reshape(ra * la * s, ra * la * s)
+            dense = np.kron(np.eye(ra, dtype=complex), u.unitary) @ lifted
+            np.testing.assert_allclose(product(u, v).unitary, dense, rtol=0, atol=1e-14)
 
 
 class TestStatePrepPair:
@@ -293,23 +305,6 @@ class TestRescaleAndAdjoint:
         np.testing.assert_allclose(adj.unitary, be.unitary.conj().T, atol=1e-15)
 
 
-class TestCompositionAudit:
-    def test_records_and_laws(self):
-        reset_composition_log()
-        rng = np.random.default_rng(12)
-        u = random_encoding(rng, 1, 1)
-        v = random_encoding(rng, 1, 0)
-        product(u, v)
-        pair = make_state_prep_pair(np.ones(2))
-        linear_combination(pair, [trivial_encoding(np.eye(2))] * 2, 1.0)
-        log = composition_log()
-        assert len(log) == 2
-        assert {r.kind for r in log} == {"product", "lcu"}
-        assert all(r.ok for r in log)
-        reset_composition_log()
-        assert composition_log() == ()
-
-
 class TestBlockEncodingInvariants:
     def test_dimension_consistency_enforced(self):
         with pytest.raises(ValueError):
@@ -326,34 +321,72 @@ class TestBlockEncodingInvariants:
         with pytest.raises(AttributeError):
             be.alpha = 2.0
 
-    def test_validate_flags_non_unitary(self):
+    def test_unitary_read_only(self):
         with pytest.raises(ValueError):
-            BlockEncoding(np.diag([1.0, 2.0]), alpha=1.0, ancillas=0,
-                          epsilon=0.0, system_qubits=1, validate_unitary=True)
+            trivial_encoding(PAULI_X).unitary[0, 0] = 5
+
+    def test_validate_flags_non_unitary(self):
+        be = BlockEncoding(np.diag([1.0, 2.0]), alpha=1.0, ancillas=0,
+                           epsilon=0.0, system_qubits=1)
+        assert not be.validate()
+        assert trivial_encoding(PAULI_X).validate()
 
 
-class TestStructuredNodes:
-    def test_select_and_dilation_corners(self):
-        rng = np.random.default_rng(13)
-        q = random_encoding(rng, 2, 1)
-        p = random_encoding(rng, 2, 1)
-        sel = bek._middle_select_encoding([q, p], alpha=1.0, epsilon=0.0)
-        blk = extract_block(sel)
-        np.testing.assert_allclose(blk[:4, :4], extract_block(q), atol=1e-15)
-        np.testing.assert_allclose(blk[4:, 4:], extract_block(p), atol=1e-15)
-        assert np.all(blk[:4, 4:] == 0) and np.all(blk[4:, :4] == 0)
-        mat = sel.unitary
-        assert is_unitary(mat, 1e-10)
-        np.testing.assert_allclose(mat[:8, :8], blk, atol=1e-13)
+def _select(be, rng):
+    other = random_encoding(rng, be.system_qubits, be.ancillas)
+    enc = placement_encoding(2, {(0, 0): be, (1, 1): other})
+    return enc, scipy.linalg.block_diag(extract_block(be), extract_block(other))
 
-    def test_system_extension_corner(self):
+
+def _dilation(be, rng):
+    enc = placement_encoding(2, {(0, 1): be, (1, 0): adjoint_encoding(be)})
+    blk = extract_block(be)
+    zero = np.zeros_like(blk)
+    return enc, np.block([[zero, blk], [blk.conj().T, zero]])
+
+
+def _extension(be, rng):
+    enc = placement_encoding(4, {(j, j): be for j in range(4)})
+    return enc, np.kron(np.eye(4), extract_block(be))
+
+
+class TestPlacement:
+    @pytest.mark.parametrize("build", [_select, _dilation, _extension],
+                             ids=["select", "dilation", "extension"])
+    def test_corner_is_leading_block_of_unitary(self, build):
         rng = np.random.default_rng(14)
-        be = random_encoding(rng, 1, 1)
-        ext = bek._system_extend_encoding(be, 4)
-        assert ext.system_qubits == 3 and ext.ancillas == 1
-        np.testing.assert_allclose(
-            extract_block(ext),
-            np.kron(np.eye(4), extract_block(be)), atol=1e-15)
-        mat = ext.unitary
+        be = product(random_encoding(rng, 2, 1), random_encoding(rng, 2, 0))
+        enc, expected = build(be, rng)
+        assert enc.ancillas == be.ancillas and enc.alpha == be.alpha
+        np.testing.assert_array_equal(extract_block(enc), expected)
+        mat = enc.unitary
         assert is_unitary(mat, 1e-10)
-        np.testing.assert_allclose(mat[:8, :8], extract_block(ext), atol=1e-13)
+        np.testing.assert_allclose(mat[: enc.system_dim, : enc.system_dim],
+                                   extract_block(enc), atol=1e-13)
+
+    def test_epsilon_sums_worst_error_per_offset(self):
+        rng = np.random.default_rng(16)
+        a = random_encoding(rng, 1, 0)
+        b = BlockEncoding(random_unitary(2, rng), alpha=1.0, ancillas=0, epsilon=0.25,
+                          system_qubits=1)
+        assert placement_encoding(2, {(0, 0): a, (1, 1): b}).epsilon == a.epsilon
+        assert placement_encoding(2, {(0, 1): b, (1, 0): a}).epsilon == a.epsilon + 0.25
+        assert placement_encoding(4, {(j, j): b for j in range(4)}).epsilon == 0.25
+        dil = placement_encoding(2, {(0, 1): a, (1, 0): adjoint_encoding(a)})
+        assert dil.epsilon == 2.0 * a.epsilon
+
+    def test_mismatched_children_rejected(self):
+        rng = np.random.default_rng(17)
+        a = random_encoding(rng, 1, 0)
+        with pytest.raises(ValueError, match="share"):
+            placement_encoding(2, {(0, 0): a, (1, 1): rescale_encoding(a, 2.0)})
+        with pytest.raises(ValueError, match="exactly once"):
+            placement_encoding(2, {(2, 0): a, (1, 1): a})
+        with pytest.raises(ValueError, match="exactly once"):
+            placement_encoding(2, {(0, 0): a})
+        with pytest.raises(ValueError, match="exactly once"):
+            placement_encoding(2, {(0, 0): a, (0, 1): a})
+        with pytest.raises(ValueError, match="exactly once"):
+            placement_encoding(2, {(0, 0): a, (1, 0): a})
+        with pytest.raises(ValueError, match="power of two"):
+            placement_encoding(3, {(j, j): a for j in range(3)})

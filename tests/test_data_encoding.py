@@ -27,19 +27,21 @@ class TestNormTree:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         tree = build_norm_tree(x)
-        assert np.isclose(tree.norm_levels[-1][0], np.sum(np.abs(x) ** 2))
+        assert np.isclose(tree.frobenius_norm ** 2, np.sum(np.abs(x) ** 2))
 
     def test_internal_nodes_sum_children(self):
+        def tree_root(leaves):
+            level = list(leaves) + [0.0] * ((1 << (len(leaves) - 1).bit_length()) - len(leaves))
+            while len(level) > 1:
+                level = [level[k] + level[k + 1] for k in range(0, len(level), 2)]
+            return level[0]
+
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((4, 4))
+        x = rng.standard_normal((4, 6))
         tree = build_norm_tree(x)
-        for levels in list(tree.row_levels) + [tree.norm_levels]:
-            for lower, upper in zip(levels, levels[1:]):
-                np.testing.assert_allclose(lower[0::2] + lower[1::2], upper,
-                                           atol=1e-14)
-        for i in range(4):
-            np.testing.assert_allclose(tree.row_levels[i][0],
-                                       np.abs(x[i]) ** 2, atol=1e-15)
+        row_sq = [tree_root(np.abs(x[i]) ** 2) for i in range(4)]
+        np.testing.assert_array_equal(tree.row_norms, np.sqrt(row_sq))
+        assert tree.frobenius_norm == np.sqrt(tree_root(row_sq))
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError):

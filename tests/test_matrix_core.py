@@ -5,7 +5,6 @@ from blocklab.matrix_core import (
     CapExceededError,
     embed_power_of_two,
     format_complex,
-    insert_middle_identity,
     is_unitary,
     kron,
     parse_complex_token,
@@ -180,23 +179,6 @@ class TestUnitaryCompletion:
 
 
 class TestRegisterAssembly:
-    def test_insert_middle_identity_matches_kron_permutation(self):
-        rng = np.random.default_rng(5)
-        front, mid, back = 2, 4, 2
-        op = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        lifted = insert_middle_identity(op, front, mid, back)
-        op4 = op.reshape(front, back, front, back)
-        for f in range(front):
-            for m in range(mid):
-                for b in range(back):
-                    for f2 in range(front):
-                        for m2 in range(mid):
-                            for b2 in range(back):
-                                row = (f * mid + m) * back + b
-                                col = (f2 * mid + m2) * back + b2
-                                expected = op4[f, b, f2, b2] if m == m2 else 0.0
-                                assert lifted[row, col] == expected
-
     def test_middle_select_blockdiag(self):
         ops = [np.eye(2, dtype=complex), 2 * np.eye(2, dtype=complex)]
         out = place_middle_blocks(1, 2, 2, {(k, k): op for k, op in enumerate(ops)})
