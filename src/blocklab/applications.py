@@ -139,31 +139,29 @@ def _flag_degeneracies(values: np.ndarray) -> tuple[tuple[int, int], ...]:
 # Scatter-style encodings
 # ---------------------------------------------------------------------------
 
-def scatter_total_encoding(x, system_dim: int | None = None) -> BlockEncoding:
+def scatter_total_encoding(x) -> BlockEncoding:
     """Encoding of the total scatter X C X^T with alpha = ||X||_F^2."""
     x = as_complex_matrix(x)
-    if system_dim is None:
-        system_dim = next_power_of_two(max(2, *x.shape))
+    system_dim = next_power_of_two(max(2, *x.shape))
     data = matrix_encoding(embed_power_of_two(x, system_dim))
     cent = centering_encoding(system_dim)
     return product(product(data, cent), adjoint_encoding(data))
 
 
-def cross_scatter_encoding(x, y, system_dim: int | None = None) -> BlockEncoding:
+def cross_scatter_encoding(x, y) -> BlockEncoding:
     """Encoding of X C Y^dag with alpha = ||X||_F ||Y||_F."""
     x = as_complex_matrix(x)
     y = as_complex_matrix(y)
     if x.shape != y.shape:
         raise ValueError("paired data matrices must share a shape")
-    if system_dim is None:
-        system_dim = next_power_of_two(max(2, *x.shape))
+    system_dim = next_power_of_two(max(2, *x.shape))
     data_x = matrix_encoding(embed_power_of_two(x, system_dim))
     data_y = matrix_encoding(embed_power_of_two(y, system_dim))
     cent = centering_encoding(system_dim)
     return product(product(data_x, cent), adjoint_encoding(data_y))
 
 
-def scatter_within_encoding(ds: LabeledDataset, system_dim: int | None = None) -> BlockEncoding:
+def scatter_within_encoding(ds: LabeledDataset) -> BlockEncoding:
     """Encoding of the within-class scatter sum_k X_k C_k X_k^T.
 
     Each class block is embedded to the common system dimension with the
@@ -172,17 +170,13 @@ def scatter_within_encoding(ds: LabeledDataset, system_dim: int | None = None) -
     and combined with unit coefficients, so the declared alpha is c * f.
     """
     part = ds.partition
-    x = ds.x
-    if system_dim is None:
-        system_dim = next_power_of_two(max(2, x.shape[0], part.max_class_size))
+    system_dim = next_power_of_two(max(2, *ds.x.shape))
     chains = []
     for k in range(part.class_count):
         xk = ds.class_columns(k)
         if xk.shape[1] == 0:
             raise ValueError("empty class in dataset")
         p_k = max(2, next_power_of_two(xk.shape[1]))
-        if p_k > system_dim:
-            raise ValueError("class block exceeds the system dimension")
         data_k = matrix_encoding(embed_power_of_two(xk, system_dim))
         factor = system_dim // p_k
         cent = centering_encoding(p_k)
@@ -194,7 +188,7 @@ def scatter_within_encoding(ds: LabeledDataset, system_dim: int | None = None) -
     return linear_combination(pair, rescaled, common_alpha=f)
 
 
-def paired_scatter_encoding(x, y, system_dim: int | None = None) -> BlockEncoding:
+def paired_scatter_encoding(x, y) -> BlockEncoding:
     """Block-diagonal encoding of diag(X C X^T, Y C Y^T) on one extra qubit.
 
     Both scatter encodings are rescaled to the larger scale factor so a
@@ -204,10 +198,8 @@ def paired_scatter_encoding(x, y, system_dim: int | None = None) -> BlockEncodin
     y = as_complex_matrix(y)
     if x.shape != y.shape:
         raise ValueError("paired data matrices must share a shape")
-    if system_dim is None:
-        system_dim = next_power_of_two(max(2, *x.shape))
-    q = scatter_total_encoding(x, system_dim)
-    p = scatter_total_encoding(y, system_dim)
+    q = scatter_total_encoding(x)
+    p = scatter_total_encoding(y)
     alpha = max(q.alpha, p.alpha)
     q_r = rescale_encoding(q, alpha)
     p_r = rescale_encoding(p, alpha)
@@ -316,10 +308,9 @@ def lda(ds: LabeledDataset, d: int) -> EigenResult:
     cross-checked against its direct per-class-mean form.
     """
     part = ds.partition
-    system_dim = next_power_of_two(max(2, ds.x.shape[0], ds.x.shape[1],
-                                       part.max_class_size))
-    st_be = scatter_total_encoding(ds.x, system_dim)
-    sw_be = scatter_within_encoding(ds, system_dim)
+    st_be = scatter_total_encoding(ds.x)
+    sw_be = scatter_within_encoding(ds)
+    system_dim = st_be.system_dim
 
     exact_layout = (
         system_dim == ds.x.shape[1]
@@ -349,15 +340,12 @@ def cca(x, y, d: int) -> EigenResult:
     y = as_complex_matrix(y)
     if x.shape != y.shape:
         raise ValueError("both views must share a shape")
-    system_dim = next_power_of_two(max(2, *x.shape))
-    h_x = hermitian_dilation(cross_scatter_encoding(x, y, system_dim))
-    h_y = paired_scatter_encoding(x, y, system_dim)
+    h_x = hermitian_dilation(cross_scatter_encoding(x, y))
+    h_y = paired_scatter_encoding(x, y)
     return generalized_eig(h_x, h_y, d)
 
 
-def class_correlation_encoding(
-    ds_x: LabeledDataset, ds_y: LabeledDataset, system_dim: int | None = None
-) -> BlockEncoding:
+def class_correlation_encoding(ds_x: LabeledDataset, ds_y: LabeledDataset) -> BlockEncoding:
     """Encoding of X C E C Y^dag on the class-grouped padded layout.
 
     E is the block-diagonal class-similarity matrix; its scale factor is the
@@ -370,10 +358,9 @@ def class_correlation_encoding(
     block_dim = part.block_dim
     x_pad = _grouped_padded(ds_x, block_dim)
     y_pad = _grouped_padded(ds_y, block_dim)
-    if system_dim is None:
-        system_dim = next_power_of_two(
-            max(2, ds_x.x.shape[0], ds_y.x.shape[0], x_pad.shape[1])
-        )
+    system_dim = next_power_of_two(
+        max(2, ds_x.x.shape[0], ds_y.x.shape[0], x_pad.shape[1])
+    )
     data_x = matrix_encoding(embed_power_of_two(x_pad, system_dim))
     data_y = matrix_encoding(embed_power_of_two(y_pad, system_dim))
     cent = centering_encoding(system_dim)
@@ -407,12 +394,8 @@ def dcca(ds_x: LabeledDataset, ds_y: LabeledDataset, d: int) -> EigenResult:
     block_dim = part.block_dim
     x_pad = _grouped_padded(ds_x, block_dim)
     y_pad = _grouped_padded(ds_y, block_dim)
-    system_dim = next_power_of_two(
-        max(2, ds_x.x.shape[0], ds_y.x.shape[0], x_pad.shape[1])
-    )
-    chain = class_correlation_encoding(ds_x, ds_y, system_dim)
-    h_d = hermitian_dilation(chain)
-    h_y = paired_scatter_encoding(x_pad, y_pad, system_dim)
+    h_d = hermitian_dilation(class_correlation_encoding(ds_x, ds_y))
+    h_y = paired_scatter_encoding(x_pad, y_pad)
     return generalized_eig(h_d, h_y, d)
 
 

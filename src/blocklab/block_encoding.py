@@ -382,7 +382,12 @@ class _Placement(BlockEncoding):
         dense: dict[int, np.ndarray] = {}
         blocks = {}
         for slot, be in self.slots.items():
-            if id(be) not in dense:
+            if id(be) in dense:
+                pass
+            elif be.kind == "adjoint" and id(be.children[0]) in dense:
+                # the adjoint of a child made dense here: _Adjoint's own arithmetic
+                dense[id(be)] = dense[id(be.children[0])].conj().T
+            else:
                 dense[id(be)] = be._dense()
             blocks[slot] = dense[id(be)]
         return place_middle_blocks(1 << first.ancillas, self.mid, first.system_dim, blocks)

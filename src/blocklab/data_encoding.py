@@ -1,7 +1,8 @@
 """Amplitude-based data-matrix encodings: the binary norm tree that defines
-the preparation states, the two-register row/norm preparation unitaries whose
-product block-encodes a stored matrix with scale ||X||_F, and the Hermitian
-extension and dilation used for rectangular and non-Hermitian targets.
+the preparation states, the per-register row and norm completions, the
+encoding unitary U_rows^dag U_norms written out entrywise from them (scale
+||X||_F), and the Hermitian extension and dilation used for rectangular and
+non-Hermitian targets.
 
 Storage convention: entry (r, c) of a stored matrix is component r of sample
 c.  Row vectors of the norm tree are rows of the stored matrix.
@@ -63,57 +64,44 @@ def build_norm_tree(x) -> NormTree:
 
 
 def preparation_unitaries(x, tree: NormTree | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The two completed preparation unitaries (rows, norms) for a matrix.
+    """The per-register completions (R, W) behind the two preparation unitaries.
 
-    Both act on a (row x column) register pair of log2(n) qubits each.  The
-    row unitary maps |0>|i> to |i>|r_i> with r_i the conjugated, normalized
-    row i (zero rows fall back to |i>|0>); the norm unitary maps |0>|j> to
-    the row-norm state on the row register with the column register pinned
-    to j.  Each is assembled from per-register completions, so the
-    prescribed columns are met exactly and the rest is deterministic.
-    ``tree`` is the norm tree of ``x`` when the caller has built it already.
+    ``R[i]`` is the completion of the conjugated, normalized row i (the
+    identity for a zero row) and ``W`` the completion of the row-norm column,
+    so the prescribed columns are met exactly and the rest is deterministic.
+    On a (row x column) register pair they prepare |0>|i> -> |i>|r_i> and
+    |0>|j> -> (row-norm state)|j>.  ``tree`` is the norm tree of ``x`` when
+    the caller has built it already.
     """
     x = as_complex_matrix(x)
     n = x.shape[0]
     if x.shape[0] != x.shape[1] or not is_power_of_two(n) or n < 2:
         raise ValueError("preparation requires a square power-of-two matrix "
                          "of dimension >= 2; embed first")
-    dim = n * n
-    ensure_dimension(dim)
+    ensure_dimension(n * n)
     if tree is None:
         tree = build_norm_tree(x)
-
-    # u_rows = select(R_i) composed with a register swap: |0>|i> -> |i>|r_i>
-    u_rows = np.zeros((dim, dim), dtype=complex)
-    swap = np.arange(dim).reshape(n, n).T.reshape(-1)
-    for i in range(n):
-        if tree.row_norms[i] > 0.0:
-            r_i = np.conj(x[i]) / tree.row_norms[i]
-            block = unitary_completion(r_i, n)
-        else:
-            block = np.eye(n, dtype=complex)
-        u_rows[i * n:(i + 1) * n, i * n:(i + 1) * n] = block
-    u_rows = u_rows[:, swap]
-
-    # u_norms = W (x) I with W completing the row-norm column
-    weights = tree.row_norms / tree.frobenius_norm
-    u_norms = np.kron(unitary_completion(weights, n), np.eye(n, dtype=complex))
-    return u_rows, u_norms
+    rows = np.stack([unitary_completion(np.conj(x[i]) / norm, n) if norm > 0.0
+                     else np.eye(n, dtype=complex) for i, norm in enumerate(tree.row_norms)])
+    return rows, unitary_completion(tree.row_norms / tree.frobenius_norm, n)
 
 
 def matrix_encoding(x) -> BlockEncoding:
     """(||X||_F, log2 n, eps) encoding of a square power-of-two matrix.
 
-    The product U_rows^dag U_norms of the two preparation unitaries has
-    X / ||X||_F as its leading block; the declared eps is the measured
-    residual, which sits at completion round-off.
+    The encoding unitary is U_rows^dag U_norms, with U_rows the select over
+    R_i after a register swap and U_norms = W (x) I; its entry
+    ((p, q), (j, c)) is conj(R_q[c, p]) W[q, j], so it is written out
+    directly.  Its leading block is X / ||X||_F; the declared eps is the
+    measured residual, which sits at completion round-off.
     """
     x = as_complex_matrix(x)
     tree = build_norm_tree(x)
-    u_rows, u_norms = preparation_unitaries(x, tree)
+    rows, w = preparation_unitaries(x, tree)
     n = x.shape[0]
     frob = tree.frobenius_norm
-    unitary = u_rows.conj().T @ u_norms
+    # order="C" lays the output out row-major, so reshape makes no second copy
+    unitary = np.einsum("qcp,qj->pqjc", rows.conj(), w, order="C").reshape(n * n, n * n)
     measured = float(np.linalg.norm(x - frob * unitary[:n, :n], 2))
     return BlockEncoding(unitary, alpha=frob, ancillas=qubit_count(n),
                          epsilon=measured, system_qubits=qubit_count(n))

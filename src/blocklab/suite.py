@@ -332,8 +332,8 @@ def criterion_5(seed: int) -> CriterionOutcome:
         be = matrix_encoding(x)
         alpha_gap = abs(be.alpha - np.linalg.norm(x))
         dist = spectral_norm(x - be.alpha * be.extract_block())
-        u_rows, u_norms = preparation_unitaries(x)
-        u_ok = is_unitary(u_rows, 1e-10) and is_unitary(u_norms, 1e-10)
+        rows, w = preparation_unitaries(x)
+        u_ok = all(is_unitary(r, 1e-10) for r in rows) and is_unitary(w, 1e-10)
         worst_alpha = max(worst_alpha, _f(alpha_gap))
         worst_dist = max(worst_dist, _f(dist))
         unitary_ok = unitary_ok and u_ok

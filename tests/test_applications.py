@@ -112,6 +112,15 @@ class TestScatterWithin:
         sw = scatter_within_encoding(ds)
         assert np.linalg.norm(s_w - sw.alpha * extract_block(sw), 2) <= 1e-7
 
+    def test_wide_data_sized_like_total(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((2, 8))
+        ds = LabeledDataset(x, np.array([0] * 4 + [1] * 4))
+        sw = scatter_within_encoding(ds)
+        assert sw.system_dim == scatter_total_encoding(x).system_dim == 8
+        _, s_w, _ = scatters(ds)
+        assert np.linalg.norm(s_w - (sw.alpha * extract_block(sw))[:2, :2], 2) <= 1e-7
+
     def test_alpha_is_class_count_times_max_norm(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((8, 8))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blocklab.block_encoding import extract_block, trivial_encoding
+from blocklab.block_encoding import extract_block, product, trivial_encoding
 from blocklab.data_encoding import (
     build_norm_tree,
     hermitian_dilation,
@@ -9,7 +9,7 @@ from blocklab.data_encoding import (
     matrix_encoding,
     preparation_unitaries,
 )
-from blocklab.matrix_core import is_unitary
+from blocklab.matrix_core import embed_power_of_two, is_unitary, place_middle_blocks
 
 
 class TestNormTree:
@@ -82,18 +82,46 @@ class TestMatrixEncoding:
     def test_preparations_unitary_and_prescribed(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((4, 4))
-        u_rows, u_norms = preparation_unitaries(x)
-        assert is_unitary(u_rows, 1e-10) and is_unitary(u_norms, 1e-10)
-        norms = np.linalg.norm(x, axis=1)
-        frob = np.linalg.norm(x)
-        for i in range(4):
-            expected = np.zeros(16, dtype=complex)
-            expected[i * 4:(i + 1) * 4] = np.conj(x[i]) / norms[i]
-            np.testing.assert_allclose(u_rows[:, i], expected, atol=1e-13)
-        for j in range(4):
-            expected = np.zeros(16, dtype=complex)
-            expected[j::4] = norms / frob
-            np.testing.assert_allclose(u_norms[:, j], expected, atol=1e-13)
+        x[2] = 0.0
+        rows, w = preparation_unitaries(x)
+        assert rows.shape == (4, 4, 4) and w.shape == (4, 4)
+        assert all(is_unitary(r, 1e-10) for r in rows) and is_unitary(w, 1e-10)
+        tree = build_norm_tree(x)
+        for i in (0, 1, 3):
+            np.testing.assert_array_equal(
+                rows[i][:, 0], np.conj(x[i]).astype(complex) / tree.row_norms[i])
+        np.testing.assert_array_equal(rows[2], np.eye(4))
+        np.testing.assert_array_equal(w[:, 0], tree.row_norms / tree.frobenius_norm)
+
+    @staticmethod
+    def _dense_product(x):
+        """U_rows^dag U_norms assembled densely: select over R_i after a
+        register swap, and W (x) I."""
+        rows, w = preparation_unitaries(x)
+        n = x.shape[0]
+        dim = n * n
+        u_rows = np.zeros((dim, dim), dtype=complex)
+        for i in range(n):
+            u_rows[i * n:(i + 1) * n, i * n:(i + 1) * n] = rows[i]
+        u_rows = u_rows[:, np.arange(dim).reshape(n, n).T.reshape(-1)]
+        u_norms = np.kron(w, np.eye(n, dtype=complex))
+        return u_rows.conj().T @ u_norms
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "zero-row", "embedded"])
+    def test_closed_form_is_dense_product_bit_for_bit(self, kind):
+        rng = np.random.default_rng(12)
+        for n in (2, 4, 8, 16, 32):
+            x = rng.standard_normal((n, n))
+            if kind == "complex":
+                x = x + 1j * rng.standard_normal((n, n))
+            elif kind == "zero-row":
+                x[rng.integers(n)] = 0.0
+            elif kind == "embedded":
+                x = embed_power_of_two(rng.standard_normal((n // 2 + 1, n // 2)), n)
+            got = matrix_encoding(x).unitary
+            expected = self._dense_product(x)
+            # tobytes compares signed zeros too
+            assert got.tobytes() == expected.tobytes()
 
     def test_unitary_product(self):
         rng = np.random.default_rng(5)
@@ -162,6 +190,26 @@ class TestHermitianDilation:
         be = hermitian_dilation(matrix_encoding(rng.standard_normal((4, 4))))
         blk = extract_block(be)
         assert np.max(np.abs(blk - blk.conj().T)) <= 1e-10
+
+    def test_inner_materialized_once(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        inner = product(matrix_encoding(rng.standard_normal((4, 4))),
+                        matrix_encoding(rng.standard_normal((4, 4))))
+        calls = []
+        original = type(inner)._materialize
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(type(inner), "_materialize", counting)
+        be = hermitian_dilation(inner)
+        mat = be.unitary
+        assert [c for c in calls if c is inner] == [inner]
+        # the shared array gives the bits the adjoint node computes on its own
+        blocks = {(0, 1): original(inner), (1, 0): be.children[1]._materialize()}
+        expected = place_middle_blocks(1 << inner.ancillas, 2, inner.system_dim, blocks)
+        assert mat.tobytes() == expected.tobytes()
 
     def test_materialized_matches_corner(self):
         rng = np.random.default_rng(10)

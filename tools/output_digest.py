@@ -8,8 +8,14 @@ inputs seed 7 generates, ``--help`` of the parser and of every
 subcommand, and ``blocklab suite --seed 42``.  Each line holds the exit code
 and the SHA-256 of stdout, of stderr and of the JSON document without its
 ``timing`` block (``-`` when no document was written).  The temporary input
-directory is replaced by ``<work>`` before hashing.  ``--root`` names the
-checkout whose ``src/`` and ``perfbench/`` are used (default: this one).
+directory is replaced by ``<work>`` before hashing.  One more line per
+``perfbench/workloads.WalkDense`` op, on the inputs seed 7 generates, holds
+whether the op's check passed and the SHA-256 of the walk matrix's bytes and
+of the phase-estimation readouts' bytes (``-`` when the op reads none); these
+ops read every entry of the data encodings' unitaries, where the ``cli_mix``
+argvs read only their leading blocks.
+``--root`` names the checkout whose ``src/`` and ``perfbench/`` are used
+(default: this one).
 """
 
 from __future__ import annotations
@@ -24,12 +30,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-CLI_SEED = 7
+import numpy as np
+
+INPUT_SEED = 7
 SUITE_SEED = 42
 
 
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _sha(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode("utf-8") if isinstance(data, str) else data).hexdigest()
 
 
 def _run(main, argv: list[str], out: str | None, work: str) -> str:
@@ -61,12 +69,12 @@ def main(argv=None) -> int:
     root = Path(args.root).resolve()
     sys.path[:0] = [str(root / "perfbench"), str(root / "src")]
     os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal width
-    from blocklab import cli
-    from workloads import CliMix
+    from blocklab import applications, centering, cli, data_encoding, mean_centering, spectral
+    from workloads import CliMix, WalkDense
 
     with tempfile.TemporaryDirectory() as work:
         mix = CliMix()
-        mix.setup({"cli": cli}, CLI_SEED, work)
+        mix.setup({"cli": cli}, INPUT_SEED, work)
         for name, cmd in zip(mix.op_names, mix.argvs):
             print(f"{name}\t{_run(cli.main, cmd, cmd[-1], work)}")
         for sub in ["", *sorted(cli._HANDLERS)]:
@@ -75,6 +83,23 @@ def main(argv=None) -> int:
         out = os.path.join(work, "suite.json")
         cmd = ["suite", "--seed", str(SUITE_SEED), "--out", out]
         print(f"suite-seed{SUITE_SEED}\t{_run(cli.main, cmd, out, work)}")
+
+        walk = WalkDense()
+        walk.setup({"applications": applications, "centering": centering,
+                    "data_encoding": data_encoding, "mean_centering": mean_centering,
+                    "spectral": spectral}, INPUT_SEED, work)
+        outputs = []
+
+        def record(fn, *args):  # keeps each op's (alpha, walk, readouts)
+            outputs.append(None)
+            outputs[-1] = fn(*args)
+            return outputs[-1]
+
+        for result, out in zip(walk.cycle(record), outputs):
+            _, w, readouts = out if out is not None else (None, None, [])
+            print(f"{result.name}\tpass={result.passed}"
+                  f"\twalk={_sha(w.tobytes()) if w is not None else '-'}"
+                  f"\treadouts={_sha(np.asarray(readouts).tobytes()) if readouts else '-'}")
     return 0
 
 
