@@ -8,8 +8,10 @@ qubits (ancillas most significant):
     || A - alpha (<0|^a (x) I) U (|0>^a (x) I) || <= epsilon
 
 Every encoding is a node of one composition tree.  A ``BlockEncoding`` built
-from a matrix is a leaf.  A composite (product, linear combination, adjoint,
-rescale, register placement) holds its child encodings in ``children``,
+from a matrix is a leaf.  A leaf may also be lazy, like the data encoding:
+it holds its encoded block and builds its unitary on first read.  A
+composite (product, linear combination, adjoint, rescale, register
+placement) holds its child encodings in ``children``,
 derives its own (alpha, ancillas, epsilon) and dimension from them by its
 composition law, and materializes the full unitary only on demand; the
 encoded block is always available cheaply through the exact corner law of
@@ -64,7 +66,8 @@ class BlockEncoding:
     Built directly from a matrix, an encoding is a leaf of the composition
     tree (``kind == "leaf"``, no ``children``).  Composite nodes subclass it
     and supply ``_materialize`` (the dense unitary) and ``_block`` (the
-    encoded block by the node's corner law).
+    encoded block by the node's corner law); so does a lazy leaf, which has
+    no children.
     """
 
     __slots__ = ("alpha", "ancillas", "epsilon", "system_qubits", "dim", "children", "_cache")

@@ -2,16 +2,23 @@
 unitary, the (1,1,0) encoding of the centering projector C = I - (1/n) ee^T,
 per-class centering, the all-ones rank-one matrix from cyclic shifts, and the
 block-diagonal class-similarity matrix.
+
+The terms of the centering encoding (the (1/2, -1/2) preparation pair and
+the identity and reflection leaves) are built once per size and shared by
+every centering encoding of that size; each call still returns a new
+combination node, and the size cap is checked on every call.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .block_encoding import (
     BlockEncoding,
+    StatePrepPair,
     linear_combination,
     make_state_prep_pair,
     placement_encoding,
@@ -117,6 +124,22 @@ def build_uc(log_n: int) -> np.ndarray:
     return h @ reflect @ h
 
 
+@functools.lru_cache(maxsize=None)
+def _centering_terms(n: int) -> tuple[StatePrepPair, tuple[BlockEncoding, BlockEncoding]]:
+    """The (1/2, -1/2) pair and the identity and reflection leaves at size n.
+
+    Every centering encoding of that size shares them, so their arrays are
+    frozen.  The sizes are powers of two under the cap, so the cache holds
+    at most one entry per allowed qubit count.
+    """
+    uc = build_uc(qubit_count(n))
+    pair = make_state_prep_pair(np.array([0.5, -0.5]))
+    eye = np.eye(n, dtype=complex)
+    for m in (eye, uc, pair.p_left, pair.p_right, pair.coefficients):
+        m.setflags(write=False)
+    return pair, (trivial_encoding(eye), trivial_encoding(uc))
+
+
 def centering_encoding(n: int) -> BlockEncoding:
     """(1, 1, 0) encoding of the n-dimensional centering projector.
 
@@ -125,9 +148,8 @@ def centering_encoding(n: int) -> BlockEncoding:
     """
     if not is_power_of_two(n) or n < 2:
         raise ValueError("centering encoding requires n = 2^k with k >= 1")
-    uc = build_uc(qubit_count(n))
-    pair = make_state_prep_pair(np.array([0.5, -0.5]))
-    terms = [trivial_encoding(np.eye(n, dtype=complex)), trivial_encoding(uc)]
+    ensure_dimension(n)  # the cap holds for sizes whose terms are cached too
+    pair, terms = _centering_terms(n)
     return linear_combination(pair, terms, common_alpha=1.0)
 
 

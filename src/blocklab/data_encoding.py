@@ -4,6 +4,12 @@ encoding unitary U_rows^dag U_norms written out entrywise from them (scale
 ||X||_F), and the Hermitian extension and dilation used for rectangular and
 non-Hermitian targets.
 
+The data encoding is a lazy leaf: it holds its own copy of X, the norm tree
+and the encoded block X / ||X||_F, built in O(n^2) from column 0 of each
+completion.  The n^2 x n^2 unitary is written out on its first read and
+kept.  Construction runs every check the completions run, so it rejects
+what building the unitary would.
+
 Storage convention: entry (r, c) of a stored matrix is component r of sample
 c.  Row vectors of the norm tree are rows of the stored matrix.
 """
@@ -19,6 +25,7 @@ from .matrix_core import (
     as_complex_matrix,
     embed_power_of_two,
     ensure_dimension,
+    householder_terms,
     is_power_of_two,
     next_power_of_two,
     qubit_count,
@@ -63,6 +70,17 @@ def build_norm_tree(x) -> NormTree:
     return NormTree(row_norms=np.sqrt(row_norm_sq), frobenius_norm=frobenius)
 
 
+def _square_power_of_two(x: np.ndarray) -> int:
+    """n for an n x n matrix with n = 2^k >= 2 whose n^2-dimensional
+    encoding fits under the cap."""
+    n = x.shape[0]
+    if x.shape[0] != x.shape[1] or not is_power_of_two(n) or n < 2:
+        raise ValueError("preparation requires a square power-of-two matrix "
+                         "of dimension >= 2; embed first")
+    ensure_dimension(n * n)
+    return n
+
+
 def preparation_unitaries(x, tree: NormTree | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The per-register completions (R, W) behind the two preparation unitaries.
 
@@ -74,16 +92,55 @@ def preparation_unitaries(x, tree: NormTree | None = None) -> tuple[np.ndarray, 
     the caller has built it already.
     """
     x = as_complex_matrix(x)
-    n = x.shape[0]
-    if x.shape[0] != x.shape[1] or not is_power_of_two(n) or n < 2:
-        raise ValueError("preparation requires a square power-of-two matrix "
-                         "of dimension >= 2; embed first")
-    ensure_dimension(n * n)
+    n = _square_power_of_two(x)
     if tree is None:
         tree = build_norm_tree(x)
     rows = np.stack([unitary_completion(np.conj(x[i]) / norm, n) if norm > 0.0
                      else np.eye(n, dtype=complex) for i, norm in enumerate(tree.row_norms)])
     return rows, unitary_completion(tree.row_norms / tree.frobenius_norm, n)
+
+
+class _DataLeaf(BlockEncoding):
+    """Leaf encoding of a data matrix whose unitary is built on first read.
+
+    It holds its own copy of X, the norm tree and the encoded block.  Column
+    0 of R_q is the normalized row r_q (e_0 for a zero row) and column 0 of
+    W is the row-norm state, so the block entry conj(R_q[c, 0]) W[q, 0] is
+    formed from those columns alone, with the same bits as the unitary.
+    """
+
+    __slots__ = ("_x", "_tree", "_corner")
+
+    def __init__(self, x):
+        x = as_complex_matrix(x).copy()  # the caller keeps its own array
+        tree = build_norm_tree(x)
+        n = _square_power_of_two(x)
+        e0 = np.eye(n, 1, dtype=complex)[:, 0]  # column 0 of R_q = I for a zero row
+        terms = [householder_terms(np.conj(x[i]) / norm, n) if norm > 0.0 else (e0, 1.0, 0.0, None)
+                 for i, norm in enumerate(tree.row_norms)]
+        terms.append(householder_terms(tree.row_norms / tree.frobenius_norm, n))
+        if any(scale is not None and not np.isfinite(scale) for _, _, _, scale in terms):
+            raise ValueError("matrix entries must be finite")  # as the unitary would be
+        rows = np.stack([v for v, _, _, _ in terms[:-1]])
+        corner = np.einsum("qc,q->qc", rows.conj(), terms[-1][0])
+        corner.setflags(write=False)
+        frob = tree.frobenius_norm
+        measured = float(np.linalg.norm(x - frob * corner, 2))
+        object.__setattr__(self, "_x", x)
+        object.__setattr__(self, "_tree", tree)
+        object.__setattr__(self, "_corner", corner)
+        self._certify(frob, qubit_count(n), measured, qubit_count(n), n * n, ())
+
+    def _materialize(self) -> np.ndarray:
+        rows, w = preparation_unitaries(self._x, self._tree)
+        # order="C" lays the output out row-major, so reshape makes no second copy
+        return np.einsum("qcp,qj->pqjc", rows.conj(), w, order="C").reshape(self.dim, self.dim)
+
+    def _dense(self) -> np.ndarray:
+        return self.unitary  # kept, so every parent node shares one build
+
+    def _block(self) -> np.ndarray:
+        return self._corner
 
 
 def matrix_encoding(x) -> BlockEncoding:
@@ -92,19 +149,11 @@ def matrix_encoding(x) -> BlockEncoding:
     The encoding unitary is U_rows^dag U_norms, with U_rows the select over
     R_i after a register swap and U_norms = W (x) I; its entry
     ((p, q), (j, c)) is conj(R_q[c, p]) W[q, j], so it is written out
-    directly.  Its leading block is X / ||X||_F; the declared eps is the
-    measured residual, which sits at completion round-off.
+    directly when first read.  Its leading block is X / ||X||_F, held from
+    construction; the declared eps is the measured residual of that block,
+    which sits at completion round-off.
     """
-    x = as_complex_matrix(x)
-    tree = build_norm_tree(x)
-    rows, w = preparation_unitaries(x, tree)
-    n = x.shape[0]
-    frob = tree.frobenius_norm
-    # order="C" lays the output out row-major, so reshape makes no second copy
-    unitary = np.einsum("qcp,qj->pqjc", rows.conj(), w, order="C").reshape(n * n, n * n)
-    measured = float(np.linalg.norm(x - frob * unitary[:n, :n], 2))
-    return BlockEncoding(unitary, alpha=frob, ancillas=qubit_count(n),
-                         epsilon=measured, system_qubits=qubit_count(n))
+    return _DataLeaf(x)
 
 
 def hermitian_extension(x) -> np.ndarray:

@@ -133,13 +133,14 @@ def spectral_norm(m) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def unitary_completion(column, dimension: int) -> np.ndarray:
-    """Complete a unit column v to a unitary whose column 0 is v.
+def householder_terms(column, dimension: int) -> tuple[np.ndarray, complex, float, complex | None]:
+    """The checked unit column v and the terms of its Householder completion.
 
-    One Householder reflection (Householder 1958): with phi the phase of v[0]
-    (1 when v[0] = 0) and w = e_0 - v/phi, phi (I - 2 ww^dag/|w|^2) maps e_0
-    to v, and it is phi I when w = 0.  Column 0 is then stored as v itself, so
-    every encoded block, which reads only that column, carries v exactly.
+    Returns (v, phi, head, scale): phi is the phase of v[0] (1 when v[0] = 0),
+    head is w[0] = 1 - |v[0]| for w = e_0 - v/phi, and scale is 2 phi/|w|^2
+    (None when w = 0).  It raises ``ValueError`` unless v has length
+    ``dimension`` and is a unit vector within 1e-10.  A scale that overflows
+    makes the completion non-finite.
     """
     v = np.asarray(column, dtype=complex).reshape(-1)
     if v.shape[0] != dimension:
@@ -150,12 +151,24 @@ def unitary_completion(column, dimension: int) -> np.ndarray:
     tail = np.vdot(v[1:], v[1:]).real
     # 1 - |v[0]| written as tail / (1 + |v[0]|): no cancellation near v = phi e_0
     head = tail / (1.0 + abs(v[0]))
-    w = -v / phi
-    w[0] = head
     norm2 = head * head + tail
+    return v, phi, head, (2.0 * phi / norm2 if norm2 > 0.0 else None)
+
+
+def unitary_completion(column, dimension: int) -> np.ndarray:
+    """Complete a unit column v to a unitary whose column 0 is v.
+
+    One Householder reflection (Householder 1958): with phi the phase of v[0]
+    (1 when v[0] = 0) and w = e_0 - v/phi, phi (I - 2 ww^dag/|w|^2) maps e_0
+    to v, and it is phi I when w = 0.  Column 0 is then stored as v itself, so
+    every encoded block, which reads only that column, carries v exactly.
+    """
+    v, phi, head, scale = householder_terms(column, dimension)
     out = phi * np.eye(dimension, dtype=complex)
-    if norm2 > 0.0:
-        out -= (2.0 * phi / norm2) * np.outer(w, w.conj())
+    if scale is not None:
+        w = -v / phi
+        w[0] = head
+        out -= scale * np.outer(w, w.conj())
     out[:, 0] = v
     return out
 

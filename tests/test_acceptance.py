@@ -34,6 +34,11 @@ def test_criterion(battery, cid):
         )
 
 
+def test_criterion_4_counts_distinct_composites(battery):
+    # centering encodings share cached leaves but each is its own node
+    assert battery[4].details["compositions"] == 596
+
+
 def test_budgeted_criteria(battery):
     assert {cid for cid, o in battery.items() if o.budget_s is not None} == BUDGETED
 

@@ -13,7 +13,7 @@ from blocklab.centering import (
     similarity_encoding,
     similarity_matrix,
 )
-from blocklab.matrix_core import is_unitary
+from blocklab.matrix_core import CapExceededError, is_unitary
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -178,6 +178,26 @@ class TestSimilarity:
                                    similarity_matrix(part), atol=1e-12)
         assert np.max(np.abs(blk[4:, :])) <= 1e-12
         assert np.max(np.abs(blk[:, 4:])) <= 1e-12
+
+
+class TestCenteringTermsCache:
+    def test_fresh_node_shared_leaves(self):
+        a, b = centering_encoding(8), centering_encoding(8)
+        assert a is not b and a.kind == b.kind == "lcu"
+        assert a.pair is b.pair
+        assert all(x is y for x, y in zip(a.children, b.children, strict=True))
+
+    def test_build_uc_not_cached(self):
+        centering_encoding(4)
+        first, second = build_uc(2), build_uc(2)
+        assert first is not second and first.flags.writeable
+
+    def test_cap_checked_when_cached(self, monkeypatch):
+        centering_encoding(32)
+        monkeypatch.setenv("BLOCKLAB_CAP_QUBITS", "4")
+        with pytest.raises(CapExceededError,
+                           match=r"^dimension 32 exceeds the simulator cap 2\*\*4 = 16$"):
+            centering_encoding(32)
 
 
 class TestPerClassCentering:

@@ -102,6 +102,22 @@ def test_parse_failure_exit_code(fixtures, capsys):
     assert main(["encode", str(bad)]) == EXIT_PARSE
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_encode_rejects_unencodable_rows(tmp_path, capsys):
+    tiny = np.ones((4, 4))
+    tiny[1] = 1e-160
+    huge = np.ones((4, 4))
+    huge[2, 3] = 1e155
+    for name, x in (("tiny", tiny), ("all-tiny", np.full((4, 4), 1e-160)), ("huge", huge)):
+        path = tmp_path / f"{name}.csv"
+        write_matrix_csv(path, x)
+        capsys.readouterr()
+        assert main(["encode", str(path)]) == EXIT_PARSE, name
+        captured = capsys.readouterr()
+        assert captured.err == "error: prescribed column is not a unit vector within 1e-10\n"
+        assert captured.out == ""
+
+
 def test_cap_exceeded_exit_code(fixtures, monkeypatch):
     tmp, paths = fixtures
     monkeypatch.setenv("BLOCKLAB_CAP_QUBITS", "4")

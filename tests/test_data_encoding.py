@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from blocklab.applications import scatter_total_encoding
 from blocklab.block_encoding import extract_block, product, trivial_encoding
 from blocklab.data_encoding import (
     build_norm_tree,
@@ -9,7 +12,14 @@ from blocklab.data_encoding import (
     matrix_encoding,
     preparation_unitaries,
 )
-from blocklab.matrix_core import embed_power_of_two, is_unitary, place_middle_blocks
+from blocklab.matrix_core import (
+    CapExceededError,
+    embed_power_of_two,
+    is_unitary,
+    place_middle_blocks,
+)
+from blocklab.mean_centering import CenteringMode, mc_encoding
+from blocklab.spectral import walk_operator
 
 
 class TestNormTree:
@@ -118,10 +128,13 @@ class TestMatrixEncoding:
                 x[rng.integers(n)] = 0.0
             elif kind == "embedded":
                 x = embed_power_of_two(rng.standard_normal((n // 2 + 1, n // 2)), n)
-            got = matrix_encoding(x).unitary
+            be = matrix_encoding(x)
+            got = be.unitary
             expected = self._dense_product(x)
             # tobytes compares signed zeros too
             assert got.tobytes() == expected.tobytes()
+            # the block the leaf holds from construction is the corner
+            assert be.extract_block().tobytes() == got[:n, :n].tobytes()
 
     def test_unitary_product(self):
         rng = np.random.default_rng(5)
@@ -140,6 +153,82 @@ class TestMatrixEncoding:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
             matrix_encoding(np.ones((3, 3)))
+
+
+class TestConstructionRejects:
+    """The leaf builds no completion, yet it rejects what building the
+    unitary rejects, with the same exception and message."""
+
+    @pytest.mark.parametrize("index, value", [(1, 1e-160), (slice(None), 1e-160),
+                                              ((2, 3), 1e155)],
+                             ids=["tiny-row", "all-tiny", "huge-entry"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_not_unit_rows(self, index, value):
+        x = np.ones((4, 4))
+        x[index] = value  # |x|^2 is subnormal or overflows: a normalized row is not unit
+        with pytest.raises(ValueError,
+                           match="^prescribed column is not a unit vector within 1e-10$"):
+            matrix_encoding(x)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_completion(self):
+        # the row (1, 1e-155) is unit, but its completion's scale overflows
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            matrix_encoding(np.array([[1.0, 1e-155], [1.0, 1.0]]))
+
+    def test_cap_checked_at_construction(self, monkeypatch):
+        monkeypatch.setenv("BLOCKLAB_CAP_QUBITS", "5")
+        with pytest.raises(CapExceededError, match=r"^dimension 64 exceeds"):
+            matrix_encoding(np.ones((8, 8)))
+
+
+class TestLazyLeaf:
+    def test_owns_its_copy(self):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        be = matrix_encoding(x)
+        assert be.kind == "leaf" and be.children == ()
+        reference = matrix_encoding(x.copy())
+        x[:] = 7.0
+        assert be.extract_block().tobytes() == reference.extract_block().tobytes()
+        assert be.unitary.tobytes() == reference.unitary.tobytes()
+
+    def test_reading_unitary_leaves_caller_array_writable(self):
+        x = np.random.default_rng(15).standard_normal((4, 4)).astype(complex)
+        be = matrix_encoding(x)
+        be.unitary
+        assert x.flags.writeable
+
+    def test_block_read_only(self):
+        blk = matrix_encoding(np.eye(4)).extract_block()
+        with pytest.raises(ValueError):
+            blk[0, 0] = 1.0
+
+    def test_corner_pipeline_stays_small(self, monkeypatch):
+        monkeypatch.delenv("BLOCKLAB_CAP_QUBITS", raising=False)
+        x = np.random.default_rng(16).standard_normal((64, 64))
+        tracemalloc.start()
+        try:
+            mc_encoding(x, CenteringMode.CXC).extract_block()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 4096 x 4096 data unitary alone is 256 MiB
+        assert peak < 4 * 2 ** 20
+
+    def test_materialized_once_under_a_walk(self, monkeypatch):
+        x = np.random.default_rng(17).standard_normal((4, 4))
+        leaf_type = type(matrix_encoding(np.eye(2)))
+        original = leaf_type._materialize
+        calls = []
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(leaf_type, "_materialize", counting)
+        walk_operator(scatter_total_encoding(x))
+        assert len(calls) == 1
 
 
 class TestHermitianExtension:
