@@ -2,6 +2,12 @@
 evolution operator, a reflection-based walk operator whose eigenphases carry
 the encoded spectrum through cos(theta) = lambda/alpha, and a deterministic
 phase-estimation routine that computes the full measurement distribution.
+
+Phase estimation never diagonalizes the whole unitary.  It spans the Krylov
+space of the state, which the unitary leaves invariant (two dimensions from
+an eigenvector of a walk's encoded block), checks the invariance leak
+||U Q - Q H|| against a bound fixed in advance, and reads phases and weights
+from the small restricted matrix H.
 """
 
 from __future__ import annotations
@@ -30,6 +36,10 @@ __all__ = [
 ]
 
 _HERMITIAN_BLOCK_TOL = 1e-8
+# Arnoldi stops once a new orthogonalized vector is no longer than this.
+_KRYLOV_BREAKDOWN = 1e-13
+# Largest invariance leak ||U Q - Q H||_2 a phase distribution may rest on.
+_KRYLOV_LEAK_BOUND = 1e-12
 
 
 class EstimationMethod(Enum):
@@ -43,7 +53,9 @@ class PhaseEstimate:
 
     ``phase`` lies in [0, 1) on a 2^bits grid; ``eigenvalue`` is the value
     reconstructed for the given method and scale factor.  ``distribution`` is
-    the exact probability over all grid points.
+    the exact probability over all grid points.  ``krylov_dim`` is the
+    dimension of the invariant Krylov space of the state the distribution was
+    computed in, and ``leak`` its invariance residual ||U Q - Q H||_2.
     """
 
     phase: float
@@ -51,6 +63,8 @@ class PhaseEstimate:
     eigenvalue: float
     method: EstimationMethod
     distribution: np.ndarray
+    krylov_dim: int
+    leak: float
 
 
 def _encoded_hermitian(be: BlockEncoding) -> np.ndarray:
@@ -109,32 +123,52 @@ def exact_evolution(be: BlockEncoding, t: float) -> np.ndarray:
     return (v * np.exp(1j * t * w)) @ v.conj().T
 
 
-def _phase_distribution(u: np.ndarray, state: np.ndarray, t_bits: int) -> np.ndarray:
+def _phase_distribution(u: np.ndarray, state: np.ndarray,
+                        t_bits: int) -> tuple[np.ndarray, int, float]:
     """Exact measurement distribution of the phase register.
 
-    The unitary is Schur-diagonalized (orthonormal eigenbasis); each
-    eigencomponent contributes the squared Dirichlet kernel centered on its
-    phase, weighted by the overlap probability.
+    Arnoldi with full reorthogonalization spans the Krylov space Q of the
+    normalized state until a new vector's norm falls to the breakdown
+    threshold or Q fills the space.  Q is then U-invariant: the leak
+    ||U Q - Q H||_2 of H = Q^dag U Q must stay within the fixed bound.  A
+    Schur decomposition of the k x k matrix H gives the phases and an
+    orthonormal eigenbasis Z; each eigencomponent contributes the squared
+    Dirichlet kernel centered on its phase, weighted by |Z^dag Q^dag psi|^2.
+    Returns the distribution, k and the leak.
     """
-    tmat, z = scipy.linalg.schur(u.astype(complex), output="complex")
+    dim = state.shape[0]
+    basis, images = [state], []
+    while True:
+        images.append(u @ basis[-1])
+        if len(basis) == dim:
+            break
+        q = np.column_stack(basis)
+        w = images[-1]
+        for _ in range(2):  # Gram-Schmidt twice keeps Q orthonormal to round-off
+            w = w - q @ (q.conj().T @ w)
+        beta = np.linalg.norm(w)
+        if beta <= _KRYLOV_BREAKDOWN:
+            break
+        basis.append(w / beta)
+    q, uq = np.column_stack(basis), np.column_stack(images)
+    h = q.conj().T @ uq
+    leak = float(np.linalg.norm(uq - q @ h, 2))
+    if not leak <= _KRYLOV_LEAK_BOUND:
+        raise ArithmeticError(f"Krylov space leaks {leak:.3g} > {_KRYLOV_LEAK_BOUND:g}")
+
+    tmat, z = scipy.linalg.schur(h, output="complex")
     phases = np.mod(np.angle(np.diag(tmat)) / (2.0 * np.pi), 1.0)
-    weights = np.abs(z.conj().T @ state) ** 2
+    weights = np.abs(z.conj().T @ (q.conj().T @ state)) ** 2
     grid = 1 << t_bits
-    ms = np.arange(grid)
-    dist = np.zeros(grid)
-    for phi, w in zip(phases, weights):
-        if w < 1e-300:
-            continue
-        delta = phi - ms / grid
-        sin_d = np.sin(np.pi * delta)
-        exact = np.abs(sin_d) < 1e-12
-        num = np.sin(np.pi * grid * delta) ** 2
-        kernel = np.where(exact, 1.0, num / np.where(exact, 1.0, sin_d**2) / grid**2)
-        dist += w * kernel
+    delta = phases[:, None] - np.arange(grid) / grid
+    sin_d = np.sin(np.pi * delta)
+    exact = np.abs(sin_d) < 1e-12
+    num = np.sin(np.pi * grid * delta) ** 2
+    dist = weights @ np.where(exact, 1.0, num / np.where(exact, 1.0, sin_d**2) / grid**2)
     total = dist.sum()
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise AssertionError(f"phase distribution sums to {total}, expected 1")
-    return dist
+    return dist, len(basis), leak
 
 
 def phase_estimation(
@@ -153,8 +187,9 @@ def phase_estimation(
     reconstruction depends on the method: for exact evolution e^{iAt} it is
     2*pi*phase/t with phases above 1/2 wrapped to negative values unless
     ``nonnegative_spectrum`` is set; for the walk operator it is
-    alpha * cos(2*pi*phase).  Reconstructed values are clipped to the
-    certified range [-alpha, alpha].
+    alpha * cos(2*pi*phase), with the readout folded to phase <= 1/2 because
+    the walk's eigenphases come in +/- pairs of equal weight.  Reconstructed
+    values are clipped to the certified range [-alpha, alpha].
     """
     u = as_complex_matrix(u)
     if not is_unitary(u, 1e-10):
@@ -162,19 +197,23 @@ def phase_estimation(
     state = np.asarray(eigenstate, dtype=complex).reshape(-1)
     if state.shape[0] != u.shape[0]:
         raise ValueError("eigenstate dimension does not match the unitary")
+    if not np.all(np.isfinite(state)):
+        raise ValueError("eigenstate entries must be finite")
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError("eigenstate must be normalized")
     if t_bits < 1:
         raise ValueError("t_bits must be positive")
 
-    dist = _phase_distribution(u, state, t_bits)
+    dist, krylov_dim, leak = _phase_distribution(u, state / norm, t_bits)
     grid = 1 << t_bits
-    phase = int(np.argmax(dist)) / grid
+    m = int(np.argmax(dist))
 
     if method is EstimationMethod.QUBITIZATION_WALK:
+        phase = min(m, grid - m) / grid
         eigenvalue = alpha * np.cos(2.0 * np.pi * phase)
     else:
+        phase = m / grid
         t_evo = evolution_time if evolution_time is not None else 1.0 / alpha
         if t_evo == 0:
             raise ValueError("evolution time must be nonzero")
@@ -182,4 +221,5 @@ def phase_estimation(
         eigenvalue = 2.0 * np.pi * signed / t_evo
     eigenvalue = float(np.clip(eigenvalue, -alpha, alpha))
     return PhaseEstimate(phase=phase, bits=t_bits, eigenvalue=eigenvalue,
-                         method=method, distribution=dist)
+                         method=method, distribution=dist, krylov_dim=krylov_dim,
+                         leak=leak)

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.stats
 
+from blocklab import spectral
+from blocklab.applications import scatter_total_encoding
 from blocklab.block_encoding import extract_block, trivial_encoding
-from blocklab.centering import centering_encoding
-from blocklab.data_encoding import hermitian_extension, matrix_encoding
+from blocklab.centering import centering_encoding, centering_matrix
+from blocklab.data_encoding import hermitian_dilation, hermitian_extension, matrix_encoding
 from blocklab.matrix_core import is_unitary
+from blocklab.mean_centering import CenteringMode, mc_encoding
 from blocklab.spectral import (
     EstimationMethod,
     exact_evolution,
@@ -201,3 +206,141 @@ class TestPhaseEstimation:
     def test_unnormalized_state_rejected(self):
         with pytest.raises(ValueError):
             phase_estimation(np.eye(2), np.array([1.0, 1.0]), 4)
+
+    def test_nan_state_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            phase_estimation(np.eye(2), [np.nan, 0.0], 4)
+
+    def test_nan_distribution_fails_the_sum_check(self, monkeypatch):
+        def nan_schur(h, output):
+            return np.full(h.shape, np.nan, dtype=complex), np.eye(h.shape[0], dtype=complex)
+
+        monkeypatch.setattr(spectral.scipy.linalg, "schur", nan_schur)
+        with pytest.raises(AssertionError, match="sums to nan"):
+            phase_estimation(np.eye(2), np.array([1.0, 0.0]), 4)
+
+    def test_leak_above_bound_raises(self, monkeypatch):
+        u = scipy.stats.unitary_group.rvs(8, random_state=np.random.default_rng(11))
+        monkeypatch.setattr(spectral, "_KRYLOV_LEAK_BOUND", 0.0)
+        with pytest.raises(ArithmeticError, match="leaks"):
+            phase_estimation(u, np.eye(8)[0], 4)
+
+    def test_eigenvector_of_diagonal_unitary_spans_one_vector(self):
+        u = np.diag([1.0, np.exp(1j * np.pi / 2)])
+        est = phase_estimation(u, np.array([0.0, 1.0]), 8)
+        assert est.krylov_dim == 1
+        assert est.leak == 0.0
+
+    def test_walk_readout_folds_tied_pair(self):
+        """The lambda = 0 eigenvector of C_16 has equal peaks at +/- 1/4."""
+        be = centering_encoding(16)
+        w = walk_operator(be)
+        psi = np.zeros(w.shape[0], dtype=complex)
+        psi[:16] = 0.25
+        est = phase_estimation(w, psi, 8, method=EstimationMethod.QUBITIZATION_WALK,
+                               alpha=be.alpha)
+        assert est.distribution[64] == pytest.approx(0.5, abs=1e-12)
+        assert est.distribution[192] == pytest.approx(0.5, abs=1e-12)
+        assert est.phase == 0.25
+        assert (np.float64(est.eigenvalue).tobytes()
+                == np.float64(be.alpha * np.cos(np.pi / 2)).tobytes())
+
+
+def schur_distribution(u, state, t_bits):
+    """Dense reference: Schur-diagonalize all of U, one Dirichlet kernel per
+    eigenpair."""
+    tmat, z = scipy.linalg.schur(np.asarray(u, dtype=complex), output="complex")
+    phases = np.mod(np.angle(np.diag(tmat)) / (2.0 * np.pi), 1.0)
+    weights = np.abs(z.conj().T @ state) ** 2
+    grid = 1 << t_bits
+    ms = np.arange(grid)
+    dist = np.zeros(grid)
+    for phi, w in zip(phases, weights):
+        delta = phi - ms / grid
+        sin_d = np.sin(np.pi * delta)
+        exact = np.abs(sin_d) < 1e-12
+        num = np.sin(np.pi * grid * delta) ** 2
+        dist += w * np.where(exact, 1.0, num / np.where(exact, 1.0, sin_d**2) / grid**2)
+    return dist
+
+
+def random_state(rng, dim):
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+def walk_cases():
+    """(encoding, the Hermitian operator it encodes) for the walk agreement tests."""
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((4, 4))
+    c4 = centering_matrix(4)
+    m = c4 @ rng.standard_normal((4, 4)) @ c4
+    dilated = np.block([[np.zeros((4, 4)), m], [m.T, np.zeros((4, 4))]])
+    return {
+        "scatter": (scatter_total_encoding(x), x @ c4 @ x.T),
+        "dilation": (hermitian_dilation(mc_encoding(m, CenteringMode.CXC)), dilated),
+        "centering": (centering_encoding(8), centering_matrix(8)),
+    }
+
+
+class TestKrylovAgreesWithSchur:
+    """The Krylov distribution equals the dense Schur one within 1e-13."""
+
+    TOL = 1e-13
+
+    def check(self, u, state, t_bits=8):
+        est = phase_estimation(u, state, t_bits)
+        np.testing.assert_allclose(est.distribution, schur_distribution(u, state, t_bits),
+                                   rtol=0, atol=self.TOL)
+        assert est.leak <= 1e-12
+        return est
+
+    @pytest.mark.parametrize("dim", [2, 8, 32, 64])
+    def test_random_unitary_random_state(self, dim):
+        rng = np.random.default_rng(dim)
+        u = scipy.stats.unitary_group.rvs(dim, random_state=rng)
+        est = self.check(u, random_state(rng, dim))
+        assert est.krylov_dim == dim
+
+    @pytest.mark.parametrize("name", ["scatter", "dilation", "centering"])
+    def test_walk_from_eigenvectors(self, name):
+        be, target = walk_cases()[name]
+        w = walk_operator(be)
+        sys_dim = target.shape[0]
+        for vec in np.linalg.eigh(target)[1].T:
+            psi = np.zeros(w.shape[0], dtype=complex)
+            psi[:sys_dim] = vec
+            assert self.check(w, psi).krylov_dim <= 2
+
+    @pytest.mark.parametrize("name", ["scatter", "dilation", "centering"])
+    def test_walk_from_generic_states(self, name):
+        be, target = walk_cases()[name]
+        w = walk_operator(be)
+        sys_dim = target.shape[0]
+        rng = np.random.default_rng(13)
+        psi = np.zeros(w.shape[0], dtype=complex)
+        psi[:sys_dim] = random_state(rng, sys_dim)
+        self.check(w, psi)
+        self.check(w, random_state(rng, w.shape[0]))
+
+    def test_degenerate_centering_spectrum(self):
+        """C_8 has eigenvalue 1 seven times: the 1 and 0 eigenspaces give
+        at most three Krylov vectors from any ancilla-zero state."""
+        w = walk_operator(centering_encoding(8))
+        psi = np.zeros(w.shape[0], dtype=complex)
+        psi[:8] = random_state(np.random.default_rng(14), 8)
+        assert self.check(w, psi).krylov_dim <= 3
+
+    def test_n8_scatter_walk_at_dimension_2048(self):
+        x = np.random.default_rng(15).standard_normal((8, 8))
+        be = scatter_total_encoding(x)
+        w = walk_operator(be)
+        assert w.shape[0] == 2048
+        lam, vec = np.linalg.eigh(x @ centering_matrix(8) @ x.T)
+        psi = np.zeros(w.shape[0], dtype=complex)
+        psi[:8] = vec[:, -1]
+        est = phase_estimation(w, psi, 8, method=EstimationMethod.QUBITIZATION_WALK,
+                               alpha=be.alpha)
+        assert est.krylov_dim <= 2
+        assert est.leak <= 1e-12
+        assert abs(est.eigenvalue - lam[-1]) <= be.alpha * np.pi * 2.0 ** -8
