@@ -73,7 +73,7 @@ def as_complex_matrix(m) -> np.ndarray:
         raise ValueError(f"expected a 2-D matrix, got ndim={arr.ndim}")
     if arr.size == 0:
         raise ValueError("matrix must be non-empty")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():  # a complex entry is finite iff both parts are
         raise ValueError("matrix entries must be finite")
     return np.ascontiguousarray(arr)
 

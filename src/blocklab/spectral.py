@@ -1,7 +1,7 @@
 """Eigeninformation extraction from Hermitian block encodings: an exact
-evolution operator, a reflection-based walk operator whose eigenphases carry
-the encoded spectrum through cos(theta) = lambda/alpha, and a deterministic
-phase-estimation routine that computes the full measurement distribution.
+evolution operator, a reflection walk written from the encoding unitary into
+one buffer, its eigenphases carrying the spectrum as cos(theta) = lambda/alpha,
+and a deterministic phase estimation that computes the full distribution.
 
 Phase estimation never diagonalizes the whole unitary.  It spans the Krylov
 space of the state, which the unitary leaves invariant (two dimensions from
@@ -74,27 +74,43 @@ def _encoded_hermitian(be: BlockEncoding) -> np.ndarray:
     return (block + block.conj().T) / 2.0
 
 
+def _hermitian_form(u: np.ndarray, negate: slice) -> np.ndarray:
+    """U if it is Hermitian within 1e-10, else its dilation (see
+    ``hermitianize_encoding``), in one fresh buffer with ``negate`` rows negated."""
+    d = u.shape[0]
+    u_dag = np.conjugate(u.T, out=np.empty_like(u, order="C"))
+    if np.max(np.abs(u - u_dag)) <= 1e-10:
+        out = u.copy()
+    else:  # the quadrants [[E, O], [O, E]] with E = (U + U^dag)/2, O = (U^dag - U)/2
+        ensure_dimension(2 * d)
+        out = np.empty((2 * d, 2 * d), dtype=complex)
+        top = out[:d]
+        np.add(u, u_dag, out=top[:, :d])
+        np.subtract(u_dag, u, out=top[:, d:])
+        del u_dag  # room for the finite scan
+        if not np.isfinite(np.divide(top, 2.0, out=top)).all():
+            raise ValueError("matrix entries must be finite")
+        out[d:, :d], out[d:, d:] = top[:, d:], top[:, :d]
+    out[negate] *= -1.0
+    return out
+
+
 def hermitianize_encoding(be: BlockEncoding) -> BlockEncoding:
     """A Hermitian encoding unitary with the same encoded block.
 
     If the unitary is already Hermitian it is returned unchanged.  Otherwise
     one ancilla qubit carries the off-diagonal dilation [[0, U], [U^dag, 0]]
-    conjugated by a Hadamard on that qubit, written out in closed form as
+    conjugated by a Hadamard on that qubit, written into one buffer in closed form as
 
         1/2 [[U + U^dag, U^dag - U], [U - U^dag, -(U + U^dag)]],
 
     which is Hermitian, unitary, and keeps the leading block intact.
     """
-    u = be.unitary
-    if np.max(np.abs(u - u.conj().T)) <= 1e-10:
+    herm = _hermitian_form(be.unitary, slice(be.dim, None))
+    if herm.shape[0] == be.dim:  # U is Hermitian already
         return be
-    ensure_dimension(2 * u.shape[0])
-    u_dag = u.conj().T
-    even = (u + u_dag) / 2.0
-    odd = (u_dag - u) / 2.0
-    return BlockEncoding(np.block([[even, odd], [-odd, -even]]), alpha=be.alpha,
-                         ancillas=be.ancillas + 1, epsilon=be.epsilon,
-                         system_qubits=be.system_qubits)
+    return BlockEncoding(herm, alpha=be.alpha, ancillas=be.ancillas + 1,
+                         epsilon=be.epsilon, system_qubits=be.system_qubits)
 
 
 def walk_operator(be: BlockEncoding) -> np.ndarray:
@@ -103,14 +119,12 @@ def walk_operator(be: BlockEncoding) -> np.ndarray:
     U~ is a Hermitian representative of the encoding (see
     ``hermitianize_encoding``) and Pi_0 projects the ancillas onto |0...0>.
     The reflection is diagonal, so W is U~ with every row outside the
-    ancilla-zero block negated.  For every eigenvalue lambda of the encoded
-    Hermitian operator, W has an eigenphase pair +/- arccos(lambda/alpha).
+    ancilla-zero block negated, written straight from U into one buffer.  For
+    every eigenvalue lambda of the encoded Hermitian operator, W has an
+    eigenphase pair +/- arccos(lambda/alpha).
     """
     _encoded_hermitian(be)
-    herm = hermitianize_encoding(be)
-    walk = herm.unitary.copy()
-    walk[herm.system_dim:] *= -1.0
-    return walk
+    return _hermitian_form(be.unitary, slice(be.system_dim, be.dim))
 
 
 def exact_evolution(be: BlockEncoding, t: float) -> np.ndarray:

@@ -422,7 +422,8 @@ def criterion_7(seed: int) -> CriterionOutcome:
     for j in range(8):
         psi = np.zeros(w.shape[0], dtype=complex)
         psi[:8] = vec8[:, j]
-        resid = w @ (w @ psi) - 2.0 * (lam8[j] / st.alpha) * (w @ psi) + psi
+        w_psi = w @ psi
+        resid = w @ w_psi - 2.0 * (lam8[j] / st.alpha) * w_psi + psi
         worst_resid = max(worst_resid, _f(np.linalg.norm(resid)))
     ok = ok and worst_resid <= 1e-8
 

@@ -3,6 +3,7 @@ import pytest
 
 from blocklab.matrix_core import (
     CapExceededError,
+    as_complex_matrix,
     embed_power_of_two,
     format_complex,
     is_unitary,
@@ -64,6 +65,20 @@ class TestKron:
         monkeypatch.setenv("BLOCKLAB_CAP_QUBITS", "3")
         with pytest.raises(CapExceededError):
             kron(np.eye(4), np.eye(4))
+
+
+class TestAsComplexMatrix:
+    @pytest.mark.parametrize("bad", [complex(1.0, np.inf), complex(np.nan, 0.0),
+                                     complex(-np.inf, np.nan)])
+    def test_non_finite_part_rejected(self, bad):
+        m = np.eye(2, dtype=complex)
+        m[1, 0] = bad
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            as_complex_matrix(m)
+
+    def test_finite_complex_accepted(self):
+        m = np.array([[1e308 + 1e308j, -0.0], [1j, 2.0]])
+        np.testing.assert_array_equal(as_complex_matrix(m), m)
 
 
 class TestEmbed:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,10 +7,10 @@ import scipy.stats
 
 from blocklab import spectral
 from blocklab.applications import scatter_total_encoding
-from blocklab.block_encoding import extract_block, trivial_encoding
+from blocklab.block_encoding import BlockEncoding, extract_block, trivial_encoding
 from blocklab.centering import centering_encoding, centering_matrix
 from blocklab.data_encoding import hermitian_dilation, hermitian_extension, matrix_encoding
-from blocklab.matrix_core import is_unitary
+from blocklab.matrix_core import CapExceededError, is_unitary
 from blocklab.mean_centering import CenteringMode, mc_encoding
 from blocklab.spectral import (
     EstimationMethod,
@@ -99,6 +101,75 @@ class TestWalkOperator:
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError, match="Hermitian"):
             walk_operator(matrix_encoding(rng.standard_normal((4, 4))))
+
+
+def walk_reference(be):
+    """The walk by the block formula: the dilation [[e, o], [-o, -e]] of a
+    non-Hermitian U, or U itself, with rows >= system_dim negated."""
+    u = be.unitary
+    u_dag = u.conj().T
+    if np.max(np.abs(u - u_dag)) <= 1e-10:
+        ref = u.copy()
+    else:
+        e = (u + u_dag) / 2.0
+        o = (u_dag - u) / 2.0
+        ref = np.block([[e, o], [-o, -e]])
+    ref[be.system_dim:] *= -1.0
+    return ref
+
+
+def walk_dense_encodings():
+    """The four encodings the dense-walk benchmark builds, plus a Hermitian leaf."""
+    rng = np.random.default_rng(16)
+    c8 = centering_matrix(8)
+    return {
+        "scatter-n8": lambda: scatter_total_encoding(rng.standard_normal((8, 8))),
+        "scatter-n4": lambda: scatter_total_encoding(rng.standard_normal((4, 4))),
+        "dilation-mc-cxc-n8": lambda: hermitian_dilation(
+            mc_encoding(c8 @ rng.standard_normal((8, 8)) @ c8, CenteringMode.CXC)),
+        "centering-n16": lambda: centering_encoding(16),
+        "hermitian-leaf": lambda: trivial_encoding(np.diag([1.0, -1.0, -1.0, 1.0])),
+    }
+
+
+class TestWalkOneBuffer:
+    @pytest.mark.parametrize("name", sorted(walk_dense_encodings()))
+    def test_bytes_match_block_formula(self, name):
+        be = walk_dense_encodings()[name]()
+        u = be.unitary
+        before = u.tobytes()
+        w = walk_operator(be)
+        assert w.tobytes() == walk_reference(be).tobytes()
+        assert w.flags.writeable and not np.shares_memory(w, u)
+        assert be.unitary is u and u.tobytes() == before and not u.flags.writeable
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_overflowing_dilation_rejected(self):
+        u = np.eye(4, dtype=complex)
+        u[0, 2], u[2, 0] = 1e308, -1e308
+        be = BlockEncoding(u, alpha=1.0, ancillas=1, epsilon=0.0, system_qubits=1)
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            walk_operator(be)
+
+    def test_cap_checked_on_dilated_dimension(self, monkeypatch):
+        be = scatter_total_encoding(np.random.default_rng(17).standard_normal((2, 2)))
+        assert be.unitary.shape == (16, 16)  # built under the default cap
+        monkeypatch.setenv("BLOCKLAB_CAP_QUBITS", "4")
+        with pytest.raises(CapExceededError):
+            walk_operator(be)
+
+    def test_n8_scatter_walk_peak_memory(self):
+        """Beyond U, only the walk and one adjoint-sized array are held."""
+        be = scatter_total_encoding(np.random.default_rng(18).standard_normal((8, 8)))
+        u = be.unitary
+        tracemalloc.start()
+        try:
+            w = walk_operator(be)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.shape == (2048, 2048)
+        assert peak <= w.nbytes + u.nbytes + (1 << 20)
 
 
 class TestExactEvolution:
