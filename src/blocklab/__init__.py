@@ -36,7 +36,6 @@ from .centering import (
     centering_encoding,
     centering_matrix,
     ones_matrix_encoding,
-    per_class_centering,
     similarity_encoding,
     similarity_matrix,
 )

@@ -3,9 +3,10 @@ discriminant and canonical correlation analyses (plain and class-aware), and
 least squares on the centered design, each cross-checked classically.
 
 Layout conventions: data matrices store samples as columns.  Inputs are
-embedded into power-of-two squares before encoding, and the centering
-projector is built at the padded dimension; classical comparisons inside the
-pipelines use the identical padding so the two routes are like for like.
+zero-embedded into power-of-two squares before encoding, and every centering
+encoding removes the means over the true samples (per class where the
+statistic asks for it), so each encoded block is the statistic of the
+unpadded data, zero-embedded; the classical comparisons use the unpadded data.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import numpy as np
 from .block_encoding import (
     BlockEncoding,
     adjoint_encoding,
-    linear_combination,
-    make_state_prep_pair,
     placement_encoding,
     product,
     rescale_encoding,
@@ -26,8 +25,8 @@ from .block_encoding import (
 from .centering import (
     ClassPartition,
     centering_encoding,
-    centering_matrix,
     similarity_encoding,
+    similarity_matrix,
 )
 from .data_encoding import hermitian_dilation, matrix_encoding
 from .matrix_core import (
@@ -36,7 +35,7 @@ from .matrix_core import (
     is_hermitian,
     next_power_of_two,
 )
-from .oracles import ols_closed_form, padded_scatter, scatters
+from .oracles import ols_closed_form, total_scatter
 from .spectral import EstimationMethod, exact_evolution, phase_estimation
 
 __all__ = [
@@ -139,13 +138,28 @@ def _flag_degeneracies(values: np.ndarray) -> tuple[tuple[int, int], ...]:
 # Scatter-style encodings
 # ---------------------------------------------------------------------------
 
+def _centered_product(x: np.ndarray, y: np.ndarray, classes) -> BlockEncoding:
+    """Encoding of X C Y^dag with alpha = ||X||_F ||Y||_F, where C is
+    ``centering_encoding(classes)`` on the sample columns of the common
+    power-of-two system."""
+    dim = next_power_of_two(max(2, *x.shape))
+    data_x = matrix_encoding(embed_power_of_two(x, dim))
+    data_y = data_x if y is x else matrix_encoding(embed_power_of_two(y, dim))
+    return product(product(data_x, centering_encoding(classes, dim)),
+                   adjoint_encoding(data_y))
+
+
+def _paired(q: BlockEncoding, p: BlockEncoding) -> BlockEncoding:
+    """diag(Q, P) on one extra qubit, both rescaled to the larger alpha."""
+    alpha = max(q.alpha, p.alpha)
+    return placement_encoding(2, {(0, 0): rescale_encoding(q, alpha),
+                                  (1, 1): rescale_encoding(p, alpha)})
+
+
 def scatter_total_encoding(x) -> BlockEncoding:
     """Encoding of the total scatter X C X^T with alpha = ||X||_F^2."""
     x = as_complex_matrix(x)
-    system_dim = next_power_of_two(max(2, *x.shape))
-    data = matrix_encoding(embed_power_of_two(x, system_dim))
-    cent = centering_encoding(system_dim)
-    return product(product(data, cent), adjoint_encoding(data))
+    return _centered_product(x, x, x.shape[1])
 
 
 def cross_scatter_encoding(x, y) -> BlockEncoding:
@@ -154,38 +168,17 @@ def cross_scatter_encoding(x, y) -> BlockEncoding:
     y = as_complex_matrix(y)
     if x.shape != y.shape:
         raise ValueError("paired data matrices must share a shape")
-    system_dim = next_power_of_two(max(2, *x.shape))
-    data_x = matrix_encoding(embed_power_of_two(x, system_dim))
-    data_y = matrix_encoding(embed_power_of_two(y, system_dim))
-    cent = centering_encoding(system_dim)
-    return product(product(data_x, cent), adjoint_encoding(data_y))
+    return _centered_product(x, y, x.shape[1])
 
 
 def scatter_within_encoding(ds: LabeledDataset) -> BlockEncoding:
-    """Encoding of the within-class scatter sum_k X_k C_k X_k^T.
+    """Encoding of the within-class scatter sum_k X_k C_k X_k^T = X C_w X^T.
 
-    Each class block is embedded to the common system dimension with the
-    class-local centering projector extended block-diagonally; the per-class
-    product encodings are rescaled to the common scale f = max_k ||X_k||_F^2
-    and combined with unit coefficients, so the declared alpha is c * f.
+    C_w centers every class over its own samples, so the scatter is one
+    product with alpha = ||X||_F^2, shaped like the total scatter.
     """
-    part = ds.partition
-    system_dim = next_power_of_two(max(2, *ds.x.shape))
-    chains = []
-    for k in range(part.class_count):
-        xk = ds.class_columns(k)
-        if xk.shape[1] == 0:
-            raise ValueError("empty class in dataset")
-        p_k = max(2, next_power_of_two(xk.shape[1]))
-        data_k = matrix_encoding(embed_power_of_two(xk, system_dim))
-        factor = system_dim // p_k
-        cent = centering_encoding(p_k)
-        cent_k = placement_encoding(factor, {(j, j): cent for j in range(factor)})
-        chains.append(product(product(data_k, cent_k), adjoint_encoding(data_k)))
-    f = max(be.alpha for be in chains)
-    rescaled = [rescale_encoding(be, f) for be in chains]
-    pair = make_state_prep_pair(np.ones(part.class_count))
-    return linear_combination(pair, rescaled, common_alpha=f)
+    classes = np.unique(ds.labels, return_inverse=True)[1]
+    return _centered_product(ds.x, ds.x, classes)
 
 
 def paired_scatter_encoding(x, y) -> BlockEncoding:
@@ -198,12 +191,7 @@ def paired_scatter_encoding(x, y) -> BlockEncoding:
     y = as_complex_matrix(y)
     if x.shape != y.shape:
         raise ValueError("paired data matrices must share a shape")
-    q = scatter_total_encoding(x)
-    p = scatter_total_encoding(y)
-    alpha = max(q.alpha, p.alpha)
-    q_r = rescale_encoding(q, alpha)
-    p_r = rescale_encoding(p, alpha)
-    return placement_encoding(2, {(0, 0): q_r, (1, 1): p_r})
+    return _paired(scatter_total_encoding(x), scatter_total_encoding(y))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +201,7 @@ def paired_scatter_encoding(x, y) -> BlockEncoding:
 def pca(x, d: int, t_bits: int = 8) -> EigenResult:
     """Top-d principal directions of the total scatter via phase estimation.
 
-    Classical eigenvectors of the padded scatter seed the estimation; the
+    Classical eigenvectors of the scatter seed the estimation; the
     returned eigenvalues are the phase-estimation readouts, which must agree
     with the classical values within ||X||_F^2 * 2^-t_bits.
     """
@@ -222,7 +210,7 @@ def pca(x, d: int, t_bits: int = 8) -> EigenResult:
     dim = be.system_dim
     if not 1 < d <= dim:
         raise ValueError(f"d must satisfy 1 < d <= {dim}")
-    values, vectors = np.linalg.eigh(padded_scatter(x, dim))
+    values, vectors = np.linalg.eigh(embed_power_of_two(total_scatter(x), dim))
     order = np.argsort(values)[::-1][:d]
     classical_vals = values[order].real
     candidates = vectors[:, order]
@@ -301,32 +289,8 @@ def generalized_eig(a_be: BlockEncoding, b_be: BlockEncoding, d: int) -> EigenRe
 
 
 def lda(ds: LabeledDataset, d: int) -> EigenResult:
-    """Discriminant directions from the (total; within-class) scatter pencil.
-
-    When no padding is involved, the between-class scatter computed as the
-    difference of the total and within-class centering products is
-    cross-checked against its direct per-class-mean form.
-    """
-    part = ds.partition
-    st_be = scatter_total_encoding(ds.x)
-    sw_be = scatter_within_encoding(ds)
-    system_dim = st_be.system_dim
-
-    exact_layout = (
-        system_dim == ds.x.shape[1]
-        and all(next_power_of_two(nk) == nk for nk in part.class_sizes)
-    )
-    if exact_layout:
-        rows = ds.x.shape[0]
-        s_t = padded_scatter(ds.x, system_dim)[:rows, :rows]
-        s_w = np.zeros_like(s_t)
-        for k in range(part.class_count):
-            xk = ds.class_columns(k)
-            s_w += xk @ centering_matrix(xk.shape[1]) @ xk.conj().T
-        _, _, s_b = scatters(ds)
-        if np.max(np.abs((s_t - s_w) - s_b)) > 1e-7:
-            raise AssertionError("between-class scatter identity violated")
-    return generalized_eig(st_be, sw_be, d)
+    """Discriminant directions from the (total; within-class) scatter pencil."""
+    return generalized_eig(scatter_total_encoding(ds.x), scatter_within_encoding(ds), d)
 
 
 def cca(x, y, d: int) -> EigenResult:
@@ -345,57 +309,55 @@ def cca(x, y, d: int) -> EigenResult:
     return generalized_eig(h_x, h_y, d)
 
 
-def class_correlation_encoding(ds_x: LabeledDataset, ds_y: LabeledDataset) -> BlockEncoding:
-    """Encoding of X C E C Y^dag on the class-grouped padded layout.
+def _grouped(ds_x: LabeledDataset, ds_y: LabeledDataset):
+    """Both views on the class-grouped padded layout, plus its slot classes.
 
-    E is the block-diagonal class-similarity matrix; its scale factor is the
-    largest class size, so the chain declares alpha =
-    n_tilde ||X||_F ||Y||_F.
+    Class k occupies slots [k*block_dim, k*block_dim + n_k), the layout the
+    similarity encoding uses; the slots are 0 where a sample sits and -1 on
+    the padding, so centering averages over the true samples.
     """
     part = ds_x.partition
     if part != ds_y.partition:
         raise ValueError("both views must share the class partition")
-    block_dim = part.block_dim
-    x_pad = _grouped_padded(ds_x, block_dim)
-    y_pad = _grouped_padded(ds_y, block_dim)
-    system_dim = next_power_of_two(
-        max(2, ds_x.x.shape[0], ds_y.x.shape[0], x_pad.shape[1])
-    )
+    occupied = np.diag(similarity_matrix(part)) > 0
+    views = []
+    for ds in (ds_x, ds_y):
+        out = np.zeros((ds.x.shape[0], occupied.size), dtype=complex)
+        order = np.argsort(ds.labels, kind="stable")  # grouped by class
+        out[:, occupied] = ds.x[:, order]
+        views.append(out)
+    return views[0], views[1], np.where(occupied, 0, -1)
+
+
+def class_correlation_encoding(ds_x: LabeledDataset, ds_y: LabeledDataset) -> BlockEncoding:
+    """Encoding of X C E C Y^dag on the class-grouped padded layout.
+
+    E is the block-diagonal class-similarity matrix and C centers the
+    occupied slots, so the block equals X C_n E C_n Y^dag on the unpadded
+    data.  E's scale factor is the largest class size, so the chain declares
+    alpha = n_tilde ||X||_F ||Y||_F.
+    """
+    x_pad, y_pad, slots = _grouped(ds_x, ds_y)
+    system_dim = next_power_of_two(max(2, x_pad.shape[0], y_pad.shape[0], slots.size))
     data_x = matrix_encoding(embed_power_of_two(x_pad, system_dim))
     data_y = matrix_encoding(embed_power_of_two(y_pad, system_dim))
-    cent = centering_encoding(system_dim)
-    sim = similarity_encoding(part, total_dim=system_dim)
-    chain = product(product(product(product(data_x, cent), sim), cent),
-                    adjoint_encoding(data_y))
-    return chain
-
-
-def _grouped_padded(ds: LabeledDataset, block_dim: int) -> np.ndarray:
-    """Columns regrouped so class k occupies slots [k*block_dim, k*block_dim+n_k)."""
-    part = ds.partition
-    width = part.padded_class_count * block_dim
-    out = np.zeros((ds.x.shape[0], width), dtype=complex)
-    for k in range(part.class_count):
-        xk = ds.class_columns(k)
-        lo = k * block_dim
-        out[:, lo:lo + xk.shape[1]] = xk
-    return out
+    cent = centering_encoding(slots, system_dim)
+    sim = similarity_encoding(ds_x.partition, total_dim=system_dim)
+    return product(product(product(product(data_x, cent), sim), cent),
+                   adjoint_encoding(data_y))
 
 
 def dcca(ds_x: LabeledDataset, ds_y: LabeledDataset, d: int) -> EigenResult:
     """Class-aware canonical directions from the (H_d; H_y) pencil.
 
-    Both views are regrouped onto the padded class layout; the result's
-    stacked eigenvectors are reported in that layout.
+    Both views are regrouped onto the padded class layout, and every
+    centering averages over its occupied slots; the result's stacked
+    eigenvectors are reported in that layout.
     """
-    part = ds_x.partition
-    if part != ds_y.partition:
-        raise ValueError("both views must share the class partition")
-    block_dim = part.block_dim
-    x_pad = _grouped_padded(ds_x, block_dim)
-    y_pad = _grouped_padded(ds_y, block_dim)
+    x_pad, y_pad, slots = _grouped(ds_x, ds_y)
     h_d = hermitian_dilation(class_correlation_encoding(ds_x, ds_y))
-    h_y = paired_scatter_encoding(x_pad, y_pad)
+    h_y = _paired(_centered_product(x_pad, x_pad, slots),
+                  _centered_product(y_pad, y_pad, slots))
     return generalized_eig(h_d, h_y, d)
 
 
@@ -419,20 +381,19 @@ def ols(x, y_vec) -> RegressionResult:
         raise ValueError("design matrix must be square (samples as columns)")
     if y.shape[0] != x.shape[1]:
         raise ValueError("target vector length must match the sample count")
-    x_e = embed_power_of_two(x)
-    y_e = np.zeros(x_e.shape[0], dtype=complex)
-    y_e[: y.shape[0]] = y
-
     closed = ols_closed_form(x, y)
-    be = mc_encoding(x_e, CenteringMode.CX)
+    be = mc_encoding(x, CenteringMode.CX)
     design = be.alpha * be.extract_block()
+    y_e = np.zeros(be.system_dim, dtype=complex)
+    y_e[: y.shape[0]] = y
     sv = np.linalg.svd(design, compute_uv=False)
     effective_rank = int(np.sum(sv > sv[0] * _RANK_RTOL)) if sv.size else 0
     via_encoding, *_ = np.linalg.lstsq(design, y_e, rcond=_RANK_RTOL)
+    residual = float(np.linalg.norm(design @ via_encoding - y_e))
+    via_encoding = via_encoding[: x.shape[1]]  # the padded columns of the design are zero
 
     if np.max(np.abs(closed - via_encoding)) > 1e-8:
         raise AssertionError("closed-form and encoded-design solutions disagree")
-    residual = float(np.linalg.norm(design @ via_encoding - y_e))
     beta = via_encoding.real if np.allclose(via_encoding.imag, 0, atol=1e-12) else via_encoding
     return RegressionResult(beta_hat=beta, residual_norm=residual,
                             effective_rank=effective_rank)

@@ -1,11 +1,15 @@
 """Centering-specific unitaries and encodings: the reflection-based centering
-unitary, the (1,1,0) encoding of the centering projector C = I - (1/n) ee^T,
-per-class centering, the all-ones rank-one matrix from cyclic shifts, and the
-block-diagonal class-similarity matrix.
+unitary, the (1,1,0) encoding of the centering projector C = I - (1/n) ee^T
+over the true samples (per class when the slots carry classes), the all-ones
+rank-one matrix from cyclic shifts, and the block-diagonal class-similarity
+matrix.
 
-The terms of the centering encoding (the (1/2, -1/2) preparation pair and
-the identity and reflection leaves) are built once per size and shared by
-every centering encoding of that size; each call still returns a new
+The centering encoding is the one place that decides what a mean averages
+over: each register slot holds a class or is empty, and the encoded block
+removes each class mean over its own samples and is zero on empty slots.
+The (1/2, -1/2) preparation pair and the identity leaf are built once per
+size, and the one-class reflection once per (n, size); they are shared by
+every centering encoding that uses them.  Each call still returns a new
 combination node, and the size cap is checked on every call.
 """
 
@@ -30,7 +34,6 @@ from .matrix_core import (
     is_power_of_two,
     kron,
     next_power_of_two,
-    qubit_count,
 )
 
 __all__ = [
@@ -39,7 +42,6 @@ __all__ = [
     "similarity_matrix",
     "build_uc",
     "centering_encoding",
-    "per_class_centering",
     "cyclic_shift",
     "ones_matrix_encoding",
     "similarity_encoding",
@@ -124,42 +126,90 @@ def build_uc(log_n: int) -> np.ndarray:
     return h @ reflect @ h
 
 
+def _slots(classes, dim: int | None) -> np.ndarray:
+    """The class of each register slot (-1 for an empty one), padded to dim.
+
+    ``classes`` is a sample count n (n slots of one class) or one class id
+    per sample; ``dim`` defaults to the smallest power of two >= 2 holding
+    every sample.
+    """
+    if isinstance(classes, (int, np.integer)):
+        if classes < 1:
+            raise ValueError("centering needs at least one sample")
+        labels = np.zeros(int(classes), dtype=int)
+    else:
+        labels = np.asarray(classes).reshape(-1)
+        if labels.dtype.kind not in "iu" or labels.size == 0 or labels.min() < -1 \
+                or labels.max() < 0:
+            raise ValueError("slot classes must be integers >= -1 with a sample in one")
+    if dim is None:
+        dim = max(2, next_power_of_two(labels.size))
+    if not is_power_of_two(dim) or dim < max(2, labels.size):
+        raise ValueError("the centering register must be a power of two >= 2 "
+                         "holding every sample")
+    ensure_dimension(dim)
+    slots = np.full(dim, -1)
+    slots[: labels.size] = labels
+    return slots
+
+
+def _reflection(slots: np.ndarray) -> np.ndarray:
+    """R = I - 2C for C = sum_g (P_g - u_g u_g^dag), in closed form.
+
+    On a slot of class g with n_g samples the row is 2/n_g over the class
+    minus the diagonal; an empty slot keeps R = I.  R is an exact
+    reflection because C is a projector.
+    """
+    occupied = slots >= 0
+    weight = np.zeros(slots.size)
+    weight[occupied] = 2.0 / np.bincount(slots[occupied])[slots[occupied]]
+    same = (slots[:, None] == slots[None, :]) & occupied[:, None]
+    r = np.where(same, weight[:, None], 0.0).astype(complex)
+    r[np.diag_indices(slots.size)] -= np.where(occupied, 1.0, -1.0)
+    return r
+
+
 @functools.lru_cache(maxsize=None)
-def _centering_terms(n: int) -> tuple[StatePrepPair, tuple[BlockEncoding, BlockEncoding]]:
-    """The (1/2, -1/2) pair and the identity and reflection leaves at size n.
+def _centering_pair(dim: int) -> tuple[StatePrepPair, BlockEncoding]:
+    """The (1/2, -1/2) pair and the identity leaf on a dim-slot register.
 
     Every centering encoding of that size shares them, so their arrays are
     frozen.  The sizes are powers of two under the cap, so the cache holds
     at most one entry per allowed qubit count.
     """
-    uc = build_uc(qubit_count(n))
     pair = make_state_prep_pair(np.array([0.5, -0.5]))
-    eye = np.eye(n, dtype=complex)
-    for m in (eye, uc, pair.p_left, pair.p_right, pair.coefficients):
+    eye = np.eye(dim, dtype=complex)
+    for m in (eye, pair.p_left, pair.p_right, pair.coefficients):
         m.setflags(write=False)
-    return pair, (trivial_encoding(eye), trivial_encoding(uc))
+    return pair, trivial_encoding(eye)
 
 
-def centering_encoding(n: int) -> BlockEncoding:
-    """(1, 1, 0) encoding of the n-dimensional centering projector.
+@functools.lru_cache(maxsize=None)
+def _total_reflection(n: int, dim: int) -> BlockEncoding:
+    """The reflection leaf of one class on the first n of dim slots, frozen."""
+    r = _reflection(_slots(n, dim))
+    r.setflags(write=False)
+    return trivial_encoding(r)
 
-    Combines the identity and the reflection unitary with coefficients
-    (1/2, -1/2); n must be a power of two (embed the data first otherwise).
+
+def centering_encoding(classes, dim: int | None = None) -> BlockEncoding:
+    """(1, 1, 0) encoding of the zero-embedded projector C = sum_g (P_g - u_g u_g^dag).
+
+    P_g projects onto the register slots of class g and u_g is the uniform
+    state over them, so C removes each class mean over the true samples and
+    is exactly zero on empty slots.  ``classes`` is a sample count n (one
+    class; the block is ``centering_matrix(n)`` zero-embedded) or the class
+    of each slot, -1 for an empty one; slots past them, up to ``dim``, are
+    empty.  The identity and the reflection R = I - 2C combine with
+    coefficients (1/2, -1/2).
     """
-    if not is_power_of_two(n) or n < 2:
-        raise ValueError("centering encoding requires n = 2^k with k >= 1")
-    ensure_dimension(n)  # the cap holds for sizes whose terms are cached too
-    pair, terms = _centering_terms(n)
-    return linear_combination(pair, terms, common_alpha=1.0)
-
-
-def per_class_centering(partition: ClassPartition) -> list[BlockEncoding]:
-    """One (1,1,0) centering encoding per class at its padded dimension."""
-    out = []
-    for nk in partition.class_sizes:
-        dim = max(2, next_power_of_two(nk))
-        out.append(centering_encoding(dim))
-    return out
+    slots = _slots(classes, dim)
+    pair, eye = _centering_pair(slots.size)
+    if isinstance(classes, (int, np.integer)):
+        reflect = _total_reflection(int(classes), slots.size)
+    else:
+        reflect = trivial_encoding(_reflection(slots))
+    return linear_combination(pair, (eye, reflect), common_alpha=1.0)
 
 
 def cyclic_shift(n: int, t: int) -> np.ndarray:

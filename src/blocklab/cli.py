@@ -41,11 +41,11 @@ from .matrix_core import (
 from .mean_centering import CenteringMode, classical_center, mc_encoding
 from .oracles import (
     ols_closed_form,
-    padded_scatter,
     pencil_blocks,
     pencil_eigs,
     reflection,
     scatters,
+    total_scatter,
 )
 from .suite import run_suite
 from . import __version__
@@ -133,12 +133,12 @@ def _read_labels(path: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _cmd_center(args: argparse.Namespace) -> tuple[int, dict]:
-    x = embed_power_of_two(read_matrix_csv(args.matrix))
+    x = read_matrix_csv(args.matrix)
     mode = CenteringMode.parse(args.mode)
     centered = classical_center(x, mode)
     be = mc_encoding(x, mode)
     tol = args.tol if args.tol is not None else 1e-8
-    report = verify(be, centered, tol=tol)
+    report = verify(be, embed_power_of_two(centered, be.system_dim), tol=tol)
     doc = _base_doc(args)
     doc["params"] = {"mode": mode.value, "tol": tol}
     doc["encodings"] = [_encoding_meta("centered-matrix", be)]
@@ -166,7 +166,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     tol = args.tol if args.tol is not None else 1e-12
     if target_name == "c":
         be = centering_encoding(args.n)
-        target = centering_matrix(args.n)
+        target = embed_power_of_two(centering_matrix(args.n), be.system_dim)
     elif target_name == "uc":
         uc = build_uc(qubit_count(args.n))
         be = trivial_encoding(uc)
@@ -195,7 +195,9 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
 def _cmd_pca(args: argparse.Namespace) -> tuple[int, dict]:
     x = read_matrix_csv(args.matrix)
     result = pca(x, d=args.d, t_bits=args.t_bits)
-    classical = np.sort(np.linalg.eigvalsh(padded_scatter(x)))[::-1][: args.d]
+    dim = result.eigenvectors.shape[0]
+    classical = np.sort(np.linalg.eigvalsh(embed_power_of_two(total_scatter(x), dim)))[::-1]
+    classical = classical[: args.d]
     bound = float(np.linalg.norm(x) ** 2 * 2.0 ** (-args.t_bits))
     delta = float(np.max(np.abs(result.eigenvalues - classical)))
     doc = _base_doc(args)
@@ -250,13 +252,9 @@ def _cmd_dcca(args: argparse.Namespace) -> tuple[int, dict]:
     ds_x = LabeledDataset(x, labels)
     ds_y = LabeledDataset(y, labels)
     result = dcca(ds_x, ds_y, args.d)
-    n = x.shape[1]
-    c = centering_matrix(n)
-    e_pad = similarity_matrix(ds_x.partition)
-    if e_pad.shape[0] != n:
-        raise ValueError("label partition is incompatible with a square comparison; "
-                         "use power-of-two class sizes covering all samples")
-    h_d, h_y = pencil_blocks(x @ c @ e_pad @ c @ y.conj().T, x, y, c)
+    c = centering_matrix(x.shape[1])
+    e = (labels[:, None] == labels[None, :]).astype(float)
+    h_d, h_y = pencil_blocks(x @ c @ e @ c @ y.conj().T, x, y, c)
     return _pencil_doc(args, result, h_d, h_y)
 
 

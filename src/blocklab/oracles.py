@@ -1,11 +1,11 @@
 """Classical references that the pipelines, the CLI and the acceptance battery
 check block encodings against.
 
-Each function is a dense, direct formula and shares no code with the
-encodings it checks.  ``reflection`` is real; ``scatters``, ``pencil_eigs``
-and ``pencil_blocks`` keep their inputs' dtype (real in, real out);
-``padded_scatter`` and ``ols_closed_form`` work on the complex zero-embedded
-matrix, the layout the pipelines encode.
+Each function is a dense, direct formula on the unpadded data and shares no
+code with the encodings it checks; a mean always averages over the true
+samples.  ``reflection`` is real; ``scatters``, ``pencil_eigs`` and
+``pencil_blocks`` keep their inputs' dtype (real in, real out);
+``total_scatter`` and ``ols_closed_form`` work in complex arithmetic.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .centering import centering_matrix
-from .matrix_core import embed_power_of_two
+from .matrix_core import as_complex_matrix
 
-__all__ = ["reflection", "scatters", "pencil_eigs", "pencil_blocks", "padded_scatter",
+__all__ = ["reflection", "scatters", "total_scatter", "pencil_eigs", "pencil_blocks",
            "ols_closed_form"]
 
 
@@ -46,6 +46,12 @@ def scatters(ds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s_t, s_w, s_b
 
 
+def total_scatter(x) -> np.ndarray:
+    """X C X^dag with C centering the sample columns."""
+    x = as_complex_matrix(x)
+    return x @ centering_matrix(x.shape[1]) @ x.conj().T
+
+
 def pencil_eigs(a: np.ndarray, b: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-d real pairs of A v = lambda B v by a dense solve via the pseudo-inverse."""
     vals, vecs = np.linalg.eig(np.linalg.pinv(b) @ a)
@@ -71,19 +77,9 @@ def pencil_blocks(m, x, y, c) -> tuple[np.ndarray, np.ndarray]:
     return h_a, h_b
 
 
-def padded_scatter(x, dim: int | None = None) -> np.ndarray:
-    """X C X^dag with X zero-embedded to a dim x dim square (by default the
-    next power of two) and C centering that padded dimension."""
-    x_e = embed_power_of_two(x, dim)
-    return x_e @ centering_matrix(x_e.shape[0]) @ x_e.conj().T
-
-
 def ols_closed_form(x, y) -> np.ndarray:
-    """pinv(X^dag C X) X^dag C y on the design zero-embedded to the next
-    power-of-two square, with y zero-padded to match."""
-    x_e = embed_power_of_two(x)
-    dim = x_e.shape[0]
-    y_e = np.zeros(dim, dtype=complex)
-    y_e[: y.shape[0]] = y
-    c = centering_matrix(dim)
-    return np.linalg.pinv(x_e.conj().T @ c @ x_e, rcond=1e-12) @ (x_e.conj().T @ (c @ y_e))
+    """pinv(X^dag C X) X^dag C y with C centering the rows of the design."""
+    x = as_complex_matrix(x)
+    y = np.asarray(y, dtype=complex).reshape(-1)
+    c = centering_matrix(x.shape[0])
+    return np.linalg.pinv(x.conj().T @ c @ x, rcond=1e-12) @ (x.conj().T @ (c @ y))

@@ -29,7 +29,6 @@ from .matrix_core import (
 __all__ = [
     "EstimationMethod",
     "PhaseEstimate",
-    "hermitianize_encoding",
     "walk_operator",
     "exact_evolution",
     "phase_estimation",
@@ -75,8 +74,16 @@ def _encoded_hermitian(be: BlockEncoding) -> np.ndarray:
 
 
 def _hermitian_form(u: np.ndarray, negate: slice) -> np.ndarray:
-    """U if it is Hermitian within 1e-10, else its dilation (see
-    ``hermitianize_encoding``), in one fresh buffer with ``negate`` rows negated."""
+    """U if it is Hermitian within 1e-10, else its dilation, in one fresh
+    buffer with ``negate`` rows negated.
+
+    The dilation puts [[0, U], [U^dag, 0]] on one more ancilla qubit and
+    conjugates it by a Hadamard on that qubit, which gives
+
+        1/2 [[U + U^dag, U^dag - U], [U - U^dag, -(U + U^dag)]]:
+
+    Hermitian, unitary, and with the leading block of U intact.
+    """
     d = u.shape[0]
     u_dag = np.conjugate(u.T, out=np.empty_like(u, order="C"))
     if np.max(np.abs(u - u_dag)) <= 1e-10:
@@ -95,29 +102,12 @@ def _hermitian_form(u: np.ndarray, negate: slice) -> np.ndarray:
     return out
 
 
-def hermitianize_encoding(be: BlockEncoding) -> BlockEncoding:
-    """A Hermitian encoding unitary with the same encoded block.
-
-    If the unitary is already Hermitian it is returned unchanged.  Otherwise
-    one ancilla qubit carries the off-diagonal dilation [[0, U], [U^dag, 0]]
-    conjugated by a Hadamard on that qubit, written into one buffer in closed form as
-
-        1/2 [[U + U^dag, U^dag - U], [U - U^dag, -(U + U^dag)]],
-
-    which is Hermitian, unitary, and keeps the leading block intact.
-    """
-    herm = _hermitian_form(be.unitary, slice(be.dim, None))
-    if herm.shape[0] == be.dim:  # U is Hermitian already
-        return be
-    return BlockEncoding(herm, alpha=be.alpha, ancillas=be.ancillas + 1,
-                         epsilon=be.epsilon, system_qubits=be.system_qubits)
-
-
 def walk_operator(be: BlockEncoding) -> np.ndarray:
     """Reflection-times-encoding walk W = (2 Pi_0 - I) U~.
 
-    U~ is a Hermitian representative of the encoding (see
-    ``hermitianize_encoding``) and Pi_0 projects the ancillas onto |0...0>.
+    U~ is a Hermitian representative of the encoding (U itself, or its
+    dilation on one more ancilla; see ``_hermitian_form``) and Pi_0 projects
+    the ancillas onto |0...0>.
     The reflection is diagonal, so W is U~ with every row outside the
     ancilla-zero block negated, written straight from U into one buffer.  For
     every eigenvalue lambda of the encoded Hermitian operator, W has an

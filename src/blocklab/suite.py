@@ -45,7 +45,6 @@ from .centering import (
     centering_encoding,
     centering_matrix,
     ones_matrix_encoding,
-    per_class_centering,
     similarity_encoding,
     similarity_matrix,
 )
@@ -57,7 +56,7 @@ from .data_encoding import (
 )
 from .matrix_core import is_unitary, qubit_count, spectral_norm, unitary_completion
 from .mean_centering import CenteringMode, classical_center, mc_encoding, mean_vectors
-from .oracles import pencil_blocks, pencil_eigs, reflection, scatters
+from .oracles import ols_closed_form, pencil_blocks, pencil_eigs, reflection, scatters
 from .spectral import walk_operator
 
 __all__ = ["CriterionOutcome", "run_battery", "run_suite", "canonical_payload", "CRITERIA",
@@ -537,8 +536,7 @@ def criterion_9(seed: int) -> CriterionOutcome:
         y = rng.standard_normal(8)
         reg = ols(x, y)
         c = centering_matrix(8)
-        closed = np.linalg.pinv(x.T @ c @ x, rcond=1e-12) @ (x.T @ c @ y)
-        gap = np.max(np.abs(reg.beta_hat - closed))
+        gap = np.max(np.abs(reg.beta_hat - ols_closed_form(x, y)))
         worst = max(worst, _f(gap))
         if reg.effective_rank < 7:
             deficient += 1
@@ -552,23 +550,26 @@ def criterion_9(seed: int) -> CriterionOutcome:
 
 
 def criterion_10(seed: int) -> CriterionOutcome:
-    """Projector structure of every constructed centering block."""
+    """Projector structure of every constructed centering block: total
+    centering of power-of-two and other sample counts, and per-class
+    centering of labeled samples.  Its rank is the sample count minus the
+    class count; padded slots add zero eigenvalues."""
     blocks = []
-    for n in (2, 4, 8, 16):
+    for n in (2, 4, 8, 16, 3, 5, 6, 12):
         be = centering_encoding(n)
-        blocks.append(be.alpha * be.extract_block())
+        blocks.append((be.alpha * be.extract_block(), n - 1))
     for sizes in ((2, 2), (4, 4), (2, 4), (1, 3)):
-        for be in per_class_centering(ClassPartition(sizes)):
-            blocks.append(be.alpha * be.extract_block())
+        be = centering_encoding(np.repeat(np.arange(len(sizes)), sizes))
+        blocks.append((be.alpha * be.extract_block(), sum(sizes) - len(sizes)))
     worst = 0.0
     ok = True
-    for blk in blocks:
+    for blk, rank in blocks:
         n = blk.shape[0]
         idem = np.max(np.abs(blk @ blk - blk))
         sym = np.max(np.abs(blk - blk.T))
         annihilate = np.max(np.abs(blk @ np.ones(n)))
         spectrum = np.sort(np.linalg.eigvalsh((blk + blk.conj().T) / 2))
-        spec_target = np.concatenate([[0.0], np.ones(n - 1)])
+        spec_target = np.concatenate([np.zeros(n - rank), np.ones(rank)])
         spec_gap = np.max(np.abs(spectrum - spec_target))
         worst = max(worst, _f(max(idem, sym, annihilate, spec_gap)))
         ok = ok and max(idem, sym, annihilate, spec_gap) <= 1e-10

@@ -85,6 +85,17 @@ class TestScatterTotal:
         be = scatter_total_encoding(x)
         assert np.linalg.norm(s_t - be.alpha * extract_block(be), 2) <= 1e-7
 
+    @pytest.mark.parametrize("shape", [(4, 6), (3, 5), (6, 3), (12, 12)])
+    def test_true_sample_count(self, shape):
+        rng = np.random.default_rng(34)
+        x = rng.standard_normal(shape)
+        s_t, _, _ = scatters(LabeledDataset(x, np.zeros(shape[1], dtype=int)))
+        be = scatter_total_encoding(x)
+        blk = be.alpha * extract_block(be)
+        rows = shape[0]
+        assert np.max(np.abs(blk[:rows, :rows] - s_t)) <= 1e-12
+        assert not blk[rows:].any() and not blk[:, rows:].any()
+
 
 class TestScatterWithin:
     def test_single_class_reduces_to_total(self):
@@ -121,14 +132,42 @@ class TestScatterWithin:
         _, s_w, _ = scatters(ds)
         assert np.linalg.norm(s_w - (sw.alpha * extract_block(sw))[:2, :2], 2) <= 1e-7
 
-    def test_alpha_is_class_count_times_max_norm(self):
+    def test_alpha_is_frobenius_norm_squared(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((8, 8))
         labels = np.array([0] * 4 + [1] * 4)
-        ds = LabeledDataset(x, labels)
+        sw = scatter_within_encoding(LabeledDataset(x, labels))
+        f = np.linalg.norm(x) ** 2
+        assert abs(sw.alpha - f) <= 1e-9 * f
+
+    def test_one_product_without_class_nodes(self):
+        rng = np.random.default_rng(32)
+        ds = LabeledDataset(rng.standard_normal((8, 8)), np.array([0, 1] * 4))
         sw = scatter_within_encoding(ds)
-        f = max(np.linalg.norm(x[:, labels == k]) ** 2 for k in (0, 1))
-        assert abs(sw.alpha - 2 * f) <= 1e-9 * f
+        st = scatter_total_encoding(ds.x)
+        assert (sw.kind, sw.dim) == (st.kind, st.dim) == ("product", 1024)
+        (left, adj), (data, cent) = sw.children, sw.children[0].children
+        assert (adj.kind, data.kind, cent.kind) == ("adjoint", "leaf", "lcu")
+        assert adj.children[0] is data
+
+    @pytest.mark.parametrize("sizes", [(3, 5), (2, 6), (1, 3), (2, 2, 2, 2), (5,)])
+    def test_true_class_sizes(self, sizes):
+        rng = np.random.default_rng(sum(sizes) * len(sizes))
+        labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        ds = LabeledDataset(rng.standard_normal((5, labels.size)), labels)
+        _, s_w, _ = scatters(ds)
+        sw = scatter_within_encoding(ds)
+        blk = sw.alpha * extract_block(sw)
+        assert np.max(np.abs(blk[:5, :5] - s_w)) <= 1e-12
+        assert not blk[5:].any() and not blk[:, 5:].any()
+
+    def test_negative_and_sparse_labels(self):
+        rng = np.random.default_rng(33)
+        x = rng.standard_normal((4, 6))
+        ds = LabeledDataset(x, np.array([-1, 7, -1, 7, 7, 3]))
+        sw = scatter_within_encoding(ds)
+        _, s_w, _ = scatters(ds)
+        assert np.max(np.abs((sw.alpha * extract_block(sw))[:4, :4] - s_w)) <= 1e-12
 
 
 class TestGeneralizedEig:
@@ -312,6 +351,14 @@ class TestCca:
         c = centering_matrix(8)
         np.testing.assert_allclose(blk[:8, 8:], x @ c @ y.T, atol=1e-8)
 
+    def test_cross_scatter_true_sample_count(self):
+        rng = np.random.default_rng(36)
+        x, y = rng.standard_normal((4, 6)), rng.standard_normal((4, 6))
+        be = cross_scatter_encoding(x, y)
+        blk = be.alpha * extract_block(be)
+        assert np.max(np.abs(blk[:4, :4] - x @ centering_matrix(6) @ y.T)) <= 1e-12
+        assert not blk[4:].any() and not blk[:, 4:].any()
+
     def test_paired_scatter_blockdiag(self):
         rng = np.random.default_rng(19)
         x = rng.standard_normal((8, 8))
@@ -398,28 +445,37 @@ class TestDcca:
             dcca(ds_x, ds_y, d=1)
 
     def test_unequal_classes_use_padded_layout(self):
-        from blocklab.applications import _grouped_padded
-
+        # the encodings use the padded class layout; the pencil is the
+        # statistic of the unpadded data, labels in any order
         rng = np.random.default_rng(31)
         x = np.zeros((6, 6))
         x[:4] = rng.standard_normal((4, 6))
         y = np.zeros((6, 6))
         y[:4] = rng.standard_normal((4, 6))
-        labels = np.array([0, 0, 1, 1, 1, 1])
+        labels = np.array([1, 0, 1, 1, 0, 1])
         ds_x = LabeledDataset(x, labels)
         ds_y = LabeledDataset(y, labels)
         res = dcca(ds_x, ds_y, d=2)
 
-        part = ds_x.partition
-        xp = np.zeros((8, 8))
-        xp[:6] = _grouped_padded(ds_x, part.block_dim).real
-        yp = np.zeros((8, 8))
-        yp[:6] = _grouped_padded(ds_y, part.block_dim).real
-        c = centering_matrix(8)
-        e = similarity_matrix(part)
-        h_d, h_y = pencil_blocks(xp @ c @ e @ c @ yp.T, xp, yp, c)
+        c = centering_matrix(6)
+        e = (labels[:, None] == labels[None, :]).astype(float)
+        h_d, h_y = pencil_blocks(x @ c @ e @ c @ y.T, x, y, c)
         oracle_vals, _ = pencil_eigs(h_d, h_y, 2)
         np.testing.assert_allclose(res.eigenvalues, oracle_vals, atol=1e-6)
+
+    @pytest.mark.parametrize("sizes", [(2, 4), (1, 3), (1, 1, 1)])
+    def test_chain_is_unpadded_statistic(self, sizes):
+        rng = np.random.default_rng(35)
+        labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        n = labels.size
+        x, y = rng.standard_normal((3, n)), rng.standard_normal((3, n))
+        chain = class_correlation_encoding(LabeledDataset(x, labels),
+                                           LabeledDataset(y, labels))
+        c = centering_matrix(n)
+        e = (labels[:, None] == labels[None, :]).astype(float)
+        blk = chain.alpha * extract_block(chain)
+        assert np.max(np.abs(blk[:3, :3] - x @ c @ e @ c @ y.T)) <= 1e-12
+        assert not blk[3:].any() and not blk[:, 3:].any()
 
 
 class TestOls:

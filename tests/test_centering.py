@@ -9,7 +9,6 @@ from blocklab.centering import (
     centering_matrix,
     cyclic_shift,
     ones_matrix_encoding,
-    per_class_centering,
     similarity_encoding,
     similarity_matrix,
 )
@@ -96,8 +95,34 @@ class TestCenteringEncoding:
             assert np.max(np.abs(spectrum - expected)) <= 1e-9
 
     def test_non_power_of_two_rejected(self):
+        # the register must be a power of two >= 2 holding every sample
+        for dim in (3, 6, 1):
+            with pytest.raises(ValueError):
+                centering_encoding(1, dim)
         with pytest.raises(ValueError):
-            centering_encoding(3)
+            centering_encoding(5, 4)
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 6, 12])
+    def test_true_sample_count_zero_embedded(self, n):
+        be = centering_encoding(n)
+        dim = max(2, 1 << (n - 1).bit_length())
+        assert be.system_dim == dim and be.alpha == 1.0 and be.ancillas == 1
+        blk = be.alpha * extract_block(be)
+        np.testing.assert_allclose(blk[:n, :n], centering_oracle(n), atol=1e-12)
+        assert not blk[n:].any() and not blk[:, n:].any()
+        assert be.validate()
+
+    def test_wider_register(self):
+        blk = extract_block(centering_encoding(3, 8))
+        np.testing.assert_allclose(blk[:3, :3], centering_oracle(3), atol=1e-12)
+        assert not blk[3:].any() and not blk[:, 3:].any()
+
+    def test_invalid_slots_rejected(self):
+        with pytest.raises(ValueError):
+            centering_encoding(0)
+        for slots in ([], [-1, -1], [0, -2], [0.5, 1.0]):
+            with pytest.raises(ValueError):
+                centering_encoding(np.array(slots))
 
 
 class TestOnesMatrix:
@@ -200,27 +225,40 @@ class TestCenteringTermsCache:
             centering_encoding(32)
 
 
+def class_centering_oracle(slots):
+    """Zero-embedded per-class projector, built independently of the library."""
+    dim = len(slots)
+    out = np.zeros((dim, dim))
+    for g in set(slots) - {-1}:
+        idx = [i for i, s in enumerate(slots) if s == g]
+        out[np.ix_(idx, idx)] = centering_oracle(len(idx))
+    return out
+
+
 class TestPerClassCentering:
     def test_symmetric_pair(self):
-        encs = per_class_centering(ClassPartition((2, 2)))
-        assert len(encs) == 2
-        for be in encs:
-            np.testing.assert_allclose(extract_block(be),
-                                       [[0.5, -0.5], [-0.5, 0.5]], atol=1e-13)
+        be = centering_encoding(np.array([0, 0, 1, 1]))
+        expected = np.zeros((4, 4))
+        expected[:2, :2] = expected[2:, 2:] = [[0.5, -0.5], [-0.5, 0.5]]
+        np.testing.assert_allclose(extract_block(be), expected, atol=1e-13)
 
     def test_single_class(self):
-        (be,) = per_class_centering(ClassPartition((4,)))
+        be = centering_encoding(np.zeros(4, dtype=int))
         np.testing.assert_allclose(be.alpha * extract_block(be),
                                    centering_oracle(4), atol=1e-12)
 
     def test_idempotence(self):
-        for be in per_class_centering(ClassPartition((2, 4))):
-            blk = extract_block(be)
+        for slots in ([0, 0, 1, 1, 1, 1], [1, 0, 2, 1, 0, 1, -1, 2], [0, -1, 1, 1]):
+            blk = extract_block(centering_encoding(np.array(slots)))
             assert np.max(np.abs(blk @ blk - blk)) <= 1e-10
+            np.testing.assert_allclose(blk, class_centering_oracle(
+                slots + [-1] * (blk.shape[0] - len(slots))), atol=1e-12)
 
     def test_non_power_of_two_padded(self):
-        encs = per_class_centering(ClassPartition((3,)))
-        assert encs[0].system_dim == 4
+        be = centering_encoding(np.array([0, 1, 1]))
+        assert be.system_dim == 4 and be.validate()
+        blk = extract_block(be)
+        np.testing.assert_allclose(blk, class_centering_oracle([0, 1, 1, -1]), atol=1e-12)
 
 
 class TestClassPartition:

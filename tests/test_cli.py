@@ -153,3 +153,80 @@ def test_inputs_digested(fixtures):
     _, doc = run_json(["encode", str(paths["x"])], tmp / "e.json")
     digest = doc["inputs"][str(paths["x"])]["sha256"]
     assert len(digest) == 64
+
+
+def _write_inputs(tmp_path, rng, spec):
+    """Paths for ("m", rows, cols) matrices, ("v", n) vectors and ("l", sizes) labels."""
+    argv = []
+    for k, item in enumerate(spec):
+        if isinstance(item, str):
+            argv.append(item)
+            continue
+        path = tmp_path / f"in{k}.csv"
+        if item[0] == "m":
+            write_matrix_csv(path, rng.standard_normal(item[1:]))
+        elif item[0] == "v":
+            path.write_text("".join(f"{float(v)!r}\n" for v in rng.standard_normal(item[1])))
+        else:
+            labels = rng.permutation(np.repeat(np.arange(len(item[1])), item[1]))
+            path.write_text("".join(f"{v}\n" for v in labels))
+        argv.append(str(path))
+    return argv
+
+
+@pytest.mark.parametrize("spec", [
+    ["lda", ("m", 6, 6), ("l", (3, 3))],
+    ["lda", ("m", 8, 8), ("l", (2, 6))],
+    ["lda", ("m", 5, 7), ("l", (3, 1, 3))],
+    ["cca", ("m", 3, 6), ("m", 3, 6)],
+    ["dcca", ("m", 3, 6), ("m", 3, 6), ("l", (2, 4))],
+    ["dcca", ("m", 3, 4), ("m", 3, 4), ("l", (1, 3))],
+    ["center", ("m", 12, 12)],
+    ["center", ("m", 6, 6), "--mode", "cx"],
+    ["pca", ("m", 12, 12)],
+    ["pca", ("m", 3, 6)],
+    ["ols", ("m", 12, 12), ("v", 12)],
+    ["verify", "--target", "c", "--n", "6"],
+], ids=lambda spec: "-".join(str(s) for s in spec))
+def test_unpadded_statistics_pass(tmp_path, spec):
+    # sample counts and class sizes that are not powers of two
+    argv = _write_inputs(tmp_path, np.random.default_rng(40), spec)
+    code, doc = run_json(argv, tmp_path / "out.json")
+    assert code == EXIT_OK
+    assert (doc["results"] if "results" in doc else doc["verification"])["pass"] is True
+
+
+def test_ols_beta_has_one_entry_per_sample(tmp_path):
+    argv = _write_inputs(tmp_path, np.random.default_rng(41), ["ols", ("m", 12, 12), ("v", 12)])
+    code, doc = run_json(argv, tmp_path / "out.json")
+    assert code == EXIT_OK and len(doc["results"]["beta"]) == 12
+
+
+def test_lda_n16_fits_under_the_cap(tmp_path):
+    argv = _write_inputs(tmp_path, np.random.default_rng(42),
+                         ["lda", ("m", 16, 16), ("l", (8, 8))])
+    code, doc = run_json(argv, tmp_path / "out.json")
+    assert code == EXIT_OK and doc["results"]["pass"] is True
+
+
+def test_benchmark_cli_mix_argvs_pass(tmp_path):
+    import contextlib
+    import io
+    import sys
+    from pathlib import Path
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        from workloads import CliMix
+    finally:
+        sys.path.pop(0)
+    from blocklab import cli
+
+    mix = CliMix()
+    mix.setup({"cli": cli}, 7, str(tmp_path))
+    codes = {}
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for name, argv in zip(mix.op_names, mix.argvs):
+            codes[name] = main(argv)
+    assert len(codes) == 24
+    assert {name: code for name, code in codes.items() if code != EXIT_OK} == {}

@@ -138,3 +138,17 @@ class TestMcEncoding:
         x = rng.standard_normal((3, 3))
         be = mc_encoding(x, CenteringMode.CX)
         assert be.system_dim == 4
+
+    @pytest.mark.parametrize("shape", [(4, 6), (6, 4), (3, 3), (12, 12)])
+    def test_true_row_and_column_counts(self, shape):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal(shape)
+        c_rows = np.eye(shape[0]) - 1.0 / shape[0]
+        c_cols = np.eye(shape[1]) - 1.0 / shape[1]
+        expected = {CenteringMode.CX: c_rows @ x, CenteringMode.XC: x @ c_cols,
+                    CenteringMode.CXC: c_rows @ x @ c_cols}
+        for mode, target in expected.items():
+            be = mc_encoding(x, mode)
+            blk = be.alpha * extract_block(be)
+            assert np.max(np.abs(blk[:shape[0], :shape[1]] - target)) <= 1e-12
+            assert not blk[shape[0]:].any() and not blk[:, shape[1]:].any()

@@ -4,11 +4,11 @@ import pytest
 from blocklab.applications import LabeledDataset
 from blocklab.oracles import (
     ols_closed_form,
-    padded_scatter,
     pencil_blocks,
     pencil_eigs,
     reflection,
     scatters,
+    total_scatter,
 )
 
 
@@ -73,14 +73,14 @@ def test_pencil_blocks_hermitian_and_real():
     np.testing.assert_allclose(h_b, h_b.conj().T, atol=1e-12)
 
 
-def test_padded_scatter_on_zero_embedding():
+@pytest.mark.parametrize("shape", [(12, 12), (4, 6)])
+def test_total_scatter_centers_true_samples(shape):
     rng = np.random.default_rng(13)
-    x = rng.standard_normal((12, 12))
-    x16 = np.zeros((16, 16))
-    x16[:12, :12] = x
-    expected = x16 @ projector(16) @ x16.T
-    np.testing.assert_allclose(padded_scatter(x), expected, atol=1e-12)
-    np.testing.assert_allclose(padded_scatter(x, 16), expected, atol=1e-12)
+    x = rng.standard_normal(shape)
+    expected = x @ projector(shape[1]) @ x.T
+    np.testing.assert_allclose(total_scatter(x), expected, atol=1e-12)
+    s_t, _, _ = scatters(LabeledDataset(x, np.zeros(shape[1], dtype=int)))
+    np.testing.assert_allclose(total_scatter(x), s_t, atol=1e-12)
 
 
 def test_ols_closed_form_matches_lstsq():
@@ -91,6 +91,5 @@ def test_ols_closed_form_matches_lstsq():
     assert np.linalg.matrix_rank(design) == 5
     reference, *_ = np.linalg.lstsq(design, y, rcond=None)
     beta = ols_closed_form(x, y)
-    assert beta.shape == (8,)
-    np.testing.assert_allclose(beta[:5], reference, atol=1e-10)
-    np.testing.assert_allclose(beta[5:], 0.0, atol=1e-12)
+    assert beta.shape == (5,)
+    np.testing.assert_allclose(beta, reference, atol=1e-10)

@@ -15,7 +15,6 @@ from blocklab.mean_centering import CenteringMode, mc_encoding
 from blocklab.spectral import (
     EstimationMethod,
     exact_evolution,
-    hermitianize_encoding,
     phase_estimation,
     walk_operator,
 )
@@ -27,31 +26,46 @@ def hermitian_test_encoding(rng, n=4):
     return matrix_encoding(hermitian_extension(x)), hermitian_extension(x)
 
 
+def unreflect(w, system_dim):
+    """The Hermitian representative U~ = (2 Pi_0 - I) W of a walk."""
+    out = w.copy()
+    out[system_dim:] *= -1.0
+    return out
+
+
+def hadamard_dilation(u):
+    """H [[0, U], [U^dag, 0]] H with H a Hadamard on one more qubit, by dense products."""
+    zero = np.zeros_like(u)
+    dilation = np.block([[zero, u], [u.conj().T, zero]])
+    h = np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2.0), np.eye(u.shape[0]))
+    return h @ dilation @ h
+
+
 class TestHermitianize:
+    """The Hermitian representative the walk is written from."""
+
     def test_preserves_block_and_is_hermitian(self):
         rng = np.random.default_rng(0)
         be, target = hermitian_test_encoding(rng)
-        herm = hermitianize_encoding(be)
-        u = herm.unitary
+        u = unreflect(walk_operator(be), be.system_dim)
+        assert u.shape[0] == 2 * be.dim
         assert np.max(np.abs(u - u.conj().T)) <= 1e-10
         assert is_unitary(u, 1e-10)
-        np.testing.assert_allclose(extract_block(herm), extract_block(be),
+        np.testing.assert_allclose(u[:be.system_dim, :be.system_dim], extract_block(be),
                                    atol=1e-12)
 
     def test_matches_hadamard_conjugated_dilation(self):
         rng = np.random.default_rng(4)
         be, _ = hermitian_test_encoding(rng)
-        u = be.unitary
-        zero = np.zeros_like(u)
-        dilation = np.block([[zero, u], [u.conj().T, zero]])
-        h = np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2.0), np.eye(u.shape[0]))
-        herm = hermitianize_encoding(be).unitary
-        np.testing.assert_allclose(herm, h @ dilation @ h, rtol=0, atol=1e-14)
+        herm = unreflect(walk_operator(be), be.system_dim)
+        np.testing.assert_allclose(herm, hadamard_dilation(be.unitary), rtol=0, atol=1e-14)
         np.testing.assert_array_equal(herm, herm.conj().T)
 
     def test_already_hermitian_passthrough(self):
         be = trivial_encoding(np.diag([1.0, -1.0]))
-        assert hermitianize_encoding(be) is be
+        w = walk_operator(be)
+        assert w.shape == (be.dim, be.dim)
+        np.testing.assert_array_equal(unreflect(w, be.system_dim), be.unitary)
 
 
 class TestWalkOperator:
@@ -91,11 +105,11 @@ class TestWalkOperator:
     def test_matches_dense_reflection_product(self):
         rng = np.random.default_rng(5)
         be, target = hermitian_test_encoding(rng)
-        u = hermitianize_encoding(be).unitary
+        u = hadamard_dilation(be.unitary)
         sys_dim = target.shape[0]
         reflect = -np.eye(u.shape[0], dtype=complex)
         reflect[:sys_dim, :sys_dim] += 2.0 * np.eye(sys_dim)
-        np.testing.assert_array_equal(walk_operator(be), reflect @ u)
+        np.testing.assert_allclose(walk_operator(be), reflect @ u, rtol=0, atol=1e-14)
 
     def test_non_hermitian_block_rejected(self):
         rng = np.random.default_rng(3)
