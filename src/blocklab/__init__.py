@@ -30,15 +30,7 @@ from .block_encoding import (
     trivial_encoding,
     verify,
 )
-from .centering import (
-    ClassPartition,
-    build_uc,
-    centering_encoding,
-    centering_matrix,
-    ones_matrix_encoding,
-    similarity_encoding,
-    similarity_matrix,
-)
+from .centering import build_uc, centering_encoding, centering_matrix, similarity_encoding
 from .data_encoding import (
     NormTree,
     build_norm_tree,

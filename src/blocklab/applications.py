@@ -2,11 +2,12 @@
 discriminant and canonical correlation analyses (plain and class-aware), and
 least squares on the centered design, each cross-checked classically.
 
-Layout conventions: data matrices store samples as columns.  Inputs are
-zero-embedded into power-of-two squares before encoding, and every centering
-encoding removes the means over the true samples (per class where the
-statistic asks for it), so each encoded block is the statistic of the
-unpadded data, zero-embedded; the classical comparisons use the unpadded data.
+Layout conventions: data matrices store samples as columns, in the order
+given; class labels are never regrouped.  Inputs are zero-embedded into
+power-of-two squares before encoding, and every centering and similarity
+encoding reads the class of each sample slot and is zero on the padding
+slots, so each encoded block is the statistic of the unpadded data,
+zero-embedded; the classical comparisons use the unpadded data.
 """
 
 from __future__ import annotations
@@ -22,12 +23,7 @@ from .block_encoding import (
     product,
     rescale_encoding,
 )
-from .centering import (
-    ClassPartition,
-    centering_encoding,
-    similarity_encoding,
-    similarity_matrix,
-)
+from .centering import centering_encoding, similarity_encoding
 from .data_encoding import hermitian_dilation, matrix_encoding
 from .matrix_core import (
     as_complex_matrix,
@@ -78,10 +74,6 @@ class LabeledDataset:
     def classes(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.labels.tolist())))
 
-    @property
-    def partition(self) -> ClassPartition:
-        return ClassPartition(tuple(int(np.sum(self.labels == c)) for c in self.classes))
-
     def class_columns(self, k: int) -> np.ndarray:
         """Columns of the k-th class (classes ordered by label value)."""
         label = self.classes[k]
@@ -93,7 +85,9 @@ class EigenResult:
     """Top-d eigenpairs, values descending, vectors unit-norm column-wise.
 
     Value pairs closer than 1e-8 are flagged in ``degeneracies`` as index
-    pairs; within such clusters only the spanned subspace is meaningful.
+    pairs, the pair (d - 1, d) when the last value is tied with the next
+    eigenvalue, which is not returned; within such clusters only the spanned
+    subspace is meaningful.
     """
 
     eigenvalues: np.ndarray
@@ -126,34 +120,39 @@ def _sign_normalize(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _flag_degeneracies(values: np.ndarray) -> tuple[tuple[int, int], ...]:
-    pairs = []
-    for i in range(len(values) - 1):
-        if abs(values[i] - values[i + 1]) <= _DEGENERACY_TOL:
-            pairs.append((i, i + 1))
-    return tuple(pairs)
+def _flag_degeneracies(values: np.ndarray, d: int) -> tuple[tuple[int, int], ...]:
+    """Index pairs (i, i + 1), i < d, of descending ``values`` closer than 1e-8.
+
+    ``values`` is the whole spectrum, so (d - 1, d) flags a last returned
+    value tied with the first one left out.
+    """
+    return tuple((i, i + 1) for i in range(min(d, len(values) - 1))
+                 if abs(values[i] - values[i + 1]) <= _DEGENERACY_TOL)
 
 
 # ---------------------------------------------------------------------------
 # Scatter-style encodings
 # ---------------------------------------------------------------------------
 
-def _centered_product(x: np.ndarray, y: np.ndarray, classes) -> BlockEncoding:
+def _centered_product(x: np.ndarray, y: np.ndarray, classes, labels=None) -> BlockEncoding:
     """Encoding of X C Y^dag with alpha = ||X||_F ||Y||_F, where C is
     ``centering_encoding(classes)`` on the sample columns of the common
-    power-of-two system."""
-    dim = next_power_of_two(max(2, *x.shape))
+    power-of-two system.  Given ``labels``, it encodes X C E C Y^dag
+    instead, with E their ``similarity_encoding`` and alpha scaled by the
+    largest class size."""
+    dim = next_power_of_two(max(2, *x.shape, *y.shape))
     data_x = matrix_encoding(embed_power_of_two(x, dim))
     data_y = data_x if y is x else matrix_encoding(embed_power_of_two(y, dim))
-    return product(product(data_x, centering_encoding(classes, dim)),
-                   adjoint_encoding(data_y))
+    cent = centering_encoding(classes, dim)
+    chain = product(data_x, cent)
+    if labels is not None:
+        chain = product(product(chain, similarity_encoding(labels, dim)), cent)
+    return product(chain, adjoint_encoding(data_y))
 
 
-def _paired(q: BlockEncoding, p: BlockEncoding) -> BlockEncoding:
-    """diag(Q, P) on one extra qubit, both rescaled to the larger alpha."""
-    alpha = max(q.alpha, p.alpha)
-    return placement_encoding(2, {(0, 0): rescale_encoding(q, alpha),
-                                  (1, 1): rescale_encoding(p, alpha)})
+def _class_ids(ds: LabeledDataset) -> np.ndarray:
+    """The class of each sample as 0, 1, ... in label order."""
+    return np.unique(ds.labels, return_inverse=True)[1]
 
 
 def scatter_total_encoding(x) -> BlockEncoding:
@@ -177,8 +176,7 @@ def scatter_within_encoding(ds: LabeledDataset) -> BlockEncoding:
     C_w centers every class over its own samples, so the scatter is one
     product with alpha = ||X||_F^2, shaped like the total scatter.
     """
-    classes = np.unique(ds.labels, return_inverse=True)[1]
-    return _centered_product(ds.x, ds.x, classes)
+    return _centered_product(ds.x, ds.x, _class_ids(ds))
 
 
 def paired_scatter_encoding(x, y) -> BlockEncoding:
@@ -191,7 +189,10 @@ def paired_scatter_encoding(x, y) -> BlockEncoding:
     y = as_complex_matrix(y)
     if x.shape != y.shape:
         raise ValueError("paired data matrices must share a shape")
-    return _paired(scatter_total_encoding(x), scatter_total_encoding(y))
+    q, p = scatter_total_encoding(x), scatter_total_encoding(y)
+    alpha = max(q.alpha, p.alpha)
+    return placement_encoding(2, {(0, 0): rescale_encoding(q, alpha),
+                                  (1, 1): rescale_encoding(p, alpha)})
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +212,8 @@ def pca(x, d: int, t_bits: int = 8) -> EigenResult:
     if not 1 < d <= dim:
         raise ValueError(f"d must satisfy 1 < d <= {dim}")
     values, vectors = np.linalg.eigh(embed_power_of_two(total_scatter(x), dim))
-    order = np.argsort(values)[::-1][:d]
+    spectrum = np.argsort(values)[::-1]
+    order = spectrum[:d]
     classical_vals = values[order].real
     candidates = vectors[:, order]
 
@@ -237,7 +239,7 @@ def pca(x, d: int, t_bits: int = 8) -> EigenResult:
         eigenvalues=estimates[order2],
         eigenvectors=_sign_normalize(candidates[:, order2]),
         d=d,
-        degeneracies=_flag_degeneracies(classical_vals),
+        degeneracies=_flag_degeneracies(values[spectrum], d),
     )
 
 
@@ -273,18 +275,17 @@ def generalized_eig(a_be: BlockEncoding, b_be: BlockEncoding, d: int) -> EigenRe
     rank = int(np.sum(keep))
     if not 1 <= d <= rank:
         raise ValueError(f"d must satisfy 1 <= d <= rank(B) = {rank}")
-    order = order[:d]
-    vectors = isqrt @ wvec[:, order]
+    vectors = isqrt @ wvec[:, order[:d]]
     norms = np.linalg.norm(vectors, axis=0)
     if np.any(norms == 0):
         raise ValueError("degenerate pencil eigenvector")
     vectors = vectors / norms
-    values = mu[order].real
+    values = mu[order[:d]]
     return EigenResult(
         eigenvalues=values,
         eigenvectors=_sign_normalize(vectors),
         d=d,
-        degeneracies=_flag_degeneracies(values),
+        degeneracies=_flag_degeneracies(mu[order], d),
     )
 
 
@@ -309,56 +310,27 @@ def cca(x, y, d: int) -> EigenResult:
     return generalized_eig(h_x, h_y, d)
 
 
-def _grouped(ds_x: LabeledDataset, ds_y: LabeledDataset):
-    """Both views on the class-grouped padded layout, plus its slot classes.
-
-    Class k occupies slots [k*block_dim, k*block_dim + n_k), the layout the
-    similarity encoding uses; the slots are 0 where a sample sits and -1 on
-    the padding, so centering averages over the true samples.
-    """
-    part = ds_x.partition
-    if part != ds_y.partition:
-        raise ValueError("both views must share the class partition")
-    occupied = np.diag(similarity_matrix(part)) > 0
-    views = []
-    for ds in (ds_x, ds_y):
-        out = np.zeros((ds.x.shape[0], occupied.size), dtype=complex)
-        order = np.argsort(ds.labels, kind="stable")  # grouped by class
-        out[:, occupied] = ds.x[:, order]
-        views.append(out)
-    return views[0], views[1], np.where(occupied, 0, -1)
-
-
 def class_correlation_encoding(ds_x: LabeledDataset, ds_y: LabeledDataset) -> BlockEncoding:
-    """Encoding of X C E C Y^dag on the class-grouped padded layout.
+    """Encoding of X C E C Y^dag on the samples in their given order.
 
-    E is the block-diagonal class-similarity matrix and C centers the
-    occupied slots, so the block equals X C_n E C_n Y^dag on the unpadded
-    data.  E's scale factor is the largest class size, so the chain declares
-    alpha = n_tilde ||X||_F ||Y||_F.
+    C centers all n samples and E = sum_g 1_g 1_g^T links the samples of each
+    class.  E's scale factor is the largest class size n_max, so the chain
+    declares alpha = n_max ||X||_F ||Y||_F.  Both views must carry the same
+    label for every sample.
     """
-    x_pad, y_pad, slots = _grouped(ds_x, ds_y)
-    system_dim = next_power_of_two(max(2, x_pad.shape[0], y_pad.shape[0], slots.size))
-    data_x = matrix_encoding(embed_power_of_two(x_pad, system_dim))
-    data_y = matrix_encoding(embed_power_of_two(y_pad, system_dim))
-    cent = centering_encoding(slots, system_dim)
-    sim = similarity_encoding(ds_x.partition, total_dim=system_dim)
-    return product(product(product(product(data_x, cent), sim), cent),
-                   adjoint_encoding(data_y))
+    if not np.array_equal(ds_x.labels, ds_y.labels):
+        raise ValueError("both views must carry the same label for every sample")
+    return _centered_product(ds_x.x, ds_y.x, ds_x.x.shape[1], _class_ids(ds_x))
 
 
 def dcca(ds_x: LabeledDataset, ds_y: LabeledDataset, d: int) -> EigenResult:
     """Class-aware canonical directions from the (H_d; H_y) pencil.
 
-    Both views are regrouped onto the padded class layout, and every
-    centering averages over its occupied slots; the result's stacked
-    eigenvectors are reported in that layout.
+    H_d is the Hermitian dilation of X C E C Y^dag and H_y is
+    diag(X C X^dag, Y C Y^dag), the denominator ``cca`` uses.
     """
-    x_pad, y_pad, slots = _grouped(ds_x, ds_y)
     h_d = hermitian_dilation(class_correlation_encoding(ds_x, ds_y))
-    h_y = _paired(_centered_product(x_pad, x_pad, slots),
-                  _centered_product(y_pad, y_pad, slots))
-    return generalized_eig(h_d, h_y, d)
+    return generalized_eig(h_d, paired_scatter_encoding(ds_x.x, ds_y.x), d)
 
 
 # ---------------------------------------------------------------------------

@@ -64,10 +64,10 @@ class BlockEncoding:
     ``epsilon`` in spectral norm.  Instances are immutable.
 
     Built directly from a matrix, an encoding is a leaf of the composition
-    tree (``kind == "leaf"``, no ``children``).  Composite nodes subclass it
-    and supply ``_materialize`` (the dense unitary) and ``_block`` (the
-    encoded block by the node's corner law); so does a lazy leaf, which has
-    no children.
+    tree (``kind == "leaf"``, no ``children``) that holds its own frozen copy
+    of the matrix.  Composite nodes subclass it and supply ``_materialize``
+    (the dense unitary) and ``_block`` (the encoded block by the node's
+    corner law); so does a lazy leaf, which has no children.
     """
 
     __slots__ = ("alpha", "ancillas", "epsilon", "system_qubits", "dim", "children", "_cache")
@@ -75,10 +75,11 @@ class BlockEncoding:
 
     def __init__(self, unitary, alpha: float, ancillas: int, epsilon: float,
                  system_qubits: int):
-        matrix = as_complex_matrix(unitary)
+        matrix = as_complex_matrix(np.array(unitary, dtype=complex))  # the caller keeps its own
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("encoding unitary must be square")
         self._certify(alpha, ancillas, epsilon, system_qubits, matrix.shape[0], ())
+        matrix.setflags(write=False)
         object.__setattr__(self, "_cache", matrix)
 
     def _certify(self, alpha, ancillas, epsilon, system_qubits, dim, children) -> None:
@@ -123,8 +124,8 @@ class BlockEncoding:
         cached = self._cache
         if cached is None:
             cached = self._materialize()
+            cached.setflags(write=False)
             object.__setattr__(self, "_cache", cached)
-        cached.setflags(write=False)  # a leaf's matrix is frozen on first read too
         return cached
 
     def extract_block(self) -> np.ndarray:
@@ -408,7 +409,7 @@ class _Placement(BlockEncoding):
 # ---------------------------------------------------------------------------
 
 def trivial_encoding(u) -> BlockEncoding:
-    """A unitary is a (1, 0, 0) encoding of itself."""
+    """A unitary is a (1, 0, 0) encoding of itself; the leaf holds a copy of it."""
     u = as_complex_matrix(u)
     if u.shape[0] != u.shape[1] or not is_power_of_two(u.shape[0]):
         raise ValueError("trivial encoding requires a square power-of-two unitary")

@@ -19,15 +19,7 @@ import numpy as np
 
 from .applications import LabeledDataset, cca, dcca, lda, ols, pca
 from .block_encoding import BlockEncoding, trivial_encoding, verify
-from .centering import (
-    ClassPartition,
-    build_uc,
-    centering_encoding,
-    centering_matrix,
-    ones_matrix_encoding,
-    similarity_encoding,
-    similarity_matrix,
-)
+from .centering import build_uc, centering_encoding, centering_matrix, similarity_encoding
 from .data_encoding import matrix_encoding
 from .matrix_core import (
     CapExceededError,
@@ -45,6 +37,7 @@ from .oracles import (
     pencil_eigs,
     reflection,
     scatters,
+    similarity,
     total_scatter,
 )
 from .suite import run_suite
@@ -172,15 +165,15 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
         be = trivial_encoding(uc)
         target = reflection(args.n)
     elif target_name == "ones":
-        be = ones_matrix_encoding(args.n)
-        target = np.ones((args.n, args.n))
+        be = similarity_encoding(args.n)
+        target = embed_power_of_two(np.ones((args.n, args.n)), be.system_dim)
     elif target_name == "similarity":
-        sizes = tuple(int(s) for s in args.classes.split(",") if s)
-        if not sizes:
-            raise ValueError("--classes is required for the similarity target")
-        part = ClassPartition(sizes)
-        be = similarity_encoding(part)
-        target = similarity_matrix(part)
+        sizes = [int(s) for s in args.classes.split(",") if s]
+        if not sizes or min(sizes) < 1:
+            raise ValueError("--classes needs one or more class sizes, each at least 1")
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        be = similarity_encoding(labels)
+        target = embed_power_of_two(similarity(labels), be.system_dim)
     else:
         raise ValueError(f"unknown verify target {args.target!r}")
     report = verify(be, target, tol=tol)
@@ -209,6 +202,7 @@ def _cmd_pca(args: argparse.Namespace) -> tuple[int, dict]:
         "resolution_bound": bound,
         "pass": delta <= bound,
         "eigenvectors": result.eigenvectors.T,
+        "degeneracies": result.degeneracies,
     }
     return (EXIT_OK if delta <= bound else EXIT_VERIFICATION), doc
 
@@ -225,6 +219,7 @@ def _pencil_doc(args: argparse.Namespace, result, a_cl, b_cl) -> tuple[int, dict
         "max_delta": delta,
         "pass": delta <= tol,
         "eigenvectors": result.eigenvectors.T,
+        "degeneracies": result.degeneracies,
     }
     return (EXIT_OK if delta <= tol else EXIT_VERIFICATION), doc
 
@@ -253,8 +248,7 @@ def _cmd_dcca(args: argparse.Namespace) -> tuple[int, dict]:
     ds_y = LabeledDataset(y, labels)
     result = dcca(ds_x, ds_y, args.d)
     c = centering_matrix(x.shape[1])
-    e = (labels[:, None] == labels[None, :]).astype(float)
-    h_d, h_y = pencil_blocks(x @ c @ e @ c @ y.conj().T, x, y, c)
+    h_d, h_y = pencil_blocks(x @ c @ similarity(labels) @ c @ y.conj().T, x, y, c)
     return _pencil_doc(args, result, h_d, h_y)
 
 

@@ -3,9 +3,9 @@ check block encodings against.
 
 Each function is a dense, direct formula on the unpadded data and shares no
 code with the encodings it checks; a mean always averages over the true
-samples.  ``reflection`` is real; ``scatters``, ``pencil_eigs`` and
-``pencil_blocks`` keep their inputs' dtype (real in, real out);
-``total_scatter`` and ``ols_closed_form`` work in complex arithmetic.
+samples.  ``reflection`` and ``similarity`` are real; ``scatters``,
+``pencil_eigs`` and ``pencil_blocks`` keep their inputs' dtype (real in, real
+out); ``total_scatter`` and ``ols_closed_form`` work in complex arithmetic.
 """
 
 from __future__ import annotations
@@ -15,13 +15,19 @@ import numpy as np
 from .centering import centering_matrix
 from .matrix_core import as_complex_matrix
 
-__all__ = ["reflection", "scatters", "total_scatter", "pencil_eigs", "pencil_blocks",
-           "ols_closed_form"]
+__all__ = ["reflection", "similarity", "scatters", "total_scatter", "pencil_eigs",
+           "pencil_blocks", "ols_closed_form"]
 
 
 def reflection(n: int) -> np.ndarray:
     """The centering reflection (2/n) ee^T - I in closed form."""
     return (2.0 / n) * np.ones((n, n)) - np.eye(n)
+
+
+def similarity(labels) -> np.ndarray:
+    """E_ij = 1 when samples i and j share a label, else 0."""
+    labels = np.asarray(labels)
+    return (labels[:, None] == labels[None, :]).astype(float)
 
 
 def scatters(ds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -35,7 +41,7 @@ def scatters(ds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         s_t += np.outer(diff, diff.conj())
     s_w = np.zeros_like(s_t)
     s_b = np.zeros_like(s_t)
-    for k in range(ds.partition.class_count):
+    for k in range(len(ds.classes)):
         xk = ds.class_columns(k)
         mean_k = xk.mean(axis=1)
         for i in range(xk.shape[1]):

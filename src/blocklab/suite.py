@@ -39,15 +39,7 @@ from .block_encoding import (
     trivial_encoding,
     verify,
 )
-from .centering import (
-    ClassPartition,
-    build_uc,
-    centering_encoding,
-    centering_matrix,
-    ones_matrix_encoding,
-    similarity_encoding,
-    similarity_matrix,
-)
+from .centering import build_uc, centering_encoding, centering_matrix, similarity_encoding
 from .data_encoding import (
     hermitian_dilation,
     hermitian_extension,
@@ -56,7 +48,7 @@ from .data_encoding import (
 )
 from .matrix_core import is_unitary, qubit_count, spectral_norm, unitary_completion
 from .mean_centering import CenteringMode, classical_center, mc_encoding, mean_vectors
-from .oracles import ols_closed_form, pencil_blocks, pencil_eigs, reflection, scatters
+from .oracles import ols_closed_form, pencil_blocks, pencil_eigs, reflection, scatters, similarity
 from .spectral import walk_operator
 
 __all__ = ["CriterionOutcome", "run_battery", "run_suite", "canonical_payload", "CRITERIA",
@@ -263,8 +255,8 @@ def _composition_corpus(seed: int) -> list[BlockEncoding]:
                   for _ in range(2))
     trees = [mc_encoding(x, mode) for x in (x2, x4) for mode in CenteringMode]
     trees += [
-        ones_matrix_encoding(4),
-        similarity_encoding(ClassPartition((1, 3)), total_dim=8),
+        similarity_encoding(4),
+        similarity_encoding(np.array([1, 0, 1, 1]), 8),
         scatter_total_encoding(x4),
         scatter_within_encoding(ds_x),
         paired_scatter_encoding(x4, y4),
@@ -501,8 +493,7 @@ def criterion_8(seed: int) -> CriterionOutcome:
         ds_x = _random_dataset(rng, 8, classes, features=feat)
         ds_y = _random_dataset(rng, 8, classes, features=feat)
         x, y = ds_x.x.real, ds_y.x.real
-        e_pad = similarity_matrix(ds_x.partition)
-        h_d, h_y = pencil_blocks(x @ c8 @ e_pad @ c8 @ y.T, x, y, c8)
+        h_d, h_y = pencil_blocks(x @ c8 @ similarity(ds_x.labels) @ c8 @ y.T, x, y, c8)
         compare(dcca(ds_x, ds_y, d), h_d, h_y, d)
 
     # single-class degeneracy: the class-correlation chain must vanish

@@ -36,7 +36,7 @@ def test_criterion(battery, cid):
 
 def test_criterion_4_counts_distinct_composites(battery):
     # centering encodings share cached leaves but each is its own node
-    assert battery[4].details["compositions"] == 589
+    assert battery[4].details["compositions"] == 588
 
 
 def test_budgeted_criteria(battery):

@@ -17,9 +17,9 @@ from blocklab.applications import (
     scatter_within_encoding,
 )
 from blocklab.block_encoding import extract_block, trivial_encoding
-from blocklab.centering import ClassPartition, centering_matrix, similarity_matrix
+from blocklab.centering import centering_matrix
 from blocklab.data_encoding import hermitian_extension, matrix_encoding
-from blocklab.oracles import pencil_blocks, pencil_eigs, scatters
+from blocklab.oracles import pencil_blocks, pencil_eigs, scatters, similarity
 
 
 def two_cluster_dataset(rng, n=8, gap=6.0):
@@ -35,7 +35,8 @@ class TestLabeledDataset:
         x = np.arange(16.0).reshape(2, 8)
         labels = np.array([1, 0, 0, 1, 1, 0, 0, 1])
         ds = LabeledDataset(x, labels)
-        assert ds.partition == ClassPartition((4, 4))
+        assert ds.classes == (0, 1)
+        assert [ds.class_columns(k).shape[1] for k in range(2)] == [4, 4]
         np.testing.assert_array_equal(ds.class_columns(0), x[:, labels == 0])
 
     def test_label_count_mismatch(self):
@@ -220,7 +221,7 @@ def _zero_encoding():
     from blocklab.centering import centering_encoding, similarity_encoding
 
     ce = centering_encoding(2)
-    sim = similarity_encoding(ClassPartition((2,)))
+    sim = similarity_encoding(2)
     return product(product(ce, sim), ce)
 
 
@@ -275,6 +276,19 @@ class TestPca:
         x = q[:, :7] @ np.diag(scales) @ basis.T
         res = pca(x, d=3, t_bits=10)
         assert (0, 1) in res.degeneracies
+
+    def test_tie_with_the_value_left_out_flagged(self):
+        # the second direction returned is arbitrary within its span with the third
+        rng = np.random.default_rng(13)
+        _, vecs = np.linalg.eigh(centering_matrix(8))
+        q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        scales = np.array([4.0, 2.0, 2.0, 1.0, 0.5, 0.25, 0.1])
+        x = q[:, :7] @ np.diag(scales) @ vecs[:, 1:].T
+        assert pca(x, d=2, t_bits=10).degeneracies == ((1, 2),)
+        # 8 samples of 8 features: every canonical correlation is 1
+        x, y = rng.standard_normal((8, 8)), rng.standard_normal((8, 8))
+        assert cca(x, y, d=1).degeneracies == ((0, 1),)
+        assert lda(two_cluster_dataset(rng), d=1).degeneracies == ()
 
 
 class TestLda:
@@ -410,7 +424,7 @@ class TestDcca:
         ds_y = LabeledDataset(rng.standard_normal((8, 8)), labels)
         chain = class_correlation_encoding(ds_x, ds_y)
         c = centering_matrix(8)
-        e = similarity_matrix(ds_x.partition)
+        e = similarity(labels)
         target = ds_x.x.real @ c @ e @ c @ ds_y.x.real.T
         assert np.linalg.norm(target - chain.alpha * extract_block(chain), 2) <= 1e-6
 
@@ -432,21 +446,25 @@ class TestDcca:
         ds_y = LabeledDataset(x, labels)  # shared view
         res = dcca(ds_x, ds_y, d=2)
         c = centering_matrix(8)
-        e = similarity_matrix(ds_x.partition)
+        e = similarity(labels)
         h_d, h_y = pencil_blocks(x @ c @ e @ c @ x.T, x, x, c)
         oracle_vals, _ = pencil_eigs(h_d, h_y, 2)
         np.testing.assert_allclose(res.eigenvalues, oracle_vals, atol=1e-6)
 
     def test_partition_mismatch(self):
+        # [1, 1, 0, 0] has the same class sizes, but would pair the samples wrongly
         rng = np.random.default_rng(25)
         ds_x = LabeledDataset(rng.standard_normal((4, 4)), np.array([0, 0, 1, 1]))
-        ds_y = LabeledDataset(rng.standard_normal((4, 4)), np.array([0, 1, 1, 1]))
-        with pytest.raises(ValueError):
-            dcca(ds_x, ds_y, d=1)
+        for labels_y in ([0, 1, 1, 1], [1, 1, 0, 0]):
+            ds_y = LabeledDataset(rng.standard_normal((4, 4)), np.array(labels_y))
+            with pytest.raises(ValueError, match="same label"):
+                dcca(ds_x, ds_y, d=1)
+            with pytest.raises(ValueError, match="same label"):
+                class_correlation_encoding(ds_x, ds_y)
 
     def test_unequal_classes_use_padded_layout(self):
-        # the encodings use the padded class layout; the pencil is the
-        # statistic of the unpadded data, labels in any order
+        # the encodings zero-pad the samples, in their given order, to the
+        # register; the pencil is the statistic of the unpadded data
         rng = np.random.default_rng(31)
         x = np.zeros((6, 6))
         x[:4] = rng.standard_normal((4, 6))
@@ -458,7 +476,7 @@ class TestDcca:
         res = dcca(ds_x, ds_y, d=2)
 
         c = centering_matrix(6)
-        e = (labels[:, None] == labels[None, :]).astype(float)
+        e = similarity(labels)
         h_d, h_y = pencil_blocks(x @ c @ e @ c @ y.T, x, y, c)
         oracle_vals, _ = pencil_eigs(h_d, h_y, 2)
         np.testing.assert_allclose(res.eigenvalues, oracle_vals, atol=1e-6)
@@ -472,7 +490,7 @@ class TestDcca:
         chain = class_correlation_encoding(LabeledDataset(x, labels),
                                            LabeledDataset(y, labels))
         c = centering_matrix(n)
-        e = (labels[:, None] == labels[None, :]).astype(float)
+        e = similarity(labels)
         blk = chain.alpha * extract_block(chain)
         assert np.max(np.abs(blk[:3, :3] - x @ c @ e @ c @ y.T)) <= 1e-12
         assert not blk[3:].any() and not blk[:, 3:].any()

@@ -325,6 +325,17 @@ class TestBlockEncodingInvariants:
         with pytest.raises(ValueError):
             trivial_encoding(PAULI_X).unitary[0, 0] = 5
 
+    def test_leaf_does_not_alias_the_callers_array(self):
+        for make in (trivial_encoding,
+                     lambda u: BlockEncoding(u, alpha=2.0, ancillas=1, epsilon=0.0,
+                                             system_qubits=1)):
+            u = np.kron(PAULI_X, PAULI_X)
+            be = make(u)
+            _ = be.unitary
+            assert u.flags.writeable
+            u[0, 0] = 5
+            np.testing.assert_array_equal(be.unitary, np.kron(PAULI_X, PAULI_X))
+
     def test_validate_flags_non_unitary(self):
         be = BlockEncoding(np.diag([1.0, 2.0]), alpha=1.0, ancillas=0,
                            epsilon=0.0, system_qubits=1)

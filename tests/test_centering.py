@@ -3,16 +3,13 @@ import pytest
 
 from blocklab.block_encoding import extract_block
 from blocklab.centering import (
-    ClassPartition,
     build_uc,
     centering_encoding,
     centering_matrix,
-    cyclic_shift,
-    ones_matrix_encoding,
     similarity_encoding,
-    similarity_matrix,
 )
 from blocklab.matrix_core import CapExceededError, is_unitary
+from blocklab.oracles import similarity
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -125,84 +122,94 @@ class TestCenteringEncoding:
                 centering_encoding(np.array(slots))
 
 
+def shuffled_labels(sizes, seed=0):
+    """One label per sample, classes of the given sizes in a random order."""
+    rng = np.random.default_rng(seed)
+    return rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+
+
+def zero_embedded(m, dim):
+    out = np.zeros((dim, dim))
+    out[: m.shape[0], : m.shape[1]] = m
+    return out
+
+
 class TestOnesMatrix:
-    def test_shift_sum_is_all_ones(self):
-        for n in (2, 4, 8):
-            total = sum(cyclic_shift(n, t) for t in range(n))
-            np.testing.assert_array_equal(total, np.ones((n, n)))
+    """An int n is one class: the all-ones matrix on the first n slots."""
 
     def test_n2(self):
-        be = ones_matrix_encoding(2)
+        be = similarity_encoding(2)
         np.testing.assert_allclose(be.alpha * extract_block(be),
                                    np.ones((2, 2)), atol=1e-13)
 
     def test_n4(self):
-        be = ones_matrix_encoding(4)
-        assert be.alpha == 4.0
+        be = similarity_encoding(4)
+        assert be.alpha == 4.0 and be.ancillas == 1
         np.testing.assert_allclose(be.alpha * extract_block(be),
                                    np.ones((4, 4)), atol=1e-13)
 
     def test_column_sums(self):
-        be = ones_matrix_encoding(4)
+        be = similarity_encoding(4)
         scaled = be.alpha * extract_block(be)
         np.testing.assert_allclose(scaled.sum(axis=0), np.full(4, 4.0), atol=1e-12)
 
-    def test_shift_is_permutation(self):
-        p = cyclic_shift(4, 1)
-        assert is_unitary(p, 0.0)
-        assert np.array_equal(p @ np.array([1, 0, 0, 0.0]), [0, 1, 0, 0])
-
     def test_non_power_of_two_rejected(self):
+        # a size that is not a power of two is zero-embedded; a register is not
+        be = similarity_encoding(6)
+        assert be.system_dim == 8 and be.alpha == 6.0
+        np.testing.assert_allclose(be.alpha * extract_block(be),
+                                   zero_embedded(np.ones((6, 6)), 8), atol=1e-14)
         with pytest.raises(ValueError):
-            ones_matrix_encoding(3)
+            similarity_encoding(3, dim=6)
 
 
 class TestSimilarity:
-    @pytest.mark.parametrize("sizes", [(2, 2), (4,), (2, 4), (1, 3), (3, 5), (1, 1)])
+    @pytest.mark.parametrize("sizes", [(1,), (2, 2), (4,), (2, 4), (1, 3), (3, 5),
+                                       (1, 1, 1), (3, 5, 4)])
     def test_matches_padded_layout(self, sizes):
-        part = ClassPartition(sizes)
-        be = similarity_encoding(part)
-        target = similarity_matrix(part)
-        assert be.alpha == float(max(sizes))
-        assert np.max(np.abs(be.alpha * extract_block(be) - target)) <= 1e-10
+        # the block is the label oracle zero-padded to the register, labels
+        # in any order
+        labels = shuffled_labels(sizes)
+        be = similarity_encoding(labels)
+        assert be.alpha == float(max(sizes)) and be.ancillas == 1
+        target = zero_embedded(similarity(labels), be.system_dim)
+        assert np.max(np.abs(be.alpha * extract_block(be) - target)) <= 1e-14
+        assert is_unitary(be.unitary, 1e-10)
 
     def test_equal_pair(self):
-        part = ClassPartition((2, 2))
-        be = similarity_encoding(part)
-        expected = np.zeros((4, 4))
-        expected[:2, :2] = 1.0
-        expected[2:, 2:] = 1.0
+        labels = np.array([0, 1, 1, 0])
+        be = similarity_encoding(labels)
+        expected = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1.0]])
         assert be.alpha == 2.0
         np.testing.assert_allclose(be.alpha * extract_block(be), expected, atol=1e-12)
 
     def test_single_class_reduces_to_all_ones(self):
-        be = similarity_encoding(ClassPartition((4,)))
+        be = similarity_encoding(np.full(4, 3))
         np.testing.assert_allclose(be.alpha * extract_block(be),
                                    np.ones((4, 4)), atol=1e-12)
 
     def test_unequal_share_one_alpha(self):
-        part = ClassPartition((2, 4))
-        be = similarity_encoding(part)
+        labels = shuffled_labels((2, 4), seed=1)
+        be = similarity_encoding(labels)
         assert be.alpha == 4.0
-        target = similarity_matrix(part)
-        np.testing.assert_allclose(be.alpha * extract_block(be), target, atol=1e-12)
+        np.testing.assert_allclose(be.alpha * extract_block(be),
+                                   zero_embedded(similarity(labels), 8), atol=1e-12)
 
     def test_materialized_unitary(self):
-        be = similarity_encoding(ClassPartition((2, 4)))
+        be = similarity_encoding(shuffled_labels((2, 4)))
         mat = be.unitary
         assert is_unitary(mat, 1e-10)
         np.testing.assert_allclose(mat[: be.system_dim, : be.system_dim],
                                    extract_block(be), atol=1e-13)
 
     def test_total_dim_extension(self):
-        part = ClassPartition((2, 2))
-        be = similarity_encoding(part, total_dim=8)
-        assert be.system_dim == 8
-        blk = be.alpha * extract_block(be)
-        np.testing.assert_allclose(blk[:4, :4],
-                                   similarity_matrix(part), atol=1e-12)
-        assert np.max(np.abs(blk[4:, :])) <= 1e-12
-        assert np.max(np.abs(blk[:, 4:])) <= 1e-12
+        # a wider register adds empty slots, which encode exact zeros
+        labels = np.array([1, 0, 0, 1, -1, 1])
+        be = similarity_encoding(labels, dim=16)
+        assert be.system_dim == 16 and be.alpha == 3.0
+        target = similarity(labels) * np.outer(labels >= 0, labels >= 0)
+        np.testing.assert_allclose(be.alpha * extract_block(be),
+                                   zero_embedded(target, 16), atol=1e-14)
 
 
 class TestCenteringTermsCache:
@@ -262,20 +269,24 @@ class TestPerClassCentering:
 
 
 class TestClassPartition:
+    """The slot classes are the one class layout centering and similarity read."""
+
     def test_fields(self):
-        part = ClassPartition((2, 4))
-        assert part.class_count == 2
-        assert part.total == 6
-        assert part.max_class_size == 4
-        assert part.block_dim == 4
-        assert part.padded_class_count == 2
-        assert part.padded_total == 8
+        labels = np.array([4, 2, 4, 4, 2, 4])  # class ids need not start at 0
+        sim = similarity_encoding(labels)
+        cent = centering_encoding(labels)
+        assert sim.system_dim == cent.system_dim == 8
+        assert sim.alpha == 4.0
+        # C E = 0 on every class: E is constant on a class and C removes its mean
+        assert np.max(np.abs(extract_block(cent) @ extract_block(sim))) <= 1e-15
 
     def test_validation(self):
+        for classes in (0, np.array([]), np.array([-1, -1]), np.array([0, -2]),
+                        np.array([0.5, 1.0])):
+            with pytest.raises(ValueError):
+                similarity_encoding(classes)
         with pytest.raises(ValueError):
-            ClassPartition(())
-        with pytest.raises(ValueError):
-            ClassPartition((2, 0))
+            similarity_encoding(np.array([0, 1, 1]), dim=2)
 
     def test_centering_matrix_helper(self):
         np.testing.assert_allclose(centering_matrix(4), centering_oracle(4),

@@ -70,6 +70,14 @@ def test_verify_similarity(fixtures):
     assert code == EXIT_OK and doc["verification"]["pass"]
 
 
+def test_verify_similarity_rejects_empty_class(fixtures, capsys):
+    tmp, _ = fixtures
+    for classes in ("2,0", ""):
+        assert main(["verify", "--target", "similarity", "--classes", classes,
+                     "--out", str(tmp / "vs.json")]) == EXIT_PARSE
+    assert "each at least 1" in capsys.readouterr().err
+
+
 def test_pca_report(fixtures):
     tmp, paths = fixtures
     code, doc = run_json(["pca", str(paths["x"]), "--d", "2", "--t-bits", "8"],
@@ -78,6 +86,7 @@ def test_pca_report(fixtures):
     res = doc["results"]
     assert res["max_delta"] <= res["resolution_bound"]
     assert len(res["eigenvalues_estimated"]) == 2
+    assert res["degeneracies"] == []
 
 
 def test_lda_cca_dcca_ols(fixtures):
@@ -92,6 +101,7 @@ def test_lda_cca_dcca_ols(fixtures):
         code, doc = run_json(argv, tmp / f"{name}.json")
         assert code == EXIT_OK, name
         assert doc["results"]["pass"] is True, name
+        assert name == "ols" or isinstance(doc["results"]["degeneracies"], list), name
 
 
 def test_parse_failure_exit_code(fixtures, capsys):
@@ -181,12 +191,14 @@ def _write_inputs(tmp_path, rng, spec):
     ["cca", ("m", 3, 6), ("m", 3, 6)],
     ["dcca", ("m", 3, 6), ("m", 3, 6), ("l", (2, 4))],
     ["dcca", ("m", 3, 4), ("m", 3, 4), ("l", (1, 3))],
+    ["dcca", ("m", 4, 7), ("m", 4, 7), ("l", (3, 4))],
     ["center", ("m", 12, 12)],
     ["center", ("m", 6, 6), "--mode", "cx"],
     ["pca", ("m", 12, 12)],
     ["pca", ("m", 3, 6)],
     ["ols", ("m", 12, 12), ("v", 12)],
     ["verify", "--target", "c", "--n", "6"],
+    ["verify", "--target", "ones", "--n", "6"],
 ], ids=lambda spec: "-".join(str(s) for s in spec))
 def test_unpadded_statistics_pass(tmp_path, spec):
     # sample counts and class sizes that are not powers of two

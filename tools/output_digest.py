@@ -4,8 +4,10 @@ with ``diff``.
     python3 tools/output_digest.py [--root DIR]
 
 Covers the 24 ``cli_mix`` argvs of ``perfbench/workloads.CliMix`` on the
-inputs seed 7 generates, ``--help`` of the parser and of every
-subcommand, and ``blocklab suite --seed 42``.  Each line holds the exit code
+inputs seed 7 generates, the few ``EXTRA`` argvs on inputs seed 7 generates
+(inputs outside ``cli_mix``: classes in shuffled order and of sizes that are
+not powers of two), ``--help`` of the parser and of every subcommand, and
+``blocklab suite --seed 42``.  Each line holds the exit code
 and the SHA-256 of stdout, of stderr and of the JSON document without its
 ``timing`` block (``-`` when no document was written).  The temporary input
 directory is replaced by ``<work>`` before hashing.  One more line per
@@ -35,6 +37,13 @@ import numpy as np
 INPUT_SEED = 7
 SUITE_SEED = 42
 
+# (name, argv) with ("m", rows, cols) a matrix and ("l", sizes) labels in shuffled order
+EXTRA = [
+    ("dcca-4x7-c3.4-shuffled", ["dcca", ("m", 4, 7), ("m", 4, 7), ("l", (3, 4))]),
+    ("verify-ones-n6", ["verify", "--target", "ones", "--n", "6"]),
+    ("verify-similarity-1.3", ["verify", "--target", "similarity", "--classes", "1,3"]),
+]
+
 
 def _sha(data: str | bytes) -> str:
     return hashlib.sha256(data.encode("utf-8") if isinstance(data, str) else data).hexdigest()
@@ -60,6 +69,25 @@ def _run(main, argv: list[str], out: str | None, work: str) -> str:
             f"\tstderr={_sha(stderr.getvalue().replace(work, '<work>'))}\tjson={doc}")
 
 
+def _extra_argv(name: str, spec: list, work: str, write_matrix_csv) -> list[str]:
+    """``spec`` with its inputs written under ``work`` and an ``--out`` path."""
+    rng = np.random.default_rng(INPUT_SEED)
+    argv = []
+    for k, item in enumerate(spec):
+        if isinstance(item, str):
+            argv.append(item)
+            continue
+        path = os.path.join(work, f"{name}.{k}.csv")
+        if item[0] == "m":
+            write_matrix_csv(path, rng.standard_normal(item[1:]))
+        else:
+            labels = rng.permutation(np.repeat(np.arange(len(item[1])), item[1]))
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("".join(f"{v}\n" for v in labels))
+        argv.append(path)
+    return argv + ["--out", os.path.join(work, f"{name}.json")]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=str(Path(__file__).resolve().parent.parent),
@@ -70,12 +98,16 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(root / "perfbench"), str(root / "src")]
     os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal width
     from blocklab import applications, centering, cli, data_encoding, mean_centering, spectral
+    from blocklab.matrix_core import write_matrix_csv
     from workloads import CliMix, WalkDense
 
     with tempfile.TemporaryDirectory() as work:
         mix = CliMix()
         mix.setup({"cli": cli}, INPUT_SEED, work)
         for name, cmd in zip(mix.op_names, mix.argvs):
+            print(f"{name}\t{_run(cli.main, cmd, cmd[-1], work)}")
+        for name, spec in EXTRA:
+            cmd = _extra_argv(name, spec, work, write_matrix_csv)
             print(f"{name}\t{_run(cli.main, cmd, cmd[-1], work)}")
         for sub in ["", *sorted(cli._HANDLERS)]:
             cmd = [sub, "--help"] if sub else ["--help"]
