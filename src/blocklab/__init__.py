@@ -22,6 +22,7 @@ from .block_encoding import (
     VerificationReport,
     adjoint_encoding,
     extract_block,
+    gram_encoding,
     linear_combination,
     make_state_prep_pair,
     placement_encoding,

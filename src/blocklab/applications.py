@@ -8,6 +8,11 @@ power-of-two squares before encoding, and every centering and similarity
 encoding reads the class of each sample slot and is zero on the padding
 slots, so each encoded block is the statistic of the unpadded data,
 zero-embedded; the classical comparisons use the unpadded data.
+
+A scatter X C X^dag is the Gram matrix B^dag B of B = C X^dag, because the
+centering projector satisfies C = C^dag = C^2.  Its encoding is the Gram
+node of ``product(C, X^dag)``: both factors share one ancilla register, and
+the unitary is Hermitian, so a scatter walk needs no dilation.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import numpy as np
 from .block_encoding import (
     BlockEncoding,
     adjoint_encoding,
+    gram_encoding,
     placement_encoding,
     product,
     rescale_encoding,
@@ -139,7 +145,8 @@ def _centered_product(x: np.ndarray, y: np.ndarray, classes, labels=None) -> Blo
     ``centering_encoding(classes)`` on the sample columns of the common
     power-of-two system.  Given ``labels``, it encodes X C E C Y^dag
     instead, with E their ``similarity_encoding`` and alpha scaled by the
-    largest class size."""
+    largest class size.  For the non-Hermitian cross terms only: each
+    factor keeps its own ancillas; a scatter is ``_scatter``'s Gram node."""
     dim = next_power_of_two(max(2, *x.shape, *y.shape))
     data_x = matrix_encoding(embed_power_of_two(x, dim))
     data_y = data_x if y is x else matrix_encoding(embed_power_of_two(y, dim))
@@ -150,15 +157,24 @@ def _centered_product(x: np.ndarray, y: np.ndarray, classes, labels=None) -> Blo
     return product(chain, adjoint_encoding(data_y))
 
 
+def _scatter(x: np.ndarray, classes) -> BlockEncoding:
+    """Hermitian encoding of X C X^dag = B^dag B, B = C X^dag, with
+    alpha = ||X||_F^2, where C is ``centering_encoding(classes)`` on the
+    sample columns of the power-of-two system."""
+    dim = next_power_of_two(max(2, *x.shape))
+    data = matrix_encoding(embed_power_of_two(x, dim))
+    return gram_encoding(product(centering_encoding(classes, dim), adjoint_encoding(data)))
+
+
 def _class_ids(ds: LabeledDataset) -> np.ndarray:
     """The class of each sample as 0, 1, ... in label order."""
     return np.unique(ds.labels, return_inverse=True)[1]
 
 
 def scatter_total_encoding(x) -> BlockEncoding:
-    """Encoding of the total scatter X C X^T with alpha = ||X||_F^2."""
+    """Hermitian encoding of the total scatter X C X^T with alpha = ||X||_F^2."""
     x = as_complex_matrix(x)
-    return _centered_product(x, x, x.shape[1])
+    return _scatter(x, x.shape[1])
 
 
 def cross_scatter_encoding(x, y) -> BlockEncoding:
@@ -173,10 +189,11 @@ def cross_scatter_encoding(x, y) -> BlockEncoding:
 def scatter_within_encoding(ds: LabeledDataset) -> BlockEncoding:
     """Encoding of the within-class scatter sum_k X_k C_k X_k^T = X C_w X^T.
 
-    C_w centers every class over its own samples, so the scatter is one
-    product with alpha = ||X||_F^2, shaped like the total scatter.
+    C_w centers every class over its own samples and is a projector too, so
+    the scatter is the same Gram node as the total scatter, with
+    alpha = ||X||_F^2.
     """
-    return _centered_product(ds.x, ds.x, _class_ids(ds))
+    return _scatter(ds.x, _class_ids(ds))
 
 
 def paired_scatter_encoding(x, y) -> BlockEncoding:

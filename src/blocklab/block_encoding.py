@@ -11,7 +11,7 @@ Every encoding is a node of one composition tree.  A ``BlockEncoding`` built
 from a matrix is a leaf.  A leaf may also be lazy, like the data encoding:
 it holds its encoded block and builds its unitary on first read.  A
 composite (product, linear combination, adjoint, rescale, register
-placement) holds its child encodings in ``children``,
+placement, Gram) holds its child encodings in ``children``,
 derives its own (alpha, ancillas, epsilon) and dimension from them by its
 composition law, and materializes the full unitary only on demand; the
 encoded block is always available cheaply through the exact corner law of
@@ -49,6 +49,7 @@ __all__ = [
     "make_state_prep_pair",
     "linear_combination",
     "placement_encoding",
+    "gram_encoding",
 ]
 
 
@@ -404,6 +405,47 @@ class _Placement(BlockEncoding):
         return out
 
 
+class _Gram(BlockEncoding):
+    """The (1/2, 1/2) combination of V = U^dag (2 Pi_0 - I) U and I on one
+    more ancilla, in closed form.
+
+    With M the ancilla-zero rows of U and G = M^dag M, V = 2G - I, so the
+    combination is [[G, G - I], [G - I, G]]: Hermitian, and an involution
+    because G is a projector.  It encodes B^dag B for the target B of U, at
+    alpha_B^2; from ||B|| <= alpha_B + eps_B the error is
+    eps_B (2 alpha_B + eps_B).  Corner law: b^dag b for the block b of U.
+    """
+
+    __slots__ = ()
+    kind = "gram"
+
+    def __init__(self, inner: BlockEncoding):
+        a, e = inner.alpha, inner.epsilon
+        self._certify(a * a, inner.ancillas + 1, e * (2.0 * a + e), inner.system_qubits,
+                      2 * inner.dim, (inner,))
+
+    def _materialize(self) -> np.ndarray:
+        inner = self.children[0]
+        d = inner.dim
+        m = np.array(inner._dense()[: inner.system_dim])  # U itself is not kept
+        g = m.conj().T @ m
+        out = np.empty((2 * d, 2 * d), dtype=complex)
+        top = out[:d, :d]
+        np.conjugate(g.T, out=top)
+        top += g  # G + G^dag: exactly Hermitian
+        top *= 0.5
+        del g
+        out[d:, d:] = top
+        out[:d, d:] = top
+        out[:d, d:][np.diag_indices(d)] -= 1.0
+        out[d:, :d] = out[:d, d:]
+        return out
+
+    def _block(self) -> np.ndarray:
+        b = self.children[0]._block()
+        return b.conj().T @ b
+
+
 # ---------------------------------------------------------------------------
 # Constructions
 # ---------------------------------------------------------------------------
@@ -533,3 +575,15 @@ def placement_encoding(mid: int,
     system extension puts the same encoding on every diagonal slot.
     """
     return _Placement(mid, slots)
+
+
+def gram_encoding(be: BlockEncoding) -> BlockEncoding:
+    """Hermitian encoding of B^dag B from an encoding of B.
+
+    The degree-2 singular value transform U^dag (2 Pi_0 - I) U, averaged
+    with the identity on one more ancilla (Gilyen, Su, Low & Wiebe,
+    arXiv:1806.01838): alpha' = alpha^2, a' = a + 1 and
+    eps' = eps (2 alpha + eps).  B's factors share one ancilla register, and
+    the unitary is Hermitian, so its walk needs no dilation.
+    """
+    return _Gram(be)

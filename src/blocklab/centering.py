@@ -27,7 +27,7 @@ from .block_encoding import (
     make_state_prep_pair,
     trivial_encoding,
 )
-from .matrix_core import ensure_dimension, is_power_of_two, kron, next_power_of_two
+from .matrix_core import ensure_dimension, is_power_of_two, kron, next_power_of_two, qubit_count
 
 __all__ = [
     "centering_matrix",
@@ -37,6 +37,22 @@ __all__ = [
 ]
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+
+# Round-off of the similarity leaf W and of reading it into the block, per
+# unit of alpha, to first order in the unit round-off u = 2^-53; the bound
+# is fixed from the operation counts, never from a measured distance.
+#   Entries of W: 1/n_max (one rounding); the sine sqrt(k)/n_max in [0, 1)
+#     of the exact integer k = (n_max - n_g)(n_max + n_g) (two); the sine
+#     minus 1, then / n_g (two more); +1 on the diagonal (one).  So the error on class g is
+#     e_g 1_g 1_g^T plus a diagonal, with |e_g| <= u/n_max + 4u/n_g and
+#     diagonal entries <= u, of norm <= n_g |e_g| + u <= 6u.
+#   Combination w_0 W + w_1 W^dag: two complex products (sqrt(5) u each)
+#     and one sum (u) per entry, and every row of |W| sums to less than
+#     n_g/n_max + 2 <= 3, so <= 3 (sqrt(5) + 1) u < 9.8u.
+#   Scaling the block by alpha: one rounding on rows of |E/n_max| that sum
+#     to <= 1, so <= u.
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_W_ROUNDING = 17 * _UNIT_ROUNDOFF
 
 
 def centering_matrix(n: int) -> np.ndarray:
@@ -147,7 +163,7 @@ def centering_encoding(classes, dim: int | None = None) -> BlockEncoding:
 
 
 def similarity_encoding(classes, dim: int | None = None) -> BlockEncoding:
-    """(n_max, 1, 0) encoding of the zero-embedded similarity E = sum_g 1_g 1_g^T.
+    """(n_max, 1, eps) encoding of the zero-embedded similarity E = sum_g 1_g 1_g^T.
 
     ``classes`` and ``dim`` are read as by ``centering_encoding``: E_ij is 1
     when slots i and j hold the same class and 0 otherwise, so an int n
@@ -157,16 +173,21 @@ def similarity_encoding(classes, dim: int | None = None) -> BlockEncoding:
     so W = A + iS, written in closed form, is exactly unitary: e^{i theta_g}
     on u_g with cos theta_g = n_g / n_max, and i on the rest.  W and its
     adjoint combine with coefficients (n_max/2, n_max/2) into (W + W^dag)/2 = A.
+    The W leaf declares the a-priori round-off bound ``_W_ROUNDING``, which
+    the combination scales by n_max.
     """
     slots = _slots(classes, dim)
     occupied = slots >= 0
     counts = np.bincount(slots[occupied])[slots[occupied]]
     n_max = float(counts.max())
+    # sqrt(1 - (n_g/n_max)^2) from the exact integer (n_max - n_g)(n_max + n_g)
+    sine = np.sqrt((n_max - counts) * (n_max + counts)) / n_max
     weight = np.zeros(slots.size, dtype=complex)
-    weight[occupied] = 1.0 / n_max + 1j * (np.sqrt(1.0 - (counts / n_max) ** 2) - 1.0) / counts
+    weight[occupied] = 1.0 / n_max + 1j * (sine - 1.0) / counts
     same = (slots[:, None] == slots[None, :]) & occupied[:, None]
     w = np.where(same, weight[:, None], 0.0)
     w[np.diag_indices(slots.size)] += 1j
-    leaf = trivial_encoding(w)
+    leaf = BlockEncoding(w, alpha=1.0, ancillas=0, epsilon=_W_ROUNDING,
+                         system_qubits=qubit_count(slots.size))
     return linear_combination(make_state_prep_pair([n_max / 2, n_max / 2]),
                               (leaf, adjoint_encoding(leaf)), common_alpha=1.0)

@@ -73,6 +73,21 @@ def _encoded_hermitian(be: BlockEncoding) -> np.ndarray:
     return (block + block.conj().T) / 2.0
 
 
+def _is_hermitian_by_rows(u: np.ndarray) -> bool:
+    """max |U - U^dag| <= 1e-10, compared one strip of rows at a time.
+
+    It stops at the first strip over the tolerance, and it holds no
+    adjoint-sized temporary: a strip is at most 2^16 entries.
+    """
+    d = u.shape[0]
+    step = max(1, (1 << 16) // d)
+    for i in range(0, d, step):
+        strip = u[i:i + step] - np.conjugate(u[:, i:i + step].T)
+        if not np.max(np.abs(strip)) <= 1e-10:  # a NaN fails too
+            return False
+    return True
+
+
 def _hermitian_form(u: np.ndarray, negate: slice) -> np.ndarray:
     """U if it is Hermitian within 1e-10, else its dilation, in one fresh
     buffer with ``negate`` rows negated.
@@ -82,19 +97,20 @@ def _hermitian_form(u: np.ndarray, negate: slice) -> np.ndarray:
 
         1/2 [[U + U^dag, U^dag - U], [U - U^dag, -(U + U^dag)]]:
 
-    Hermitian, unitary, and with the leading block of U intact.
+    Hermitian, unitary, and with the leading block of U intact.  The
+    scatter encodings are Gram nodes, Hermitian by construction, so they
+    take the first branch.
     """
     d = u.shape[0]
-    u_dag = np.conjugate(u.T, out=np.empty_like(u, order="C"))
-    if np.max(np.abs(u - u_dag)) <= 1e-10:
+    if _is_hermitian_by_rows(u):
         out = u.copy()
     else:  # the quadrants [[E, O], [O, E]] with E = (U + U^dag)/2, O = (U^dag - U)/2
         ensure_dimension(2 * d)
         out = np.empty((2 * d, 2 * d), dtype=complex)
         top = out[:d]
-        np.add(u, u_dag, out=top[:, :d])
-        np.subtract(u_dag, u, out=top[:, d:])
-        del u_dag  # room for the finite scan
+        np.conjugate(u.T, out=top[:, d:])
+        np.add(u, top[:, d:], out=top[:, :d])
+        np.subtract(top[:, d:], u, out=top[:, d:])
         if not np.isfinite(np.divide(top, 2.0, out=top)).all():
             raise ValueError("matrix entries must be finite")
         out[d:, :d], out[d:, d:] = top[:, d:], top[:, :d]
@@ -107,7 +123,8 @@ def walk_operator(be: BlockEncoding) -> np.ndarray:
 
     U~ is a Hermitian representative of the encoding (U itself, or its
     dilation on one more ancilla; see ``_hermitian_form``) and Pi_0 projects
-    the ancillas onto |0...0>.
+    the ancillas onto |0...0>.  Scatter encodings are Hermitian Gram nodes,
+    so their walk has the encoding's own dimension, with no dilation.
     The reflection is diagonal, so W is U~ with every row outside the
     ancilla-zero block negated, written straight from U into one buffer.  For
     every eigenvalue lambda of the encoded Hermitian operator, W has an

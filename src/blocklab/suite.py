@@ -31,6 +31,7 @@ from .applications import (
 from .block_encoding import (
     BlockEncoding,
     adjoint_encoding,
+    gram_encoding,
     linear_combination,
     make_state_prep_pair,
     placement_encoding,
@@ -179,14 +180,15 @@ def criterion_3(seed: int) -> CriterionOutcome:
     )
 
 
-NODE_KINDS = {"leaf", "product", "lcu", "adjoint", "rescale", "placement"}
+NODE_KINDS = {"leaf", "product", "lcu", "adjoint", "rescale", "placement", "gram"}
 
 
 def _obeys_law(be: BlockEncoding) -> bool:
     """Recompute a node's certificate from its children by its composition law.
 
     The laws are the product and linear-combination lemmas of Gilyen, Su, Low
-    & Wiebe (arXiv:1806.01838) plus the register bookkeeping of the adjoint,
+    & Wiebe (arXiv:1806.01838), the Gram node's B^dag B bound from
+    ||B|| <= alpha + eps, plus the register bookkeeping of the adjoint,
     rescale and placement nodes, written out here independently of
     ``block_encoding``.  Every node must also satisfy
     ancillas = log2(dim) - system_qubits.
@@ -212,6 +214,9 @@ def _obeys_law(be: BlockEncoding) -> bool:
     elif be.kind == "rescale":
         ok = ok and be.alpha >= first.alpha
         law = (be.alpha, first.ancillas + 1, first.epsilon)
+    elif be.kind == "gram":
+        a, e = first.alpha, first.epsilon
+        law = (a * a, first.ancillas + 1, e * (2.0 * a + e))
     elif be.kind == "placement":
         worst: dict[int, float] = {}
         for (r, c), k in be.slots.items():
@@ -288,6 +293,7 @@ def _composition_corpus(seed: int) -> list[BlockEncoding]:
             placement_encoding(2, {(0, 0): be, (1, 1): adj}),
             hermitian_dilation(be),
             placement_encoding(4, {(j, j): be for j in range(4)}),
+            gram_encoding(be),
         ]
 
     level = leaves
@@ -403,7 +409,7 @@ def criterion_7(seed: int) -> CriterionOutcome:
             worst_cos = max(worst_cos, _f(gap))
             ok = ok and gap <= 1e-8
 
-    # quadratic eigenphase identity at ten pre-dilation qubits
+    # quadratic eigenphase identity on the n = 8 scatter walk (eight qubits, no dilation)
     x8 = rng.standard_normal((8, 8))
     st = scatter_total_encoding(x8)
     w = walk_operator(st)

@@ -19,7 +19,8 @@ from blocklab.applications import (
 from blocklab.block_encoding import extract_block, trivial_encoding
 from blocklab.centering import centering_matrix
 from blocklab.data_encoding import hermitian_extension, matrix_encoding
-from blocklab.oracles import pencil_blocks, pencil_eigs, scatters, similarity
+from blocklab.matrix_core import is_unitary
+from blocklab.oracles import pencil_blocks, pencil_eigs, scatters, similarity, total_scatter
 
 
 def two_cluster_dataset(rng, n=8, gap=6.0):
@@ -64,12 +65,13 @@ class TestScatterTotal:
         cent = centering_encoding(4)
         be = scatter_total_encoding(x)
         assert be.alpha == data.alpha * data.alpha
-        eps_first = data.alpha * cent.epsilon + cent.alpha * data.epsilon
-        eps_full = (data.alpha * cent.alpha) * data.epsilon + data.alpha * eps_first
-        assert be.epsilon == eps_full
-        # with an exact centering term this is the 2 eps ||X||_F composition law
-        bound = 2 * data.alpha * data.epsilon + data.alpha ** 2 * cent.epsilon
-        assert be.epsilon <= bound + 1e-18
+        # the Gram node of B = C X^dag: alpha_B = ||X||_F, eps' = eps_B (2 alpha_B + eps_B)
+        alpha_b = cent.alpha * data.alpha
+        eps_b = cent.alpha * data.epsilon + data.alpha * cent.epsilon
+        assert be.epsilon == eps_b * (2.0 * alpha_b + eps_b)
+        # the 2 eps ||X||_F composition law, plus eps^2
+        eps = data.epsilon + data.alpha * cent.epsilon
+        assert be.epsilon <= (2 * data.alpha * eps + eps ** 2) * (1 + 1e-15)
 
     def test_symmetric_psd(self):
         rng = np.random.default_rng(1)
@@ -146,10 +148,11 @@ class TestScatterWithin:
         ds = LabeledDataset(rng.standard_normal((8, 8)), np.array([0, 1] * 4))
         sw = scatter_within_encoding(ds)
         st = scatter_total_encoding(ds.x)
-        assert (sw.kind, sw.dim) == (st.kind, st.dim) == ("product", 1024)
-        (left, adj), (data, cent) = sw.children, sw.children[0].children
-        assert (adj.kind, data.kind, cent.kind) == ("adjoint", "leaf", "lcu")
-        assert adj.children[0] is data
+        assert (sw.kind, sw.dim) == (st.kind, st.dim) == ("gram", 256)
+        (b,) = sw.children
+        cent, adj = b.children
+        assert (b.kind, cent.kind, adj.kind) == ("product", "lcu", "adjoint")
+        assert adj.children[0].kind == "leaf"
 
     @pytest.mark.parametrize("sizes", [(3, 5), (2, 6), (1, 3), (2, 2, 2, 2), (5,)])
     def test_true_class_sizes(self, sizes):
@@ -169,6 +172,46 @@ class TestScatterWithin:
         sw = scatter_within_encoding(ds)
         _, s_w, _ = scatters(ds)
         assert np.max(np.abs((sw.alpha * extract_block(sw))[:4, :4] - s_w)) <= 1e-12
+
+
+class TestGramScatters:
+    """Both scatters are the Gram node of B = C X^dag, checked on the unpadded data."""
+
+    @staticmethod
+    def encodings(x, labels):
+        ds = LabeledDataset(x, labels)
+        _, s_w, _ = scatters(ds)
+        return ((scatter_total_encoding(x), total_scatter(x)),
+                (scatter_within_encoding(ds), s_w))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 12, 16, 32])
+    def test_blocks_match_the_oracles(self, n):
+        rng = np.random.default_rng(200 + n)
+        x = rng.standard_normal((n, n))
+        for be, target in self.encodings(x, rng.permutation(np.arange(n) % 2)):
+            assert be.kind == "gram"
+            assert abs(be.alpha - np.linalg.norm(x) ** 2) <= 1e-12 * be.alpha
+            blk = be.alpha * extract_block(be)
+            assert np.max(np.abs(blk[:n, :n] - target)) <= 1e-12
+            assert not blk[n:].any() and not blk[:, n:].any()
+
+    @pytest.mark.parametrize("sizes", [(3, 5), (2, 6), (1, 3)])
+    def test_class_splits(self, sizes):
+        rng = np.random.default_rng(sum(sizes) + 7 * len(sizes))
+        labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        x = rng.standard_normal((labels.size, labels.size))
+        for be, target in self.encodings(x, labels):
+            blk = be.alpha * extract_block(be)
+            assert np.max(np.abs(blk[:labels.size, :labels.size] - target)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_unitaries_hermitian_and_unitary(self, n):
+        rng = np.random.default_rng(300 + n)
+        x = rng.standard_normal((n, n))
+        for be, _ in self.encodings(x, np.arange(n) % 2):
+            u = be.unitary
+            assert np.max(np.abs(u - u.conj().T)) <= 1e-10
+            assert is_unitary(u, 1e-10)
 
 
 class TestGeneralizedEig:

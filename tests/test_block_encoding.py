@@ -6,6 +6,7 @@ from blocklab.block_encoding import (
     BlockEncoding,
     adjoint_encoding,
     extract_block,
+    gram_encoding,
     linear_combination,
     make_state_prep_pair,
     placement_encoding,
@@ -303,6 +304,61 @@ class TestRescaleAndAdjoint:
         np.testing.assert_allclose(extract_block(adj),
                                    extract_block(be).conj().T, atol=1e-15)
         np.testing.assert_allclose(adj.unitary, be.unitary.conj().T, atol=1e-15)
+
+
+def _gram_inners():
+    rng = np.random.default_rng(21)
+    return {
+        "random-s1-a0": random_encoding(rng, 1, 0),
+        "random-s2-a1": random_encoding(rng, 2, 1),
+        "random-s2-a2": random_encoding(rng, 2, 2),
+        "product": product(centering_encoding(4), random_encoding(rng, 2, 1)),
+        "rescale": rescale_encoding(random_encoding(rng, 1, 1), 3.0),
+    }
+
+
+class TestGram:
+    @pytest.mark.parametrize("name", sorted(_gram_inners()))
+    def test_laws(self, name):
+        be = _gram_inners()[name]
+        g = gram_encoding(be)
+        assert g.kind == "gram" and g.children == (be,)
+        assert (g.alpha, g.ancillas, g.system_qubits, g.dim) == (
+            be.alpha * be.alpha, be.ancillas + 1, be.system_qubits, 2 * be.dim)
+        assert g.epsilon == be.epsilon * (2.0 * be.alpha + be.epsilon)
+
+    @pytest.mark.parametrize("name", sorted(_gram_inners()))
+    def test_corner_is_a_slice_of_the_unitary(self, name):
+        be = _gram_inners()[name]
+        g = gram_encoding(be)
+        b = extract_block(be)
+        np.testing.assert_allclose(extract_block(g), b.conj().T @ b, rtol=0, atol=1e-14)
+        s = g.system_dim
+        np.testing.assert_allclose(g.unitary[:s, :s], extract_block(g), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("name", sorted(_gram_inners()))
+    def test_hermitian_unitary_involution(self, name):
+        u = gram_encoding(_gram_inners()[name]).unitary
+        np.testing.assert_array_equal(u, u.conj().T)
+        assert is_unitary(u, 1e-10)
+
+    def test_matches_the_two_term_combination(self):
+        """[[G, G - I], [G - I, G]] is (1/2, 1/2) of U^dag (2 Pi_0 - I) U and I."""
+        be = _gram_inners()["random-s2-a1"]
+        u = be.unitary
+        refl = np.diag(np.where(np.arange(be.dim) < be.system_dim, 1.0, -1.0))
+        v = u.conj().T @ refl @ u
+        eye = np.eye(be.dim)
+        expected = 0.5 * np.block([[v + eye, v - eye], [v - eye, v + eye]])
+        np.testing.assert_allclose(gram_encoding(be).unitary, expected, rtol=0, atol=1e-14)
+
+    def test_encodes_the_gram_matrix_of_the_target(self):
+        rng = np.random.default_rng(22)
+        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        be = rescale_encoding(trivial_encoding(np.linalg.qr(b)[0]), 2.0)
+        target = be.alpha ** 2 * extract_block(be).conj().T @ extract_block(be)
+        rep = verify(gram_encoding(be), target, tol=1e-13)
+        assert rep.passed and rep.alpha == 4.0
 
 
 class TestBlockEncodingInvariants:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blocklab.block_encoding import extract_block
+from blocklab.block_encoding import extract_block, verify
 from blocklab.centering import (
     build_uc,
     centering_encoding,
@@ -175,6 +175,16 @@ class TestSimilarity:
         target = zero_embedded(similarity(labels), be.system_dim)
         assert np.max(np.abs(be.alpha * extract_block(be) - target)) <= 1e-14
         assert is_unitary(be.unitary, 1e-10)
+
+    @pytest.mark.parametrize("sizes", [(3, 5), (3, 5, 4), (5,), (7,), (1,), (2, 4),
+                                       (1, 1, 1)])
+    def test_declared_epsilon_bounds_the_round_off(self, sizes):
+        # the declared bound is fixed in advance, so verify needs no tolerance
+        labels = shuffled_labels(sizes)
+        be = similarity_encoding(labels)
+        assert verify(be, zero_embedded(similarity(labels), be.system_dim), tol=0).passed
+        assert verify(similarity_encoding(sum(sizes)),
+                      zero_embedded(np.ones((sum(sizes),) * 2), be.system_dim), tol=0).passed
 
     def test_equal_pair(self):
         labels = np.array([0, 1, 1, 0])

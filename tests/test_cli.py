@@ -221,6 +221,18 @@ def test_lda_n16_fits_under_the_cap(tmp_path):
     assert code == EXIT_OK and doc["results"]["pass"] is True
 
 
+@pytest.mark.parametrize("spec", [
+    ["pca", ("m", 32, 32)],
+    ["lda", ("m", 32, 32), ("l", (16, 16))],
+    ["cca", ("m", 16, 16), ("m", 16, 16)],
+], ids=lambda spec: "-".join(str(s) for s in spec))
+def test_gram_scatters_fit_under_the_cap(tmp_path, spec):
+    # each was refused by the cap (exit 3) while a scatter was a triple product
+    argv = _write_inputs(tmp_path, np.random.default_rng(43), spec)
+    code, doc = run_json(argv, tmp_path / "out.json")
+    assert code == EXIT_OK and doc["results"]["pass"] is True
+
+
 def test_benchmark_cli_mix_argvs_pass(tmp_path):
     import contextlib
     import io

@@ -166,15 +166,22 @@ class TestWalkOneBuffer:
             walk_operator(be)
 
     def test_cap_checked_on_dilated_dimension(self, monkeypatch):
-        be = scatter_total_encoding(np.random.default_rng(17).standard_normal((2, 2)))
-        assert be.unitary.shape == (16, 16)  # built under the default cap
-        monkeypatch.setenv("BLOCKLAB_CAP_QUBITS", "4")
+        be = centering_encoding(2)  # its LCU unitary is not Hermitian
+        assert be.unitary.shape == (4, 4)  # built under the default cap
+        monkeypatch.setenv("BLOCKLAB_CAP_QUBITS", "2")
         with pytest.raises(CapExceededError):
             walk_operator(be)
 
-    def test_n8_scatter_walk_peak_memory(self):
-        """Beyond U, only the walk and one adjoint-sized array are held."""
-        be = scatter_total_encoding(np.random.default_rng(18).standard_normal((8, 8)))
+    def test_scatter_walk_is_not_dilated(self, monkeypatch):
+        be = scatter_total_encoding(np.random.default_rng(17).standard_normal((2, 2)))
+        assert be.unitary.shape == (16, 16)
+        monkeypatch.setenv("BLOCKLAB_CAP_QUBITS", "4")
+        assert walk_operator(be).shape == (16, 16)
+
+    @staticmethod
+    def check_peak(n, dim):
+        """Beyond U, only the walk and one strip of rows are held."""
+        be = scatter_total_encoding(np.random.default_rng(18).standard_normal((n, n)))
         u = be.unitary
         tracemalloc.start()
         try:
@@ -182,8 +189,14 @@ class TestWalkOneBuffer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert w.shape == (2048, 2048)
+        assert w.shape == (dim, dim)
         assert peak <= w.nbytes + u.nbytes + (1 << 20)
+
+    def test_n8_scatter_walk_peak_memory(self):
+        self.check_peak(8, 256)
+
+    def test_n16_scatter_walk_peak_memory(self):
+        self.check_peak(16, 1024)
 
 
 class TestExactEvolution:
@@ -416,14 +429,22 @@ class TestKrylovAgreesWithSchur:
         psi[:8] = random_state(np.random.default_rng(14), 8)
         assert self.check(w, psi).krylov_dim <= 3
 
-    def test_n8_scatter_walk_at_dimension_2048(self):
-        x = np.random.default_rng(15).standard_normal((8, 8))
+    def test_n8_scatter_walk_at_dimension_256(self):
+        self.check_top_readout(8, 256)
+
+    def test_n16_scatter_walk_at_dimension_1024(self):
+        self.check_top_readout(16, 1024)
+
+    @staticmethod
+    def check_top_readout(n, dim):
+        """The Gram walk reads the top scatter eigenvalue from k = 2."""
+        x = np.random.default_rng(15).standard_normal((n, n))
         be = scatter_total_encoding(x)
         w = walk_operator(be)
-        assert w.shape[0] == 2048
-        lam, vec = np.linalg.eigh(x @ centering_matrix(8) @ x.T)
+        assert w.shape[0] == dim
+        lam, vec = np.linalg.eigh(x @ centering_matrix(n) @ x.T)
         psi = np.zeros(w.shape[0], dtype=complex)
-        psi[:8] = vec[:, -1]
+        psi[:n] = vec[:, -1]
         est = phase_estimation(w, psi, 8, method=EstimationMethod.QUBITIZATION_WALK,
                                alpha=be.alpha)
         assert est.krylov_dim <= 2

@@ -6,7 +6,8 @@ with ``diff``.
 Covers the 24 ``cli_mix`` argvs of ``perfbench/workloads.CliMix`` on the
 inputs seed 7 generates, the few ``EXTRA`` argvs on inputs seed 7 generates
 (inputs outside ``cli_mix``: classes in shuffled order and of sizes that are
-not powers of two), ``--help`` of the parser and of every subcommand, and
+not powers of two, and the scatter pipelines at sizes ``cli_mix`` leaves
+out), ``--help`` of the parser and of every subcommand, and
 ``blocklab suite --seed 42``.  Each line holds the exit code
 and the SHA-256 of stdout, of stderr and of the JSON document without its
 ``timing`` block (``-`` when no document was written).  The temporary input
@@ -42,6 +43,9 @@ EXTRA = [
     ("dcca-4x7-c3.4-shuffled", ["dcca", ("m", 4, 7), ("m", 4, 7), ("l", (3, 4))]),
     ("verify-ones-n6", ["verify", "--target", "ones", "--n", "6"]),
     ("verify-similarity-1.3", ["verify", "--target", "similarity", "--classes", "1,3"]),
+    ("pca-32x32", ["pca", ("m", 32, 32)]),
+    ("lda-32x32-c16.16", ["lda", ("m", 32, 32), ("l", (16, 16))]),
+    ("cca-16x16", ["cca", ("m", 16, 16), ("m", 16, 16)]),
 ]
 
 
