@@ -3,7 +3,9 @@ unitarity checks, Householder completion of one column, and register-structured
 assembly helpers used by every encoding construction.
 
 Conventions:
-  * All matrices are dense ``complex128`` ndarrays, row-major.
+  * All matrices are dense ``complex128`` ndarrays, row-major.  The one
+    exception is inside the unitarity check: for a real matrix (an imaginary
+    part that is exactly zero) its temporaries are ``float64``.
   * Qubit registers are big-endian: the most significant index factor is the
     leftmost register.  Ancilla registers always occupy the most significant
     positions, so the encoded block of a unitary is its leading submatrix.
@@ -107,15 +109,33 @@ def embed_power_of_two(a, dim: int | None = None) -> np.ndarray:
 
 
 def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
-    """True iff U is square and max|U^dag U - I| <= tol."""
-    u = as_complex_matrix(u)
+    """True iff U is square and max|U^dag U - I| <= tol.
+
+    For a real U (its imaginary part exactly zero) the Gram product and its
+    temporaries are ``float64``; see ``is_unitary_matrix``.
+    """
+    return is_unitary_matrix(as_complex_matrix(u), tol)
+
+
+def is_unitary_matrix(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+    """``is_unitary`` for a matrix ``as_complex_matrix`` has already
+    returned: it converts and validates nothing again.
+
+    When the imaginary part is exactly zero, U^dag U = R^T R for R = Re U is
+    formed as one ``float64`` product on a contiguous copy of R, and every
+    entry of it is still compared with the identity.  The temporaries (R and
+    the Gram) then take 16 d^2 bytes instead of 32 d^2.
+    """
     if u.shape[0] != u.shape[1]:
         raise ValueError("is_unitary requires a square matrix")
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    gram = u.conj().T @ u
+    real = not u.imag.any()
+    if real:
+        u = np.ascontiguousarray(u.real)
+    gram = u.conj().T @ u  # conj() of a real array is the array itself
     np.fill_diagonal(gram, gram.diagonal() - 1.0)
-    return bool(np.max(np.abs(gram)) <= tol)
+    return bool(np.max(np.abs(gram, out=gram if real else None)) <= tol)
 
 
 def is_hermitian(m, tol: float = 1e-10) -> bool:

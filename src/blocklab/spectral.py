@@ -23,7 +23,7 @@ from .matrix_core import (
     as_complex_matrix,
     ensure_dimension,
     is_hermitian,
-    is_unitary,
+    is_unitary_matrix,
 )
 
 __all__ = [
@@ -213,8 +213,6 @@ def phase_estimation(
     values are clipped to the certified range [-alpha, alpha].
     """
     u = as_complex_matrix(u)
-    if not is_unitary(u, 1e-10):
-        raise ValueError("phase estimation requires a unitary operator")
     state = np.asarray(eigenstate, dtype=complex).reshape(-1)
     if state.shape[0] != u.shape[0]:
         raise ValueError("eigenstate dimension does not match the unitary")
@@ -225,6 +223,8 @@ def phase_estimation(
         raise ValueError("eigenstate must be normalized")
     if t_bits < 1:
         raise ValueError("t_bits must be positive")
+    if not is_unitary_matrix(u, 1e-10):  # last: the only O(d^3) check
+        raise ValueError("phase estimation requires a unitary operator")
 
     dist, krylov_dim, leak = _phase_distribution(u, state / norm, t_bits)
     grid = 1 << t_bits

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.stats
 
 from blocklab.matrix_core import (
     CapExceededError,
@@ -137,6 +141,45 @@ class TestIsUnitary:
     def test_non_square_raises(self):
         with pytest.raises(ValueError):
             is_unitary(np.ones((2, 3)))
+
+    # d >= 64, so the Gram product runs in the BLAS kernels.  Row 0 of Q is
+    # e_0, so adding delta at (0, 1) moves Q^T Q by exactly delta at (0, 1)
+    # and (1, 0), and by delta^2 at (1, 1).
+    Q = scipy.linalg.block_diag(
+        1.0, scipy.stats.ortho_group.rvs(63, random_state=np.random.default_rng(3)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_real_orthogonal_passes(self, dtype):
+        assert is_unitary(self.Q.astype(dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("delta, verdict", [(2e-10, False), (5e-11, True)])
+    def test_real_defect_against_tolerance(self, dtype, delta, verdict):
+        q = self.Q.astype(dtype)
+        q[0, 1] += delta
+        assert is_unitary(q) is verdict
+
+    def test_imaginary_defect_is_not_dropped(self):
+        q = self.Q.astype(complex)
+        q[0, 1] += 1e-9j
+        assert not is_unitary(q)
+
+    def test_complex_unitary_passes(self):
+        assert is_unitary(np.diag(np.exp(1e-6j * np.arange(64))))
+
+    def test_real_check_peak_memory(self):
+        """Beyond U, a real check holds only Re U and the float64 Gram."""
+        d = 1024
+        v = np.random.default_rng(5).standard_normal(d)
+        u = (np.eye(d) - (2.0 / (v @ v)) * np.outer(v, v)).astype(complex)
+        tracemalloc.start()
+        try:
+            ok = is_unitary(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok
+        assert peak <= 16 * d * d + (1 << 20)
 
 
 class TestUnitaryCompletion:

@@ -8,7 +8,7 @@ import scipy.stats
 from blocklab import spectral
 from blocklab.applications import scatter_total_encoding
 from blocklab.block_encoding import BlockEncoding, extract_block, trivial_encoding
-from blocklab.centering import centering_encoding, centering_matrix
+from blocklab.centering import centering_encoding, centering_matrix, similarity_encoding
 from blocklab.data_encoding import hermitian_dilation, hermitian_extension, matrix_encoding
 from blocklab.matrix_core import CapExceededError, is_unitary
 from blocklab.mean_centering import CenteringMode, mc_encoding
@@ -144,6 +144,22 @@ def walk_dense_encodings():
         "centering-n16": lambda: centering_encoding(16),
         "hermitian-leaf": lambda: trivial_encoding(np.diag([1.0, -1.0, -1.0, 1.0])),
     }
+
+
+class TestRealOperators:
+    """is_unitary checks a real operator as one float64 product; these pin
+    which operators are real."""
+
+    @pytest.mark.parametrize("name", sorted(walk_dense_encodings()))
+    def test_walk_dense_encodings_and_walks_are_real(self, name):
+        be = walk_dense_encodings()[name]()
+        assert not be.unitary.imag.any()
+        assert not walk_operator(be).imag.any()
+
+    def test_similarity_encoding_is_complex(self):
+        be = similarity_encoding(np.repeat([0, 1], [2, 4]))  # class sizes (2, 4)
+        assert be.unitary.imag.any()
+        assert be.validate()
 
 
 class TestWalkOneBuffer:
@@ -300,6 +316,16 @@ class TestPhaseEstimation:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
             phase_estimation(np.diag([1.0, 2.0]), np.array([1.0, 0.0]), 4)
+
+    @pytest.mark.parametrize("state, t_bits, message", [
+        ([1.0, 0.0], 0, "t_bits"),
+        ([1.0, 0.0, 0.0], 4, "dimension"),
+        ([np.nan, 0.0], 4, "finite"),
+        ([1.0, 1.0], 4, "normalized"),
+    ])
+    def test_cheap_checks_refuse_before_unitarity(self, state, t_bits, message):
+        with pytest.raises(ValueError, match=message):
+            phase_estimation(np.diag([1.0, 2.0]), np.array(state), t_bits)
 
     def test_unnormalized_state_rejected(self):
         with pytest.raises(ValueError):
