@@ -27,7 +27,6 @@ from .block_encoding import (
     make_state_prep_pair,
     placement_encoding,
     product,
-    rescale_encoding,
     trivial_encoding,
     verify,
 )

@@ -12,12 +12,17 @@ zero-embedded; the classical comparisons use the unpadded data.
 A scatter X C X^dag is the Gram matrix B^dag B of B = C X^dag, because the
 centering projector satisfies C = C^dag = C^2.  Its encoding is the Gram
 node of ``product(C, X^dag)``: both factors share one ancilla register, and
-the unitary is Hermitian, so a scatter walk needs no dilation.
+the unitary is Hermitian, so a scatter walk needs no dilation.  Every pencil
+operand but DCCA's numerator is such a scatter: the CCA denominator
+diag(X C X^dag, Y C Y^dag) is the within-class scatter of [[X, 0], [0, Y]],
+and the total scatter of the stacked views [X; Y] adds the dilation of
+X C Y^dag to it, so CCA pencils that against the denominator and subtracts
+1.  Only the class correlation X C E C Y^dag stays a product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,9 +30,7 @@ from .block_encoding import (
     BlockEncoding,
     adjoint_encoding,
     gram_encoding,
-    placement_encoding,
     product,
-    rescale_encoding,
 )
 from .centering import centering_encoding, similarity_encoding
 from .data_encoding import hermitian_dilation, matrix_encoding
@@ -46,7 +49,6 @@ __all__ = [
     "RegressionResult",
     "scatter_total_encoding",
     "scatter_within_encoding",
-    "cross_scatter_encoding",
     "paired_scatter_encoding",
     "class_correlation_encoding",
     "pca",
@@ -140,23 +142,6 @@ def _flag_degeneracies(values: np.ndarray, d: int) -> tuple[tuple[int, int], ...
 # Scatter-style encodings
 # ---------------------------------------------------------------------------
 
-def _centered_product(x: np.ndarray, y: np.ndarray, classes, labels=None) -> BlockEncoding:
-    """Encoding of X C Y^dag with alpha = ||X||_F ||Y||_F, where C is
-    ``centering_encoding(classes)`` on the sample columns of the common
-    power-of-two system.  Given ``labels``, it encodes X C E C Y^dag
-    instead, with E their ``similarity_encoding`` and alpha scaled by the
-    largest class size.  For the non-Hermitian cross terms only: each
-    factor keeps its own ancillas; a scatter is ``_scatter``'s Gram node."""
-    dim = next_power_of_two(max(2, *x.shape, *y.shape))
-    data_x = matrix_encoding(embed_power_of_two(x, dim))
-    data_y = data_x if y is x else matrix_encoding(embed_power_of_two(y, dim))
-    cent = centering_encoding(classes, dim)
-    chain = product(data_x, cent)
-    if labels is not None:
-        chain = product(product(chain, similarity_encoding(labels, dim)), cent)
-    return product(chain, adjoint_encoding(data_y))
-
-
 def _scatter(x: np.ndarray, classes) -> BlockEncoding:
     """Hermitian encoding of X C X^dag = B^dag B, B = C X^dag, with
     alpha = ||X||_F^2, where C is ``centering_encoding(classes)`` on the
@@ -177,15 +162,6 @@ def scatter_total_encoding(x) -> BlockEncoding:
     return _scatter(x, x.shape[1])
 
 
-def cross_scatter_encoding(x, y) -> BlockEncoding:
-    """Encoding of X C Y^dag with alpha = ||X||_F ||Y||_F."""
-    x = as_complex_matrix(x)
-    y = as_complex_matrix(y)
-    if x.shape != y.shape:
-        raise ValueError("paired data matrices must share a shape")
-    return _centered_product(x, y, x.shape[1])
-
-
 def scatter_within_encoding(ds: LabeledDataset) -> BlockEncoding:
     """Encoding of the within-class scatter sum_k X_k C_k X_k^T = X C_w X^T.
 
@@ -196,20 +172,29 @@ def scatter_within_encoding(ds: LabeledDataset) -> BlockEncoding:
     return _scatter(ds.x, _class_ids(ds))
 
 
-def paired_scatter_encoding(x, y) -> BlockEncoding:
-    """Block-diagonal encoding of diag(X C X^T, Y C Y^T) on one extra qubit.
-
-    Both scatter encodings are rescaled to the larger scale factor so a
-    single alpha certifies the pair.
-    """
+def _views(x, y) -> tuple[np.ndarray, np.ndarray, int]:
+    """The two views as complex matrices, and the power-of-two size of each."""
     x = as_complex_matrix(x)
     y = as_complex_matrix(y)
     if x.shape != y.shape:
         raise ValueError("paired data matrices must share a shape")
-    q, p = scatter_total_encoding(x), scatter_total_encoding(y)
-    alpha = max(q.alpha, p.alpha)
-    return placement_encoding(2, {(0, 0): rescale_encoding(q, alpha),
-                                  (1, 1): rescale_encoding(p, alpha)})
+    return x, y, next_power_of_two(max(2, *x.shape))
+
+
+def paired_scatter_encoding(x, y) -> BlockEncoding:
+    """Hermitian encoding of diag(X C X^T, Y C Y^T), on one more system qubit.
+
+    It is the within-class scatter of the block-diagonal data
+    [[X, 0], [0, Y]], X at rows and slots 0.., Y at rows and slots dim..,
+    with the samples of each view as one class, so one Gram node certifies
+    the pair at alpha = ||X||_F^2 + ||Y||_F^2.
+    """
+    x, y, dim = _views(x, y)
+    (d, n) = x.shape
+    w = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    w[:d, :n] = x
+    w[dim:dim + d, dim:dim + n] = y
+    return _scatter(w, np.repeat([0, -1, 1], [n, dim - n, n]))
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +211,8 @@ def pca(x, d: int, t_bits: int = 8) -> EigenResult:
     x = as_complex_matrix(x)
     be = scatter_total_encoding(x)
     dim = be.system_dim
-    if not 1 < d <= dim:
-        raise ValueError(f"d must satisfy 1 < d <= {dim}")
+    if not 1 <= d <= dim:
+        raise ValueError(f"d must satisfy 1 <= d <= {dim}")
     values, vectors = np.linalg.eigh(embed_power_of_two(total_scatter(x), dim))
     spectrum = np.argsort(values)[::-1]
     order = spectrum[:d]
@@ -312,19 +297,20 @@ def lda(ds: LabeledDataset, d: int) -> EigenResult:
 
 
 def cca(x, y, d: int) -> EigenResult:
-    """Canonical directions from the cross/auto scatter pencil.
+    """Canonical directions from the (H_x; H_y) pencil.
 
-    The stacked (x-part, y-part) eigenvectors are normalized jointly; the
-    spectrum is symmetric, so the returned top-d values are the nonnegative
-    branch.
+    H_x is the Hermitian dilation of X C Y^dag and H_y the denominator
+    ``paired_scatter_encoding``.  The total scatter of the stacked views
+    Z = [X; Y] (Y from row dim) is Z C Z^dag = H_x + H_y, so the pencil
+    (Z C Z^dag; H_y) has the eigenvalues of (H_x; H_y) plus 1 and the same
+    eigenvectors.  The stacked (x-part, y-part) eigenvectors are normalized
+    jointly; the spectrum is symmetric, so the returned top-d values are the
+    nonnegative branch.
     """
-    x = as_complex_matrix(x)
-    y = as_complex_matrix(y)
-    if x.shape != y.shape:
-        raise ValueError("both views must share a shape")
-    h_x = hermitian_dilation(cross_scatter_encoding(x, y))
-    h_y = paired_scatter_encoding(x, y)
-    return generalized_eig(h_x, h_y, d)
+    x, y, dim = _views(x, y)
+    z = np.vstack([embed_power_of_two(x, dim), embed_power_of_two(y, dim)])
+    result = generalized_eig(_scatter(z, x.shape[1]), paired_scatter_encoding(x, y), d)
+    return replace(result, eigenvalues=result.eigenvalues - 1.0)
 
 
 def class_correlation_encoding(ds_x: LabeledDataset, ds_y: LabeledDataset) -> BlockEncoding:
@@ -333,11 +319,17 @@ def class_correlation_encoding(ds_x: LabeledDataset, ds_y: LabeledDataset) -> Bl
     C centers all n samples and E = sum_g 1_g 1_g^T links the samples of each
     class.  E's scale factor is the largest class size n_max, so the chain
     declares alpha = n_max ||X||_F ||Y||_F.  Both views must carry the same
-    label for every sample.
+    label for every sample.  The chain is not Hermitian, so each factor
+    keeps its own ancillas.
     """
     if not np.array_equal(ds_x.labels, ds_y.labels):
         raise ValueError("both views must carry the same label for every sample")
-    return _centered_product(ds_x.x, ds_y.x, ds_x.x.shape[1], _class_ids(ds_x))
+    x, y = ds_x.x, ds_y.x
+    dim = next_power_of_two(max(2, *x.shape, *y.shape))
+    cent = centering_encoding(x.shape[1], dim)
+    chain = product(matrix_encoding(embed_power_of_two(x, dim)), cent)
+    chain = product(product(chain, similarity_encoding(_class_ids(ds_x), dim)), cent)
+    return product(chain, adjoint_encoding(matrix_encoding(embed_power_of_two(y, dim))))
 
 
 def dcca(ds_x: LabeledDataset, ds_y: LabeledDataset, d: int) -> EigenResult:

@@ -10,12 +10,12 @@ qubits (ancillas most significant):
 Every encoding is a node of one composition tree.  A ``BlockEncoding`` built
 from a matrix is a leaf.  A leaf may also be lazy, like the data encoding:
 it holds its encoded block and builds its unitary on first read.  A
-composite (product, linear combination, adjoint, rescale, register
-placement, Gram) holds its child encodings in ``children``,
-derives its own (alpha, ancillas, epsilon) and dimension from them by its
-composition law, and materializes the full unitary only on demand; the
-encoded block is always available cheaply through the exact corner law of
-the node.  Tests cross-check those laws against the materialized unitaries.
+composite (product, linear combination, adjoint, register placement, Gram)
+holds its child encodings in ``children``, derives its own (alpha,
+ancillas, epsilon) and dimension from them by its composition law, and
+materializes the full unitary only on demand; the encoded block is always
+available cheaply through the exact corner law of the node.  Tests
+cross-check those laws against the materialized unitaries.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .matrix_core import (
     as_complex_matrix,
     ensure_dimension,
     is_power_of_two,
-    is_unitary,
+    is_unitary_matrix,
     place_middle_blocks,
     qubit_count,
     spectral_norm,
@@ -45,7 +45,6 @@ __all__ = [
     "verify",
     "product",
     "adjoint_encoding",
-    "rescale_encoding",
     "make_state_prep_pair",
     "linear_combination",
     "placement_encoding",
@@ -143,7 +142,7 @@ class BlockEncoding:
 
     def validate(self, tol: float = 1e-10) -> bool:
         """Materialize and check unitarity (intended for tests and small sizes)."""
-        return is_unitary(self.unitary, tol)
+        return is_unitary_matrix(self.unitary, tol)
 
     def __repr__(self) -> str:
         return (
@@ -258,9 +257,7 @@ class _Lcu(BlockEncoding):
             if be.ancillas != first.ancillas:
                 raise ValueError("all combined encodings must share the ancilla count")
             if be.alpha != common_alpha:
-                raise ValueError(
-                    "all combined encodings must share alpha; rescale before combining"
-                )
+                raise ValueError("all combined encodings must share alpha")
         slots = 1 << pair.prep_qubits
         if len(terms) > slots:
             raise ValueError(
@@ -314,36 +311,6 @@ class _Adjoint(BlockEncoding):
 
     def _block(self) -> np.ndarray:
         return self.children[0]._block().conj().T
-
-
-class _Rescale(BlockEncoding):
-    """(R_gamma (x) I) (I_2 (x) U) = [[gamma U, -s U], [s U, gamma U]] with
-    gamma = alpha_U / alpha and s = sqrt(1 - gamma^2): one extra ancilla
-    shrinks the encoded block by gamma, so the same target is certified at
-    the larger alpha with the same epsilon.
-    """
-
-    __slots__ = ()
-    kind = "rescale"
-
-    def __init__(self, inner: BlockEncoding, alpha: float):
-        if not alpha >= inner.alpha:
-            raise ValueError("can only rescale to a larger alpha")
-        self._certify(alpha, inner.ancillas + 1, inner.epsilon, inner.system_qubits,
-                      2 * inner.dim, (inner,))
-
-    @property
-    def gamma(self) -> float:
-        return self.children[0].alpha / self.alpha
-
-    def _materialize(self) -> np.ndarray:
-        g = self.gamma
-        s = np.sqrt(max(0.0, 1.0 - g * g))
-        u = self.children[0]._dense()
-        return np.block([[g * u, -s * u], [s * u, g * u]])
-
-    def _block(self) -> np.ndarray:
-        return self.gamma * self.children[0]._block()
 
 
 class _Placement(BlockEncoding):
@@ -455,7 +422,7 @@ def trivial_encoding(u) -> BlockEncoding:
     u = as_complex_matrix(u)
     if u.shape[0] != u.shape[1] or not is_power_of_two(u.shape[0]):
         raise ValueError("trivial encoding requires a square power-of-two unitary")
-    if not is_unitary(u):
+    if not is_unitary_matrix(u):
         raise ValueError("matrix is not unitary within 1e-10")
     return BlockEncoding(u, alpha=1.0, ancillas=0, epsilon=0.0,
                          system_qubits=qubit_count(u.shape[0]))
@@ -501,16 +468,6 @@ def product(u_be: BlockEncoding, v_be: BlockEncoding) -> BlockEncoding:
 def adjoint_encoding(be: BlockEncoding) -> BlockEncoding:
     """Encoding of the adjoint target, from the adjoint unitary."""
     return _Adjoint(be)
-
-
-def rescale_encoding(be: BlockEncoding, new_alpha: float) -> BlockEncoding:
-    """Re-certify the same target with a larger scale factor.
-
-    One extra ancilla carries a rotation that shrinks the encoded block by
-    old_alpha/new_alpha, so new_alpha * block still reproduces the target and
-    the declared error bound is unchanged.
-    """
-    return _Rescale(be, new_alpha)
 
 
 def make_state_prep_pair(y) -> StatePrepPair:

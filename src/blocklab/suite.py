@@ -19,7 +19,6 @@ from .applications import (
     LabeledDataset,
     cca,
     class_correlation_encoding,
-    cross_scatter_encoding,
     dcca,
     lda,
     ols,
@@ -36,7 +35,6 @@ from .block_encoding import (
     make_state_prep_pair,
     placement_encoding,
     product,
-    rescale_encoding,
     trivial_encoding,
     verify,
 )
@@ -180,7 +178,7 @@ def criterion_3(seed: int) -> CriterionOutcome:
     )
 
 
-NODE_KINDS = {"leaf", "product", "lcu", "adjoint", "rescale", "placement", "gram"}
+NODE_KINDS = {"leaf", "product", "lcu", "adjoint", "placement", "gram"}
 
 
 def _obeys_law(be: BlockEncoding) -> bool:
@@ -188,10 +186,9 @@ def _obeys_law(be: BlockEncoding) -> bool:
 
     The laws are the product and linear-combination lemmas of Gilyen, Su, Low
     & Wiebe (arXiv:1806.01838), the Gram node's B^dag B bound from
-    ||B|| <= alpha + eps, plus the register bookkeeping of the adjoint,
-    rescale and placement nodes, written out here independently of
-    ``block_encoding``.  Every node must also satisfy
-    ancillas = log2(dim) - system_qubits.
+    ||B|| <= alpha + eps, plus the register bookkeeping of the adjoint and
+    placement nodes, written out here independently of ``block_encoding``.
+    Every node must also satisfy ancillas = log2(dim) - system_qubits.
     """
     ok = be.ancillas == qubit_count(be.dim) - be.system_qubits
     kids = be.children
@@ -211,9 +208,6 @@ def _obeys_law(be: BlockEncoding) -> bool:
                a * pair.epsilon_y + a * pair.beta * max(k.epsilon for k in kids))
     elif be.kind == "adjoint":
         law = (first.alpha, first.ancillas, first.epsilon)
-    elif be.kind == "rescale":
-        ok = ok and be.alpha >= first.alpha
-        law = (be.alpha, first.ancillas + 1, first.epsilon)
     elif be.kind == "gram":
         a, e = first.alpha, first.epsilon
         law = (a * a, first.ancillas + 1, e * (2.0 * a + e))
@@ -265,7 +259,7 @@ def _composition_corpus(seed: int) -> list[BlockEncoding]:
         scatter_total_encoding(x4),
         scatter_within_encoding(ds_x),
         paired_scatter_encoding(x4, y4),
-        hermitian_dilation(cross_scatter_encoding(x4, y4)),
+        scatter_total_encoding(np.vstack([x4, y4])),  # the CCA numerator
         class_correlation_encoding(ds_x, ds_y),
     ]
 
@@ -288,7 +282,6 @@ def _composition_corpus(seed: int) -> list[BlockEncoding]:
         return [
             adj,
             product(be, adj),
-            rescale_encoding(be, 1.5 * be.alpha),
             linear_combination(pair, [be, adj, be], be.alpha),
             placement_encoding(2, {(0, 0): be, (1, 1): adj}),
             hermitian_dilation(be),

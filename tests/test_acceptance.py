@@ -36,7 +36,7 @@ def test_criterion(battery, cid):
 
 def test_criterion_4_counts_distinct_composites(battery):
     # centering encodings share cached leaves but each is its own node
-    assert battery[4].details["compositions"] == 752
+    assert battery[4].details["compositions"] == 560
 
 
 def test_budgeted_criteria(battery):
@@ -54,12 +54,11 @@ def _first_node(trees, kind):
 
 
 @pytest.mark.parametrize("field", ["alpha", "ancillas", "epsilon"])
-@pytest.mark.parametrize("kind", ["product", "lcu", "adjoint", "rescale", "placement", "gram"])
+@pytest.mark.parametrize("kind", ["product", "lcu", "adjoint", "placement", "gram"])
 def test_criterion_4_counts_a_broken_law(kind, field):
     trees = _composition_corpus(SEED)
     assert check_composition_laws(trees)[1] == 0
     node = _first_node(trees, kind)
-    # alpha halves so a rescale falls below its child's alpha
     broken = {"alpha": node.alpha / 2, "ancillas": node.ancillas + 1,
               "epsilon": node.epsilon + 1.0}[field]
     object.__setattr__(node, field, broken)

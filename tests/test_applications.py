@@ -6,7 +6,6 @@ from blocklab.applications import (
     LabeledDataset,
     class_correlation_encoding,
     cca,
-    cross_scatter_encoding,
     dcca,
     generalized_eig,
     lda,
@@ -19,7 +18,7 @@ from blocklab.applications import (
 from blocklab.block_encoding import extract_block, trivial_encoding
 from blocklab.centering import centering_matrix
 from blocklab.data_encoding import hermitian_extension, matrix_encoding
-from blocklab.matrix_core import is_unitary
+from blocklab.matrix_core import is_unitary, next_power_of_two
 from blocklab.oracles import pencil_blocks, pencil_eigs, scatters, similarity, total_scatter
 
 
@@ -297,9 +296,17 @@ class TestPca:
 
     def test_d_out_of_range(self):
         with pytest.raises(ValueError):
-            pca(np.eye(4), d=1)
+            pca(np.eye(4), d=0)
         with pytest.raises(ValueError):
             pca(np.eye(4), d=9)
+
+    def test_d_one_is_the_top_value(self):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((6, 6))
+        res = pca(x, d=1, t_bits=8)
+        top = np.linalg.eigvalsh(total_scatter(x))[-1]
+        assert res.eigenvalues.shape == (1,) and res.eigenvectors.shape == (8, 1)
+        assert abs(res.eigenvalues[0] - top) <= np.linalg.norm(x) ** 2 * 2.0 ** -8
 
     def test_descending_and_unit_vectors(self):
         rng = np.random.default_rng(12)
@@ -395,13 +402,22 @@ class TestCca:
         res = cca(x, x, d=2)
         np.testing.assert_allclose(res.eigenvalues, 1.0, atol=1e-7)
 
+    @staticmethod
+    def stacked(x, y, dim):
+        """The views stacked as cca stacks them: X from row 0, Y from row dim."""
+        z = np.zeros((2 * dim, x.shape[1]))
+        z[:x.shape[0]] = x
+        z[dim:dim + y.shape[0]] = y
+        return z
+
     def test_cross_block_structure(self):
+        # Z C Z^dag is the dilation of X C Y^dag plus the paired denominator
         rng = np.random.default_rng(18)
         x = rng.standard_normal((8, 8))
         y = rng.standard_normal((8, 8))
-        from blocklab.data_encoding import hermitian_dilation
-        h_x = hermitian_dilation(cross_scatter_encoding(x, y))
-        blk = h_x.alpha * extract_block(h_x)
+        st = scatter_total_encoding(self.stacked(x, y, 8))
+        h_y = paired_scatter_encoding(x, y)
+        blk = st.alpha * extract_block(st) - h_y.alpha * extract_block(h_y)
         assert np.max(np.abs(blk - blk.conj().T)) <= 1e-9
         assert np.max(np.abs(blk[:8, :8])) <= 1e-9
         assert np.max(np.abs(blk[8:, 8:])) <= 1e-9
@@ -411,10 +427,46 @@ class TestCca:
     def test_cross_scatter_true_sample_count(self):
         rng = np.random.default_rng(36)
         x, y = rng.standard_normal((4, 6)), rng.standard_normal((4, 6))
-        be = cross_scatter_encoding(x, y)
+        be = scatter_total_encoding(self.stacked(x, y, 8))
         blk = be.alpha * extract_block(be)
-        assert np.max(np.abs(blk[:4, :4] - x @ centering_matrix(6) @ y.T)) <= 1e-12
-        assert not blk[4:].any() and not blk[:, 4:].any()
+        assert np.max(np.abs(blk[:4, 8:12] - x @ centering_matrix(6) @ y.T)) <= 1e-12
+        for pad in (slice(4, 8), slice(12, 16)):
+            assert not blk[pad].any() and not blk[:, pad].any()
+
+    @pytest.mark.parametrize("shape", [(3, 6), (2, 5), (4, 7), (8, 8)],
+                             ids=lambda shape: "%dx%d" % shape)
+    def test_paired_scatter_is_one_gram_node(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+        dim = next_power_of_two(max(2, *shape))
+        h_y = paired_scatter_encoding(x, y)
+        assert h_y.kind == "gram" and h_y.system_dim == 2 * dim
+        padded = [np.zeros((dim, shape[1])) for _ in range(2)]
+        padded[0][:shape[0]], padded[1][:shape[0]] = x, y
+        c = centering_matrix(shape[1])
+        _, target = pencil_blocks(padded[0] @ c @ padded[1].T, *padded, c)
+        blk = h_y.alpha * extract_block(h_y)
+        assert np.max(np.abs(blk - target)) <= 1e-12
+        assert not blk[:dim, dim:].any() and not blk[dim:, :dim].any()
+        for pad in (slice(shape[0], dim), slice(dim + shape[0], 2 * dim)):
+            assert not blk[pad].any() and not blk[:, pad].any()
+
+    @pytest.mark.parametrize("shape", [(3, 6), (2, 5), (4, 7), (8, 8)],
+                             ids=lambda shape: "%dx%d" % shape)
+    def test_matches_the_dilation_pencil(self, shape):
+        rng = np.random.default_rng(50 + sum(shape))
+        x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+        d = 2
+        res = cca(x, y, d)
+        c = centering_matrix(shape[1])
+        h_x, h_y = pencil_blocks(x @ c @ y.T, x, y, c)
+        oracle_vals, oracle_vecs = pencil_eigs(h_x, h_y, d)
+        np.testing.assert_allclose(res.eigenvalues, oracle_vals, atol=1e-8)
+        if not res.degeneracies:
+            dim = res.eigenvectors.shape[0] // 2
+            rows = np.r_[:shape[0], dim:dim + shape[0]]
+            angles = scipy.linalg.subspace_angles(res.eigenvectors[rows], oracle_vecs)
+            assert np.max(angles) <= 1e-6
 
     def test_paired_scatter_blockdiag(self):
         rng = np.random.default_rng(19)

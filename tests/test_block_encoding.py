@@ -11,7 +11,6 @@ from blocklab.block_encoding import (
     make_state_prep_pair,
     placement_encoding,
     product,
-    rescale_encoding,
     trivial_encoding,
     verify,
 )
@@ -56,6 +55,10 @@ class TestTrivialEncoding:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
             trivial_encoding(np.diag([1.0, 2.0]))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            trivial_encoding(np.diag([1.0, np.nan]))
 
     def test_block_is_exact_slice(self):
         rng = np.random.default_rng(0)
@@ -254,7 +257,7 @@ class TestLinearCombination:
     def test_heterogeneous_alpha_rejected(self):
         rng = np.random.default_rng(8)
         a = random_encoding(rng, 1, 0)
-        b = rescale_encoding(random_encoding(rng, 1, 0), 2.0)
+        b = random_encoding(rng, 1, 1)
         pair = make_state_prep_pair(np.ones(2))
         with pytest.raises(ValueError, match="alpha"):
             linear_combination(pair, [a, trivial_encoding(np.eye(2))], 2.0)
@@ -268,35 +271,7 @@ class TestLinearCombination:
             linear_combination(pair, terms, 1.0)
 
 
-class TestRescaleAndAdjoint:
-    def test_rescale_block_shrinks(self):
-        rng = np.random.default_rng(9)
-        be = random_encoding(rng, 2, 1)
-        out = rescale_encoding(be, 2.5)
-        assert out.alpha == 2.5 and out.ancillas == be.ancillas + 1
-        np.testing.assert_allclose(extract_block(out),
-                                   (be.alpha / 2.5) * extract_block(be), atol=1e-13)
-        mat = out.unitary
-        assert is_unitary(mat, 1e-10)
-        np.testing.assert_allclose(mat[:4, :4], extract_block(out), atol=1e-13)
-
-    def test_rescale_matches_kron_product(self):
-        rng = np.random.default_rng(13)
-        be = random_encoding(rng, 2, 1)
-        out = rescale_encoding(be, 2.5)
-        g = be.alpha / 2.5
-        s = np.sqrt(1.0 - g * g)
-        rot = np.array([[g, -s], [s, g]], dtype=complex)
-        dense = (np.kron(rot, np.eye(be.dim, dtype=complex))
-                 @ np.kron(np.eye(2, dtype=complex), be.unitary))
-        np.testing.assert_array_equal(out.unitary, dense)
-
-    def test_rescale_smaller_rejected(self):
-        rng = np.random.default_rng(10)
-        be = random_encoding(rng, 1, 0)
-        with pytest.raises(ValueError):
-            rescale_encoding(be, 0.5)
-
+class TestAdjoint:
     def test_adjoint(self):
         rng = np.random.default_rng(11)
         be = random_encoding(rng, 2, 1)
@@ -313,7 +288,8 @@ def _gram_inners():
         "random-s2-a1": random_encoding(rng, 2, 1),
         "random-s2-a2": random_encoding(rng, 2, 2),
         "product": product(centering_encoding(4), random_encoding(rng, 2, 1)),
-        "rescale": rescale_encoding(random_encoding(rng, 1, 1), 3.0),
+        "scaled-s1-a2": BlockEncoding(random_unitary(8, rng), alpha=3.0, ancillas=2,
+                                      epsilon=0.5, system_qubits=1),
     }
 
 
@@ -355,7 +331,8 @@ class TestGram:
     def test_encodes_the_gram_matrix_of_the_target(self):
         rng = np.random.default_rng(22)
         b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        be = rescale_encoding(trivial_encoding(np.linalg.qr(b)[0]), 2.0)
+        be = BlockEncoding(np.linalg.qr(b)[0], alpha=2.0, ancillas=1, epsilon=0.0,
+                           system_qubits=1)
         target = be.alpha ** 2 * extract_block(be).conj().T @ extract_block(be)
         rep = verify(gram_encoding(be), target, tol=1e-13)
         assert rep.passed and rep.alpha == 4.0
@@ -446,7 +423,7 @@ class TestPlacement:
         rng = np.random.default_rng(17)
         a = random_encoding(rng, 1, 0)
         with pytest.raises(ValueError, match="share"):
-            placement_encoding(2, {(0, 0): a, (1, 1): rescale_encoding(a, 2.0)})
+            placement_encoding(2, {(0, 0): a, (1, 1): random_encoding(rng, 1, 1)})
         with pytest.raises(ValueError, match="exactly once"):
             placement_encoding(2, {(2, 0): a, (1, 1): a})
         with pytest.raises(ValueError, match="exactly once"):

@@ -196,6 +196,7 @@ def _write_inputs(tmp_path, rng, spec):
     ["center", ("m", 6, 6), "--mode", "cx"],
     ["pca", ("m", 12, 12)],
     ["pca", ("m", 3, 6)],
+    ["pca", ("m", 3, 6), "--d", "1"],
     ["ols", ("m", 12, 12), ("v", 12)],
     ["verify", "--target", "c", "--n", "6"],
     ["verify", "--target", "ones", "--n", "6"],
@@ -225,9 +226,11 @@ def test_lda_n16_fits_under_the_cap(tmp_path):
     ["pca", ("m", 32, 32)],
     ["lda", ("m", 32, 32), ("l", (16, 16))],
     ["cca", ("m", 16, 16), ("m", 16, 16)],
+    ["cca", ("m", 32, 32), ("m", 32, 32)],
 ], ids=lambda spec: "-".join(str(s) for s in spec))
 def test_gram_scatters_fit_under_the_cap(tmp_path, spec):
     # each was refused by the cap (exit 3) while a scatter was a triple product
+    # or, for cca at n = 32, while its numerator was a dilated cross product
     argv = _write_inputs(tmp_path, np.random.default_rng(43), spec)
     code, doc = run_json(argv, tmp_path / "out.json")
     assert code == EXIT_OK and doc["results"]["pass"] is True

@@ -11,6 +11,7 @@ from blocklab.matrix_core import (
     embed_power_of_two,
     format_complex,
     is_unitary,
+    is_unitary_matrix,
     kron,
     parse_complex_token,
     place_middle_blocks,
@@ -141,6 +142,15 @@ class TestIsUnitary:
     def test_non_square_raises(self):
         with pytest.raises(ValueError):
             is_unitary(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(np.inf, 0.0),
+                                     complex(0.0, np.nan), complex(1.0, np.inf)])
+    def test_non_finite_is_not_unitary(self, bad):
+        # is_unitary_matrix runs no finiteness pass; the Gram must carry it
+        u = np.eye(2, dtype=complex)
+        u[1, 1] = bad
+        with np.errstate(invalid="ignore"):  # inf * 0 in the Gram product
+            assert is_unitary_matrix(u) is False
 
     # d >= 64, so the Gram product runs in the BLAS kernels.  Row 0 of Q is
     # e_0, so adding delta at (0, 1) moves Q^T Q by exactly delta at (0, 1)

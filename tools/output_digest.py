@@ -46,6 +46,7 @@ EXTRA = [
     ("pca-32x32", ["pca", ("m", 32, 32)]),
     ("lda-32x32-c16.16", ["lda", ("m", 32, 32), ("l", (16, 16))]),
     ("cca-16x16", ["cca", ("m", 16, 16), ("m", 16, 16)]),
+    ("cca-32x32", ["cca", ("m", 32, 32), ("m", 32, 32)]),
 ]
 
 
