@@ -5,10 +5,11 @@ encoding unitary U_rows^dag U_norms written out entrywise from them (scale
 non-Hermitian targets.
 
 The data encoding is a lazy leaf: it holds its own copy of X, the norm tree
-and the encoded block X / ||X||_F, built in O(n^2) from column 0 of each
-completion.  The n^2 x n^2 unitary is written out on its first read and
-kept.  Construction runs every check the completions run, so it rejects
-what building the unitary would.
+and the encoded block X / ||X||_F, built in one vectorised O(n^2) pass from
+column 0 of each completion.  The n^2 x n^2 unitary is written out on its
+first read and kept.  Construction runs every check the completions run, so
+it rejects what building the unitary would.  The leaf declares the a-priori
+round-off bound 5u ||X||_F (u = 2^-53) as its eps; nothing is measured.
 
 Storage convention: entry (r, c) of a stored matrix is component r of sample
 c.  Row vectors of the norm tree are rows of the stored matrix.
@@ -25,11 +26,11 @@ from .matrix_core import (
     as_complex_matrix,
     embed_power_of_two,
     ensure_dimension,
+    householder_completions,
     householder_terms,
     is_power_of_two,
     next_power_of_two,
     qubit_count,
-    unitary_completion,
 )
 
 __all__ = [
@@ -71,14 +72,28 @@ def build_norm_tree(x) -> NormTree:
 
 
 def _square_power_of_two(x: np.ndarray) -> int:
-    """n for an n x n matrix with n = 2^k >= 2 whose n^2-dimensional
-    encoding fits under the cap."""
+    """n for an n x n matrix with n = 2^k >= 2."""
     n = x.shape[0]
     if x.shape[0] != x.shape[1] or not is_power_of_two(n) or n < 2:
         raise ValueError("preparation requires a square power-of-two matrix "
                          "of dimension >= 2; embed first")
-    ensure_dimension(n * n)
     return n
+
+
+def _preparation_terms(x: np.ndarray, tree: NormTree) -> tuple[np.ndarray, ...]:
+    """Householder terms of the conjugated, normalized rows of ``x`` (e_0
+    for a zero row) and, last, the row-norm state; it also raises when a
+    completion would not be finite."""
+    n = x.shape[0]
+    columns = np.zeros((n + 1, n), dtype=complex)
+    columns[:, 0] = 1.0  # e_0, kept for a zero row
+    norms = tree.row_norms[:, np.newaxis]
+    np.divide(np.conj(x), norms, out=columns[:n], where=norms > 0.0)
+    columns[n] = tree.row_norms / tree.frobenius_norm
+    terms = householder_terms(columns, n)
+    if not np.isfinite(terms[3]).all():
+        raise ValueError("matrix entries must be finite")  # as the unitary would be
+    return terms
 
 
 def preparation_unitaries(x, tree: NormTree | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -93,11 +108,22 @@ def preparation_unitaries(x, tree: NormTree | None = None) -> tuple[np.ndarray, 
     """
     x = as_complex_matrix(x)
     n = _square_power_of_two(x)
+    ensure_dimension(n * n)
     if tree is None:
         tree = build_norm_tree(x)
-    rows = np.stack([unitary_completion(np.conj(x[i]) / norm, n) if norm > 0.0
-                     else np.eye(n, dtype=complex) for i, norm in enumerate(tree.row_norms)])
-    return rows, unitary_completion(tree.row_norms / tree.frobenius_norm, n)
+    completions = householder_completions(_preparation_terms(x, tree))
+    return completions[:-1], completions[-1]
+
+
+# Round-off of the leaf's block X / F (F the computed ||X||_F), per unit of
+# F, with u = 2^-53; fixed from the operation counts, never measured.  Each
+# real component of the entry conj(x_qc / r_q) (r_q / F) takes at most 4
+# roundings: the complex / real division (numpy may form 1 / r_q, then a
+# product), r_q / F and the final product.  The computed row norm r_q cancels,
+# so ||X - F block||_2 <= ||X - F block||_F <= gamma_4 ||X||_F, gamma_4 =
+# 4u / (1 - 4u).  F is within O(u log n) of ||X||_F and gradual underflow adds
+# at most n 2^-1074 F, so this is <= 5u F for every n under the cap.
+_LEAF_ROUNDING = 5 * np.finfo(float).eps / 2
 
 
 class _DataLeaf(BlockEncoding):
@@ -112,24 +138,17 @@ class _DataLeaf(BlockEncoding):
     __slots__ = ("_x", "_tree", "_corner")
 
     def __init__(self, x):
-        x = as_complex_matrix(x).copy()  # the caller keeps its own array
-        tree = build_norm_tree(x)
+        x = np.array(x, dtype=complex, order="C")  # the caller keeps its own array
+        tree = build_norm_tree(x)  # validates x as as_complex_matrix does
         n = _square_power_of_two(x)
-        e0 = np.eye(n, 1, dtype=complex)[:, 0]  # column 0 of R_q = I for a zero row
-        terms = [householder_terms(np.conj(x[i]) / norm, n) if norm > 0.0 else (e0, 1.0, 0.0, None)
-                 for i, norm in enumerate(tree.row_norms)]
-        terms.append(householder_terms(tree.row_norms / tree.frobenius_norm, n))
-        if any(scale is not None and not np.isfinite(scale) for _, _, _, scale in terms):
-            raise ValueError("matrix entries must be finite")  # as the unitary would be
-        rows = np.stack([v for v, _, _, _ in terms[:-1]])
-        corner = np.einsum("qc,q->qc", rows.conj(), terms[-1][0])
-        corner.setflags(write=False)
         frob = tree.frobenius_norm
-        measured = float(np.linalg.norm(x - frob * corner, 2))
+        self._certify(frob, qubit_count(n), _LEAF_ROUNDING * frob, qubit_count(n), n * n, ())
+        v = _preparation_terms(x, tree)[0]
+        corner = np.einsum("qc,q->qc", v[:-1].conj(), v[-1])
+        corner.setflags(write=False)
         object.__setattr__(self, "_x", x)
         object.__setattr__(self, "_tree", tree)
         object.__setattr__(self, "_corner", corner)
-        self._certify(frob, qubit_count(n), measured, qubit_count(n), n * n, ())
 
     def _materialize(self) -> np.ndarray:
         rows, w = preparation_unitaries(self._x, self._tree)
@@ -150,8 +169,8 @@ def matrix_encoding(x) -> BlockEncoding:
     R_i after a register swap and U_norms = W (x) I; its entry
     ((p, q), (j, c)) is conj(R_q[c, p]) W[q, j], so it is written out
     directly when first read.  Its leading block is X / ||X||_F, held from
-    construction; the declared eps is the measured residual of that block,
-    which sits at completion round-off.
+    construction; the declared eps is the a-priori round-off bound
+    5u ||X||_F of that block (``_LEAF_ROUNDING``), with u = 2^-53.
     """
     return _DataLeaf(x)
 

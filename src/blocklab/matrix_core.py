@@ -1,6 +1,6 @@
 """Dense complex matrix substrate: Kronecker products, power-of-two embeddings,
-unitarity checks, Householder completion of one column, and register-structured
-assembly helpers used by every encoding construction.
+unitarity checks, Householder completions of a stack of columns, and
+register-structured assembly helpers used by every encoding construction.
 
 Conventions:
   * All matrices are dense ``complex128`` ndarrays, row-major.  The one
@@ -44,10 +44,10 @@ def cap_qubits() -> int:
 
 def ensure_dimension(dim: int) -> None:
     """Raise CapExceededError if a dim x dim dense unitary is over budget."""
-    limit = 1 << cap_qubits()
-    if dim > limit:
+    qubits = cap_qubits()  # one read per call: the variable may change between calls
+    if dim > 1 << qubits:
         raise CapExceededError(
-            f"dimension {dim} exceeds the simulator cap 2**{cap_qubits()} = {limit}"
+            f"dimension {dim} exceeds the simulator cap 2**{qubits} = {1 << qubits}"
         )
 
 
@@ -153,44 +153,57 @@ def spectral_norm(m) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def householder_terms(column, dimension: int) -> tuple[np.ndarray, complex, float, complex | None]:
-    """The checked unit column v and the terms of its Householder completion.
+def householder_terms(columns, dimension: int) -> tuple[np.ndarray, ...]:
+    """The checked unit columns v (a k x ``dimension`` stack) and the terms
+    (phi, head, scale) of their Householder completions, one per column.
 
-    Returns (v, phi, head, scale): phi is the phase of v[0] (1 when v[0] = 0),
-    head is w[0] = 1 - |v[0]| for w = e_0 - v/phi, and scale is 2 phi/|w|^2
-    (None when w = 0).  It raises ``ValueError`` unless v has length
-    ``dimension`` and is a unit vector within 1e-10.  A scale that overflows
-    makes the completion non-finite.
+    phi is the phase of v[0] (1 when v[0] = 0), head is w[0] = 1 - |v[0]|
+    for w = e_0 - v/phi, and scale is 2 phi/|w|^2 (0 when w = 0).  It raises
+    ``ValueError`` unless every column has length ``dimension`` and is a unit
+    vector within 1e-10.  A scale that overflows makes its completion
+    non-finite.
     """
-    v = np.asarray(column, dtype=complex).reshape(-1)
-    if v.shape[0] != dimension:
+    v = np.asarray(columns, dtype=complex)
+    if v.ndim != 2 or v.shape[1] != dimension:
         raise ValueError("prescribed column has wrong dimension")
-    if abs(np.vdot(v, v) - 1.0) > 1e-10:
+    if (np.abs(np.vecdot(v, v) - 1.0) > 1e-10).any():
         raise ValueError("prescribed column is not a unit vector within 1e-10")
-    phi = v[0] / abs(v[0]) if v[0] != 0 else 1.0
-    tail = np.vdot(v[1:], v[1:]).real
+    lead = np.hypot(v[:, 0].real, v[:, 0].imag)  # abs() of each entry, bit for bit
+    phi = np.ones(len(v), dtype=complex)
+    np.divide(v[:, 0], lead, out=phi, where=lead > 0.0)
+    tail = np.vecdot(v[:, 1:], v[:, 1:]).real
     # 1 - |v[0]| written as tail / (1 + |v[0]|): no cancellation near v = phi e_0
-    head = tail / (1.0 + abs(v[0]))
+    head = tail / (1.0 + lead)
     norm2 = head * head + tail
-    return v, phi, head, (2.0 * phi / norm2 if norm2 > 0.0 else None)
+    scale = np.zeros(len(v), dtype=complex)
+    np.divide(2.0 * phi, norm2, out=scale, where=norm2 > 0.0)
+    return v, phi, head, scale
+
+
+def householder_completions(terms) -> np.ndarray:
+    """The k x d x d unitaries, one per column of ``householder_terms``,
+    whose column 0 is that column v.
+
+    One Householder reflection (Householder 1958): phi (I - 2 ww^dag/|w|^2)
+    maps e_0 to v, and it is phi I when w = 0.  Column 0 is then stored as v
+    itself, so every encoded block, which reads only that column, carries v
+    exactly.
+    """
+    v, phi, head, scale = terms
+    out = phi[:, None, None] * np.eye(v.shape[1], dtype=complex)
+    w = -v / phi[:, None]
+    w[:, 0] = head
+    outer = w[:, :, None] * w[:, None, :].conj()
+    # where w = 0, phi I stays as it is, signed zeros included
+    np.subtract(out, scale[:, None, None] * outer, out=out, where=(scale != 0.0)[:, None, None])
+    out[:, :, 0] = v
+    return out
 
 
 def unitary_completion(column, dimension: int) -> np.ndarray:
-    """Complete a unit column v to a unitary whose column 0 is v.
-
-    One Householder reflection (Householder 1958): with phi the phase of v[0]
-    (1 when v[0] = 0) and w = e_0 - v/phi, phi (I - 2 ww^dag/|w|^2) maps e_0
-    to v, and it is phi I when w = 0.  Column 0 is then stored as v itself, so
-    every encoded block, which reads only that column, carries v exactly.
-    """
-    v, phi, head, scale = householder_terms(column, dimension)
-    out = phi * np.eye(dimension, dtype=complex)
-    if scale is not None:
-        w = -v / phi
-        w[0] = head
-        out -= scale * np.outer(w, w.conj())
-    out[:, 0] = v
-    return out
+    """Complete one unit column to a unitary: the batch of one."""
+    column = np.asarray(column, dtype=complex).reshape(1, -1)
+    return householder_completions(householder_terms(column, dimension))[0]
 
 
 # ---------------------------------------------------------------------------

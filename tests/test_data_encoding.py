@@ -146,6 +146,27 @@ class TestMatrixEncoding:
         be = matrix_encoding(rng.standard_normal((8, 8)))
         assert be.epsilon <= 1e-10
 
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+    def test_declared_epsilon_bounds_the_block(self, n):
+        """||X - alpha block||_F, formed in extended precision so that the
+        check adds no float64 roundings of its own, never exceeds the
+        declared 5u ||X||_F, over scales 10^+-150, complex data and zero rows."""
+        assert np.finfo(np.longdouble).nmant > np.finfo(float).nmant
+        rng = np.random.default_rng(100 + n)
+        for t in range(600):
+            x = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-150, 150)
+            if t % 2:
+                x = x + 1j * rng.standard_normal((n, n)) * np.abs(x).max()
+            if t % 5 == 0:
+                x[rng.integers(n)] = 0.0
+            be = matrix_encoding(x)
+            assert be.epsilon == 5 * (np.finfo(float).eps / 2) * be.alpha
+            block = be.extract_block()
+            alpha = np.longdouble(be.alpha)
+            re = x.real.astype(np.longdouble) - alpha * block.real.astype(np.longdouble)
+            im = x.imag.astype(np.longdouble) - alpha * block.imag.astype(np.longdouble)
+            assert np.sqrt(np.sum(re * re + im * im)) <= be.epsilon
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             matrix_encoding(np.ones((2, 3)))
@@ -153,6 +174,12 @@ class TestMatrixEncoding:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
             matrix_encoding(np.ones((3, 3)))
+
+
+def _ones_with(index, value):
+    x = np.ones((4, 4))
+    x[index] = value
+    return x
 
 
 class TestConstructionRejects:
@@ -180,6 +207,22 @@ class TestConstructionRejects:
         monkeypatch.setenv("BLOCKLAB_CAP_QUBITS", "5")
         with pytest.raises(CapExceededError, match=r"^dimension 64 exceeds"):
             matrix_encoding(np.ones((8, 8)))
+
+    @pytest.mark.parametrize("x", [
+        _ones_with(1, 1e-160), _ones_with(slice(None), 1e-160), _ones_with((2, 3), 1e155),
+        np.array([[1.0, 1.0], [1e-160, 1e-160]]), np.array([[1.0, 1e-155], [1.0, 1.0]]),
+        np.ones((8, 8)),
+    ], ids=["tiny-row", "all-tiny", "huge-entry", "good-and-tiny-rows", "non-finite-completion",
+            "over-cap"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_completions_reject_as_the_leaf(self, x, monkeypatch):
+        monkeypatch.setenv("BLOCKLAB_CAP_QUBITS", "5")
+        raised = []
+        for build in (matrix_encoding, preparation_unitaries):
+            with pytest.raises((ValueError, CapExceededError)) as info:
+                build(x)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
 
 
 class TestLazyLeaf:

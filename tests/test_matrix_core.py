@@ -5,11 +5,15 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
+from blocklab import matrix_core
 from blocklab.matrix_core import (
     CapExceededError,
     as_complex_matrix,
     embed_power_of_two,
+    ensure_dimension,
     format_complex,
+    householder_completions,
+    householder_terms,
     is_unitary,
     is_unitary_matrix,
     kron,
@@ -70,6 +74,14 @@ class TestKron:
         monkeypatch.setenv("BLOCKLAB_CAP_QUBITS", "3")
         with pytest.raises(CapExceededError):
             kron(np.eye(4), np.eye(4))
+
+
+def test_ensure_dimension_reads_the_cap_once(monkeypatch):
+    reads = []
+    monkeypatch.setattr(matrix_core, "cap_qubits", lambda: reads.append(1) or 3)
+    with pytest.raises(CapExceededError, match=r"^dimension 16 exceeds the simulator cap 2\*\*3 = 8$"):
+        ensure_dimension(16)
+    assert len(reads) == 1
 
 
 class TestAsComplexMatrix:
@@ -244,6 +256,49 @@ class TestUnitaryCompletion:
     def test_wrong_length_column_raises(self):
         with pytest.raises(ValueError, match="wrong dimension"):
             unitary_completion(np.array([1.0, 0.0, 0.0]), 2)
+
+
+class TestBatchedHouseholder:
+    @staticmethod
+    def _stack(rng, k, dim):
+        z = rng.standard_normal((k, dim)) + 1j * rng.standard_normal((k, dim))
+        z[0, 0] = 0.0  # phi = 1
+        z[1, 1:] = 0.0  # w = 0: the completion is phi I
+        z[2, 1:] *= 1e-170  # the tail underflows to zero
+        z[3] *= 1e-150
+        z[4] *= 1e150
+        return z / np.sqrt(np.sum(np.abs(z) ** 2, axis=1))[:, None]
+
+    @staticmethod
+    def _scalar_terms(v):
+        """(phi, head, scale) of one column in scalar arithmetic, the reference."""
+        phi = v[0] / abs(v[0]) if v[0] != 0 else 1.0
+        tail = np.vdot(v[1:], v[1:]).real
+        head = tail / (1.0 + abs(v[0]))
+        norm2 = head * head + tail
+        return np.complex128(phi), head, np.complex128(2.0 * phi / norm2 if norm2 > 0.0 else 0.0)
+
+    @pytest.mark.parametrize("dim", [2, 4, 16, 32])
+    def test_stack_matches_one_row_calls(self, dim):
+        cols = self._stack(np.random.default_rng(dim), 9, dim)
+        batch = householder_terms(cols, dim)
+        completions = householder_completions(batch)
+        for i, col in enumerate(cols):
+            one = householder_terms(col[None, :], dim)
+            for got, want in zip(batch, one):
+                assert got[i].tobytes() == want[0].tobytes()
+            for got, want in zip(batch[1:], self._scalar_terms(col)):
+                assert got[i].tobytes() == want.tobytes()
+            assert completions[i].tobytes() == unitary_completion(col, dim).tobytes()
+            assert is_unitary(completions[i], 1e-10)
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.ones((2, 3)), "wrong dimension"), (np.ones(4), "wrong dimension"),
+        (np.array([[1.0, 0.0], [1.0, 1.0]]), "not a unit vector"),
+    ], ids=["long-rows", "one-dimensional", "one-bad-row"])
+    def test_stack_checked_as_each_column(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            householder_terms(bad, 2)
 
 
 class TestRegisterAssembly:
