@@ -115,6 +115,10 @@ class BlockEncoding:
         return 1 << self.system_qubits
 
     @property
+    def total_qubits(self) -> int:
+        return self.system_qubits + self.ancillas
+
+    @property
     def unitary(self) -> np.ndarray:
         """The full encoding unitary (materialized on demand and cached)."""
         cached = self._cache

@@ -9,7 +9,8 @@ and the encoded block X / ||X||_F, built in one vectorised O(n^2) pass from
 column 0 of each completion.  The n^2 x n^2 unitary is written out on its
 first read and kept.  Construction runs every check the completions run, so
 it rejects what building the unitary would.  The leaf declares the a-priori
-round-off bound 5u ||X||_F (u = 2^-53) as its eps; nothing is measured.
+round-off bound 5u ||X||_F (u = 2^-53) as its eps, plus n max |x_qc| over any
+nonzero row whose norm underflows to 0; nothing is measured.
 
 Storage convention: entry (r, c) of a stored matrix is component r of sample
 c.  Row vectors of the norm tree are rows of the stored matrix.
@@ -121,8 +122,12 @@ def preparation_unitaries(x, tree: NormTree | None = None) -> tuple[np.ndarray, 
 # roundings: the complex / real division (numpy may form 1 / r_q, then a
 # product), r_q / F and the final product.  The computed row norm r_q cancels,
 # so ||X - F block||_2 <= ||X - F block||_F <= gamma_4 ||X||_F, gamma_4 =
-# 4u / (1 - 4u).  F is within O(u log n) of ||X||_F and gradual underflow adds
-# at most n 2^-1074 F, so this is <= 5u F for every n under the cap.
+# 4u / (1 - 4u).  F is within O(u log n) of ||X||_F and gradual underflow in
+# the block entries adds at most n 2^-1074 F, so this is <= 5u F for every n
+# under the cap.  That holds for the rows whose computed norm is positive.  A
+# nonzero row whose squared entries all underflow (|x| < 2^-537.5) has norm 0
+# and encodes as zeros, so the leaf adds n max |x_qc| over such rows, which
+# exceeds their Frobenius mass by a factor of at least 1 + 1/(2n).
 _LEAF_ROUNDING = 5 * np.finfo(float).eps / 2
 
 
@@ -142,7 +147,11 @@ class _DataLeaf(BlockEncoding):
         tree = build_norm_tree(x)  # validates x as as_complex_matrix does
         n = _square_power_of_two(x)
         frob = tree.frobenius_norm
-        self._certify(frob, qubit_count(n), _LEAF_ROUNDING * frob, qubit_count(n), n * n, ())
+        eps = _LEAF_ROUNDING * frob
+        lost = tree.row_norms == 0.0  # zero rows, and rows whose |x|^2 all underflow
+        if lost.any():
+            eps += n * float(np.abs(x[lost]).max())
+        self._certify(frob, qubit_count(n), eps, qubit_count(n), n * n, ())
         v = _preparation_terms(x, tree)[0]
         corner = np.einsum("qc,q->qc", v[:-1].conj(), v[-1])
         corner.setflags(write=False)
@@ -170,7 +179,9 @@ def matrix_encoding(x) -> BlockEncoding:
     ((p, q), (j, c)) is conj(R_q[c, p]) W[q, j], so it is written out
     directly when first read.  Its leading block is X / ||X||_F, held from
     construction; the declared eps is the a-priori round-off bound
-    5u ||X||_F of that block (``_LEAF_ROUNDING``), with u = 2^-53.
+    5u ||X||_F of that block (``_LEAF_ROUNDING``), with u = 2^-53, plus
+    n max |x_qc| over any nonzero row whose norm underflows to 0 and which
+    therefore encodes as zeros.
     """
     return _DataLeaf(x)
 

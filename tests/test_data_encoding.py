@@ -150,17 +150,33 @@ class TestMatrixEncoding:
     def test_declared_epsilon_bounds_the_block(self, n):
         """||X - alpha block||_F, formed in extended precision so that the
         check adds no float64 roundings of its own, never exceeds the
-        declared 5u ||X||_F, over scales 10^+-150, complex data and zero rows."""
-        assert np.finfo(np.longdouble).nmant > np.finfo(float).nmant
+        declared eps, over scales 10^+-150, complex data, zero rows and
+        nonzero rows whose squared entries all underflow, which encode as
+        zeros: eps is 5u ||X||_F plus n max |x_qc| over those rows."""
+        if np.finfo(np.longdouble).nmant <= np.finfo(float).nmant:
+            pytest.skip("np.longdouble carries no extra precision on this platform")
         rng = np.random.default_rng(100 + n)
+        lost = np.full((n, n), 2.0 ** -540)
+        lost[0] = 0.0
+        lost[0, 0] = 2.0 ** -510  # n = 2: [[2^-510, 0], [2^-540, 2^-540]]
+        cases = [(lost, n * 2.0 ** -540)]
         for t in range(600):
             x = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-150, 150)
             if t % 2:
                 x = x + 1j * rng.standard_normal((n, n)) * np.abs(x).max()
             if t % 5 == 0:
                 x[rng.integers(n)] = 0.0
+            mass = 0.0
+            if t % 7 == 3 and t % 5:  # a zero row too would leave n = 2 no live row
+                row = rng.integers(n)
+                x[row] = rng.standard_normal(n) * 2.0 ** -550
+                if t % 2:
+                    x[row] *= np.exp(2j * np.pi * rng.uniform(size=n))
+                mass = n * float(np.abs(x[row]).max())
+            cases.append((x, mass))
+        for x, mass in cases:
             be = matrix_encoding(x)
-            assert be.epsilon == 5 * (np.finfo(float).eps / 2) * be.alpha
+            assert be.epsilon == 5 * (np.finfo(float).eps / 2) * be.alpha + mass
             block = be.extract_block()
             alpha = np.longdouble(be.alpha)
             re = x.real.astype(np.longdouble) - alpha * block.real.astype(np.longdouble)
