@@ -25,7 +25,6 @@ from .block_encoding import (
     gram_encoding,
     linear_combination,
     make_state_prep_pair,
-    placement_encoding,
     product,
     trivial_encoding,
     verify,

@@ -13,11 +13,12 @@ A scatter X C X^dag is the Gram matrix B^dag B of B = C X^dag, because the
 centering projector satisfies C = C^dag = C^2.  Its encoding is the Gram
 node of ``product(C, X^dag)``: both factors share one ancilla register, and
 the unitary is Hermitian, so a scatter walk needs no dilation.  Every pencil
-operand but DCCA's numerator is such a scatter: the CCA denominator
+operand is built from such Gram nodes: the CCA denominator
 diag(X C X^dag, Y C Y^dag) is the within-class scatter of [[X, 0], [0, Y]],
 and the total scatter of the stacked views [X; Y] adds the dilation of
 X C Y^dag to it, so CCA pencils that against the denominator and subtracts
-1.  Only the class correlation X C E C Y^dag stays a product.
+1.  DCCA's numerator, the dilation of X C E C Y^dag, is half the difference
+of the Gram nodes of E^1/2 C [X; +-Y]^dag.
 """
 
 from __future__ import annotations
@@ -30,10 +31,12 @@ from .block_encoding import (
     BlockEncoding,
     adjoint_encoding,
     gram_encoding,
+    linear_combination,
+    make_state_prep_pair,
     product,
 )
-from .centering import centering_encoding, similarity_encoding
-from .data_encoding import hermitian_dilation, matrix_encoding
+from .centering import centering_encoding, similarity_root
+from .data_encoding import matrix_encoding
 from .matrix_core import (
     as_complex_matrix,
     embed_power_of_two,
@@ -142,13 +145,16 @@ def _flag_degeneracies(values: np.ndarray, d: int) -> tuple[tuple[int, int], ...
 # Scatter-style encodings
 # ---------------------------------------------------------------------------
 
-def _scatter(x: np.ndarray, classes) -> BlockEncoding:
+def _scatter(x: np.ndarray, classes, root: BlockEncoding | None = None) -> BlockEncoding:
     """Hermitian encoding of X C X^dag = B^dag B, B = C X^dag, with
     alpha = ||X||_F^2, where C is ``centering_encoding(classes)`` on the
-    sample columns of the power-of-two system."""
+    sample columns of the power-of-two system.  A ``root`` encoding of
+    E^1/2 on that system makes B = E^1/2 C X^dag, so the node encodes
+    X C E C X^dag at alpha times ``root.alpha``^2."""
     dim = next_power_of_two(max(2, *x.shape))
     data = matrix_encoding(embed_power_of_two(x, dim))
-    return gram_encoding(product(centering_encoding(classes, dim), adjoint_encoding(data)))
+    b = product(centering_encoding(classes, dim), adjoint_encoding(data))
+    return gram_encoding(b if root is None else product(root, b))
 
 
 def _class_ids(ds: LabeledDataset) -> np.ndarray:
@@ -314,32 +320,35 @@ def cca(x, y, d: int) -> EigenResult:
 
 
 def class_correlation_encoding(ds_x: LabeledDataset, ds_y: LabeledDataset) -> BlockEncoding:
-    """Encoding of X C E C Y^dag on the samples in their given order.
+    """Hermitian-block encoding of H_d = [[0, M], [M^dag, 0]], M = X C E C Y^dag,
+    on one more system qubit.
 
     C centers all n samples and E = sum_g 1_g 1_g^T links the samples of each
-    class.  E's scale factor is the largest class size n_max, so the chain
-    declares alpha = n_max ||X||_F ||Y||_F.  Both views must carry the same
-    label for every sample.  The chain is not Hermitian, so each factor
-    keeps its own ancillas.
+    class; both views must carry the same label for every sample.  The
+    stacked views Z+- = [X; +-Y] (Y from row dim, as ``cca`` stacks them)
+    have Z C E C Z^dag = [[P, +-M], [+-M^dag, R]], the Gram matrix of
+    B = E^1/2 C Z^dag, so H_d is the (1/2, -1/2) combination of two Gram
+    nodes with the same alpha = n_max (||X||_F^2 + ||Y||_F^2) and ancillas.
     """
     if not np.array_equal(ds_x.labels, ds_y.labels):
         raise ValueError("both views must carry the same label for every sample")
     x, y = ds_x.x, ds_y.x
     dim = next_power_of_two(max(2, *x.shape, *y.shape))
-    cent = centering_encoding(x.shape[1], dim)
-    chain = product(matrix_encoding(embed_power_of_two(x, dim)), cent)
-    chain = product(product(chain, similarity_encoding(_class_ids(ds_x), dim)), cent)
-    return product(chain, adjoint_encoding(matrix_encoding(embed_power_of_two(y, dim))))
+    root = similarity_root(_class_ids(ds_x), 2 * dim)
+    top, bottom = embed_power_of_two(x, dim), embed_power_of_two(y, dim)
+    grams = [_scatter(np.vstack([top, sign * bottom]), x.shape[1], root) for sign in (1, -1)]
+    return linear_combination(make_state_prep_pair([0.5, -0.5]), grams, grams[0].alpha)
 
 
 def dcca(ds_x: LabeledDataset, ds_y: LabeledDataset, d: int) -> EigenResult:
     """Class-aware canonical directions from the (H_d; H_y) pencil.
 
-    H_d is the Hermitian dilation of X C E C Y^dag and H_y is
-    diag(X C X^dag, Y C Y^dag), the denominator ``cca`` uses.
+    H_d is ``class_correlation_encoding``, the Hermitian dilation of
+    X C E C Y^dag, and H_y is diag(X C X^dag, Y C Y^dag), the denominator
+    ``cca`` uses; both sit on the same stacked system.
     """
-    h_d = hermitian_dilation(class_correlation_encoding(ds_x, ds_y))
-    return generalized_eig(h_d, paired_scatter_encoding(ds_x.x, ds_y.x), d)
+    return generalized_eig(class_correlation_encoding(ds_x, ds_y),
+                           paired_scatter_encoding(ds_x.x, ds_y.x), d)
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,18 @@ qubits (ancillas most significant):
 Every encoding is a node of one composition tree.  A ``BlockEncoding`` built
 from a matrix is a leaf.  A leaf may also be lazy, like the data encoding:
 it holds its encoded block and builds its unitary on first read.  A
-composite (product, linear combination, adjoint, register placement, Gram)
-holds its child encodings in ``children``, derives its own (alpha,
-ancillas, epsilon) and dimension from them by its composition law, and
-materializes the full unitary only on demand; the encoded block is always
-available cheaply through the exact corner law of the node.  Tests
-cross-check those laws against the materialized unitaries.
+composite (product, linear combination, adjoint, Gram, and the Hermitian
+dilation of ``data_encoding``) holds its child encodings in ``children``,
+derives its own (alpha, ancillas, epsilon) and dimension from them by its
+composition law, and materializes the full unitary only on demand; the
+encoded block is always available cheaply through the exact corner law of
+the node.  Tests cross-check those laws against the materialized unitaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .matrix_core import (
     ensure_dimension,
     is_power_of_two,
     is_unitary_matrix,
-    place_middle_blocks,
     qubit_count,
     spectral_norm,
     unitary_completion,
@@ -47,7 +46,6 @@ __all__ = [
     "adjoint_encoding",
     "make_state_prep_pair",
     "linear_combination",
-    "placement_encoding",
     "gram_encoding",
 ]
 
@@ -113,10 +111,6 @@ class BlockEncoding:
     @property
     def system_dim(self) -> int:
         return 1 << self.system_qubits
-
-    @property
-    def total_qubits(self) -> int:
-        return self.system_qubits + self.ancillas
 
     @property
     def unitary(self) -> np.ndarray:
@@ -236,7 +230,9 @@ class _Lcu(BlockEncoding):
     """(P_L^dag (x) I) [ sum_j |j><j| (x) U_j + rest (x) I ] (P_R (x) I).
 
     From uniform (alpha, a, eps) terms: alpha' = alpha * beta, a' = a + b and
-    eps' = alpha * eps_y + alpha * beta * max_j eps_j.  Its (a, b) block is
+    eps' = alpha * eps_y + beta * max_j eps_j, because the error
+    sum_j y_j (A_j - alpha b_j) + alpha sum_j (y_j - beta conj(c_j) d_j) b_j
+    of the blocks b_j has norm at most that.  Its (a, b) block is
     sum_j conj(P_L[j, a]) P_R[j, b] U_j, with U_j = I on the unused slots;
     ``_materialize`` builds exactly that.  Corner law: sum_j conj(c_j) d_j
     (block of U_j), extended over the unused selector slots by
@@ -268,7 +264,7 @@ class _Lcu(BlockEncoding):
         object.__setattr__(self, "pair", pair)
         eps_terms = max(be.epsilon for be in terms)
         self._certify(common_alpha * pair.beta, first.ancillas + pair.prep_qubits,
-                      common_alpha * pair.epsilon_y + common_alpha * pair.beta * eps_terms,
+                      common_alpha * pair.epsilon_y + pair.beta * eps_terms,
                       first.system_qubits, slots * first.dim, terms)
 
     def _materialize(self) -> np.ndarray:
@@ -311,65 +307,6 @@ class _Adjoint(BlockEncoding):
 
     def _block(self) -> np.ndarray:
         return self.children[0]._block().conj().T
-
-
-class _Placement(BlockEncoding):
-    """sum_(r, c) |r><c| (x) U_rc on a middle register of ``mid`` slots that
-    sits between the children's ancillas and their system.
-
-    The middle register joins the system, so the encoded block holds the
-    block of child (r, c) at block position (r, c) and zeros elsewhere.  All
-    children share alpha, ancillas and system size, and the slots form a
-    permutation (one per row and per column), so the placement is unitary.
-    The error matrix splits into one block-permutation per offset c - r,
-    whose norm is the largest child error on it, so epsilon is the sum over
-    offsets of that maximum.
-    Corner law: the same placement of the child blocks.
-    """
-
-    __slots__ = ("mid", "slots")
-    kind = "placement"
-
-    def __init__(self, mid: int, slots: Mapping[tuple[int, int], BlockEncoding]):
-        if not is_power_of_two(mid):
-            raise ValueError("the middle register size must be a power of two")
-        if sorted(r for r, _ in slots) != list(range(mid)) or \
-                sorted(c for _, c in slots) != list(range(mid)):
-            raise ValueError("slots must fill each row and each column exactly once")
-        first = next(iter(slots.values()))
-        offsets: dict[int, float] = {}
-        for (r, c), be in slots.items():
-            if (be.system_qubits, be.ancillas, be.alpha) != (
-                    first.system_qubits, first.ancillas, first.alpha):
-                raise ValueError("placed encodings must share system size, ancillas and alpha")
-            offsets[c - r] = max(offsets.get(c - r, 0.0), be.epsilon)
-        object.__setattr__(self, "mid", mid)
-        object.__setattr__(self, "slots", dict(slots))
-        self._certify(first.alpha, first.ancillas, sum(offsets.values()),
-                      first.system_qubits + qubit_count(mid), mid * first.dim,
-                      tuple(slots.values()))
-
-    def _materialize(self) -> np.ndarray:
-        first = self.children[0]
-        dense: dict[int, np.ndarray] = {}
-        blocks = {}
-        for slot, be in self.slots.items():
-            if id(be) in dense:
-                pass
-            elif be.kind == "adjoint" and id(be.children[0]) in dense:
-                # the adjoint of a child made dense here: _Adjoint's own arithmetic
-                dense[id(be)] = dense[id(be.children[0])].conj().T
-            else:
-                dense[id(be)] = be._dense()
-            blocks[slot] = dense[id(be)]
-        return place_middle_blocks(1 << first.ancillas, self.mid, first.system_dim, blocks)
-
-    def _block(self) -> np.ndarray:
-        inner = self.children[0].system_dim
-        out = np.zeros((self.system_dim, self.system_dim), dtype=complex)
-        for (r, c), be in self.slots.items():
-            out[r * inner:(r + 1) * inner, c * inner:(c + 1) * inner] = be._block()
-        return out
 
 
 class _Gram(BlockEncoding):
@@ -515,23 +452,11 @@ def linear_combination(
     The select unitary applies U_j on selector slot j and the identity on the
     unused slots; conjugating with the preparation pair yields an encoding
     with alpha' = alpha * beta, a' = a + b, and
-    eps' = alpha * eps_y + alpha * beta * max_j eps_j.
+    eps' = alpha * eps_y + beta * max_j eps_j: each term's error enters with
+    its weight |y_j|, which sum to beta, and the pair's defect eps_y with the
+    blocks' scale alpha.
     """
     return _Lcu(pair, encodings, common_alpha)
-
-
-def placement_encoding(mid: int,
-                       slots: Mapping[tuple[int, int], BlockEncoding]) -> BlockEncoding:
-    """Encoding of the block matrix with the target of ``slots[(r, c)]`` at
-    block position (r, c) of a ``mid`` x ``mid`` grid, zeros elsewhere.
-
-    ``mid`` must be a power of two and the slots must fill each row and each
-    column exactly once; the grid index becomes the most significant system
-    register.  A select puts its members on the diagonal,
-    a Hermitian dilation puts M at (0, 1) and its adjoint at (1, 0), and a
-    system extension puts the same encoding on every diagonal slot.
-    """
-    return _Placement(mid, slots)
 
 
 def gram_encoding(be: BlockEncoding) -> BlockEncoding:

@@ -1,12 +1,13 @@
 """Centering-specific unitaries and encodings: the reflection-based centering
 unitary, the (1,1,0) encoding of the centering projector C = I - (1/n) ee^T
 over the true samples (per class when the slots carry classes), and the
-encoding of the class-similarity matrix E on the same slots.
+encodings of the class-similarity matrix E and of its square root E^1/2 on
+the same slots, both one real Hermitian leaf on one ancilla.
 
 The register slots are the one class layout: each slot holds a class or is
 empty, in the samples' own order.  The centering encoding removes each class
-mean over its own samples, and the similarity encoding links the slots of
-one class; both are zero on empty slots.  The (1/2, -1/2) preparation pair
+mean over its own samples, and the similarity encodings link the slots of
+one class; all are zero on empty slots.  The (1/2, -1/2) preparation pair
 and the identity leaf are built once per size, and the one-class reflection
 once per (n, size); they are shared by every centering encoding that uses
 them.  Each call still returns a new combination node, and the size cap is
@@ -22,7 +23,6 @@ import numpy as np
 from .block_encoding import (
     BlockEncoding,
     StatePrepPair,
-    adjoint_encoding,
     linear_combination,
     make_state_prep_pair,
     trivial_encoding,
@@ -38,21 +38,17 @@ __all__ = [
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
-# Round-off of the similarity leaf W and of reading it into the block, per
-# unit of alpha, to first order in the unit round-off u = 2^-53; the bound
-# is fixed from the operation counts, never from a measured distance.
-#   Entries of W: 1/n_max (one rounding); the sine sqrt(k)/n_max in [0, 1)
-#     of the exact integer k = (n_max - n_g)(n_max + n_g) (two); the sine
-#     minus 1, then / n_g (two more); +1 on the diagonal (one).  So the error on class g is
-#     e_g 1_g 1_g^T plus a diagonal, with |e_g| <= u/n_max + 4u/n_g and
-#     diagonal entries <= u, of norm <= n_g |e_g| + u <= 6u.
-#   Combination w_0 W + w_1 W^dag: two complex products (sqrt(5) u each)
-#     and one sum (u) per entry, and every row of |W| sums to less than
-#     n_g/n_max + 2 <= 3, so <= 3 (sqrt(5) + 1) u < 9.8u.
-#   Scaling the block by alpha: one rounding on rows of |E/n_max| that sum
-#     to <= 1, so <= u.
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
-_W_ROUNDING = 17 * _UNIT_ROUNDOFF
+# Round-off of a class leaf's block, read as alpha * block, per unit of
+# alpha, with u = 2^-53; fixed from the operation counts, never measured.
+# On class g every entry of the block is the same number cos_g / n_g: for E,
+# 1 / n_max (one rounding), and for E^1/2, 1 / sqrt(n_max n_g) of an exact
+# integer (two).  alpha is n_max (exact) or sqrt(n_max) (one rounding), and
+# scaling the block by it rounds once more, so each entry alpha cos_g / n_g
+# of alpha * block is within gamma_4 = 4u / (1 - 4u) < 5u of its target,
+# relatively.  The error on class g is then e_g 1_g 1_g^T with
+# |e_g| < 5u alpha cos_g / n_g, of norm n_g |e_g| < 5u alpha; classes are
+# orthogonal, and off-class entries and empty slots are exact zeros.
+_CLASS_LEAF_ROUNDING = 5 * np.finfo(float).eps / 2
 
 
 def centering_matrix(n: int) -> np.ndarray:
@@ -162,32 +158,58 @@ def centering_encoding(classes, dim: int | None = None) -> BlockEncoding:
     return linear_combination(pair, (eye, reflect), common_alpha=1.0)
 
 
+def _class_leaf(classes, dim: int | None, root: bool) -> BlockEncoding:
+    """The real Hermitian unitary [[A, S], [S, -A]] on one ancilla, with
+    A = sum_g cos_g u_g u_g^dag and S = sqrt(I - A^2), on the slots of
+    ``_slots(classes, dim)``.
+
+    cos_g is n_g / n_max, or sqrt(n_g / n_max) when ``root``; A and S commute
+    and A^2 + S^2 = I, so the leaf is its own inverse.  S is I on the empty
+    slots and on the complement of the u_g, and sin_g on u_g.  Every square
+    root is of an exact integer.
+    """
+    slots = _slots(classes, dim)
+    occupied = slots >= 0
+    counts = np.bincount(slots[occupied])[slots[occupied]]
+    n_max = int(counts.max())
+    if root:
+        entry = 1.0 / np.sqrt(n_max * counts)  # cos_g / n_g
+        sine = np.sqrt(n_max * (n_max - counts)) / n_max
+        alpha = float(np.sqrt(n_max))
+    else:
+        entry = np.full(counts.shape, 1.0 / n_max)
+        sine = np.sqrt((n_max - counts) * (n_max + counts)) / n_max
+        alpha = float(n_max)
+    same = (slots[:, None] == slots[None, :]) & occupied[:, None]
+    a, s = np.zeros((2, slots.size))
+    a[occupied] = entry
+    s[occupied] = (sine - 1.0) / counts
+    a, s = (np.where(same, v[:, None], 0.0) for v in (a, s))
+    s[np.diag_indices(slots.size)] += 1.0
+    return BlockEncoding(np.block([[a, s], [s, -a]]), alpha=alpha, ancillas=1,
+                         epsilon=_CLASS_LEAF_ROUNDING * alpha,
+                         system_qubits=qubit_count(slots.size))
+
+
 def similarity_encoding(classes, dim: int | None = None) -> BlockEncoding:
     """(n_max, 1, eps) encoding of the zero-embedded similarity E = sum_g 1_g 1_g^T.
 
     ``classes`` and ``dim`` are read as by ``centering_encoding``: E_ij is 1
     when slots i and j hold the same class and 0 otherwise, so an int n
     gives the all-ones matrix on the first n slots.  With n_max the largest
-    class size, A = E / n_max = sum_g (n_g / n_max) u_g u_g^dag commutes with
-    S = I - sum_g u_g u_g^dag + sum_g sqrt(1 - (n_g / n_max)^2) u_g u_g^dag,
-    so W = A + iS, written in closed form, is exactly unitary: e^{i theta_g}
-    on u_g with cos theta_g = n_g / n_max, and i on the rest.  W and its
-    adjoint combine with coefficients (n_max/2, n_max/2) into (W + W^dag)/2 = A.
-    The W leaf declares the a-priori round-off bound ``_W_ROUNDING``, which
-    the combination scales by n_max.
+    class size, the leaf is the real Hermitian unitary [[A, S], [S, -A]] with
+    A = E / n_max = sum_g (n_g / n_max) u_g u_g^dag and S = sqrt(I - A^2),
+    written in closed form.  It declares the a-priori round-off bound
+    ``_CLASS_LEAF_ROUNDING`` per unit of alpha.
     """
-    slots = _slots(classes, dim)
-    occupied = slots >= 0
-    counts = np.bincount(slots[occupied])[slots[occupied]]
-    n_max = float(counts.max())
-    # sqrt(1 - (n_g/n_max)^2) from the exact integer (n_max - n_g)(n_max + n_g)
-    sine = np.sqrt((n_max - counts) * (n_max + counts)) / n_max
-    weight = np.zeros(slots.size, dtype=complex)
-    weight[occupied] = 1.0 / n_max + 1j * (sine - 1.0) / counts
-    same = (slots[:, None] == slots[None, :]) & occupied[:, None]
-    w = np.where(same, weight[:, None], 0.0)
-    w[np.diag_indices(slots.size)] += 1j
-    leaf = BlockEncoding(w, alpha=1.0, ancillas=0, epsilon=_W_ROUNDING,
-                         system_qubits=qubit_count(slots.size))
-    return linear_combination(make_state_prep_pair([n_max / 2, n_max / 2]),
-                              (leaf, adjoint_encoding(leaf)), common_alpha=1.0)
+    return _class_leaf(classes, dim, root=False)
+
+
+def similarity_root(classes, dim: int | None = None) -> BlockEncoding:
+    """(sqrt(n_max), 1, eps) encoding of E^1/2 = sum_g sqrt(n_g) u_g u_g^dag.
+
+    The same leaf as ``similarity_encoding``, with cos_g = sqrt(n_g / n_max).
+    E^1/2 is symmetric and squares to E, so B = E^1/2 C X^dag has the Gram
+    matrix X C E C X^dag.
+    """
+    return _class_leaf(classes, dim, root=True)

@@ -1,8 +1,8 @@
 """Amplitude-based data-matrix encodings: the binary norm tree that defines
 the preparation states, the per-register row and norm completions, the
 encoding unitary U_rows^dag U_norms written out entrywise from them (scale
-||X||_F), and the Hermitian extension and dilation used for rectangular and
-non-Hermitian targets.
+||X||_F), the Hermitian extension of a rectangular or non-Hermitian matrix,
+and the Hermitian dilation node of an encoding.
 
 The data encoding is a lazy leaf: it holds its own copy of X, the norm tree
 and the encoded block X / ||X||_F, built in one vectorised O(n^2) pass from
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_encoding import BlockEncoding, adjoint_encoding, placement_encoding
+from .block_encoding import BlockEncoding
 from .matrix_core import (
     as_complex_matrix,
     embed_power_of_two,
@@ -201,10 +201,43 @@ def hermitian_extension(x) -> np.ndarray:
     return out
 
 
+class _Dilation(BlockEncoding):
+    """[[0, U], [U^dag, 0]] on a middle qubit that sits between the child's
+    ancillas and its system.
+
+    The middle qubit joins the system as its most significant qubit, so the
+    encoded block is [[0, b], [b^dag, 0]] for the block b of U.  The error
+    [[0, D], [D^dag, 0]] has the norm of D, so the node keeps the child's
+    (alpha, ancillas, epsilon).  Corner law: the same dilation of b.
+    """
+
+    __slots__ = ()
+    kind = "dilation"
+
+    def __init__(self, inner: BlockEncoding):
+        self._certify(inner.alpha, inner.ancillas, inner.epsilon, inner.system_qubits + 1,
+                      2 * inner.dim, (inner,))
+
+    def _materialize(self) -> np.ndarray:
+        inner = self.children[0]
+        a, s = 1 << inner.ancillas, inner.system_dim
+        u = inner._dense()
+        out = np.zeros((a, 2, s, a, 2, s), dtype=complex)
+        out[:, 0, :, :, 1, :] = u.reshape(a, s, a, s)
+        out[:, 1, :, :, 0, :] = u.conj().T.reshape(a, s, a, s)
+        return out.reshape(self.dim, self.dim)
+
+    def _block(self) -> np.ndarray:
+        b = self.children[0]._block()
+        zero = np.zeros_like(b)
+        return np.block([[zero, b], [b.conj().T, zero]])
+
+
 def hermitian_dilation(be: BlockEncoding) -> BlockEncoding:
     """Encoding of [[0, M], [M^dag, 0]] from an encoding of M.
 
-    Adds one system qubit (most significant); the scale factor is unchanged
-    and the declared error bound doubles, one epsilon per off-diagonal.
+    Adds one system qubit (most significant) and keeps the scale factor,
+    the ancillas and the declared error bound, since
+    ||[[0, D], [D^dag, 0]]|| = ||D||.
     """
-    return placement_encoding(2, {(0, 1): be, (1, 0): adjoint_encoding(be)})
+    return _Dilation(be)

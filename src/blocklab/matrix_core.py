@@ -1,6 +1,6 @@
-"""Dense complex matrix substrate: Kronecker products, power-of-two embeddings,
-unitarity checks, Householder completions of a stack of columns, and
-register-structured assembly helpers used by every encoding construction.
+"""Dense complex matrix substrate used by every encoding construction:
+Kronecker products, power-of-two embeddings, unitarity checks, Householder
+completions of a stack of columns, and CSV interchange.
 
 Conventions:
   * All matrices are dense ``complex128`` ndarrays, row-major.  The one
@@ -16,7 +16,6 @@ Conventions:
 from __future__ import annotations
 
 import os
-from typing import Mapping
 
 import numpy as np
 
@@ -204,34 +203,6 @@ def unitary_completion(column, dimension: int) -> np.ndarray:
     """Complete one unit column to a unitary: the batch of one."""
     column = np.asarray(column, dtype=complex).reshape(1, -1)
     return householder_completions(householder_terms(column, dimension))[0]
-
-
-# ---------------------------------------------------------------------------
-# Register-structured assembly
-# ---------------------------------------------------------------------------
-
-def place_middle_blocks(
-    front: int,
-    mid: int,
-    back: int,
-    blocks: Mapping[tuple[int, int], np.ndarray],
-) -> np.ndarray:
-    """Assemble sum_{(r,c)} |r><c|_mid tensored into operators on (front x back).
-
-    Each block acts on the front and back registers with the mid register
-    pinned to the given (row, column) pair.
-    """
-    out_dim = front * mid * back
-    ensure_dimension(out_dim)
-    out = np.zeros((front, mid, back, front, mid, back), dtype=complex)
-    for (r, c), op in blocks.items():
-        if not (0 <= r < mid and 0 <= c < mid):
-            raise ValueError("block index outside the middle register")
-        op = as_complex_matrix(op)
-        if op.shape != (front * back, front * back):
-            raise ValueError("block shape inconsistent with front/back dimensions")
-        out[:, r, :, :, c, :] = op.reshape(front, back, front, back)
-    return out.reshape(out_dim, out_dim)
 
 
 # ---------------------------------------------------------------------------

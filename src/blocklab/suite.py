@@ -33,7 +33,6 @@ from .block_encoding import (
     gram_encoding,
     linear_combination,
     make_state_prep_pair,
-    placement_encoding,
     product,
     trivial_encoding,
     verify,
@@ -178,7 +177,7 @@ def criterion_3(seed: int) -> CriterionOutcome:
     )
 
 
-NODE_KINDS = {"leaf", "product", "lcu", "adjoint", "placement", "gram"}
+NODE_KINDS = {"leaf", "product", "lcu", "adjoint", "dilation", "gram"}
 
 
 def _obeys_law(be: BlockEncoding) -> bool:
@@ -187,7 +186,8 @@ def _obeys_law(be: BlockEncoding) -> bool:
     The laws are the product and linear-combination lemmas of Gilyen, Su, Low
     & Wiebe (arXiv:1806.01838), the Gram node's B^dag B bound from
     ||B|| <= alpha + eps, plus the register bookkeeping of the adjoint and
-    placement nodes, written out here independently of ``block_encoding``.
+    dilation nodes, written out here independently of ``block_encoding`` and
+    ``data_encoding``.
     Every node must also satisfy ancillas = log2(dim) - system_qubits.
     """
     ok = be.ancillas == qubit_count(be.dim) - be.system_qubits
@@ -205,21 +205,16 @@ def _obeys_law(be: BlockEncoding) -> bool:
         a, pair = first.alpha, be.pair
         ok = ok and all((k.alpha, k.ancillas) == (a, first.ancillas) for k in kids)
         law = (a * pair.beta, first.ancillas + pair.prep_qubits,
-               a * pair.epsilon_y + a * pair.beta * max(k.epsilon for k in kids))
+               a * pair.epsilon_y + pair.beta * max(k.epsilon for k in kids))
     elif be.kind == "adjoint":
         law = (first.alpha, first.ancillas, first.epsilon)
     elif be.kind == "gram":
         a, e = first.alpha, first.epsilon
         law = (a * a, first.ancillas + 1, e * (2.0 * a + e))
-    elif be.kind == "placement":
-        worst: dict[int, float] = {}
-        for (r, c), k in be.slots.items():
-            worst[c - r] = max(worst.get(c - r, 0.0), k.epsilon)
-        ok = ok and all((k.alpha, k.ancillas) == (first.alpha, first.ancillas) for k in kids)
-        ok = ok and sorted(r for r, _ in be.slots) == list(range(be.mid)) == sorted(
-            c for _, c in be.slots)
-        law = (first.alpha, first.ancillas, sum(worst.values()))
-        system_qubits += qubit_count(be.mid)
+    elif be.kind == "dilation":
+        ok = ok and len(kids) == 1
+        law = (first.alpha, first.ancillas, first.epsilon)
+        system_qubits += 1
     else:
         return False
     return ok and be.system_qubits == system_qubits and (
@@ -282,11 +277,11 @@ def _composition_corpus(seed: int) -> list[BlockEncoding]:
         return [
             adj,
             product(be, adj),
+            product(adj, be),
             linear_combination(pair, [be, adj, be], be.alpha),
-            placement_encoding(2, {(0, 0): be, (1, 1): adj}),
             hermitian_dilation(be),
-            placement_encoding(4, {(j, j): be for j in range(4)}),
             gram_encoding(be),
+            gram_encoding(adj),
         ]
 
     level = leaves

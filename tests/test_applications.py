@@ -521,16 +521,23 @@ class TestDcca:
         c = centering_matrix(8)
         e = similarity(labels)
         target = ds_x.x.real @ c @ e @ c @ ds_y.x.real.T
-        assert np.linalg.norm(target - chain.alpha * extract_block(chain), 2) <= 1e-6
+        blk = chain.alpha * extract_block(chain)
+        assert chain.system_dim == 16
+        assert np.linalg.norm(target - blk[:8, 8:], 2) <= 1e-6
+        np.testing.assert_array_equal(blk[8:, :8], blk[:8, 8:].conj().T)
+        assert not blk[:8, :8].any() and not blk[8:, 8:].any()
 
     def test_declared_alpha(self):
+        # two Gram nodes of the stacked views, n_max (||X||_F^2 + ||Y||_F^2)
         rng = np.random.default_rng(23)
         labels = np.array([0] * 4 + [1] * 4)
         ds_x = LabeledDataset(rng.standard_normal((8, 8)), labels)
         ds_y = LabeledDataset(rng.standard_normal((8, 8)), labels)
         chain = class_correlation_encoding(ds_x, ds_y)
-        expected = 4 * np.linalg.norm(ds_x.x) * np.linalg.norm(ds_y.x)
+        expected = 4 * (np.linalg.norm(ds_x.x) ** 2 + np.linalg.norm(ds_y.x) ** 2)
         assert abs(chain.alpha - expected) <= 1e-12 * expected
+        assert chain.kind == "lcu" and [g.kind for g in chain.children] == ["gram", "gram"]
+        assert chain.children[0].alpha == chain.children[1].alpha
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(24)
@@ -587,8 +594,26 @@ class TestDcca:
         c = centering_matrix(n)
         e = similarity(labels)
         blk = chain.alpha * extract_block(chain)
-        assert np.max(np.abs(blk[:3, :3] - x @ c @ e @ c @ y.T)) <= 1e-12
-        assert not blk[3:].any() and not blk[:, 3:].any()
+        dim = chain.system_dim // 2
+        assert np.max(np.abs(blk[:3, dim:dim + 3] - x @ c @ e @ c @ y.T)) <= 1e-12
+        np.testing.assert_array_equal(blk[dim:dim + 3, :3], blk[:3, dim:dim + 3].conj().T)
+        blk[:3, dim:dim + 3] = blk[dim:dim + 3, :3] = 0.0
+        assert not blk.any()
+
+    @pytest.mark.parametrize("sizes", [(5, 11), (8, 8)])
+    def test_chain_at_16x16(self, sizes):
+        # dimension 16,384: the stacked Gram nodes fit the cap where a
+        # dilated four-factor product would not
+        rng = np.random.default_rng(36)
+        labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        x, y = rng.standard_normal((16, 16)), rng.standard_normal((16, 16))
+        chain = class_correlation_encoding(LabeledDataset(x, labels),
+                                           LabeledDataset(y, labels))
+        assert chain.dim == 16384 and chain.system_dim == 32
+        c = centering_matrix(16)
+        m = x @ c @ similarity(labels) @ c @ y.T
+        oracle = np.block([[np.zeros((16, 16)), m], [m.T, np.zeros((16, 16))]])
+        assert np.max(np.abs(chain.alpha * extract_block(chain) - oracle)) <= 1e-12
 
 
 class TestOls:

@@ -9,12 +9,12 @@ from blocklab.block_encoding import (
     gram_encoding,
     linear_combination,
     make_state_prep_pair,
-    placement_encoding,
     product,
     trivial_encoding,
     verify,
 )
 from blocklab.centering import build_uc, centering_encoding
+from blocklab.data_encoding import hermitian_dilation
 from blocklab.matrix_core import is_unitary
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -243,6 +243,21 @@ class TestLinearCombination:
         expected_eps = pair.epsilon_y + pair.beta * max(t.epsilon for t in terms)
         assert be.epsilon == expected_eps
 
+    def test_term_errors_enter_with_their_weights(self):
+        # eps' = alpha eps_y + beta max eps_j: with alpha < 1 the error of
+        # each term is not scaled down by alpha, and this target reaches it
+        rng = np.random.default_rng(9)
+        terms = [BlockEncoding(random_unitary(4, rng), alpha=0.1, ancillas=1,
+                               epsilon=0.01, system_qubits=1) for _ in range(2)]
+        pair = make_state_prep_pair(np.array([1.0, 1.0]))
+        be = linear_combination(pair, terms, common_alpha=0.1)
+        assert be.epsilon == 0.1 * pair.epsilon_y + 2 * 0.01
+        shift = 0.01 * (1 - 1e-9) * np.eye(2)  # each target within eps of 0.1 b_j
+        target = sum(0.1 * extract_block(t) + shift for t in terms)
+        rep = verify(be, target, tol=0)
+        assert rep.distance_measured > 0.1 * pair.epsilon_y + 0.1 * 2 * 0.01
+        assert rep.passed
+
     def test_materialize_matches_dense_select(self):
         rng = np.random.default_rng(12)
         terms = [random_encoding(rng, 2, 1) for _ in range(3)]
@@ -376,61 +391,32 @@ class TestBlockEncodingInvariants:
         assert trivial_encoding(PAULI_X).validate()
 
 
-def _select(be, rng):
-    other = random_encoding(rng, be.system_qubits, be.ancillas)
-    enc = placement_encoding(2, {(0, 0): be, (1, 1): other})
-    return enc, scipy.linalg.block_diag(extract_block(be), extract_block(other))
-
-
-def _dilation(be, rng):
-    enc = placement_encoding(2, {(0, 1): be, (1, 0): adjoint_encoding(be)})
-    blk = extract_block(be)
-    zero = np.zeros_like(blk)
-    return enc, np.block([[zero, blk], [blk.conj().T, zero]])
-
-
-def _extension(be, rng):
-    enc = placement_encoding(4, {(j, j): be for j in range(4)})
-    return enc, np.kron(np.eye(4), extract_block(be))
-
-
-class TestPlacement:
-    @pytest.mark.parametrize("build", [_select, _dilation, _extension],
-                             ids=["select", "dilation", "extension"])
-    def test_corner_is_leading_block_of_unitary(self, build):
+class TestDilation:
+    def test_corner_is_leading_block_of_unitary(self):
         rng = np.random.default_rng(14)
         be = product(random_encoding(rng, 2, 1), random_encoding(rng, 2, 0))
-        enc, expected = build(be, rng)
-        assert enc.ancillas == be.ancillas and enc.alpha == be.alpha
-        np.testing.assert_array_equal(extract_block(enc), expected)
+        enc = hermitian_dilation(be)
+        blk = extract_block(be)
+        zero = np.zeros_like(blk)
+        assert enc.kind == "dilation" and enc.children == (be,)
+        assert (enc.alpha, enc.ancillas) == (be.alpha, be.ancillas)
+        assert enc.system_qubits == be.system_qubits + 1
+        np.testing.assert_array_equal(extract_block(enc),
+                                      np.block([[zero, blk], [blk.conj().T, zero]]))
         mat = enc.unitary
         assert is_unitary(mat, 1e-10)
         np.testing.assert_allclose(mat[: enc.system_dim, : enc.system_dim],
                                    extract_block(enc), atol=1e-13)
 
-    def test_epsilon_sums_worst_error_per_offset(self):
+    def test_epsilon_is_the_childs(self):
+        # ||[[0, D], [D^dag, 0]]|| = ||D||, so the error does not double
         rng = np.random.default_rng(16)
-        a = random_encoding(rng, 1, 0)
-        b = BlockEncoding(random_unitary(2, rng), alpha=1.0, ancillas=0, epsilon=0.25,
-                          system_qubits=1)
-        assert placement_encoding(2, {(0, 0): a, (1, 1): b}).epsilon == a.epsilon
-        assert placement_encoding(2, {(0, 1): b, (1, 0): a}).epsilon == a.epsilon + 0.25
-        assert placement_encoding(4, {(j, j): b for j in range(4)}).epsilon == 0.25
-        dil = placement_encoding(2, {(0, 1): a, (1, 0): adjoint_encoding(a)})
-        assert dil.epsilon == 2.0 * a.epsilon
-
-    def test_mismatched_children_rejected(self):
-        rng = np.random.default_rng(17)
-        a = random_encoding(rng, 1, 0)
-        with pytest.raises(ValueError, match="share"):
-            placement_encoding(2, {(0, 0): a, (1, 1): random_encoding(rng, 1, 1)})
-        with pytest.raises(ValueError, match="exactly once"):
-            placement_encoding(2, {(2, 0): a, (1, 1): a})
-        with pytest.raises(ValueError, match="exactly once"):
-            placement_encoding(2, {(0, 0): a})
-        with pytest.raises(ValueError, match="exactly once"):
-            placement_encoding(2, {(0, 0): a, (0, 1): a})
-        with pytest.raises(ValueError, match="exactly once"):
-            placement_encoding(2, {(0, 0): a, (1, 0): a})
-        with pytest.raises(ValueError, match="power of two"):
-            placement_encoding(3, {(j, j): a for j in range(3)})
+        u = random_unitary(4, rng)
+        be = BlockEncoding(u, alpha=2.0, ancillas=1, epsilon=0.25, system_qubits=1)
+        dil = hermitian_dilation(be)
+        assert dil.epsilon == 0.25
+        d = 0.25 * (1 - 1e-9) * random_unitary(2, rng)  # a target at distance ~0.25
+        m = 2.0 * extract_block(be) + d
+        target = np.block([[np.zeros((2, 2)), m], [m.conj().T, np.zeros((2, 2))]])
+        rep = verify(dil, target, tol=0)
+        assert rep.passed and rep.distance_measured >= 0.25 - 1e-8

@@ -7,6 +7,7 @@ from blocklab.centering import (
     centering_encoding,
     centering_matrix,
     similarity_encoding,
+    similarity_root,
 )
 from blocklab.matrix_core import CapExceededError, is_unitary
 from blocklab.oracles import similarity
@@ -220,6 +221,71 @@ class TestSimilarity:
         target = similarity(labels) * np.outer(labels >= 0, labels >= 0)
         np.testing.assert_allclose(be.alpha * extract_block(be),
                                    zero_embedded(target, 16), atol=1e-14)
+
+
+def class_leaf_cases(seed):
+    """Slot classes for the class-leaf bound: random sizes in random order,
+    plus one large class, equal classes and padding."""
+    rng = np.random.default_rng(seed)
+    cases = [np.zeros(100, dtype=int), np.repeat([0, 1], [64, 64]),
+             np.array([0, -1, 0, 1, -1])]
+    for _ in range(150):
+        sizes = rng.integers(1, 21, size=rng.integers(1, 5))
+        cases.append(shuffled_labels(sizes, seed=int(rng.integers(1 << 30))))
+    return cases
+
+
+class TestClassLeaf:
+    """E and E^1/2 are one real Hermitian leaf [[A, S], [S, -A]] on one ancilla."""
+
+    @pytest.mark.parametrize("make", [similarity_encoding, similarity_root],
+                             ids=["similarity", "root"])
+    def test_real_hermitian_unitary(self, make):
+        be = make(shuffled_labels((3, 5, 4)))
+        u = be.unitary
+        s = be.system_dim
+        assert be.kind == "leaf" and be.ancillas == 1 and not be.children
+        assert not u.imag.any()
+        np.testing.assert_array_equal(u, u.T)
+        np.testing.assert_array_equal(u[s:, s:], -u[:s, :s])
+        np.testing.assert_array_equal(u[:s, s:], u[s:, :s])
+        assert is_unitary(u, 1e-14)
+
+    def test_root_squares_to_similarity(self):
+        labels = shuffled_labels((3, 5, 4))
+        be = similarity_root(labels)
+        assert be.alpha == np.sqrt(5.0)
+        half = be.alpha * extract_block(be)
+        e = zero_embedded(similarity(labels), be.system_dim)
+        assert np.max(np.abs(half @ half - e)) <= 1e-14
+        counts = np.bincount(labels)[labels]
+        np.testing.assert_allclose(half[:12, :12], similarity(labels) / np.sqrt(counts),
+                                   rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("root", [False, True], ids=["similarity", "root"])
+    def test_declared_epsilon_bounds_the_block(self, root):
+        # the a-priori bound 5u alpha, checked in extended precision: the
+        # error is zero off the classes, so its norm is the largest over the
+        # class blocks, each bounded by its Frobenius norm
+        if np.finfo(np.longdouble).nmant <= np.finfo(float).nmant:
+            pytest.skip("np.longdouble carries no extra precision on this platform")
+        for slots in class_leaf_cases(50 + root):
+            be = (similarity_root if root else similarity_encoding)(slots)
+            assert be.epsilon == 5 * (np.finfo(float).eps / 2) * be.alpha
+            block = be.extract_block()
+            assert not block.imag.any()
+            err = -np.longdouble(be.alpha) * block.real.astype(np.longdouble)
+            occupied = np.flatnonzero(slots >= 0)
+            counts = np.bincount(slots[occupied])
+            worst = np.longdouble(0.0)
+            for g in np.flatnonzero(counts):
+                idx = occupied[slots[occupied] == g]
+                value = 1 / np.sqrt(np.longdouble(counts[g])) if root else np.longdouble(1)
+                err[np.ix_(idx, idx)] += value
+                worst = max(worst, np.sqrt(np.sum(err[np.ix_(idx, idx)] ** 2)))
+                err[np.ix_(idx, idx)] = 0.0
+            assert not err.any()
+            assert worst <= be.epsilon
 
 
 class TestCenteringTermsCache:

@@ -227,10 +227,12 @@ def test_lda_n16_fits_under_the_cap(tmp_path):
     ["lda", ("m", 32, 32), ("l", (16, 16))],
     ["cca", ("m", 16, 16), ("m", 16, 16)],
     ["cca", ("m", 32, 32), ("m", 32, 32)],
+    ["dcca", ("m", 16, 16), ("m", 16, 16), ("l", (5, 11))],
 ], ids=lambda spec: "-".join(str(s) for s in spec))
 def test_gram_scatters_fit_under_the_cap(tmp_path, spec):
-    # each was refused by the cap (exit 3) while a scatter was a triple product
-    # or, for cca at n = 32, while its numerator was a dilated cross product
+    # each was refused by the cap (exit 3) while a scatter was a triple product,
+    # for cca at n = 32 while its numerator was a dilated cross product, and
+    # for dcca at n = 16 while its numerator was a dilated four-factor product
     argv = _write_inputs(tmp_path, np.random.default_rng(43), spec)
     code, doc = run_json(argv, tmp_path / "out.json")
     assert code == EXIT_OK and doc["results"]["pass"] is True

@@ -12,12 +12,7 @@ from blocklab.data_encoding import (
     matrix_encoding,
     preparation_unitaries,
 )
-from blocklab.matrix_core import (
-    CapExceededError,
-    embed_power_of_two,
-    is_unitary,
-    place_middle_blocks,
-)
+from blocklab.matrix_core import CapExceededError, embed_power_of_two, is_unitary
 from blocklab.mean_centering import CenteringMode, mc_encoding
 from blocklab.spectral import walk_operator
 
@@ -329,7 +324,7 @@ class TestHermitianDilation:
         be = hermitian_dilation(inner)
         assert be.system_qubits == inner.system_qubits + 1
         assert be.alpha == inner.alpha
-        assert be.epsilon == 2 * inner.epsilon
+        assert (be.ancillas, be.epsilon) == (inner.ancillas, inner.epsilon)
         np.testing.assert_allclose(be.alpha * extract_block(be),
                                    hermitian_extension(x), atol=1e-9)
 
@@ -354,10 +349,13 @@ class TestHermitianDilation:
         be = hermitian_dilation(inner)
         mat = be.unitary
         assert [c for c in calls if c is inner] == [inner]
-        # the shared array gives the bits the adjoint node computes on its own
-        blocks = {(0, 1): original(inner), (1, 0): be.children[1]._materialize()}
-        expected = place_middle_blocks(1 << inner.ancillas, 2, inner.system_dim, blocks)
-        assert mat.tobytes() == expected.tobytes()
+        # [[0, U], [U^dag, 0]] on the middle qubit, between ancillas and system
+        a, s = 1 << inner.ancillas, inner.system_dim
+        u = original(inner)
+        expected = np.zeros((a, 2, s, a, 2, s), dtype=complex)
+        expected[:, 0, :, :, 1, :] = u.reshape(a, s, a, s)
+        expected[:, 1, :, :, 0, :] = u.conj().T.reshape(a, s, a, s)
+        assert mat.tobytes() == expected.reshape(be.dim, be.dim).tobytes()
 
     def test_materialized_matches_corner(self):
         rng = np.random.default_rng(10)

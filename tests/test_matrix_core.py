@@ -18,7 +18,6 @@ from blocklab.matrix_core import (
     is_unitary_matrix,
     kron,
     parse_complex_token,
-    place_middle_blocks,
     read_matrix_csv,
     read_vector_csv,
     spectral_norm,
@@ -299,23 +298,6 @@ class TestBatchedHouseholder:
     def test_stack_checked_as_each_column(self, bad, message):
         with pytest.raises(ValueError, match=message):
             householder_terms(bad, 2)
-
-
-class TestRegisterAssembly:
-    def test_middle_select_blockdiag(self):
-        ops = [np.eye(2, dtype=complex), 2 * np.eye(2, dtype=complex)]
-        out = place_middle_blocks(1, 2, 2, {(k, k): op for k, op in enumerate(ops)})
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[:2, :2] = ops[0]
-        expected[2:, 2:] = ops[1]
-        np.testing.assert_array_equal(out, expected)
-
-    def test_place_off_diagonal(self):
-        op = np.arange(4.0).reshape(2, 2).astype(complex)
-        out = place_middle_blocks(1, 2, 2, {(0, 1): op})
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[:2, 2:] = op
-        np.testing.assert_array_equal(out, expected)
 
 
 class TestCsv:

@@ -156,10 +156,13 @@ class TestRealOperators:
         assert not be.unitary.imag.any()
         assert not walk_operator(be).imag.any()
 
-    def test_similarity_encoding_is_complex(self):
+    def test_similarity_encoding_is_real(self):
+        # the leaf [[A, S], [S, -A]] is real and Hermitian, and so is its walk
         be = similarity_encoding(np.repeat([0, 1], [2, 4]))  # class sizes (2, 4)
-        assert be.unitary.imag.any()
+        assert not be.unitary.imag.any()
+        np.testing.assert_array_equal(be.unitary, be.unitary.T)
         assert be.validate()
+        assert not walk_operator(be).imag.any()
 
 
 class TestWalkOneBuffer:

@@ -6,8 +6,8 @@ with ``diff``.
 Covers the 24 ``cli_mix`` argvs of ``perfbench/workloads.CliMix`` on the
 inputs seed 7 generates, the few ``EXTRA`` argvs on inputs seed 7 generates
 (inputs outside ``cli_mix``: classes in shuffled order and of sizes that are
-not powers of two, and the scatter pipelines at sizes ``cli_mix`` leaves
-out), ``--help`` of the parser and of every subcommand, and
+not powers of two, and the scatter and dcca pipelines at sizes ``cli_mix``
+leaves out), ``--help`` of the parser and of every subcommand, and
 ``blocklab suite --seed 42``.  Each line holds the exit code
 and the SHA-256 of stdout, of stderr and of the JSON document without its
 ``timing`` block (``-`` when no document was written).  The temporary input
@@ -47,6 +47,7 @@ EXTRA = [
     ("lda-32x32-c16.16", ["lda", ("m", 32, 32), ("l", (16, 16))]),
     ("cca-16x16", ["cca", ("m", 16, 16), ("m", 16, 16)]),
     ("cca-32x32", ["cca", ("m", 32, 32), ("m", 32, 32)]),
+    ("dcca-16x16-c5.11", ["dcca", ("m", 16, 16), ("m", 16, 16), ("l", (5, 11))]),
 ]
 
 
