@@ -10,6 +10,7 @@ cap is 2^14 by default and can be overridden with BLOCKLAB_CAP_QUBITS.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -63,6 +64,8 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
+        if not value.imag.any():  # the floats _entry gives, -0.0 included
+            return value.real.astype(float, copy=False).tolist()
         if value.ndim == 2:
             return [[_entry(v) for v in row] for row in value]
         return [_entry(v) for v in value]
@@ -360,8 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main() call, not at import; parse_args leaves it unchanged
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         code, doc = _HANDLERS[args.command](args)

@@ -53,8 +53,6 @@ def mean_vectors(x) -> tuple[np.ndarray, np.ndarray, complex]:
 def classical_center(x, mode: CenteringMode) -> np.ndarray:
     """Mean-subtracted matrix, computed entrywise from the mean vectors."""
     x = as_complex_matrix(x)
-    if x.shape[0] != x.shape[1]:
-        raise ValueError("classical centering expects a square stored matrix")
     u, v, xbar = mean_vectors(x)
     if mode is CenteringMode.CX:
         return x - u[np.newaxis, :]

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
 
+from blocklab import __version__, cli
 from blocklab.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_VERIFICATION, main
 from blocklab.matrix_core import write_matrix_csv
 
@@ -194,6 +197,8 @@ def _write_inputs(tmp_path, rng, spec):
     ["dcca", ("m", 4, 7), ("m", 4, 7), ("l", (3, 4))],
     ["center", ("m", 12, 12)],
     ["center", ("m", 6, 6), "--mode", "cx"],
+    *[["center", ("m", *shape), "--mode", mode]  # d x n data, refused as non-square once
+      for shape in ((3, 6), (6, 3)) for mode in ("cx", "xc", "cxc")],
     ["pca", ("m", 12, 12)],
     ["pca", ("m", 3, 6)],
     ["pca", ("m", 3, 6), "--d", "1"],
@@ -239,8 +244,6 @@ def test_gram_scatters_fit_under_the_cap(tmp_path, spec):
 
 
 def test_benchmark_cli_mix_argvs_pass(tmp_path):
-    import contextlib
-    import io
     import sys
     from pathlib import Path
 
@@ -249,7 +252,6 @@ def test_benchmark_cli_mix_argvs_pass(tmp_path):
         from workloads import CliMix
     finally:
         sys.path.pop(0)
-    from blocklab import cli
 
     mix = CliMix()
     mix.setup({"cli": cli}, 7, str(tmp_path))
@@ -259,3 +261,83 @@ def test_benchmark_cli_mix_argvs_pass(tmp_path):
             codes[name] = main(argv)
     assert len(codes) == 24
     assert {name: code for name, code in codes.items() if code != EXIT_OK} == {}
+
+
+def _exit_output(argv):
+    """Exit code and stdout of a main() call that exits, as --help and --version do."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code, stdout.getvalue()
+
+
+def test_parser_reuse_leaks_no_state(fixtures):
+    tmp, paths = fixtures
+    x = str(paths["x"])
+    argvs = [["center", "--mode", "cx", x], ["center", x],
+             ["pca", x, "--d", "3", "--t-bits", "6"], ["pca", x],
+             ["encode", x, "--tol", "1e-6"], ["encode", x]]
+    exits = [["--help"], ["center", "--help"], ["pca", "--help"], ["--version"]]
+
+    def untimed(argv, k):
+        code, doc = run_json(argv, tmp / f"doc{k}.json")
+        doc.pop("timing")
+        return code, doc
+
+    fresh_docs, fresh_exits = [], []
+    for k, argv in enumerate(argvs):
+        cli._parser.cache_clear()
+        fresh_docs.append(untimed(argv, k))
+    for argv in exits:
+        cli._parser.cache_clear()
+        fresh_exits.append(_exit_output(argv))
+
+    cli._parser.cache_clear()
+    shared_docs = [untimed(argv, k) for k, argv in enumerate(argvs)]
+    assert shared_docs == fresh_docs
+    assert shared_docs[1][1]["params"]["mode"] == "cxc"
+    assert shared_docs[3][1]["params"] == {"d": 2, "t_bits": 8}
+    assert shared_docs[5][1]["params"]["tol"] == 1e-9
+    shared_exits = [_exit_output(argv) for argv in exits]
+    assert shared_exits == fresh_exits
+    assert shared_exits[0] == (0, cli.build_parser().format_help())
+    assert shared_exits[-1] == (0, f"blocklab {__version__}\n")
+
+
+def test_main_builds_the_parser_once(fixtures, monkeypatch):
+    tmp, paths = fixtures
+    builds = []
+    build = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    for k in range(3):
+        assert main(["encode", str(paths["x"]), "--out", str(tmp / f"e{k}.json")]) == EXIT_OK
+    assert main(["verify", "--out", str(tmp / "v.json")]) == EXIT_OK
+    assert len(builds) == 1
+    # the constructor itself still hands each caller a parser of its own
+    assert build() is not build()
+
+
+@pytest.mark.parametrize("value", [
+    np.array([1.5, -2.0, 0.0, 1e300]),
+    np.array([[1.0, -0.0], [5e-324, 2.2250738585072014e-308]]),
+    np.array([3, -1]),
+    np.array([1 + 2j, -3j, 0.5 - 0.25j]),
+    np.array([[1 + 0j, 2 - 1e-300j], [-0.0 + 0j, 5e-324 + 0j]]),
+    np.array([[-0.0 + 0j, 5e-324 - 0j], [2.5 + 0j, -1.0 + 0j]]),
+], ids=["real-1d", "real-2d-negzero-subnormal", "integer", "complex-1d", "mixed-2d",
+        "complex-dtype-zero-imag"])
+def test_jsonable_array_bytes_match_the_per_entry_rule(value):
+    per_entry = ([[cli._entry(v) for v in row] for row in value] if value.ndim == 2
+                 else [cli._entry(v) for v in value])
+    expected = json.dumps({"a": per_entry}, sort_keys=True, indent=2)
+    assert json.dumps(cli._jsonable({"a": value}), sort_keys=True, indent=2) == expected
+
+
+def test_jsonable_keeps_negative_zero_and_subnormals():
+    assert json.dumps(cli._jsonable(np.array([-0.0, 5e-324, 3]))) == "[-0.0, 5e-324, 3.0]"

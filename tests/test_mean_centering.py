@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blocklab.block_encoding import extract_block
+from blocklab.centering import centering_matrix
 from blocklab.data_encoding import matrix_encoding
 from blocklab.mean_centering import (
     CenteringMode,
@@ -90,6 +91,19 @@ class TestClassicalCenter:
                 assert np.max(np.abs((x - v[:, np.newaxis]) - x @ c)) <= 1e-12
                 both = x - u[np.newaxis, :] - v[:, np.newaxis] + xbar
                 assert np.max(np.abs(both - c @ x @ c)) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(3, 6), (6, 3)], ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_rectangular_matches_projector_products(self, shape):
+        # d x n data, the paper's XC, CX and CXC case; once refused as non-square
+        x = np.random.default_rng(10).standard_normal(shape)
+        c_d = centering_matrix(shape[0])
+        c_n = centering_matrix(shape[1])
+        expected = {CenteringMode.CX: c_d @ x, CenteringMode.XC: x @ c_n,
+                    CenteringMode.CXC: c_d @ x @ c_n}
+        for mode, target in expected.items():
+            centered = classical_center(x, mode)
+            assert centered.shape == shape
+            assert np.max(np.abs(centered - target)) <= 1e-12
 
     def test_mode_parse(self):
         assert CenteringMode.parse("CXC") is CenteringMode.CXC

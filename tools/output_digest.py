@@ -6,9 +6,9 @@ with ``diff``.
 Covers the 24 ``cli_mix`` argvs of ``perfbench/workloads.CliMix`` on the
 inputs seed 7 generates, the few ``EXTRA`` argvs on inputs seed 7 generates
 (inputs outside ``cli_mix``: classes in shuffled order and of sizes that are
-not powers of two, and the scatter and dcca pipelines at sizes ``cli_mix``
-leaves out), ``--help`` of the parser and of every subcommand, and
-``blocklab suite --seed 42``.  Each line holds the exit code
+not powers of two, the scatter and dcca pipelines at sizes ``cli_mix`` leaves
+out, and ``center`` on d × n data), ``--help`` of the parser and of every
+subcommand, and ``blocklab suite --seed 42``.  Each line holds the exit code
 and the SHA-256 of stdout, of stderr and of the JSON document without its
 ``timing`` block (``-`` when no document was written).  The temporary input
 directory is replaced by ``<work>`` before hashing.  One more line per
@@ -48,6 +48,8 @@ EXTRA = [
     ("cca-16x16", ["cca", ("m", 16, 16), ("m", 16, 16)]),
     ("cca-32x32", ["cca", ("m", 32, 32), ("m", 32, 32)]),
     ("dcca-16x16-c5.11", ["dcca", ("m", 16, 16), ("m", 16, 16), ("l", (5, 11))]),
+    ("center-3x6", ["center", ("m", 3, 6)]),
+    ("center-6x3-cx", ["center", ("m", 6, 3), "--mode", "cx"]),
 ]
 
 
