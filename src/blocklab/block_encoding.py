@@ -407,13 +407,24 @@ def adjoint_encoding(be: BlockEncoding) -> BlockEncoding:
     return _Adjoint(be)
 
 
+# Defect sum_j |beta conj(c_j) d_j - y_j| of a preparation pair, per unit of
+# beta, with u = 2^-53; fixed from the operation counts, never measured.
+# c_j^2 takes three roundings, each component of the phase y_j / |y_j| two
+# and d_j = c_j phase_j one; the computed |y_j| cancels, so the defect is at
+# most gamma_6 sum_j |y_j| < 7u beta.  ``definition_defect`` recomputes it
+# with at most 2u beta more, so a valid pair is never refused.
+_PAIR_ROUNDING = 9 * np.finfo(float).eps / 2
+
+
 def make_state_prep_pair(y) -> StatePrepPair:
     """Build a preparation pair for the coefficient vector y.
 
     beta = ||y||_1 and b = ceil(log2(len(y))), at least 1.  Both first columns
     carry sqrt(|y_j|/beta) amplitudes; the coefficient phases are folded into
     the right column, so the pair satisfies the defining sum for signed and
-    complex coefficients directly.
+    complex coefficients directly.  It declares the a-priori defect bound
+    ``_PAIR_ROUNDING`` beta as ``epsilon_y``, and refuses a pair whose
+    measured defect exceeds it.
     """
     y = np.asarray(y, dtype=complex).reshape(-1)
     if y.size == 0 or not np.any(y):
@@ -427,19 +438,17 @@ def make_state_prep_pair(y) -> StatePrepPair:
     nz = np.abs(y) > 0
     phases[: y.size][nz] = y[nz] / np.abs(y[nz])
 
-    p_left = unitary_completion(amps, slots)
-    p_right = unitary_completion(amps * phases, slots)
     pair = StatePrepPair(
-        p_left=p_left, p_right=p_right, coefficients=y.copy(),
-        beta=beta, prep_qubits=b, epsilon_y=0.0,
+        p_left=unitary_completion(amps, slots),
+        p_right=unitary_completion(amps * phases, slots),
+        coefficients=y.copy(), beta=beta, prep_qubits=b,
+        epsilon_y=_PAIR_ROUNDING * beta,
     )
     defect = pair.definition_defect()
-    if defect > 1e-12:
-        raise ValueError(f"state preparation pair defect {defect:.3e} exceeds 1e-12")
-    return StatePrepPair(
-        p_left=p_left, p_right=p_right, coefficients=y.copy(),
-        beta=beta, prep_qubits=b, epsilon_y=defect,
-    )
+    if not defect <= pair.epsilon_y:
+        raise ValueError(f"state preparation pair defect {defect:.3e} exceeds "
+                         f"its bound {pair.epsilon_y:.3e}")
+    return pair
 
 
 def linear_combination(

@@ -1,17 +1,15 @@
 """Centering-specific unitaries and encodings: the reflection-based centering
-unitary, the (1,1,0) encoding of the centering projector C = I - (1/n) ee^T
-over the true samples (per class when the slots carry classes), and the
-encodings of the class-similarity matrix E and of its square root E^1/2 on
-the same slots, both one real Hermitian leaf on one ancilla.
+unitary, and one real symmetric leaf law on one ancilla that encodes the
+centering projector C = I - (1/n) ee^T over the true samples (per class when
+the slots carry classes), the class-similarity matrix E and its square root
+E^1/2 on the same slots.
 
 The register slots are the one class layout: each slot holds a class or is
 empty, in the samples' own order.  The centering encoding removes each class
 mean over its own samples, and the similarity encodings link the slots of
-one class; all are zero on empty slots.  The (1/2, -1/2) preparation pair
-and the identity leaf are built once per size, and the one-class reflection
-once per (n, size); they are shared by every centering encoding that uses
-them.  Each call still returns a new combination node, and the size cap is
-checked on every call.
+one class; all are zero on empty slots.  The one-class centering leaf is
+built once per (n, size) and shared by every call that asks for it; the
+size cap is checked on every call.
 """
 
 from __future__ import annotations
@@ -20,13 +18,7 @@ import functools
 
 import numpy as np
 
-from .block_encoding import (
-    BlockEncoding,
-    StatePrepPair,
-    linear_combination,
-    make_state_prep_pair,
-    trivial_encoding,
-)
+from .block_encoding import BlockEncoding
 from .matrix_core import ensure_dimension, is_power_of_two, kron, next_power_of_two, qubit_count
 
 __all__ = [
@@ -40,14 +32,18 @@ _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 # Round-off of a class leaf's block, read as alpha * block, per unit of
 # alpha, with u = 2^-53; fixed from the operation counts, never measured.
-# On class g every entry of the block is the same number cos_g / n_g: for E,
-# 1 / n_max (one rounding), and for E^1/2, 1 / sqrt(n_max n_g) of an exact
-# integer (two).  alpha is n_max (exact) or sqrt(n_max) (one rounding), and
-# scaling the block by it rounds once more, so each entry alpha cos_g / n_g
-# of alpha * block is within gamma_4 = 4u / (1 - 4u) < 5u of its target,
-# relatively.  The error on class g is then e_g 1_g 1_g^T with
-# |e_g| < 5u alpha cos_g / n_g, of norm n_g |e_g| < 5u alpha; classes are
-# orthogonal, and off-class entries and empty slots are exact zeros.
+# For E and E^1/2 every entry of the block on class g is the same number
+# cos_g / n_g: for E, 1 / n_max (one rounding), and for E^1/2,
+# 1 / sqrt(n_max n_g) of an exact integer (two).  alpha is n_max (exact) or
+# sqrt(n_max) (one rounding), and scaling the block by it rounds once more,
+# so each entry alpha cos_g / n_g of alpha * block is within
+# gamma_4 = 4u / (1 - 4u) < 5u of its target, relatively.  The error on
+# class g is then e_g 1_g 1_g^T with |e_g| < 5u alpha cos_g / n_g, of norm
+# n_g |e_g| < 5u alpha.  For C (alpha 1, exact) the block on class g is
+# -1 / n_g off the diagonal and 1 - 1 / n_g on it: the error is e_g 1_g 1_g^T
+# with |e_g| <= u / n_g, plus a diagonal of the subtraction's roundings,
+# each at most u, so its norm is at most 2u.  Classes are orthogonal, and
+# off-class entries and empty slots are exact zeros.
 _CLASS_LEAF_ROUNDING = 5 * np.finfo(float).eps / 2
 
 
@@ -102,90 +98,66 @@ def _slots(classes, dim: int | None) -> np.ndarray:
     return slots
 
 
-def _reflection(slots: np.ndarray) -> np.ndarray:
-    """R = I - 2C for C = sum_g (P_g - u_g u_g^dag), in closed form.
-
-    On a slot of class g with n_g samples the row is 2/n_g over the class
-    minus the diagonal; an empty slot keeps R = I.  R is an exact
-    reflection because C is a projector.
-    """
-    occupied = slots >= 0
-    weight = np.zeros(slots.size)
-    weight[occupied] = 2.0 / np.bincount(slots[occupied])[slots[occupied]]
-    same = (slots[:, None] == slots[None, :]) & occupied[:, None]
-    r = np.where(same, weight[:, None], 0.0).astype(complex)
-    r[np.diag_indices(slots.size)] -= np.where(occupied, 1.0, -1.0)
-    return r
-
-
 @functools.lru_cache(maxsize=None)
-def _centering_pair(dim: int) -> tuple[StatePrepPair, BlockEncoding]:
-    """The (1/2, -1/2) pair and the identity leaf on a dim-slot register.
-
-    Every centering encoding of that size shares them, so the pair's arrays
-    are frozen.  The sizes are powers of two under the cap, so the cache
-    holds at most one entry per allowed qubit count.
-    """
-    pair = make_state_prep_pair(np.array([0.5, -0.5]))
-    for m in (pair.p_left, pair.p_right, pair.coefficients):
-        m.setflags(write=False)
-    return pair, trivial_encoding(np.eye(dim, dtype=complex))
-
-
-@functools.lru_cache(maxsize=None)
-def _total_reflection(n: int, dim: int) -> BlockEncoding:
-    """The reflection leaf of one class on the first n of dim slots."""
-    return trivial_encoding(_reflection(_slots(n, dim)))
+def _one_class_centering(n: int, dim: int) -> BlockEncoding:
+    """The immutable centering leaf of one class on the first n of dim slots,
+    shared by every call for that layout."""
+    return _class_leaf(_slots(n, dim), "center")
 
 
 def centering_encoding(classes, dim: int | None = None) -> BlockEncoding:
-    """(1, 1, 0) encoding of the zero-embedded projector C = sum_g (P_g - u_g u_g^dag).
+    """(1, 1, eps) encoding of the zero-embedded projector C = sum_g (P_g - u_g u_g^dag).
 
     P_g projects onto the register slots of class g and u_g is the uniform
     state over them, so C removes each class mean over the true samples and
     is exactly zero on empty slots.  ``classes`` is a sample count n (one
     class; the block is ``centering_matrix(n)`` zero-embedded) or the class
     of each slot, -1 for an empty one; slots past them, up to ``dim``, are
-    empty.  The identity and the reflection R = I - 2C combine with
-    coefficients (1/2, -1/2).
+    empty.  C is a projector, so the leaf [[C, I - C], [I - C, -C]] is a
+    real symmetric unitary; it declares the a-priori round-off bound
+    ``_CLASS_LEAF_ROUNDING``.
     """
     slots = _slots(classes, dim)
-    pair, eye = _centering_pair(slots.size)
+    ensure_dimension(2 * slots.size)  # a cached leaf is not certified again
     if isinstance(classes, (int, np.integer)):
-        reflect = _total_reflection(int(classes), slots.size)
-    else:
-        reflect = trivial_encoding(_reflection(slots))
-    return linear_combination(pair, (eye, reflect), common_alpha=1.0)
+        return _one_class_centering(int(classes), slots.size)
+    return _class_leaf(slots, "center")
 
 
-def _class_leaf(classes, dim: int | None, root: bool) -> BlockEncoding:
-    """The real Hermitian unitary [[A, S], [S, -A]] on one ancilla, with
-    A = sum_g cos_g u_g u_g^dag and S = sqrt(I - A^2), on the slots of
-    ``_slots(classes, dim)``.
+def _class_leaf(slots: np.ndarray, law: str) -> BlockEncoding:
+    """The real symmetric unitary [[A, S], [S, -A]] on one ancilla over ``slots``.
 
-    cos_g is n_g / n_max, or sqrt(n_g / n_max) when ``root``; A and S commute
-    and A^2 + S^2 = I, so the leaf is its own inverse.  S is I on the empty
-    slots and on the complement of the u_g, and sin_g on u_g.  Every square
-    root is of an exact integer.
+    On the occupied slots A = sum_g (a_g u_g u_g^dag + b (P_g - u_g u_g^dag))
+    and S = sqrt(I - A^2); on the empty ones A = 0 and S = I.  A and S
+    commute and A^2 + S^2 = I, so the leaf is its own inverse.  The law is
+    "center" (a_g = 0, b = 1: A = C, S = I - C, alpha 1), "similarity"
+    (a_g = n_g / n_max, b = 0: A = E / n_max, alpha n_max) or "root"
+    (a_g = sqrt(n_g / n_max), b = 0: A = E^1/2 / sqrt(n_max), alpha
+    sqrt(n_max)).  On class g, A and S are b I and (1 - b) I plus the
+    numbers (a_g - b) / n_g and (sin_g - 1 + b) / n_g; every square root is
+    of an exact integer.
     """
-    slots = _slots(classes, dim)
     occupied = slots >= 0
     counts = np.bincount(slots[occupied])[slots[occupied]]
     n_max = int(counts.max())
-    if root:
-        entry = 1.0 / np.sqrt(n_max * counts)  # cos_g / n_g
-        sine = np.sqrt(n_max * (n_max - counts)) / n_max
-        alpha = float(np.sqrt(n_max))
+    if law == "center":
+        b, alpha = 1.0, 1.0
+        a_g, s_g = -1.0 / counts, 1.0 / counts
+    elif law == "root":
+        b, alpha = 0.0, float(np.sqrt(n_max))
+        a_g = 1.0 / np.sqrt(n_max * counts)  # cos_g / n_g
+        s_g = (np.sqrt(n_max * (n_max - counts)) / n_max - 1.0) / counts
     else:
-        entry = np.full(counts.shape, 1.0 / n_max)
-        sine = np.sqrt((n_max - counts) * (n_max + counts)) / n_max
-        alpha = float(n_max)
+        b, alpha = 0.0, float(n_max)
+        a_g = np.full(counts.shape, 1.0 / n_max)
+        s_g = (np.sqrt((n_max - counts) * (n_max + counts)) / n_max - 1.0) / counts
     same = (slots[:, None] == slots[None, :]) & occupied[:, None]
     a, s = np.zeros((2, slots.size))
-    a[occupied] = entry
-    s[occupied] = (sine - 1.0) / counts
+    a[occupied] = a_g
+    s[occupied] = s_g
     a, s = (np.where(same, v[:, None], 0.0) for v in (a, s))
-    s[np.diag_indices(slots.size)] += 1.0
+    a[np.diag_indices(slots.size)] += b * occupied
+    s[np.diag_indices(slots.size)] += np.where(occupied, 1.0 - b, 1.0)
     return BlockEncoding(np.block([[a, s], [s, -a]]), alpha=alpha, ancillas=1,
                          epsilon=_CLASS_LEAF_ROUNDING * alpha,
                          system_qubits=qubit_count(slots.size))
@@ -202,7 +174,7 @@ def similarity_encoding(classes, dim: int | None = None) -> BlockEncoding:
     written in closed form.  It declares the a-priori round-off bound
     ``_CLASS_LEAF_ROUNDING`` per unit of alpha.
     """
-    return _class_leaf(classes, dim, root=False)
+    return _class_leaf(_slots(classes, dim), "similarity")
 
 
 def similarity_root(classes, dim: int | None = None) -> BlockEncoding:
@@ -212,4 +184,4 @@ def similarity_root(classes, dim: int | None = None) -> BlockEncoding:
     E^1/2 is symmetric and squares to E, so B = E^1/2 C X^dag has the Gram
     matrix X C E C X^dag.
     """
-    return _class_leaf(classes, dim, root=True)
+    return _class_leaf(_slots(classes, dim), "root")

@@ -20,7 +20,9 @@ import scipy.linalg
 
 from .block_encoding import BlockEncoding
 from .matrix_core import (
+    CapExceededError,
     as_complex_matrix,
+    cap_qubits,
     ensure_dimension,
     is_hermitian,
     is_unitary_matrix,
@@ -98,8 +100,8 @@ def _hermitian_form(u: np.ndarray, negate: slice) -> np.ndarray:
         1/2 [[U + U^dag, U^dag - U], [U - U^dag, -(U + U^dag)]]:
 
     Hermitian, unitary, and with the leading block of U intact.  The
-    scatter encodings are Gram nodes, Hermitian by construction, so they
-    take the first branch.
+    scatter encodings (Gram nodes) and the centering and similarity leaves
+    are Hermitian by construction, so they take the first branch.
     """
     d = u.shape[0]
     if _is_hermitian_by_rows(u):
@@ -124,7 +126,9 @@ def walk_operator(be: BlockEncoding) -> np.ndarray:
     U~ is a Hermitian representative of the encoding (U itself, or its
     dilation on one more ancilla; see ``_hermitian_form``) and Pi_0 projects
     the ancillas onto |0...0>.  Scatter encodings are Hermitian Gram nodes,
-    so their walk has the encoding's own dimension, with no dilation.
+    and the centering encoding is the real symmetric leaf
+    [[C, I - C], [I - C, -C]], so their walks have the encoding's own
+    dimension, with no dilation.
     The reflection is diagonal, so W is U~ with every row outside the
     ancilla-zero block negated, written straight from U into one buffer.  For
     every eigenvalue lambda of the encoded Hermitian operator, W has an
@@ -210,8 +214,14 @@ def phase_estimation(
     ``nonnegative_spectrum`` is set; for the walk operator it is
     alpha * cos(2*pi*phase), with the readout folded to phase <= 1/2 because
     the walk's eigenphases come in +/- pairs of equal weight.  Reconstructed
-    values are clipped to the certified range [-alpha, alpha].
+    values are clipped to the certified range [-alpha, alpha].  ``t_bits``
+    above ``cap_qubits()`` raises ``CapExceededError`` before any allocation.
     """
+    if t_bits < 1:
+        raise ValueError("t_bits must be positive")
+    if t_bits > (qubits := cap_qubits()):  # exponents compared: no 2^t_bits is formed
+        raise CapExceededError(f"phase register of {t_bits} qubits exceeds the "
+                               f"simulator cap of {qubits} qubits")
     u = as_complex_matrix(u)
     state = np.asarray(eigenstate, dtype=complex).reshape(-1)
     if state.shape[0] != u.shape[0]:
@@ -221,8 +231,6 @@ def phase_estimation(
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError("eigenstate must be normalized")
-    if t_bits < 1:
-        raise ValueError("t_bits must be positive")
     if not is_unitary_matrix(u, 1e-10):  # last: the only O(d^3) check
         raise ValueError("phase estimation requires a unitary operator")
 

@@ -35,8 +35,8 @@ def test_criterion(battery, cid):
 
 
 def test_criterion_4_counts_distinct_composites(battery):
-    # centering encodings share cached leaves but each is its own node
-    assert battery[4].details["compositions"] == 580
+    # a centering encoding is one leaf, so it adds no composite of its own
+    assert battery[4].details["compositions"] == 565
 
 
 def test_budgeted_criteria(battery):

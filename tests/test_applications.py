@@ -150,7 +150,7 @@ class TestScatterWithin:
         assert (sw.kind, sw.dim) == (st.kind, st.dim) == ("gram", 256)
         (b,) = sw.children
         cent, adj = b.children
-        assert (b.kind, cent.kind, adj.kind) == ("product", "lcu", "adjoint")
+        assert (b.kind, cent.kind, adj.kind) == ("product", "leaf", "adjoint")
         assert adj.children[0].kind == "leaf"
 
     @pytest.mark.parametrize("sizes", [(3, 5), (2, 6), (1, 3), (2, 2, 2, 2), (5,)])

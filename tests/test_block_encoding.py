@@ -198,6 +198,33 @@ class TestStatePrepPair:
         with pytest.raises(ValueError):
             make_state_prep_pair(np.zeros(3))
 
+    @pytest.mark.parametrize("y", [[1e4, -1e4], [1e6, 1e6, 1e6], [3e4, -1e5, 7e3],
+                                   [1e8, -2e8j, 5e7 + 5e7j], [1e300, -1e300]])
+    def test_large_coefficients_build(self, y):
+        pair = make_state_prep_pair(y)
+        assert pair.epsilon_y == 9 * (np.finfo(float).eps / 2) * pair.beta
+        assert pair.definition_defect() <= pair.epsilon_y
+
+    def test_declared_defect_bounds_the_pair(self):
+        # epsilon_y = 9u beta, fixed in advance, against the defect of the
+        # stored amplitudes evaluated in extended precision
+        if np.finfo(np.longdouble).nmant <= np.finfo(float).nmant:
+            pytest.skip("np.longdouble carries no extra precision on this platform")
+        rng = np.random.default_rng(21)
+        ld = np.longdouble
+        for i in range(1200):
+            m = int(rng.integers(1, 17))
+            y = rng.standard_normal(m) * 10.0 ** rng.uniform(-100, 100)
+            if i % 2:
+                y = y + 1j * rng.standard_normal(m) * 10.0 ** rng.uniform(-100, 100)
+            pair = make_state_prep_pair(y)
+            c, d = pair.p_left[:, 0], pair.p_right[:, 0]
+            assert not c.imag.any() and not c[m:].any() and not d[m:].any()
+            cr, dr, di = c.real.astype(ld), d.real.astype(ld), d.imag.astype(ld)
+            er = ld(pair.beta) * cr[:m] * dr[:m] - y.real.astype(ld)
+            ei = ld(pair.beta) * cr[:m] * di[:m] - np.imag(y).astype(ld)
+            assert np.sum(np.sqrt(er * er + ei * ei)) <= pair.epsilon_y
+
 
 class TestLinearCombination:
     def test_centering_from_identity_and_reflection(self):

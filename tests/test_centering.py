@@ -235,13 +235,23 @@ def class_leaf_cases(seed):
     return cases
 
 
-class TestClassLeaf:
-    """E and E^1/2 are one real Hermitian leaf [[A, S], [S, -A]] on one ancilla."""
+def class_block(law, k):
+    """The exact target on one class of k slots, in extended precision."""
+    if law == "center":
+        return np.eye(k, dtype=np.longdouble) - 1 / np.longdouble(k)
+    return np.full((k, k), 1 / np.sqrt(np.longdouble(k)) if law == "root" else np.longdouble(1))
 
-    @pytest.mark.parametrize("make", [similarity_encoding, similarity_root],
-                             ids=["similarity", "root"])
-    def test_real_hermitian_unitary(self, make):
-        be = make(shuffled_labels((3, 5, 4)))
+
+LEAF_LAWS = {"similarity": similarity_encoding, "root": similarity_root,
+             "center": centering_encoding}
+
+
+class TestClassLeaf:
+    """C, E and E^1/2 are one real Hermitian leaf [[A, S], [S, -A]] on one ancilla."""
+
+    @pytest.mark.parametrize("law", ["similarity", "root", "center"])
+    def test_real_hermitian_unitary(self, law):
+        be = LEAF_LAWS[law](shuffled_labels((3, 5, 4)))
         u = be.unitary
         s = be.system_dim
         assert be.kind == "leaf" and be.ancillas == 1 and not be.children
@@ -250,6 +260,30 @@ class TestClassLeaf:
         np.testing.assert_array_equal(u[s:, s:], -u[:s, :s])
         np.testing.assert_array_equal(u[:s, s:], u[s:, :s])
         assert is_unitary(u, 1e-14)
+
+    @pytest.mark.parametrize("classes", [2, 3, 5, 12, 16, 32, "padded"])
+    def test_centering_leaf(self, classes):
+        # the label layout (3, 5, 4) is test_real_hermitian_unitary[center]
+        if classes == "padded":
+            classes = np.array([1, -1, 0, 1, 1, -1, 0])
+        be = centering_encoding(classes)
+        u = be.unitary
+        s = be.system_dim
+        assert (be.kind, be.alpha, be.ancillas, be.children) == ("leaf", 1.0, 1, ())
+        assert not u.imag.any()
+        np.testing.assert_array_equal(u, u.T)
+        assert is_unitary(u, 1e-14)
+        # [[C, I - C], [I - C, -C]]
+        np.testing.assert_allclose(u[:s, s:], np.eye(s) - u[:s, :s], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(u[s:, s:], -u[:s, :s])
+
+    def test_one_class_centering_is_the_projector_bit_for_bit(self):
+        for n in (1, 3, 6, 16):
+            be = centering_encoding(n)
+            blk = extract_block(be)
+            np.testing.assert_array_equal(blk[:n, :n], centering_matrix(n))
+            assert verify(be, zero_embedded(centering_matrix(n), be.system_dim),
+                          tol=0).distance_measured == 0.0
 
     def test_root_squares_to_similarity(self):
         labels = shuffled_labels((3, 5, 4))
@@ -262,15 +296,16 @@ class TestClassLeaf:
         np.testing.assert_allclose(half[:12, :12], similarity(labels) / np.sqrt(counts),
                                    rtol=1e-15, atol=0)
 
-    @pytest.mark.parametrize("root", [False, True], ids=["similarity", "root"])
-    def test_declared_epsilon_bounds_the_block(self, root):
+    @pytest.mark.parametrize("law", ["similarity", "root", "center"])
+    def test_declared_epsilon_bounds_the_block(self, law):
         # the a-priori bound 5u alpha, checked in extended precision: the
         # error is zero off the classes, so its norm is the largest over the
         # class blocks, each bounded by its Frobenius norm
         if np.finfo(np.longdouble).nmant <= np.finfo(float).nmant:
             pytest.skip("np.longdouble carries no extra precision on this platform")
-        for slots in class_leaf_cases(50 + root):
-            be = (similarity_root if root else similarity_encoding)(slots)
+        seed = {"similarity": 50, "root": 51, "center": 52}[law]
+        for slots in class_leaf_cases(seed):
+            be = LEAF_LAWS[law](slots)
             assert be.epsilon == 5 * (np.finfo(float).eps / 2) * be.alpha
             block = be.extract_block()
             assert not block.imag.any()
@@ -280,8 +315,7 @@ class TestClassLeaf:
             worst = np.longdouble(0.0)
             for g in np.flatnonzero(counts):
                 idx = occupied[slots[occupied] == g]
-                value = 1 / np.sqrt(np.longdouble(counts[g])) if root else np.longdouble(1)
-                err[np.ix_(idx, idx)] += value
+                err[np.ix_(idx, idx)] += class_block(law, counts[g])
                 worst = max(worst, np.sqrt(np.sum(err[np.ix_(idx, idx)] ** 2)))
                 err[np.ix_(idx, idx)] = 0.0
             assert not err.any()
@@ -290,10 +324,15 @@ class TestClassLeaf:
 
 class TestCenteringTermsCache:
     def test_fresh_node_shared_leaves(self):
+        # one-class calls share one cached leaf; a slot layout builds its own
         a, b = centering_encoding(8), centering_encoding(8)
-        assert a is not b and a.kind == b.kind == "lcu"
-        assert a.pair is b.pair
-        assert all(x is y for x, y in zip(a.children, b.children, strict=True))
+        assert a is b and a.kind == "leaf"
+        assert centering_encoding(5) is centering_encoding(5, 8) is not centering_encoding(5, 16)
+        slots = np.zeros(8, dtype=int)
+        c = centering_encoding(slots)
+        assert c is not a and c is not centering_encoding(slots)
+        np.testing.assert_array_equal(c.unitary, a.unitary)
+        assert not a.unitary.flags.writeable
 
     def test_build_uc_not_cached(self):
         centering_encoding(4)
@@ -306,6 +345,16 @@ class TestCenteringTermsCache:
         with pytest.raises(CapExceededError,
                            match=r"^dimension 32 exceeds the simulator cap 2\*\*4 = 16$"):
             centering_encoding(32)
+
+    def test_cap_checked_on_the_leaf_dimension(self, monkeypatch):
+        # the 16 slots fit under the cap, but the cached leaf's unitary does not
+        centering_encoding(16)
+        monkeypatch.setenv("BLOCKLAB_CAP_QUBITS", "4")
+        with pytest.raises(CapExceededError,
+                           match=r"^dimension 32 exceeds the simulator cap 2\*\*4 = 16$"):
+            centering_encoding(16)
+        with pytest.raises(CapExceededError):
+            centering_encoding(np.zeros(16, dtype=int))
 
 
 def class_centering_oracle(slots):

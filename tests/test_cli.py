@@ -137,6 +137,16 @@ def test_cap_exceeded_exit_code(fixtures, monkeypatch):
     assert main(["pca", str(paths["x"])]) == EXIT_CAP
 
 
+def test_phase_register_over_the_cap_exit_code(fixtures, monkeypatch, capsys):
+    tmp, paths = fixtures
+    monkeypatch.delenv("BLOCKLAB_CAP_QUBITS", raising=False)
+    assert main(["pca", str(paths["x"]), "--t-bits", "15",
+                 "--out", str(tmp / "pca.json")]) == EXIT_CAP
+    assert capsys.readouterr().err == (
+        "error: phase register of 15 qubits exceeds the simulator cap of 14 qubits\n")
+    assert not (tmp / "pca.json").exists()
+
+
 def test_verification_failure_exit_code(fixtures):
     tmp, paths = fixtures
     # a zero tolerance cannot be met by the floating-point pencil comparison

@@ -185,11 +185,19 @@ class TestWalkOneBuffer:
             walk_operator(be)
 
     def test_cap_checked_on_dilated_dimension(self, monkeypatch):
-        be = centering_encoding(2)  # its LCU unitary is not Hermitian
+        # a Hermitian block, but the data leaf's unitary is not Hermitian
+        be = matrix_encoding(np.array([[1.0, 2.0], [2.0, -1.0]]))
         assert be.unitary.shape == (4, 4)  # built under the default cap
+        assert not np.allclose(be.unitary, be.unitary.conj().T)
         monkeypatch.setenv("BLOCKLAB_CAP_QUBITS", "2")
         with pytest.raises(CapExceededError):
             walk_operator(be)
+
+    def test_centering_walk_is_not_dilated(self, monkeypatch):
+        be = centering_encoding(16)
+        assert be.unitary.shape == (32, 32)
+        monkeypatch.setenv("BLOCKLAB_CAP_QUBITS", "5")
+        assert walk_operator(be).shape == (32, 32)
 
     def test_scatter_walk_is_not_dilated(self, monkeypatch):
         be = scatter_total_encoding(np.random.default_rng(17).standard_normal((2, 2)))
@@ -329,6 +337,16 @@ class TestPhaseEstimation:
     def test_cheap_checks_refuse_before_unitarity(self, state, t_bits, message):
         with pytest.raises(ValueError, match=message):
             phase_estimation(np.diag([1.0, 2.0]), np.array(state), t_bits)
+
+    def test_phase_register_checked_against_the_cap(self, monkeypatch):
+        # refused before the operator or the state is read, and before any
+        # 2^t_bits grid is formed
+        monkeypatch.setenv("BLOCKLAB_CAP_QUBITS", "4")
+        for t_bits in (5, 10**18):
+            with pytest.raises(CapExceededError, match=(
+                    f"^phase register of {t_bits} qubits exceeds the simulator cap of 4 qubits$")):
+                phase_estimation(None, None, t_bits)
+        assert phase_estimation(np.eye(2), np.array([1.0, 0.0]), 4).distribution.size == 16
 
     def test_unnormalized_state_rejected(self):
         with pytest.raises(ValueError):
