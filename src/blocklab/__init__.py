@@ -18,13 +18,11 @@ from .matrix_core import (
 )
 from .block_encoding import (
     BlockEncoding,
-    StatePrepPair,
     VerificationReport,
     adjoint_encoding,
+    difference_encoding,
     extract_block,
     gram_encoding,
-    linear_combination,
-    make_state_prep_pair,
     product,
     trivial_encoding,
     verify,

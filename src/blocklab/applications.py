@@ -3,11 +3,12 @@ discriminant and canonical correlation analyses (plain and class-aware), and
 least squares on the centered design, each cross-checked classically.
 
 Layout conventions: data matrices store samples as columns, in the order
-given; class labels are never regrouped.  Inputs are zero-embedded into
-power-of-two squares before encoding, and every centering and similarity
-encoding reads the class of each sample slot and is zero on the padding
-slots, so each encoded block is the statistic of the unpadded data,
-zero-embedded; the classical comparisons use the unpadded data.
+given (the least-squares design stores them as rows); class labels are never
+regrouped.  Inputs are zero-embedded into power-of-two squares before
+encoding, and every centering and similarity encoding reads the class of
+each sample slot and is zero on the padding slots, so each encoded block is
+the statistic of the unpadded data, zero-embedded; the classical comparisons
+use the unpadded data.
 
 A scatter X C X^dag is the Gram matrix B^dag B of B = C X^dag, because the
 centering projector satisfies C = C^dag = C^2.  Its encoding is the Gram
@@ -17,8 +18,8 @@ operand is built from such Gram nodes: the CCA denominator
 diag(X C X^dag, Y C Y^dag) is the within-class scatter of [[X, 0], [0, Y]],
 and the total scatter of the stacked views [X; Y] adds the dilation of
 X C Y^dag to it, so CCA pencils that against the denominator and subtracts
-1.  DCCA's numerator, the dilation of X C E C Y^dag, is half the difference
-of the Gram nodes of E^1/2 C [X; +-Y]^dag.
+1.  DCCA's numerator, the dilation of X C E C Y^dag, is the difference node,
+half the difference, of the Gram nodes of E^1/2 C [X; +-Y]^dag.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ import numpy as np
 from .block_encoding import (
     BlockEncoding,
     adjoint_encoding,
+    difference_encoding,
     gram_encoding,
-    linear_combination,
-    make_state_prep_pair,
     product,
 )
 from .centering import centering_encoding, similarity_root
@@ -327,8 +327,10 @@ def class_correlation_encoding(ds_x: LabeledDataset, ds_y: LabeledDataset) -> Bl
     class; both views must carry the same label for every sample.  The
     stacked views Z+- = [X; +-Y] (Y from row dim, as ``cca`` stacks them)
     have Z C E C Z^dag = [[P, +-M], [+-M^dag, R]], the Gram matrix of
-    B = E^1/2 C Z^dag, so H_d is the (1/2, -1/2) combination of two Gram
-    nodes with the same alpha = n_max (||X||_F^2 + ||Y||_F^2) and ancillas.
+    B = E^1/2 C Z^dag, so H_d = (G+ - G-)/2 is the difference node of two
+    Gram nodes with the same alpha = n_max (||X||_F^2 + ||Y||_F^2) and
+    ancillas.  Both Gram unitaries are Hermitian, so this one is too, and its
+    walk needs no dilation.
     """
     if not np.array_equal(ds_x.labels, ds_y.labels):
         raise ValueError("both views must carry the same label for every sample")
@@ -337,7 +339,7 @@ def class_correlation_encoding(ds_x: LabeledDataset, ds_y: LabeledDataset) -> Bl
     root = similarity_root(_class_ids(ds_x), 2 * dim)
     top, bottom = embed_power_of_two(x, dim), embed_power_of_two(y, dim)
     grams = [_scatter(np.vstack([top, sign * bottom]), x.shape[1], root) for sign in (1, -1)]
-    return linear_combination(make_state_prep_pair([0.5, -0.5]), grams, grams[0].alpha)
+    return difference_encoding(*grams)
 
 
 def dcca(ds_x: LabeledDataset, ds_y: LabeledDataset, d: int) -> EigenResult:
@@ -358,19 +360,19 @@ def dcca(ds_x: LabeledDataset, ds_y: LabeledDataset, d: int) -> EigenResult:
 def ols(x, y_vec) -> RegressionResult:
     """Least squares on the centered design C X, solved two ways.
 
-    The closed form pinv(X^T C X) X^T C y and the least-squares solve against
-    the block extracted from the centered-design encoding must agree within
-    1e-8; rank deficiency is resolved by the pseudo-inverse and reported via
-    the effective rank.
+    The design stores samples as rows and regressors as columns, of any
+    shape; C centers its rows, so y holds one entry per row and beta one per
+    column.  The closed form pinv(X^T C X) X^T C y and the least-squares solve
+    against the block extracted from the centered-design encoding must agree
+    within 1e-8; rank deficiency is resolved by the pseudo-inverse and
+    reported via the effective rank.
     """
     from .mean_centering import CenteringMode, mc_encoding
 
     x = as_complex_matrix(x)
     y = np.asarray(y_vec, dtype=complex).reshape(-1)
-    if x.shape[0] != x.shape[1]:
-        raise ValueError("design matrix must be square (samples as columns)")
-    if y.shape[0] != x.shape[1]:
-        raise ValueError("target vector length must match the sample count")
+    if y.shape[0] != x.shape[0]:
+        raise ValueError("target vector length must match the sample (row) count")
     closed = ols_closed_form(x, y)
     be = mc_encoding(x, CenteringMode.CX)
     design = be.alpha * be.extract_block()

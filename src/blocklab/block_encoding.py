@@ -1,5 +1,5 @@
-"""Block-encoding algebra: construction, verification, products, and linear
-combinations of block-encoded operators.
+"""Block-encoding algebra: construction, verification, products, and
+differences of block-encoded operators.
 
 A block-encoding certifies that a target operator A sits, scaled by 1/alpha,
 in the leading 2^s x 2^s block of a unitary on s system qubits plus a ancilla
@@ -10,7 +10,7 @@ qubits (ancillas most significant):
 Every encoding is a node of one composition tree.  A ``BlockEncoding`` built
 from a matrix is a leaf.  A leaf may also be lazy, like the data encoding:
 it holds its encoded block and builds its unitary on first read.  A
-composite (product, linear combination, adjoint, Gram, and the Hermitian
+composite (product, difference, adjoint, Gram, and the Hermitian
 dilation of ``data_encoding``) holds its child encodings in ``children``,
 derives its own (alpha, ancillas, epsilon) and dimension from them by its
 composition law, and materializes the full unitary only on demand; the
@@ -21,7 +21,6 @@ the node.  Tests cross-check those laws against the materialized unitaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -32,20 +31,17 @@ from .matrix_core import (
     is_unitary_matrix,
     qubit_count,
     spectral_norm,
-    unitary_completion,
 )
 
 __all__ = [
     "BlockEncoding",
-    "StatePrepPair",
     "VerificationReport",
     "trivial_encoding",
     "extract_block",
     "verify",
     "product",
     "adjoint_encoding",
-    "make_state_prep_pair",
-    "linear_combination",
+    "difference_encoding",
     "gram_encoding",
 ]
 
@@ -146,29 +142,6 @@ class BlockEncoding:
 
 
 @dataclass(frozen=True)
-class StatePrepPair:
-    """Pair of preparation unitaries whose first-column amplitudes encode the
-    coefficients of a linear combination: beta * conj(c_j) d_j ~ y_j."""
-
-    p_left: np.ndarray
-    p_right: np.ndarray
-    coefficients: np.ndarray
-    beta: float
-    prep_qubits: int
-    epsilon_y: float
-
-    def definition_defect(self) -> float:
-        """Recompute sum_j |beta conj(c_j) d_j - y_j| over the coefficient slots."""
-        c = self.p_left[:, 0]
-        d = self.p_right[:, 0]
-        m = len(self.coefficients)
-        prods = self.beta * np.conj(c[:m]) * d[:m]
-        defect = float(np.abs(prods - self.coefficients).sum())
-        tail = self.beta * np.conj(c[m:]) * d[m:]
-        return defect + float(np.abs(tail).sum())
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     """Measured agreement between an encoding and its classical target."""
 
@@ -226,69 +199,49 @@ class _Product(BlockEncoding):
         return left._block() @ right._block()
 
 
-class _Lcu(BlockEncoding):
-    """(P_L^dag (x) I) [ sum_j |j><j| (x) U_j + rest (x) I ] (P_R (x) I).
+class _Difference(BlockEncoding):
+    """(H (x) I)(|0><0| (x) U_A - |1><1| (x) U_B)(H (x) I), the selector H on
+    one more, most significant, ancilla; in closed form
+    1/2 [[U_A - U_B, U_A + U_B], [U_A + U_B, U_A - U_B]].
 
-    From uniform (alpha, a, eps) terms: alpha' = alpha * beta, a' = a + b and
-    eps' = alpha * eps_y + beta * max_j eps_j, because the error
-    sum_j y_j (A_j - alpha b_j) + alpha sum_j (y_j - beta conj(c_j) d_j) b_j
-    of the blocks b_j has norm at most that.  Its (a, b) block is
-    sum_j conj(P_L[j, a]) P_R[j, b] U_j, with U_j = I on the unused slots;
-    ``_materialize`` builds exactly that.  Corner law: sum_j conj(c_j) d_j
-    (block of U_j), extended over the unused selector slots by
-    conj(c_j) d_j * I (zero for a valid preparation pair).
+    From two (alpha, a, eps) encodings on the same system it encodes
+    (A - B)/2 at the same alpha on a + 1 ancillas.  The weights +-1/2 are
+    exact, so the error (eps_A + eps_B)/2 is at most max(eps_A, eps_B), and
+    the unitary is exactly Hermitian when both children's are.  Corner law:
+    (b_A - b_B)/2 for the blocks b of the children.
     """
 
-    __slots__ = ("pair",)
-    kind = "lcu"
+    __slots__ = ()
+    kind = "difference"
 
-    def __init__(self, pair: StatePrepPair, terms: Sequence[BlockEncoding],
-                 common_alpha: float):
-        if not terms:
-            raise ValueError("at least one encoding is required")
-        first = terms[0]
-        for be in terms:
-            if be.system_qubits != first.system_qubits:
-                raise ValueError("all combined encodings must share the system size")
-            if be.ancillas != first.ancillas:
-                raise ValueError("all combined encodings must share the ancilla count")
-            if be.alpha != common_alpha:
-                raise ValueError("all combined encodings must share alpha")
-        slots = 1 << pair.prep_qubits
-        if len(terms) > slots:
-            raise ValueError(
-                f"{len(terms)} terms exceed the {slots} selector slots of the pair"
-            )
-        if len(pair.coefficients) < len(terms):
-            raise ValueError("fewer coefficients than encodings")
-        object.__setattr__(self, "pair", pair)
-        eps_terms = max(be.epsilon for be in terms)
-        self._certify(common_alpha * pair.beta, first.ancillas + pair.prep_qubits,
-                      common_alpha * pair.epsilon_y + pair.beta * eps_terms,
-                      first.system_qubits, slots * first.dim, terms)
+    def __init__(self, a: BlockEncoding, b: BlockEncoding):
+        if a.system_qubits != b.system_qubits:
+            raise ValueError("both encodings of a difference must share the system size")
+        if a.ancillas != b.ancillas:
+            raise ValueError("both encodings of a difference must share the ancilla count")
+        if a.alpha != b.alpha:
+            raise ValueError("both encodings of a difference must share alpha")
+        self._certify(a.alpha, a.ancillas + 1, max(a.epsilon, b.epsilon),
+                      a.system_qubits, 2 * a.dim, (a, b))
 
     def _materialize(self) -> np.ndarray:
-        p_left, p_right = self.pair.p_left, self.pair.p_right
-        eye = np.eye(self.children[0].dim, dtype=complex)
-        mats = [self.children[j]._dense() if j < len(self.children) else eye
-                for j in range(p_left.shape[0])]
-        out = np.einsum("ja,jb,jxy->axby", p_left.conj(), p_right, np.stack(mats))
-        return out.reshape(self.dim, self.dim)
+        a, b = self.children
+        d = a.dim
+        out = np.empty((2 * d, 2 * d), dtype=complex)
+        diff, total = out[:d, :d], out[:d, d:]
+        diff[...] = total[...] = a._dense()  # one child's unitary alive at a time
+        u_b = b._dense()
+        diff -= u_b
+        total += u_b
+        del u_b
+        out[:d] *= 0.5
+        out[d:, :d] = total
+        out[d:, d:] = diff
+        return out
 
     def _block(self) -> np.ndarray:
-        c = self.pair.p_left[:, 0]
-        d = self.pair.p_right[:, 0]
-        b = self.system_dim
-        out = np.zeros((b, b), dtype=complex)
-        for j in range(len(c)):
-            w = np.conj(c[j]) * d[j]
-            if w == 0:
-                continue
-            if j < len(self.children):
-                out += w * self.children[j]._block()
-            else:
-                out += w * np.eye(b, dtype=complex)
-        return out
+        a, b = self.children
+        return 0.5 * (a._block() - b._block())
 
 
 class _Adjoint(BlockEncoding):
@@ -407,65 +360,16 @@ def adjoint_encoding(be: BlockEncoding) -> BlockEncoding:
     return _Adjoint(be)
 
 
-# Defect sum_j |beta conj(c_j) d_j - y_j| of a preparation pair, per unit of
-# beta, with u = 2^-53; fixed from the operation counts, never measured.
-# c_j^2 takes three roundings, each component of the phase y_j / |y_j| two
-# and d_j = c_j phase_j one; the computed |y_j| cancels, so the defect is at
-# most gamma_6 sum_j |y_j| < 7u beta.  ``definition_defect`` recomputes it
-# with at most 2u beta more, so a valid pair is never refused.
-_PAIR_ROUNDING = 9 * np.finfo(float).eps / 2
+def difference_encoding(a: BlockEncoding, b: BlockEncoding) -> BlockEncoding:
+    """Encoding of (A - B)/2 from encodings of A and B with equal alpha,
+    ancilla count and system size.
 
-
-def make_state_prep_pair(y) -> StatePrepPair:
-    """Build a preparation pair for the coefficient vector y.
-
-    beta = ||y||_1 and b = ceil(log2(len(y))), at least 1.  Both first columns
-    carry sqrt(|y_j|/beta) amplitudes; the coefficient phases are folded into
-    the right column, so the pair satisfies the defining sum for signed and
-    complex coefficients directly.  It declares the a-priori defect bound
-    ``_PAIR_ROUNDING`` beta as ``epsilon_y``, and refuses a pair whose
-    measured defect exceeds it.
+    The two-term combination with exact weights +-1/2 (Gilyen, Su, Low &
+    Wiebe, arXiv:1806.01838): alpha' = alpha, a' = a + 1 and
+    eps' = max(eps_A, eps_B).  The unitary is Hermitian when both children's
+    are, so its walk needs no dilation.
     """
-    y = np.asarray(y, dtype=complex).reshape(-1)
-    if y.size == 0 or not np.any(y):
-        raise ValueError("coefficient vector must be nonzero")
-    beta = float(np.abs(y).sum())
-    b = max(1, int(np.ceil(np.log2(y.size))))
-    slots = 1 << b
-    amps = np.zeros(slots)
-    amps[: y.size] = np.sqrt(np.abs(y) / beta)
-    phases = np.ones(slots, dtype=complex)
-    nz = np.abs(y) > 0
-    phases[: y.size][nz] = y[nz] / np.abs(y[nz])
-
-    pair = StatePrepPair(
-        p_left=unitary_completion(amps, slots),
-        p_right=unitary_completion(amps * phases, slots),
-        coefficients=y.copy(), beta=beta, prep_qubits=b,
-        epsilon_y=_PAIR_ROUNDING * beta,
-    )
-    defect = pair.definition_defect()
-    if not defect <= pair.epsilon_y:
-        raise ValueError(f"state preparation pair defect {defect:.3e} exceeds "
-                         f"its bound {pair.epsilon_y:.3e}")
-    return pair
-
-
-def linear_combination(
-    pair: StatePrepPair,
-    encodings: Sequence[BlockEncoding],
-    common_alpha: float,
-) -> BlockEncoding:
-    """Encoding of sum_j y_j A_j from uniform (alpha, a, eps) encodings A_j.
-
-    The select unitary applies U_j on selector slot j and the identity on the
-    unused slots; conjugating with the preparation pair yields an encoding
-    with alpha' = alpha * beta, a' = a + b, and
-    eps' = alpha * eps_y + beta * max_j eps_j: each term's error enters with
-    its weight |y_j|, which sum to beta, and the pair's defect eps_y with the
-    blocks' scale alpha.
-    """
-    return _Lcu(pair, encodings, common_alpha)
+    return _Difference(a, b)
 
 
 def gram_encoding(be: BlockEncoding) -> BlockEncoding:

@@ -30,9 +30,8 @@ from .applications import (
 from .block_encoding import (
     BlockEncoding,
     adjoint_encoding,
+    difference_encoding,
     gram_encoding,
-    linear_combination,
-    make_state_prep_pair,
     product,
     trivial_encoding,
     verify,
@@ -172,17 +171,18 @@ def criterion_3(seed: int) -> CriterionOutcome:
     )
 
 
-NODE_KINDS = {"leaf", "product", "lcu", "adjoint", "dilation", "gram"}
+NODE_KINDS = {"leaf", "product", "difference", "adjoint", "dilation", "gram"}
 
 
 def _obeys_law(be: BlockEncoding) -> bool:
     """Recompute a node's certificate from its children by its composition law.
 
-    The laws are the product and linear-combination lemmas of Gilyen, Su, Low
-    & Wiebe (arXiv:1806.01838), the Gram node's B^dag B bound from
-    ||B|| <= alpha + eps, plus the register bookkeeping of the adjoint and
-    dilation nodes, written out here independently of ``block_encoding`` and
-    ``data_encoding``.
+    The laws are the product and linear-combination lemmas of Gilyen, Su,
+    Low & Wiebe (arXiv:1806.01838), the latter for the difference node's
+    exact weights +-1/2 at its children's common alpha, the Gram node's
+    B^dag B bound from ||B|| <= alpha + eps, plus the register bookkeeping of
+    the adjoint and dilation nodes, written out here independently of
+    ``block_encoding`` and ``data_encoding``.
     Every node must also satisfy ancillas = log2(dim) - system_qubits.
     """
     ok = be.ancillas == qubit_count(be.dim) - be.system_qubits
@@ -196,11 +196,11 @@ def _obeys_law(be: BlockEncoding) -> bool:
         ok = ok and u.system_qubits == v.system_qubits
         law = (u.alpha * v.alpha, u.ancillas + v.ancillas,
                u.alpha * v.epsilon + v.alpha * u.epsilon)
-    elif be.kind == "lcu":
-        a, pair = first.alpha, be.pair
-        ok = ok and all((k.alpha, k.ancillas) == (a, first.ancillas) for k in kids)
-        law = (a * pair.beta, first.ancillas + pair.prep_qubits,
-               a * pair.epsilon_y + pair.beta * max(k.epsilon for k in kids))
+    elif be.kind == "difference":
+        a, b = kids
+        ok = ok and (a.alpha, a.ancillas, a.system_qubits) == (
+            b.alpha, b.ancillas, b.system_qubits)
+        law = (a.alpha, a.ancillas + 1, max(a.epsilon, b.epsilon))
     elif be.kind == "adjoint":
         law = (first.alpha, first.ancillas, first.epsilon)
     elif be.kind == "gram":
@@ -265,15 +265,13 @@ def _composition_corpus(seed: int) -> list[BlockEncoding]:
         centering_encoding(2),
     ]
 
-    pair = make_state_prep_pair(rng.standard_normal(3))
-
     def grow(be):
         adj = adjoint_encoding(be)
         return [
             adj,
             product(be, adj),
             product(adj, be),
-            linear_combination(pair, [be, adj, be], be.alpha),
+            difference_encoding(be, adj),
             hermitian_dilation(be),
             gram_encoding(be),
             gram_encoding(adj),

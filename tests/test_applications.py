@@ -15,11 +15,19 @@ from blocklab.applications import (
     scatter_total_encoding,
     scatter_within_encoding,
 )
-from blocklab.block_encoding import extract_block, trivial_encoding
+from blocklab.block_encoding import extract_block, trivial_encoding, verify
 from blocklab.centering import centering_matrix
 from blocklab.data_encoding import hermitian_extension, matrix_encoding
 from blocklab.matrix_core import is_unitary, next_power_of_two
-from blocklab.oracles import pencil_blocks, pencil_eigs, scatters, similarity, total_scatter
+from blocklab.oracles import (
+    ols_closed_form,
+    pencil_blocks,
+    pencil_eigs,
+    scatters,
+    similarity,
+    total_scatter,
+)
+from blocklab.spectral import walk_operator
 
 
 def two_cluster_dataset(rng, n=8, gap=6.0):
@@ -536,7 +544,7 @@ class TestDcca:
         chain = class_correlation_encoding(ds_x, ds_y)
         expected = 4 * (np.linalg.norm(ds_x.x) ** 2 + np.linalg.norm(ds_y.x) ** 2)
         assert abs(chain.alpha - expected) <= 1e-12 * expected
-        assert chain.kind == "lcu" and [g.kind for g in chain.children] == ["gram", "gram"]
+        assert chain.kind == "difference" and [g.kind for g in chain.children] == ["gram", "gram"]
         assert chain.children[0].alpha == chain.children[1].alpha
 
     def test_matches_oracle(self):
@@ -615,6 +623,29 @@ class TestDcca:
         oracle = np.block([[np.zeros((16, 16)), m], [m.T, np.zeros((16, 16))]])
         assert np.max(np.abs(chain.alpha * extract_block(chain) - oracle)) <= 1e-12
 
+    def test_numerator_unitary_is_hermitian_and_walks_undilated(self):
+        # the difference of two Hermitian Gram nodes is Hermitian, so its walk
+        # has the encoding's own dimension (a dilated walk would have 2,048)
+        rng = np.random.default_rng(37)
+        labels = np.array([0, 1, 1, 0])
+        x, y = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
+        chain = class_correlation_encoding(LabeledDataset(x, labels), LabeledDataset(y, labels))
+        u = chain.unitary
+        np.testing.assert_array_equal(u, u.conj().T)
+        assert chain.dim == 1024 and walk_operator(chain).shape == (1024, 1024)
+
+    @pytest.mark.parametrize("sizes", [(2, 2), (3, 5), (1, 3), (5, 11)])
+    def test_declared_epsilon_bounds_the_numerator(self, sizes):
+        rng = np.random.default_rng(38)
+        labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        n = labels.size
+        x, y = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        chain = class_correlation_encoding(LabeledDataset(x, labels), LabeledDataset(y, labels))
+        c = centering_matrix(n)
+        m = x @ c @ similarity(labels) @ c @ y.T
+        oracle = np.block([[np.zeros((n, n)), m], [m.T, np.zeros((n, n))]])
+        assert verify(chain, oracle, tol=0).passed
+
 
 class TestOls:
     def test_target_in_design_column_space(self):
@@ -661,3 +692,21 @@ class TestOls:
         c = centering_matrix(8)
         oracle, *_ = np.linalg.lstsq(c @ x, y, rcond=1e-12)
         np.testing.assert_allclose(reg.beta_hat, oracle, atol=1e-8)
+
+    @pytest.mark.parametrize("shape", [(12, 5), (5, 12), (7, 3), (3, 7), (16, 2)])
+    def test_rectangular_design(self, shape):
+        # C centers the rows (samples); beta has one entry per column
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal(shape)
+        y = rng.standard_normal(shape[0])
+        reg = ols(x, y)
+        oracle, *_ = np.linalg.lstsq(centering_matrix(shape[0]) @ x, y, rcond=1e-12)
+        assert reg.beta_hat.shape == (shape[1],)
+        np.testing.assert_allclose(reg.beta_hat, oracle, rtol=0, atol=2e-15)
+        # the closed form solves the normal equations, squaring the condition number
+        np.testing.assert_allclose(reg.beta_hat, ols_closed_form(x, y), rtol=0, atol=1e-14)
+
+    def test_target_length_must_match_the_rows(self):
+        rng = np.random.default_rng(33)
+        with pytest.raises(ValueError, match="row"):
+            ols(rng.standard_normal((12, 5)), rng.standard_normal(5))

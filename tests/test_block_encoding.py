@@ -5,10 +5,9 @@ import scipy.linalg
 from blocklab.block_encoding import (
     BlockEncoding,
     adjoint_encoding,
+    difference_encoding,
     extract_block,
     gram_encoding,
-    linear_combination,
-    make_state_prep_pair,
     product,
     trivial_encoding,
     verify,
@@ -165,152 +164,90 @@ class TestProduct:
             np.testing.assert_allclose(product(u, v).unitary, dense, rtol=0, atol=1e-14)
 
 
-class TestStatePrepPair:
-    def test_uniform_half(self):
-        pair = make_state_prep_pair(np.array([0.5, 0.5]))
-        assert pair.beta == 1.0 and pair.prep_qubits == 1
-        np.testing.assert_allclose(pair.p_left, HADAMARD, atol=1e-15)
-        np.testing.assert_allclose(pair.p_right, HADAMARD, atol=1e-15)
-
-    def test_all_ones(self):
-        for c in (2, 4, 8):
-            pair = make_state_prep_pair(np.ones(c))
-            assert pair.beta == float(c)
-            assert pair.prep_qubits == int(np.log2(c))
-            uniform = np.full(c, 1 / np.sqrt(c))
-            np.testing.assert_allclose(pair.p_left[:, 0], uniform, atol=1e-14)
-            assert pair.definition_defect() <= 1e-12
-
-    def test_signed(self):
-        pair = make_state_prep_pair(np.array([0.5, -0.5]))
-        assert pair.beta == 1.0
-        assert pair.definition_defect() <= 1e-12
-
-    def test_complex_coefficients(self):
-        rng = np.random.default_rng(4)
-        y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        pair = make_state_prep_pair(y)
-        assert pair.definition_defect() <= 1e-12
-        assert is_unitary(pair.p_left, 1e-10)
-        assert is_unitary(pair.p_right, 1e-10)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            make_state_prep_pair(np.zeros(3))
-
-    @pytest.mark.parametrize("y", [[1e4, -1e4], [1e6, 1e6, 1e6], [3e4, -1e5, 7e3],
-                                   [1e8, -2e8j, 5e7 + 5e7j], [1e300, -1e300]])
-    def test_large_coefficients_build(self, y):
-        pair = make_state_prep_pair(y)
-        assert pair.epsilon_y == 9 * (np.finfo(float).eps / 2) * pair.beta
-        assert pair.definition_defect() <= pair.epsilon_y
-
-    def test_declared_defect_bounds_the_pair(self):
-        # epsilon_y = 9u beta, fixed in advance, against the defect of the
-        # stored amplitudes evaluated in extended precision
-        if np.finfo(np.longdouble).nmant <= np.finfo(float).nmant:
-            pytest.skip("np.longdouble carries no extra precision on this platform")
-        rng = np.random.default_rng(21)
-        ld = np.longdouble
-        for i in range(1200):
-            m = int(rng.integers(1, 17))
-            y = rng.standard_normal(m) * 10.0 ** rng.uniform(-100, 100)
-            if i % 2:
-                y = y + 1j * rng.standard_normal(m) * 10.0 ** rng.uniform(-100, 100)
-            pair = make_state_prep_pair(y)
-            c, d = pair.p_left[:, 0], pair.p_right[:, 0]
-            assert not c.imag.any() and not c[m:].any() and not d[m:].any()
-            cr, dr, di = c.real.astype(ld), d.real.astype(ld), d.imag.astype(ld)
-            er = ld(pair.beta) * cr[:m] * dr[:m] - y.real.astype(ld)
-            ei = ld(pair.beta) * cr[:m] * di[:m] - np.imag(y).astype(ld)
-            assert np.sum(np.sqrt(er * er + ei * ei)) <= pair.epsilon_y
+def _difference_terms():
+    rng = np.random.default_rng(17)
+    return {
+        "random-s1-a0": (random_encoding(rng, 1, 0), random_encoding(rng, 1, 0)),
+        "random-s2-a1": (random_encoding(rng, 2, 1), random_encoding(rng, 2, 1)),
+        "scaled-s1-a2": tuple(
+            BlockEncoding(random_unitary(8, rng), alpha=3.0, ancillas=2, epsilon=eps,
+                          system_qubits=1) for eps in (0.5, 0.25)),
+        "gram-s2-a2": tuple(gram_encoding(random_encoding(rng, 2, 1)) for _ in range(2)),
+        "identity-reflection": (trivial_encoding(np.eye(4)), trivial_encoding(build_uc(2))),
+    }
 
 
-class TestLinearCombination:
+class TestDifference:
     def test_centering_from_identity_and_reflection(self):
+        # the paper's C = (I - U_c)/2
         n = 4
-        pair = make_state_prep_pair(np.array([0.5, -0.5]))
-        terms = [trivial_encoding(np.eye(n)), trivial_encoding(build_uc(2))]
-        be = linear_combination(pair, terms, common_alpha=1.0)
+        be = difference_encoding(trivial_encoding(np.eye(n)), trivial_encoding(build_uc(2)))
         assert be.alpha == 1.0 and be.ancillas == 1
         c = np.eye(n) - np.full((n, n), 0.25)
-        np.testing.assert_allclose(be.alpha * extract_block(be), c, atol=1e-12)
+        np.testing.assert_allclose(be.alpha * extract_block(be), c, rtol=0, atol=1e-12)
 
-    def test_degenerate_sum_reproduces_term(self):
-        rng = np.random.default_rng(5)
-        u = random_unitary(4, rng)
-        pair = make_state_prep_pair(np.array([0.5, 0.5]))
-        be = linear_combination(pair, [trivial_encoding(u)] * 2, common_alpha=1.0)
-        np.testing.assert_allclose(be.alpha * extract_block(be), u, atol=1e-12)
+    @pytest.mark.parametrize("name", sorted(_difference_terms()))
+    def test_laws(self, name):
+        a, b = _difference_terms()[name]
+        be = difference_encoding(a, b)
+        assert be.kind == "difference" and be.children == (a, b)
+        assert (be.alpha, be.ancillas, be.system_qubits, be.dim) == (
+            a.alpha, a.ancillas + 1, a.system_qubits, 2 * a.dim)
+        assert be.epsilon == max(a.epsilon, b.epsilon)
 
-    def test_random_diagonal_terms(self):
-        rng = np.random.default_rng(6)
-        for trial in range(10):
-            m = int(rng.integers(2, 9))
-            y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            y *= 4.0 / max(np.abs(y).sum(), 4.0)
-            assert np.abs(y).sum() <= 4.0 + 1e-12
-            terms = [trivial_encoding(np.diag(np.exp(2j * np.pi * rng.random(4))))
-                     for _ in range(m)]
-            pair = make_state_prep_pair(y)
-            be = linear_combination(pair, terms, common_alpha=1.0)
-            target = sum(yj * extract_block(t) for yj, t in zip(y, terms))
-            np.testing.assert_allclose(be.alpha * extract_block(be), target, atol=1e-9)
-            mat = be.unitary
-            assert is_unitary(mat, 1e-10)
-            np.testing.assert_allclose(mat[:4, :4], extract_block(be), atol=1e-13)
+    @pytest.mark.parametrize("name", sorted(_difference_terms()))
+    def test_corner_is_a_slice_of_the_unitary(self, name):
+        a, b = _difference_terms()[name]
+        be = difference_encoding(a, b)
+        np.testing.assert_allclose(extract_block(be), (extract_block(a) - extract_block(b)) / 2,
+                                   rtol=0, atol=1e-14)
+        s = be.system_dim
+        np.testing.assert_allclose(be.unitary[:s, :s], extract_block(be), rtol=0, atol=1e-14)
 
-    def test_metadata_law(self):
-        rng = np.random.default_rng(7)
-        terms = [random_encoding(rng, 2, 1) for _ in range(3)]
-        pair = make_state_prep_pair(np.array([1.0, 2.0, 0.5]))
-        be = linear_combination(pair, terms, common_alpha=1.0)
-        assert be.alpha == pair.beta
-        assert be.ancillas == 1 + pair.prep_qubits
-        expected_eps = pair.epsilon_y + pair.beta * max(t.epsilon for t in terms)
-        assert be.epsilon == expected_eps
+    @pytest.mark.parametrize("name", sorted(_difference_terms()))
+    def test_matches_the_dense_select(self, name):
+        """(P_L^dag (x) I) select (P_R (x) I) of the (1/2, -1/2) pair P_L = H, P_R = H X."""
+        a, b = _difference_terms()[name]
+        eye = np.eye(a.dim)
+        select = scipy.linalg.block_diag(a.unitary, b.unitary)
+        dense = np.kron(HADAMARD.conj().T, eye) @ select @ np.kron(HADAMARD @ PAULI_X, eye)
+        np.testing.assert_allclose(difference_encoding(a, b).unitary, dense,
+                                   rtol=0, atol=1e-15)
 
-    def test_term_errors_enter_with_their_weights(self):
-        # eps' = alpha eps_y + beta max eps_j: with alpha < 1 the error of
-        # each term is not scaled down by alpha, and this target reaches it
-        rng = np.random.default_rng(9)
-        terms = [BlockEncoding(random_unitary(4, rng), alpha=0.1, ancillas=1,
-                               epsilon=0.01, system_qubits=1) for _ in range(2)]
-        pair = make_state_prep_pair(np.array([1.0, 1.0]))
-        be = linear_combination(pair, terms, common_alpha=0.1)
-        assert be.epsilon == 0.1 * pair.epsilon_y + 2 * 0.01
-        shift = 0.01 * (1 - 1e-9) * np.eye(2)  # each target within eps of 0.1 b_j
-        target = sum(0.1 * extract_block(t) + shift for t in terms)
-        rep = verify(be, target, tol=0)
-        assert rep.distance_measured > 0.1 * pair.epsilon_y + 0.1 * 2 * 0.01
-        assert rep.passed
+    @pytest.mark.parametrize("name", sorted(_difference_terms()))
+    def test_unitary(self, name):
+        assert is_unitary(difference_encoding(*_difference_terms()[name]).unitary, 1e-10)
 
-    def test_materialize_matches_dense_select(self):
-        rng = np.random.default_rng(12)
-        terms = [random_encoding(rng, 2, 1) for _ in range(3)]
-        pair = make_state_prep_pair(rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        be = linear_combination(pair, terms, common_alpha=1.0)
-        eye = np.eye(terms[0].dim, dtype=complex)
-        select = scipy.linalg.block_diag(*[t.unitary for t in terms], eye)
-        dense = (np.kron(pair.p_left.conj().T, eye) @ select
-                 @ np.kron(pair.p_right, eye))
-        np.testing.assert_allclose(be.unitary, dense, rtol=0, atol=1e-14)
+    @pytest.mark.parametrize("name", ["gram-s2-a2", "identity-reflection"])
+    def test_hermitian_over_hermitian_children(self, name):
+        a, b = _difference_terms()[name]
+        for k in (a, b):
+            np.testing.assert_array_equal(k.unitary, k.unitary.conj().T)
+        u = difference_encoding(a, b).unitary
+        np.testing.assert_array_equal(u, u.conj().T)
 
-    def test_heterogeneous_alpha_rejected(self):
-        rng = np.random.default_rng(8)
-        a = random_encoding(rng, 1, 0)
-        b = random_encoding(rng, 1, 1)
-        pair = make_state_prep_pair(np.ones(2))
+    def test_epsilon_bounds_the_error(self):
+        # targets at distance eps_A and eps_B from alpha b_A and alpha b_B:
+        # the difference is within (eps_A + eps_B)/2 <= max of (A - B)/2
+        a, b = _difference_terms()["scaled-s1-a2"]
+        rng = np.random.default_rng(18)
+        w = random_unitary(2, rng) * (1 - 1e-9)
+        target_a = a.alpha * extract_block(a) + a.epsilon * w
+        target_b = b.alpha * extract_block(b) - b.epsilon * w
+        rep = verify(difference_encoding(a, b), (target_a - target_b) / 2, tol=0)
+        assert rep.passed and rep.distance_measured >= (a.epsilon + b.epsilon) / 2 - 1e-8
+
+    def test_mismatch_rejected(self):
+        rng = np.random.default_rng(19)
+        a = random_encoding(rng, 2, 1)
+        scaled = BlockEncoding(random_unitary(8, rng), alpha=2.0, ancillas=1, epsilon=0.0,
+                               system_qubits=2)
         with pytest.raises(ValueError, match="alpha"):
-            linear_combination(pair, [a, trivial_encoding(np.eye(2))], 2.0)
+            difference_encoding(a, scaled)
         with pytest.raises(ValueError, match="ancilla"):
-            linear_combination(pair, [trivial_encoding(np.eye(2)), b], 1.0)
-
-    def test_too_many_terms(self):
-        pair = make_state_prep_pair(np.ones(2))
-        terms = [trivial_encoding(np.eye(2))] * 3
-        with pytest.raises(ValueError, match="slots"):
-            linear_combination(pair, terms, 1.0)
+            difference_encoding(a, random_encoding(rng, 2, 2))
+        with pytest.raises(ValueError, match="system"):
+            difference_encoding(a, random_encoding(rng, 1, 2))
 
 
 class TestAdjoint:

@@ -230,6 +230,19 @@ def test_ols_beta_has_one_entry_per_sample(tmp_path):
     assert code == EXIT_OK and len(doc["results"]["beta"]) == 12
 
 
+def test_ols_rectangular_design(tmp_path):
+    argv = _write_inputs(tmp_path, np.random.default_rng(44), ["ols", ("m", 12, 5), ("v", 12)])
+    code, doc = run_json(argv, tmp_path / "out.json")
+    assert code == EXIT_OK and doc["results"]["pass"] is True
+    assert len(doc["results"]["beta"]) == 5
+
+
+def test_ols_target_of_the_wrong_length(tmp_path):
+    argv = _write_inputs(tmp_path, np.random.default_rng(45), ["ols", ("m", 12, 5), ("v", 5)])
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == EXIT_PARSE
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_lda_n16_fits_under_the_cap(tmp_path):
     argv = _write_inputs(tmp_path, np.random.default_rng(42),
                          ["lda", ("m", 16, 16), ("l", (8, 8))])

@@ -7,7 +7,8 @@ Covers the 24 ``cli_mix`` argvs of ``perfbench/workloads.CliMix`` on the
 inputs seed 7 generates, the few ``EXTRA`` argvs on inputs seed 7 generates
 (inputs outside ``cli_mix``: classes in shuffled order and of sizes that are
 not powers of two, the scatter and dcca pipelines at sizes ``cli_mix`` leaves
-out, and ``center`` on d × n data), ``--help`` of the parser and of every
+out, a well-conditioned LDA instance, ``center`` on d × n data and ``ols`` on
+a rectangular design), ``--help`` of the parser and of every
 subcommand, and ``blocklab suite --seed 42``.  Each line holds the exit code
 and the SHA-256 of stdout, of stderr and of the JSON document without its
 ``timing`` block (``-`` when no document was written).  The temporary input
@@ -45,11 +46,13 @@ EXTRA = [
     ("verify-similarity-1.3", ["verify", "--target", "similarity", "--classes", "1,3"]),
     ("pca-32x32", ["pca", ("m", 32, 32)]),
     ("lda-32x32-c16.16", ["lda", ("m", 32, 32), ("l", (16, 16))]),
+    ("lda-8x32-c16.16", ["lda", ("m", 8, 32), ("l", (16, 16)), "--d", "1"]),
     ("cca-16x16", ["cca", ("m", 16, 16), ("m", 16, 16)]),
     ("cca-32x32", ["cca", ("m", 32, 32), ("m", 32, 32)]),
     ("dcca-16x16-c5.11", ["dcca", ("m", 16, 16), ("m", 16, 16), ("l", (5, 11))]),
     ("center-3x6", ["center", ("m", 3, 6)]),
     ("center-6x3-cx", ["center", ("m", 6, 3), "--mode", "cx"]),
+    ("ols-12x5", ["ols", ("m", 12, 5), ("m", 12, 1)]),
 ]
 
 
