@@ -32,10 +32,10 @@ from .data_encoding import (
     NormTree,
     build_norm_tree,
     hermitian_dilation,
-    hermitian_extension,
     matrix_encoding,
 )
 from .mean_centering import CenteringMode, classical_center, mc_encoding, mean_vectors
+from .oracles import hermitian_extension
 from .spectral import (
     EstimationMethod,
     PhaseEstimate,

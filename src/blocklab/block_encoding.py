@@ -16,6 +16,12 @@ derives its own (alpha, ancillas, epsilon) and dimension from them by its
 composition law, and materializes the full unitary only on demand; the
 encoded block is always available cheaply through the exact corner law of
 the node.  Tests cross-check those laws against the materialized unitaries.
+
+Every node's read-only ``hermitian`` law says whether its unitary is
+Hermitian by construction, as a walk needs: always for Gram and dilation
+nodes, for a difference when both children are, for an adjoint when its
+child is, never for a product or a data leaf (even where the unitary happens
+to be); a leaf built from a matrix compares it with its adjoint exactly.
 """
 
 from __future__ import annotations
@@ -60,8 +66,9 @@ class BlockEncoding:
     Built directly from a matrix, an encoding is a leaf of the composition
     tree (``kind == "leaf"``, no ``children``) that holds its own frozen copy
     of the matrix.  Composite nodes subclass it and supply ``_materialize``
-    (the dense unitary) and ``_block`` (the encoded block by the node's
-    corner law); so does a lazy leaf, which has no children.
+    (the dense unitary), ``_block`` (the encoded block by the node's corner
+    law) and ``hermitian`` (the node's Hermitian law); so does a lazy leaf,
+    which has no children.
     """
 
     __slots__ = ("alpha", "ancillas", "epsilon", "system_qubits", "dim", "children", "_cache")
@@ -117,6 +124,12 @@ class BlockEncoding:
             cached.setflags(write=False)
             object.__setattr__(self, "_cache", cached)
         return cached
+
+    @property
+    def hermitian(self) -> bool:
+        """Whether the unitary is Hermitian by this node's law; a leaf built
+        from a matrix compares it with its adjoint exactly."""
+        return bool(np.array_equal(self._cache, self._cache.conj().T))
 
     def extract_block(self) -> np.ndarray:
         """Leading system-dim block; multiply by alpha to approximate the target."""
@@ -177,6 +190,7 @@ class _Product(BlockEncoding):
 
     __slots__ = ()
     kind = "product"
+    hermitian = False
 
     def __init__(self, left: BlockEncoding, right: BlockEncoding):
         if left.system_qubits != right.system_qubits:
@@ -213,6 +227,10 @@ class _Difference(BlockEncoding):
 
     __slots__ = ()
     kind = "difference"
+
+    @property
+    def hermitian(self) -> bool:
+        return all(child.hermitian for child in self.children)
 
     def __init__(self, a: BlockEncoding, b: BlockEncoding):
         if a.system_qubits != b.system_qubits:
@@ -251,6 +269,10 @@ class _Adjoint(BlockEncoding):
     __slots__ = ()
     kind = "adjoint"
 
+    @property
+    def hermitian(self) -> bool:
+        return self.children[0].hermitian
+
     def __init__(self, inner: BlockEncoding):
         self._certify(inner.alpha, inner.ancillas, inner.epsilon, inner.system_qubits,
                       inner.dim, (inner,))
@@ -275,6 +297,7 @@ class _Gram(BlockEncoding):
 
     __slots__ = ()
     kind = "gram"
+    hermitian = True
 
     def __init__(self, inner: BlockEncoding):
         a, e = inner.alpha, inner.epsilon
@@ -367,7 +390,7 @@ def difference_encoding(a: BlockEncoding, b: BlockEncoding) -> BlockEncoding:
     The two-term combination with exact weights +-1/2 (Gilyen, Su, Low &
     Wiebe, arXiv:1806.01838): alpha' = alpha, a' = a + 1 and
     eps' = max(eps_A, eps_B).  The unitary is Hermitian when both children's
-    are, so its walk needs no dilation.
+    are, and then it can be walked.
     """
     return _Difference(a, b)
 
@@ -379,6 +402,6 @@ def gram_encoding(be: BlockEncoding) -> BlockEncoding:
     with the identity on one more ancilla (Gilyen, Su, Low & Wiebe,
     arXiv:1806.01838): alpha' = alpha^2, a' = a + 1 and
     eps' = eps (2 alpha + eps).  B's factors share one ancilla register, and
-    the unitary is Hermitian, so its walk needs no dilation.
+    the unitary is Hermitian, so it can always be walked.
     """
     return _Gram(be)

@@ -1,8 +1,7 @@
 """Amplitude-based data-matrix encodings: the binary norm tree that defines
 the preparation states, the per-register row and norm completions, the
 encoding unitary U_rows^dag U_norms written out entrywise from them (scale
-||X||_F), the Hermitian extension of a rectangular or non-Hermitian matrix,
-and the Hermitian dilation node of an encoding.
+||X||_F), and the Hermitian dilation node of an encoding.
 
 The data encoding is a lazy leaf: it holds its own copy of X, the norm tree
 and the encoded block X / ||X||_F, built in one vectorised O(n^2) pass from
@@ -10,7 +9,8 @@ column 0 of each completion.  The n^2 x n^2 unitary is written out on its
 first read and kept.  Construction runs every check the completions run, so
 it rejects what building the unitary would.  The leaf declares the a-priori
 round-off bound 5u ||X||_F (u = 2^-53) as its eps, plus n max |x_qc| over any
-nonzero row whose norm underflows to 0; nothing is measured.
+nonzero row whose norm underflows to 0; nothing is measured.  Its
+``hermitian`` law is False and the dilation's True, so it walks dilated.
 
 Storage convention: entry (r, c) of a stored matrix is component r of sample
 c.  Row vectors of the norm tree are rows of the stored matrix.
@@ -25,7 +25,6 @@ import numpy as np
 from .block_encoding import BlockEncoding
 from .matrix_core import (
     as_complex_matrix,
-    embed_power_of_two,
     ensure_dimension,
     householder_completions,
     householder_terms,
@@ -39,7 +38,6 @@ __all__ = [
     "build_norm_tree",
     "matrix_encoding",
     "preparation_unitaries",
-    "hermitian_extension",
     "hermitian_dilation",
 ]
 
@@ -141,6 +139,7 @@ class _DataLeaf(BlockEncoding):
     """
 
     __slots__ = ("_x", "_tree", "_corner")
+    hermitian = False
 
     def __init__(self, x):
         x = np.array(x, dtype=complex, order="C")  # the caller keeps its own array
@@ -186,21 +185,6 @@ def matrix_encoding(x) -> BlockEncoding:
     return _DataLeaf(x)
 
 
-def hermitian_extension(x) -> np.ndarray:
-    """[[0, X], [X^dag, 0]] with the extension qubit most significant.
-
-    Rectangular input is first embedded into a power-of-two square, so the
-    result is Hermitian with spectrum +/- the singular values of X (plus
-    zeros contributed by any padding).
-    """
-    x = embed_power_of_two(as_complex_matrix(x))
-    d = x.shape[0]
-    out = np.zeros((2 * d, 2 * d), dtype=complex)
-    out[:d, d:] = x
-    out[d:, :d] = x.conj().T
-    return out
-
-
 class _Dilation(BlockEncoding):
     """[[0, U], [U^dag, 0]] on a middle qubit that sits between the child's
     ancillas and its system.
@@ -208,11 +192,13 @@ class _Dilation(BlockEncoding):
     The middle qubit joins the system as its most significant qubit, so the
     encoded block is [[0, b], [b^dag, 0]] for the block b of U.  The error
     [[0, D], [D^dag, 0]] has the norm of D, so the node keeps the child's
-    (alpha, ancillas, epsilon).  Corner law: the same dilation of b.
+    (alpha, ancillas, epsilon).  Corner law: the same dilation of b.  The
+    unitary is Hermitian whatever U is.
     """
 
     __slots__ = ()
     kind = "dilation"
+    hermitian = True
 
     def __init__(self, inner: BlockEncoding):
         self._certify(inner.alpha, inner.ancillas, inner.epsilon, inner.system_qubits + 1,
@@ -238,6 +224,7 @@ def hermitian_dilation(be: BlockEncoding) -> BlockEncoding:
 
     Adds one system qubit (most significant) and keeps the scale factor,
     the ancillas and the declared error bound, since
-    ||[[0, D], [D^dag, 0]]|| = ||D||.
+    ||[[0, D], [D^dag, 0]]|| = ||D||.  Its unitary is Hermitian, so this is
+    how to walk an encoding whose own unitary is not.
     """
     return _Dilation(be)

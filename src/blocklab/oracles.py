@@ -3,9 +3,11 @@ check block encodings against.
 
 Each function is a dense, direct formula on the unpadded data and shares no
 code with the encodings it checks; a mean always averages over the true
-samples.  ``reflection`` and ``similarity`` are real; ``scatters``,
+samples; only ``hermitian_extension`` pads, to the power-of-two square its
+encodings act on.  ``reflection`` and ``similarity`` are real; ``scatters``,
 ``pencil_eigs`` and ``pencil_blocks`` keep their inputs' dtype (real in, real
-out); ``total_scatter`` and ``ols_closed_form`` work in complex arithmetic.
+out); ``total_scatter``, ``hermitian_extension`` and ``ols_closed_form`` work
+in complex arithmetic.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from .centering import centering_matrix
-from .matrix_core import as_complex_matrix
+from .matrix_core import as_complex_matrix, embed_power_of_two
 
-__all__ = ["reflection", "similarity", "scatters", "total_scatter", "pencil_eigs",
-           "pencil_blocks", "ols_closed_form"]
+__all__ = ["reflection", "similarity", "scatters", "total_scatter", "hermitian_extension",
+           "pencil_eigs", "pencil_blocks", "ols_closed_form"]
 
 
 def reflection(n: int) -> np.ndarray:
@@ -56,6 +58,21 @@ def total_scatter(x) -> np.ndarray:
     """X C X^dag with C centering the sample columns."""
     x = as_complex_matrix(x)
     return x @ centering_matrix(x.shape[1]) @ x.conj().T
+
+
+def hermitian_extension(x) -> np.ndarray:
+    """[[0, X], [X^dag, 0]] with the extension qubit most significant.
+
+    Rectangular input is first embedded into a power-of-two square, so the
+    result is Hermitian with spectrum +/- the singular values of X (plus
+    zeros contributed by any padding).
+    """
+    x = embed_power_of_two(as_complex_matrix(x))
+    d = x.shape[0]
+    out = np.zeros((2 * d, 2 * d), dtype=complex)
+    out[:d, d:] = x
+    out[d:, :d] = x.conj().T
+    return out
 
 
 def pencil_eigs(a: np.ndarray, b: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:

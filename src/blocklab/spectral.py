@@ -3,6 +3,11 @@ evolution operator, a reflection walk written from the encoding unitary into
 one buffer, its eigenphases carrying the spectrum as cos(theta) = lambda/alpha,
 and a deterministic phase estimation that computes the full distribution.
 
+The walk rests on each node's ``hermitian`` law: Gram and dilation nodes
+always hold it, differences and adjoints by their children, a matrix leaf by
+an exact comparison, products and data leaves never.  Where it fails, walk
+``hermitian_dilation`` or ``gram_encoding``.
+
 Phase estimation never diagonalizes the whole unitary.  It spans the Krylov
 space of the state, which the unitary leaves invariant (two dimensions from
 an eigenvector of a walk's encoded block), checks the invariance leak
@@ -23,7 +28,6 @@ from .matrix_core import (
     CapExceededError,
     as_complex_matrix,
     cap_qubits,
-    ensure_dimension,
     is_hermitian,
     is_unitary_matrix,
 )
@@ -68,74 +72,23 @@ class PhaseEstimate:
     leak: float
 
 
-def _encoded_hermitian(be: BlockEncoding) -> np.ndarray:
-    block = be.alpha * be.extract_block()
-    if not is_hermitian(block, _HERMITIAN_BLOCK_TOL):
-        raise ValueError("encoded block is not Hermitian within 1e-8")
-    return (block + block.conj().T) / 2.0
-
-
-def _is_hermitian_by_rows(u: np.ndarray) -> bool:
-    """max |U - U^dag| <= 1e-10, compared one strip of rows at a time.
-
-    It stops at the first strip over the tolerance, and it holds no
-    adjoint-sized temporary: a strip is at most 2^16 entries.
-    """
-    d = u.shape[0]
-    step = max(1, (1 << 16) // d)
-    for i in range(0, d, step):
-        strip = u[i:i + step] - np.conjugate(u[:, i:i + step].T)
-        if not np.max(np.abs(strip)) <= 1e-10:  # a NaN fails too
-            return False
-    return True
-
-
-def _hermitian_form(u: np.ndarray, negate: slice) -> np.ndarray:
-    """U if it is Hermitian within 1e-10, else its dilation, in one fresh
-    buffer with ``negate`` rows negated.
-
-    The dilation puts [[0, U], [U^dag, 0]] on one more ancilla qubit and
-    conjugates it by a Hadamard on that qubit, which gives
-
-        1/2 [[U + U^dag, U^dag - U], [U - U^dag, -(U + U^dag)]]:
-
-    Hermitian, unitary, and with the leading block of U intact.  The
-    scatter encodings (Gram nodes) and the centering and similarity leaves
-    are Hermitian by construction, so they take the first branch.
-    """
-    d = u.shape[0]
-    if _is_hermitian_by_rows(u):
-        out = u.copy()
-    else:  # the quadrants [[E, O], [O, E]] with E = (U + U^dag)/2, O = (U^dag - U)/2
-        ensure_dimension(2 * d)
-        out = np.empty((2 * d, 2 * d), dtype=complex)
-        top = out[:d]
-        np.conjugate(u.T, out=top[:, d:])
-        np.add(u, top[:, d:], out=top[:, :d])
-        np.subtract(top[:, d:], u, out=top[:, d:])
-        if not np.isfinite(np.divide(top, 2.0, out=top)).all():
-            raise ValueError("matrix entries must be finite")
-        out[d:, :d], out[d:, d:] = top[:, d:], top[:, :d]
-    out[negate] *= -1.0
-    return out
-
-
 def walk_operator(be: BlockEncoding) -> np.ndarray:
-    """Reflection-times-encoding walk W = (2 Pi_0 - I) U~.
+    """Reflection-times-encoding walk W = (2 Pi_0 - I) U of a Hermitian U.
 
-    U~ is a Hermitian representative of the encoding (U itself, or its
-    dilation on one more ancilla; see ``_hermitian_form``) and Pi_0 projects
-    the ancillas onto |0...0>.  Scatter encodings are Hermitian Gram nodes,
-    and the centering encoding is the real symmetric leaf
-    [[C, I - C], [I - C, -C]], so their walks have the encoding's own
-    dimension, with no dilation.
-    The reflection is diagonal, so W is U~ with every row outside the
-    ancilla-zero block negated, written straight from U into one buffer.  For
-    every eigenvalue lambda of the encoded Hermitian operator, W has an
-    eigenphase pair +/- arccos(lambda/alpha).
+    Pi_0 projects the ancillas onto |0...0>.  U must be Hermitian by the
+    node's ``hermitian`` law (Low & Chuang, arXiv:1610.06546), or this raises
+    ``ValueError`` before U is built.  The reflection is diagonal, so W is a
+    copy of U with every row outside the ancilla-zero block negated.  For
+    every eigenvalue lambda of the encoded operator, W has an eigenphase pair
+    +/- arccos(lambda/alpha).
     """
-    _encoded_hermitian(be)
-    return _hermitian_form(be.unitary, slice(be.system_dim, be.dim))
+    if not be.hermitian:
+        raise ValueError(f"walk_operator needs a unitary that is Hermitian by construction, "
+                         f"and this {be.kind} node's is not; walk its hermitian_dilation "
+                         f"or its gram_encoding instead")
+    w = be.unitary.copy()
+    w[be.system_dim:] *= -1.0
+    return w
 
 
 def exact_evolution(be: BlockEncoding, t: float) -> np.ndarray:
@@ -143,8 +96,10 @@ def exact_evolution(be: BlockEncoding, t: float) -> np.ndarray:
 
     Computed by exact diagonalization, so the result is unitary to round-off.
     """
-    a = _encoded_hermitian(be)
-    w, v = np.linalg.eigh(a)
+    a = be.alpha * be.extract_block()
+    if not is_hermitian(a, _HERMITIAN_BLOCK_TOL):
+        raise ValueError("encoded block is not Hermitian within 1e-8")
+    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     return (v * np.exp(1j * t * w)) @ v.conj().T
 
 

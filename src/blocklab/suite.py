@@ -39,13 +39,13 @@ from .block_encoding import (
 from .centering import build_uc, centering_encoding, centering_matrix, similarity_encoding
 from .data_encoding import (
     hermitian_dilation,
-    hermitian_extension,
     matrix_encoding,
     preparation_unitaries,
 )
 from .matrix_core import is_unitary, qubit_count, spectral_norm, unitary_completion
 from .mean_centering import CenteringMode, classical_center, mc_encoding
-from .oracles import ols_closed_form, pencil_blocks, pencil_eigs, reflection, scatters, similarity
+from .oracles import (hermitian_extension, ols_closed_form, pencil_blocks, pencil_eigs,
+                      reflection, scatters, similarity)
 from .spectral import walk_operator
 
 __all__ = ["CriterionOutcome", "run_battery", "run_suite", "canonical_payload", "CRITERIA",
@@ -377,8 +377,8 @@ def criterion_7(seed: int) -> CriterionOutcome:
     small_cases = []
     c4 = centering_matrix(4)
     small_cases.append((centering_encoding(4), c4))
-    herm = hermitian_extension(rng.standard_normal((4, 4)))
-    small_cases.append((matrix_encoding(herm), herm))
+    x = rng.standard_normal((4, 4))
+    small_cases.append((hermitian_dilation(matrix_encoding(x)), hermitian_extension(x)))
     x4 = rng.standard_normal((4, 4))
     small_cases.append((scatter_total_encoding(x4), x4 @ c4 @ x4.T))
     for be, target in small_cases:

@@ -17,9 +17,10 @@ from blocklab.applications import (
 )
 from blocklab.block_encoding import extract_block, trivial_encoding, verify
 from blocklab.centering import centering_matrix
-from blocklab.data_encoding import hermitian_extension, matrix_encoding
+from blocklab.data_encoding import matrix_encoding
 from blocklab.matrix_core import is_unitary, next_power_of_two
 from blocklab.oracles import (
+    hermitian_extension,
     ols_closed_form,
     pencil_blocks,
     pencil_eigs,

@@ -13,8 +13,9 @@ from blocklab.block_encoding import (
     verify,
 )
 from blocklab.centering import build_uc, centering_encoding
-from blocklab.data_encoding import hermitian_dilation
+from blocklab.data_encoding import hermitian_dilation, matrix_encoding
 from blocklab.matrix_core import is_unitary
+from blocklab.suite import _composition_corpus
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -384,3 +385,58 @@ class TestDilation:
         target = np.block([[np.zeros((2, 2)), m], [m.conj().T, np.zeros((2, 2))]])
         rep = verify(dil, target, tol=0)
         assert rep.passed and rep.distance_measured >= 0.25 - 1e-8
+
+
+def corpus_nodes(max_dim):
+    """Every distinct node of the battery's composition corpus, children
+    included, of dimension at most ``max_dim``."""
+    seen, nodes, stack = set(), [], list(_composition_corpus(42))
+    while stack:
+        be = stack.pop()
+        if id(be) not in seen:
+            seen.add(id(be))
+            stack.extend(be.children)
+            if be.dim <= max_dim:
+                nodes.append(be)
+    return nodes
+
+
+class TestHermitianLaw:
+    """``hermitian`` says, by each node's law, that its unitary is Hermitian."""
+
+    def test_by_kind(self):
+        rng = np.random.default_rng(23)
+        herm = trivial_encoding(PAULI_Z)
+        phase = trivial_encoding(np.diag([1.0, 1j]))
+        skew = random_encoding(rng, 1, 1)
+        assert herm.hermitian and trivial_encoding(HADAMARD).hermitian
+        assert not phase.hermitian and not skew.hermitian
+        assert gram_encoding(skew).hermitian and hermitian_dilation(skew).hermitian
+        assert not product(herm, herm).hermitian  # Z Z = I, but a product never is
+        assert difference_encoding(herm, trivial_encoding(PAULI_X)).hermitian
+        assert not difference_encoding(herm, phase).hermitian
+        assert adjoint_encoding(herm).hermitian and not adjoint_encoding(skew).hermitian
+        assert not matrix_encoding(np.eye(2)).hermitian
+
+    def test_read_without_materializing(self):
+        rng = np.random.default_rng(24)
+        leaf = matrix_encoding(rng.standard_normal((2, 2)))
+        tree = gram_encoding(difference_encoding(product(leaf, leaf),
+                                                 product(adjoint_encoding(leaf), leaf)))
+        assert tree.hermitian and not tree.children[0].hermitian
+        assert tree._cache is None and leaf._cache is None
+
+    def test_read_only(self):
+        be = gram_encoding(trivial_encoding(PAULI_X))
+        for node in (be, be.children[0]):
+            with pytest.raises(AttributeError):
+                node.hermitian = False
+
+    def test_sound_over_the_composition_corpus(self):
+        """True implies an exactly Hermitian unitary; the law may say False
+        of a unitary that happens to be Hermitian."""
+        nodes = corpus_nodes(256)
+        flagged = [be for be in nodes if be.hermitian]
+        assert len(nodes) >= 500 and len(flagged) >= 100
+        for be in flagged:
+            np.testing.assert_array_equal(be.unitary, be.unitary.conj().T)

@@ -8,12 +8,12 @@ from blocklab.block_encoding import extract_block, product, trivial_encoding
 from blocklab.data_encoding import (
     build_norm_tree,
     hermitian_dilation,
-    hermitian_extension,
     matrix_encoding,
     preparation_unitaries,
 )
 from blocklab.matrix_core import CapExceededError, embed_power_of_two, is_unitary
 from blocklab.mean_centering import CenteringMode, mc_encoding
+from blocklab.oracles import hermitian_extension
 from blocklab.spectral import walk_operator
 
 

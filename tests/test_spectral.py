@@ -7,11 +7,12 @@ import scipy.stats
 
 from blocklab import spectral
 from blocklab.applications import scatter_total_encoding
-from blocklab.block_encoding import BlockEncoding, extract_block, trivial_encoding
+from blocklab.block_encoding import adjoint_encoding, extract_block, product, trivial_encoding
 from blocklab.centering import centering_encoding, centering_matrix, similarity_encoding
-from blocklab.data_encoding import hermitian_dilation, hermitian_extension, matrix_encoding
+from blocklab.data_encoding import hermitian_dilation, matrix_encoding
 from blocklab.matrix_core import CapExceededError, is_unitary
 from blocklab.mean_centering import CenteringMode, mc_encoding
+from blocklab.oracles import hermitian_extension
 from blocklab.spectral import (
     EstimationMethod,
     exact_evolution,
@@ -21,45 +22,30 @@ from blocklab.spectral import (
 
 
 def hermitian_test_encoding(rng, n=4):
-    """Encoding of a random Hermitian matrix through the dilation route."""
+    """The dilation of a random data encoding, and the Hermitian matrix it encodes."""
     x = rng.standard_normal((n, n))
-    return matrix_encoding(hermitian_extension(x)), hermitian_extension(x)
+    return hermitian_dilation(matrix_encoding(x)), hermitian_extension(x)
 
 
 def unreflect(w, system_dim):
-    """The Hermitian representative U~ = (2 Pi_0 - I) W of a walk."""
+    """The unitary U = (2 Pi_0 - I) W of a walk."""
     out = w.copy()
     out[system_dim:] *= -1.0
     return out
 
 
-def hadamard_dilation(u):
-    """H [[0, U], [U^dag, 0]] H with H a Hadamard on one more qubit, by dense products."""
-    zero = np.zeros_like(u)
-    dilation = np.block([[zero, u], [u.conj().T, zero]])
-    h = np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2.0), np.eye(u.shape[0]))
-    return h @ dilation @ h
-
-
 class TestHermitianize:
-    """The Hermitian representative the walk is written from."""
+    """The Hermitian unitary the walk is written from."""
 
     def test_preserves_block_and_is_hermitian(self):
         rng = np.random.default_rng(0)
         be, target = hermitian_test_encoding(rng)
         u = unreflect(walk_operator(be), be.system_dim)
-        assert u.shape[0] == 2 * be.dim
-        assert np.max(np.abs(u - u.conj().T)) <= 1e-10
+        assert u.shape[0] == be.dim
+        np.testing.assert_array_equal(u, u.conj().T)
         assert is_unitary(u, 1e-10)
         np.testing.assert_allclose(u[:be.system_dim, :be.system_dim], extract_block(be),
                                    atol=1e-12)
-
-    def test_matches_hadamard_conjugated_dilation(self):
-        rng = np.random.default_rng(4)
-        be, _ = hermitian_test_encoding(rng)
-        herm = unreflect(walk_operator(be), be.system_dim)
-        np.testing.assert_allclose(herm, hadamard_dilation(be.unitary), rtol=0, atol=1e-14)
-        np.testing.assert_array_equal(herm, herm.conj().T)
 
     def test_already_hermitian_passthrough(self):
         be = trivial_encoding(np.diag([1.0, -1.0]))
@@ -105,7 +91,7 @@ class TestWalkOperator:
     def test_matches_dense_reflection_product(self):
         rng = np.random.default_rng(5)
         be, target = hermitian_test_encoding(rng)
-        u = hadamard_dilation(be.unitary)
+        u = be.unitary
         sys_dim = target.shape[0]
         reflect = -np.eye(u.shape[0], dtype=complex)
         reflect[:sys_dim, :sys_dim] += 2.0 * np.eye(sys_dim)
@@ -117,17 +103,50 @@ class TestWalkOperator:
             walk_operator(matrix_encoding(rng.standard_normal((4, 4))))
 
 
+def refused_encodings():
+    """Nodes whose law says their unitary is not Hermitian."""
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((4, 4))
+    return {
+        "product": lambda: product(matrix_encoding(x), matrix_encoding(x.T)),
+        "adjoint-of-data-leaf": lambda: adjoint_encoding(matrix_encoding(x)),
+        "data-leaf": lambda: matrix_encoding(x),
+        "data-leaf-of-a-symmetric-matrix": lambda: matrix_encoding(x + x.T),
+        "plain-leaf": lambda: trivial_encoding(np.array([[0.0, 1.0], [-1.0, 0.0]])),
+    }
+
+
+class TestWalkRefusal:
+    """The walk rests on the node's ``hermitian`` law and refuses a node whose
+    law says no, before its unitary is built."""
+
+    @pytest.mark.parametrize("name", sorted(refused_encodings()))
+    def test_refused_with_the_remedy_named(self, name):
+        be = refused_encodings()[name]()
+        assert not be.hermitian
+        with pytest.raises(ValueError, match="Hermitian") as info:
+            walk_operator(be)
+        assert "hermitian_dilation" in str(info.value)
+        assert "gram_encoding" in str(info.value)
+
+    @pytest.mark.parametrize("name", ["product", "adjoint-of-data-leaf", "data-leaf"])
+    def test_nothing_materialized(self, name):
+        be = refused_encodings()[name]()  # every node of these is lazy
+        with pytest.raises(ValueError):
+            walk_operator(be)
+        stack = [be]
+        while stack:
+            node = stack.pop()
+            assert node._cache is None
+            stack.extend(node.children)
+
+
 def walk_reference(be):
-    """The walk by the block formula: the dilation [[e, o], [-o, -e]] of a
-    non-Hermitian U, or U itself, with rows >= system_dim negated."""
+    """The walk by the block formula: U, which must be exactly Hermitian, with
+    rows >= system_dim negated."""
     u = be.unitary
-    u_dag = u.conj().T
-    if np.max(np.abs(u - u_dag)) <= 1e-10:
-        ref = u.copy()
-    else:
-        e = (u + u_dag) / 2.0
-        o = (u_dag - u) / 2.0
-        ref = np.block([[e, o], [-o, -e]])
+    np.testing.assert_array_equal(u, u.conj().T)
+    ref = u.copy()
     ref[be.system_dim:] *= -1.0
     return ref
 
@@ -169,29 +188,13 @@ class TestWalkOneBuffer:
     @pytest.mark.parametrize("name", sorted(walk_dense_encodings()))
     def test_bytes_match_block_formula(self, name):
         be = walk_dense_encodings()[name]()
+        assert be.hermitian
         u = be.unitary
         before = u.tobytes()
         w = walk_operator(be)
         assert w.tobytes() == walk_reference(be).tobytes()
         assert w.flags.writeable and not np.shares_memory(w, u)
         assert be.unitary is u and u.tobytes() == before and not u.flags.writeable
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-    def test_overflowing_dilation_rejected(self):
-        u = np.eye(4, dtype=complex)
-        u[0, 2], u[2, 0] = 1e308, -1e308
-        be = BlockEncoding(u, alpha=1.0, ancillas=1, epsilon=0.0, system_qubits=1)
-        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
-            walk_operator(be)
-
-    def test_cap_checked_on_dilated_dimension(self, monkeypatch):
-        # a Hermitian block, but the data leaf's unitary is not Hermitian
-        be = matrix_encoding(np.array([[1.0, 2.0], [2.0, -1.0]]))
-        assert be.unitary.shape == (4, 4)  # built under the default cap
-        assert not np.allclose(be.unitary, be.unitary.conj().T)
-        monkeypatch.setenv("BLOCKLAB_CAP_QUBITS", "2")
-        with pytest.raises(CapExceededError):
-            walk_operator(be)
 
     def test_centering_walk_is_not_dilated(self, monkeypatch):
         be = centering_encoding(16)
@@ -207,7 +210,7 @@ class TestWalkOneBuffer:
 
     @staticmethod
     def check_peak(n, dim):
-        """Beyond U, only the walk and one strip of rows are held."""
+        """Beyond U, only the walk's own buffer is held."""
         be = scatter_total_encoding(np.random.default_rng(18).standard_normal((n, n)))
         u = be.unitary
         tracemalloc.start()
@@ -217,7 +220,7 @@ class TestWalkOneBuffer:
         finally:
             tracemalloc.stop()
         assert w.shape == (dim, dim)
-        assert peak <= w.nbytes + u.nbytes + (1 << 20)
+        assert peak <= w.nbytes + (1 << 16)
 
     def test_n8_scatter_walk_peak_memory(self):
         self.check_peak(8, 256)
