@@ -21,7 +21,8 @@ Every node's read-only ``hermitian`` law says whether its unitary is
 Hermitian by construction, as a walk needs: always for Gram and dilation
 nodes, for a difference when both children are, for an adjoint when its
 child is, never for a product or a data leaf (even where the unitary happens
-to be); a leaf built from a matrix compares it with its adjoint exactly.
+to be); a leaf built from a matrix compares it with its adjoint exactly,
+unless a subclass declares the law (the class leaves of ``centering``).
 """
 
 from __future__ import annotations
@@ -128,7 +129,8 @@ class BlockEncoding:
     @property
     def hermitian(self) -> bool:
         """Whether the unitary is Hermitian by this node's law; a leaf built
-        from a matrix compares it with its adjoint exactly."""
+        from a matrix compares it with its adjoint exactly, unless its class
+        declares the law."""
         return bool(np.array_equal(self._cache, self._cache.conj().T))
 
     def extract_block(self) -> np.ndarray:
@@ -278,7 +280,7 @@ class _Adjoint(BlockEncoding):
                       inner.dim, (inner,))
 
     def _materialize(self) -> np.ndarray:
-        return self.children[0]._dense().conj().T
+        return np.conjugate(self.children[0]._dense().T, order="C")  # row-major, as a walk needs
 
     def _block(self) -> np.ndarray:
         return self.children[0]._block().conj().T

@@ -7,9 +7,10 @@ E^1/2 on the same slots.
 The register slots are the one class layout: each slot holds a class or is
 empty, in the samples' own order.  The centering encoding removes each class
 mean over its own samples, and the similarity encodings link the slots of
-one class; all are zero on empty slots.  The one-class centering leaf is
-built once per (n, size) and shared by every call that asks for it; the
-size cap is checked on every call.
+one class; all are zero on empty slots.  Every such leaf is Hermitian by
+its law, so a walk reads it without comparing it with its adjoint.  The
+one-class centering leaf is built once per (n, size) and shared by every
+call that asks for it; the size cap is checked on every call.
 """
 
 from __future__ import annotations
@@ -124,6 +125,14 @@ def centering_encoding(classes, dim: int | None = None) -> BlockEncoding:
     return _class_leaf(slots, "center")
 
 
+class _ClassLeaf(BlockEncoding):
+    """A class leaf, Hermitian by its law: [[A, S], [S, -A]] with A and S
+    real symmetric."""
+
+    __slots__ = ()
+    hermitian = True
+
+
 def _class_leaf(slots: np.ndarray, law: str) -> BlockEncoding:
     """The real symmetric unitary [[A, S], [S, -A]] on one ancilla over ``slots``.
 
@@ -158,9 +167,9 @@ def _class_leaf(slots: np.ndarray, law: str) -> BlockEncoding:
     a, s = (np.where(same, v[:, None], 0.0) for v in (a, s))
     a[np.diag_indices(slots.size)] += b * occupied
     s[np.diag_indices(slots.size)] += np.where(occupied, 1.0 - b, 1.0)
-    return BlockEncoding(np.block([[a, s], [s, -a]]), alpha=alpha, ancillas=1,
-                         epsilon=_CLASS_LEAF_ROUNDING * alpha,
-                         system_qubits=qubit_count(slots.size))
+    return _ClassLeaf(np.block([[a, s], [s, -a]]), alpha=alpha, ancillas=1,
+                      epsilon=_CLASS_LEAF_ROUNDING * alpha,
+                      system_qubits=qubit_count(slots.size))
 
 
 def similarity_encoding(classes, dim: int | None = None) -> BlockEncoding:

@@ -1,22 +1,28 @@
 """Eigeninformation extraction from Hermitian block encodings: an exact
-evolution operator, a reflection walk written from the encoding unitary into
-one buffer, its eigenphases carrying the spectrum as cos(theta) = lambda/alpha,
-and a deterministic phase estimation that computes the full distribution.
+evolution operator, a reflection walk written into one buffer (the node's
+fresh unitary, or a copy of the one it keeps), its eigenphases carrying the
+spectrum as cos(theta) = lambda/alpha, and a deterministic phase estimation
+that computes the full distribution.
 
 The walk rests on each node's ``hermitian`` law: Gram and dilation nodes
-always hold it, differences and adjoints by their children, a matrix leaf by
-an exact comparison, products and data leaves never.  Where it fails, walk
+always hold it, differences and adjoints by their children, the class
+leaves of ``centering`` by theirs, any other matrix leaf by an exact
+comparison, products and data leaves never.  Where it fails, walk
 ``hermitian_dilation`` or ``gram_encoding``.
 
-Phase estimation never diagonalizes the whole unitary.  It spans the Krylov
-space of the state, which the unitary leaves invariant (two dimensions from
-an eigenvector of a walk's encoded block), checks the invariance leak
+Phase estimation checks each operator's unitarity once, exactly: it keeps
+the last operator it accepted (a weak reference and a copy of its entries)
+and skips the O(d^3) check only for that same array with the same bits.
+It never diagonalizes the whole unitary.  It spans the Krylov space of the
+state, which the unitary leaves invariant (two dimensions from an
+eigenvector of a walk's encoded block), checks the invariance leak
 ||U Q - Q H|| against a bound fixed in advance, and reads phases and weights
 from the small restricted matrix H.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -77,8 +83,11 @@ def walk_operator(be: BlockEncoding) -> np.ndarray:
 
     Pi_0 projects the ancillas onto |0...0>.  U must be Hermitian by the
     node's ``hermitian`` law (Low & Chuang, arXiv:1610.06546), or this raises
-    ``ValueError`` before U is built.  The reflection is diagonal, so W is a
-    copy of U with every row outside the ancilla-zero block negated.  For
+    ``ValueError`` before U is built.  The reflection is diagonal, so W is U
+    with every row outside the ancilla-zero block negated: a copy of U when
+    the node keeps U (a leaf, or a node whose ``unitary`` was read), else the
+    node's fresh build of U, negated in place and never cached.  W is
+    C-contiguous, writable and shares no memory with a kept unitary.  For
     every eigenvalue lambda of the encoded operator, W has an eigenphase pair
     +/- arccos(lambda/alpha).
     """
@@ -86,7 +95,9 @@ def walk_operator(be: BlockEncoding) -> np.ndarray:
         raise ValueError(f"walk_operator needs a unitary that is Hermitian by construction, "
                          f"and this {be.kind} node's is not; walk its hermitian_dilation "
                          f"or its gram_encoding instead")
-    w = be.unitary.copy()
+    w = be._dense()
+    if w is be._cache:
+        w = w.copy()
     w[be.system_dim:] *= -1.0
     return w
 
@@ -101,6 +112,38 @@ def exact_evolution(be: BlockEncoding, t: float) -> np.ndarray:
         raise ValueError("encoded block is not Hermitian within 1e-8")
     w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     return (v * np.exp(1j * t * w)) @ v.conj().T
+
+
+# The last operator phase estimation accepted, as (weak reference, private
+# copy of its entries), or None.  The pair is read and replaced whole, so a
+# concurrent caller can only miss it, never pass an unchecked operator.
+_accepted: tuple[weakref.ref, np.ndarray] | None = None
+
+
+def _forget(ref: weakref.ref) -> None:
+    """Drop the accepted operator's copy once the operator itself is gone."""
+    global _accepted
+    if _accepted is not None and _accepted[0] is ref:
+        _accepted = None
+
+
+def _require_unitary(u: np.ndarray) -> None:
+    """Raise ``ValueError`` unless U is unitary within 1e-10.
+
+    A pure function of U's entries, memoised on its exact input: the Gram
+    check is skipped only when U is the same array as the last one accepted
+    and its entries equal the copy taken then, bit for bit (an O(d^2) pass).
+    An operator changed in place since it was accepted is checked again.
+    """
+    global _accepted
+    last = _accepted
+    if last is not None and last[0]() is u and np.array_equal(
+            u.view(np.int64), last[1].view(np.int64)):
+        return
+    _accepted = None
+    if not is_unitary_matrix(u, 1e-10):
+        raise ValueError("phase estimation requires a unitary operator")
+    _accepted = (weakref.ref(u, _forget), u.copy())
 
 
 def _phase_distribution(u: np.ndarray, state: np.ndarray,
@@ -171,6 +214,8 @@ def phase_estimation(
     the walk's eigenphases come in +/- pairs of equal weight.  Reconstructed
     values are clipped to the certified range [-alpha, alpha].  ``t_bits``
     above ``cap_qubits()`` raises ``CapExceededError`` before any allocation.
+    The unitarity check (within 1e-10) is exact and runs once per operator:
+    a later call on the same array with bit-identical entries skips it.
     """
     if t_bits < 1:
         raise ValueError("t_bits must be positive")
@@ -186,8 +231,7 @@ def phase_estimation(
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError("eigenstate must be normalized")
-    if not is_unitary_matrix(u, 1e-10):  # last: the only O(d^3) check
-        raise ValueError("phase estimation requires a unitary operator")
+    _require_unitary(u)  # last: the only O(d^3) check
 
     dist, krylov_dim, leak = _phase_distribution(u, state / norm, t_bits)
     grid = 1 << t_bits

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,7 +14,7 @@ from blocklab.block_encoding import (
     trivial_encoding,
     verify,
 )
-from blocklab.centering import build_uc, centering_encoding
+from blocklab.centering import build_uc, centering_encoding, similarity_encoding, similarity_root
 from blocklab.data_encoding import hermitian_dilation, matrix_encoding
 from blocklab.matrix_core import is_unitary
 from blocklab.suite import _composition_corpus
@@ -440,3 +442,31 @@ class TestHermitianLaw:
         assert len(nodes) >= 500 and len(flagged) >= 100
         for be in flagged:
             np.testing.assert_array_equal(be.unitary, be.unitary.conj().T)
+
+    @pytest.mark.parametrize("classes, dim", [
+        (1, None), (3, None), (8, None), (5, 16),
+        (np.array([0, 1, 0, -1]), None),
+        (np.array([2, -1, 0, 0, 1, 1, -1, 2]), None),
+        (np.array([0, 1, 1]), 8),
+        (np.repeat([0, 1, 2], [1, 3, 4]), 16),
+    ])
+    def test_class_leaves_are_symmetric_by_their_law(self, classes, dim):
+        """Every centering, similarity and root leaf declares the law, and
+        its unitary [[A, S], [S, -A]] equals its transpose exactly."""
+        for build in (centering_encoding, similarity_encoding, similarity_root):
+            be = build(classes, dim)
+            assert be.kind == "leaf" and not be.children and be.hermitian is True
+            np.testing.assert_array_equal(be.unitary, be.unitary.T)
+            assert not be.unitary.imag.any()
+
+    def test_class_leaf_law_reads_nothing(self):
+        """The law is declared, not computed: reading it on a 512-dimensional
+        leaf allocates no copy of the unitary."""
+        be = similarity_encoding(np.repeat([0, 1, -1], [100, 120, 36]))
+        tracemalloc.start()
+        try:
+            assert be.hermitian
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < be.unitary.nbytes // 64

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,14 @@ import scipy.stats
 
 from blocklab import spectral
 from blocklab.applications import scatter_total_encoding
-from blocklab.block_encoding import adjoint_encoding, extract_block, product, trivial_encoding
+from blocklab.block_encoding import (
+    adjoint_encoding,
+    difference_encoding,
+    extract_block,
+    gram_encoding,
+    product,
+    trivial_encoding,
+)
 from blocklab.centering import centering_encoding, centering_matrix, similarity_encoding
 from blocklab.data_encoding import hermitian_dilation, matrix_encoding
 from blocklab.matrix_core import CapExceededError, is_unitary
@@ -228,6 +236,71 @@ class TestWalkOneBuffer:
     def test_n16_scatter_walk_peak_memory(self):
         self.check_peak(16, 1024)
 
+    def test_n16_fresh_scatter_walk_peak_memory(self):
+        """A fresh Gram node's build is the walk's buffer: the whole build,
+        data leaf included, peaks under 1.5 walks, with no second copy."""
+        be = scatter_total_encoding(np.random.default_rng(18).standard_normal((16, 16)))
+        tracemalloc.start()
+        try:
+            w = walk_operator(be)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.shape == (1024, 1024)
+        assert peak <= 1.5 * w.nbytes
+
+
+def hermitian_kinds():
+    """One encoding of each node kind a walk accepts."""
+    rng = np.random.default_rng(20)
+    x = rng.standard_normal((4, 4))
+    return {
+        "gram": lambda: scatter_total_encoding(x),
+        "dilation": lambda: hermitian_dilation(matrix_encoding(x)),
+        "difference": lambda: difference_encoding(
+            gram_encoding(matrix_encoding(x)),
+            gram_encoding(matrix_encoding(x * [1.0, -1.0, 1.0, -1.0]))),
+        "adjoint-of-gram": lambda: adjoint_encoding(gram_encoding(matrix_encoding(x))),
+        "class-leaf": lambda: centering_encoding(np.array([0, 1, 0, -1, 1]), 8),
+        "trivial-leaf": lambda: trivial_encoding(np.diag([1.0, -1.0, -1.0, 1.0])),
+    }
+
+
+def tree_nodes(be):
+    nodes, stack = [], [be]
+    while stack:
+        nodes.append(stack.pop())
+        stack.extend(nodes[-1].children)
+    return nodes
+
+
+class TestWalkLayout:
+    """The walk is its own C-contiguous, writable buffer with the reference
+    bytes, whether or not the node kept its unitary."""
+
+    @pytest.mark.parametrize("read_first", [False, True], ids=["fresh", "kept"])
+    @pytest.mark.parametrize("name", sorted(hermitian_kinds()))
+    def test_layout_and_bytes(self, name, read_first):
+        be = hermitian_kinds()[name]()
+        assert be.hermitian
+        if read_first:
+            be.unitary
+        w = walk_operator(be)
+        assert w.flags.c_contiguous and w.flags.writeable
+        assert w.tobytes() == walk_reference(be).tobytes()
+        for node in tree_nodes(be):
+            assert node._cache is None or not np.shares_memory(w, node._cache)
+
+    @pytest.mark.parametrize("name", ["gram", "dilation", "difference", "adjoint-of-gram"])
+    def test_fresh_composite_caches_nothing(self, name):
+        """Only the data leaves keep their unitary, as every parent shares
+        their one build; no composite caches one that only the walk reads."""
+        be = hermitian_kinds()[name]()
+        walk_operator(be)
+        for node in tree_nodes(be):
+            if node.children:
+                assert node._cache is None, node.kind
+
 
 class TestExactEvolution:
     def test_zero_time_is_identity(self):
@@ -392,6 +465,75 @@ class TestPhaseEstimation:
         assert est.phase == 0.25
         assert (np.float64(est.eigenvalue).tobytes()
                 == np.float64(be.alpha * np.cos(np.pi / 2)).tobytes())
+
+
+@pytest.fixture
+def unitarity_checks(monkeypatch):
+    """The operators phase estimation passes to ``is_unitary_matrix``."""
+    seen = []
+    check = spectral.is_unitary_matrix
+
+    def counted(u, tol):
+        seen.append(u)
+        return check(u, tol)
+
+    monkeypatch.setattr(spectral, "is_unitary_matrix", counted)
+    return seen
+
+
+def scatter_walk_and_states(n=4):
+    """A fresh scatter walk and its n system eigenvectors, embedded."""
+    x = np.random.default_rng(21).standard_normal((n, n))
+    w = walk_operator(scatter_total_encoding(x))
+    states = np.zeros((n, w.shape[0]), dtype=complex)
+    states[:, :n] = np.linalg.eigh(x @ centering_matrix(n) @ x.T)[1].T
+    return w, states
+
+
+class TestUnitarityCheckedOnce:
+    """Phase estimation checks each operator once, exactly: a memo of the
+    check on its exact input, never a weaker check."""
+
+    def test_one_check_for_three_states(self, unitarity_checks):
+        w, states = scatter_walk_and_states()
+        for psi in states[:3]:
+            phase_estimation(w, psi, 6)
+        assert len(unitarity_checks) == 1 and unitarity_checks[0] is w
+
+    def test_mutated_operator_checked_again_and_refused(self, unitarity_checks):
+        w, states = scatter_walk_and_states()
+        phase_estimation(w, states[0], 6)
+        w[5, 5] += 0.5
+        with pytest.raises(ValueError, match="unitary"):
+            phase_estimation(w, states[0], 6)
+        assert len(unitarity_checks) == 2
+        assert spectral._accepted is None
+        with pytest.raises(ValueError, match="unitary"):
+            phase_estimation(w, states[1], 6)
+        assert len(unitarity_checks) == 3
+
+    def test_non_unitary_refused_on_every_call(self, unitarity_checks):
+        u = np.diag([1.0, 2.0]).astype(complex)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="unitary"):
+                phase_estimation(u, np.array([1.0, 0.0]), 4)
+        assert len(unitarity_checks) == 3
+
+    def test_memo_dropped_with_the_operator(self):
+        w, states = scatter_walk_and_states()
+        phase_estimation(w, states[0], 6)
+        assert spectral._accepted is not None
+        del w
+        gc.collect()
+        assert spectral._accepted is None
+
+    def test_distinct_array_with_the_same_bits_checked_again(self, unitarity_checks):
+        w, states = scatter_walk_and_states()
+        twin = w.copy()
+        first = phase_estimation(w, states[0], 6)
+        second = phase_estimation(twin, states[0], 6)
+        assert [u is v for u, v in zip(unitarity_checks, (w, twin))] == [True, True]
+        np.testing.assert_array_equal(first.distribution, second.distribution)
 
 
 def schur_distribution(u, state, t_bits):
