@@ -38,7 +38,8 @@ from .block_encoding import (
 from .centering import centering_encoding, similarity_root
 from .data_encoding import matrix_encoding
 from .matrix_core import (
-    as_complex_matrix,
+    as_array,
+    as_matrix,
     embed_power_of_two,
     is_hermitian,
     next_power_of_two,
@@ -74,8 +75,8 @@ class LabeledDataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        x = as_complex_matrix(self.x)
-        labels = np.asarray(self.labels, dtype=int).reshape(-1)
+        x = np.array(as_matrix(self.x))  # copies: the caller keeps its own arrays
+        labels = np.array(self.labels, dtype=int).reshape(-1)
         if labels.shape[0] != x.shape[1]:
             raise ValueError("need exactly one label per sample column")
         object.__setattr__(self, "x", x)
@@ -164,7 +165,7 @@ def _class_ids(ds: LabeledDataset) -> np.ndarray:
 
 def scatter_total_encoding(x) -> BlockEncoding:
     """Hermitian encoding of the total scatter X C X^T with alpha = ||X||_F^2."""
-    x = as_complex_matrix(x)
+    x = as_matrix(x)
     return _scatter(x, x.shape[1])
 
 
@@ -179,9 +180,9 @@ def scatter_within_encoding(ds: LabeledDataset) -> BlockEncoding:
 
 
 def _views(x, y) -> tuple[np.ndarray, np.ndarray, int]:
-    """The two views as complex matrices, and the power-of-two size of each."""
-    x = as_complex_matrix(x)
-    y = as_complex_matrix(y)
+    """The two views as validated matrices, and the power-of-two size of each."""
+    x = as_matrix(x)
+    y = as_matrix(y)
     if x.shape != y.shape:
         raise ValueError("paired data matrices must share a shape")
     return x, y, next_power_of_two(max(2, *x.shape))
@@ -197,7 +198,7 @@ def paired_scatter_encoding(x, y) -> BlockEncoding:
     """
     x, y, dim = _views(x, y)
     (d, n) = x.shape
-    w = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    w = np.zeros((2 * dim, 2 * dim), dtype=np.result_type(x, y))
     w[:d, :n] = x
     w[dim:dim + d, dim:dim + n] = y
     return _scatter(w, np.repeat([0, -1, 1], [n, dim - n, n]))
@@ -214,7 +215,7 @@ def pca(x, d: int, t_bits: int = 8) -> EigenResult:
     returned eigenvalues are the phase-estimation readouts, which must agree
     with the classical values within ||X||_F^2 * 2^-t_bits.
     """
-    x = as_complex_matrix(x)
+    x = as_matrix(x)
     be = scatter_total_encoding(x)
     dim = be.system_dim
     if not 1 <= d <= dim:
@@ -369,14 +370,14 @@ def ols(x, y_vec) -> RegressionResult:
     """
     from .mean_centering import CenteringMode, mc_encoding
 
-    x = as_complex_matrix(x)
-    y = np.asarray(y_vec, dtype=complex).reshape(-1)
+    x = as_matrix(x)
+    y = as_array(y_vec).reshape(-1)
     if y.shape[0] != x.shape[0]:
         raise ValueError("target vector length must match the sample (row) count")
     closed = ols_closed_form(x, y)
     be = mc_encoding(x, CenteringMode.CX)
     design = be.alpha * be.extract_block()
-    y_e = np.zeros(be.system_dim, dtype=complex)
+    y_e = np.zeros(be.system_dim, dtype=np.result_type(design, y))
     y_e[: y.shape[0]] = y
     sv = np.linalg.svd(design, compute_uv=False)
     effective_rank = int(np.sum(sv > sv[0] * _RANK_RTOL)) if sv.size else 0

@@ -16,6 +16,9 @@ derives its own (alpha, ancillas, epsilon) and dimension from them by its
 composition law, and materializes the full unitary only on demand; the
 encoded block is always available cheaply through the exact corner law of
 the node.  Tests cross-check those laws against the materialized unitaries.
+A node's ``dtype`` (its block's and its unitary's) follows the dtype rule of
+``matrix_core``: a leaf keeps its matrix's, and a composite takes
+``np.result_type`` of its children's, so a tree of real leaves is real.
 
 Every node's read-only ``hermitian`` law says whether its unitary is
 Hermitian by construction, as a walk needs: always for Gram and dilation
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_core import (
-    as_complex_matrix,
+    as_matrix,
     ensure_dimension,
     is_power_of_two,
     is_unitary_matrix,
@@ -66,10 +69,11 @@ class BlockEncoding:
 
     Built directly from a matrix, an encoding is a leaf of the composition
     tree (``kind == "leaf"``, no ``children``) that holds its own frozen copy
-    of the matrix.  Composite nodes subclass it and supply ``_materialize``
-    (the dense unitary), ``_block`` (the encoded block by the node's corner
-    law) and ``hermitian`` (the node's Hermitian law); so does a lazy leaf,
-    which has no children.
+    of the matrix, in its dtype (``matrix_core.as_matrix``).  Composite
+    nodes subclass it and supply ``_materialize`` (the dense unitary),
+    ``_block`` (the encoded block by the node's corner law) and
+    ``hermitian`` (the node's Hermitian law); so does a lazy leaf, which has
+    no children.
     """
 
     __slots__ = ("alpha", "ancillas", "epsilon", "system_qubits", "dim", "children", "_cache")
@@ -77,7 +81,7 @@ class BlockEncoding:
 
     def __init__(self, unitary, alpha: float, ancillas: int, epsilon: float,
                  system_qubits: int):
-        matrix = as_complex_matrix(np.array(unitary, dtype=complex))  # the caller keeps its own
+        matrix = np.array(as_matrix(unitary))  # the caller keeps its own
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("encoding unitary must be square")
         self._certify(alpha, ancillas, epsilon, system_qubits, matrix.shape[0], ())
@@ -125,6 +129,15 @@ class BlockEncoding:
             cached.setflags(write=False)
             object.__setattr__(self, "_cache", cached)
         return cached
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the block and the unitary: a leaf's own, and
+        ``np.result_type`` of the children's for a composite, read without
+        building anything."""
+        if not self.children:
+            return self._block().dtype
+        return np.result_type(*(child.dtype for child in self.children))
 
     @property
     def hermitian(self) -> bool:
@@ -247,7 +260,7 @@ class _Difference(BlockEncoding):
     def _materialize(self) -> np.ndarray:
         a, b = self.children
         d = a.dim
-        out = np.empty((2 * d, 2 * d), dtype=complex)
+        out = np.empty((2 * d, 2 * d), dtype=self.dtype)
         diff, total = out[:d, :d], out[:d, d:]
         diff[...] = total[...] = a._dense()  # one child's unitary alive at a time
         u_b = b._dense()
@@ -311,7 +324,7 @@ class _Gram(BlockEncoding):
         d = inner.dim
         m = np.array(inner._dense()[: inner.system_dim])  # U itself is not kept
         g = m.conj().T @ m
-        out = np.empty((2 * d, 2 * d), dtype=complex)
+        out = np.empty((2 * d, 2 * d), dtype=g.dtype)
         top = out[:d, :d]
         np.conjugate(g.T, out=top)
         top += g  # G + G^dag: exactly Hermitian
@@ -334,7 +347,7 @@ class _Gram(BlockEncoding):
 
 def trivial_encoding(u) -> BlockEncoding:
     """A unitary is a (1, 0, 0) encoding of itself; the leaf holds a copy of it."""
-    u = as_complex_matrix(u)
+    u = as_matrix(u)
     if u.shape[0] != u.shape[1] or not is_power_of_two(u.shape[0]):
         raise ValueError("trivial encoding requires a square power-of-two unitary")
     if not is_unitary_matrix(u):
@@ -350,7 +363,7 @@ def extract_block(be: BlockEncoding) -> np.ndarray:
 
 def verify(be: BlockEncoding, target, tol: float = 1e-9) -> VerificationReport:
     """Compare alpha * extract_block against the target in spectral norm."""
-    target = as_complex_matrix(target)
+    target = as_matrix(target)
     if target.shape != (be.system_dim, be.system_dim):
         raise ValueError(
             f"target shape {target.shape} does not match system dimension "

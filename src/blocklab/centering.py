@@ -2,7 +2,7 @@
 unitary, and one real symmetric leaf law on one ancilla that encodes the
 centering projector C = I - (1/n) ee^T over the true samples (per class when
 the slots carry classes), the class-similarity matrix E and its square root
-E^1/2 on the same slots.
+E^1/2 on the same slots.  All of them are real and stored as ``float64``.
 
 The register slots are the one class layout: each slot holds a class or is
 empty, in the samples' own order.  The centering encoding removes each class
@@ -29,7 +29,7 @@ __all__ = [
     "similarity_encoding",
 ]
 
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 # Round-off of a class leaf's block, read as alpha * block, per unit of
 # alpha, with u = 2^-53; fixed from the operation counts, never measured.
@@ -56,7 +56,8 @@ def centering_matrix(n: int) -> np.ndarray:
 
 
 def build_uc(log_n: int) -> np.ndarray:
-    """Reflection unitary H^{(x)k} (2|0><0| - I) H^{(x)k} = (2/n) ee^T - I.
+    """Reflection unitary H^{(x)k} (2|0><0| - I) H^{(x)k} = (2/n) ee^T - I,
+    real (``float64``).
 
     An involution; the centering projector is C = (I - U_c) / 2.
     """
@@ -67,7 +68,7 @@ def build_uc(log_n: int) -> np.ndarray:
     h = _HADAMARD
     for _ in range(log_n - 1):
         h = kron(h, _HADAMARD)
-    reflect = -np.eye(n, dtype=complex)
+    reflect = -np.eye(n)
     reflect[0, 0] = 1.0
     return h @ reflect @ h
 

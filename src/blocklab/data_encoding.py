@@ -24,7 +24,8 @@ import numpy as np
 
 from .block_encoding import BlockEncoding
 from .matrix_core import (
-    as_complex_matrix,
+    as_array,
+    as_matrix,
     ensure_dimension,
     householder_completions,
     householder_terms,
@@ -62,7 +63,7 @@ def _pairwise_sums(sq: np.ndarray) -> np.ndarray:
 
 def build_norm_tree(x) -> NormTree:
     """Deterministic partial-sum structure for the preparation amplitudes."""
-    x = as_complex_matrix(x)
+    x = as_matrix(x)
     row_norm_sq = _pairwise_sums(np.abs(x) ** 2)
     frobenius = float(np.sqrt(_pairwise_sums(row_norm_sq[np.newaxis, :])[0]))
     if frobenius == 0.0:
@@ -84,7 +85,7 @@ def _preparation_terms(x: np.ndarray, tree: NormTree) -> tuple[np.ndarray, ...]:
     for a zero row) and, last, the row-norm state; it also raises when a
     completion would not be finite."""
     n = x.shape[0]
-    columns = np.zeros((n + 1, n), dtype=complex)
+    columns = np.zeros((n + 1, n), dtype=x.dtype)
     columns[:, 0] = 1.0  # e_0, kept for a zero row
     norms = tree.row_norms[:, np.newaxis]
     np.divide(np.conj(x), norms, out=columns[:n], where=norms > 0.0)
@@ -105,7 +106,7 @@ def preparation_unitaries(x, tree: NormTree | None = None) -> tuple[np.ndarray, 
     |0>|j> -> (row-norm state)|j>.  ``tree`` is the norm tree of ``x`` when
     the caller has built it already.
     """
-    x = as_complex_matrix(x)
+    x = as_matrix(x)
     n = _square_power_of_two(x)
     ensure_dimension(n * n)
     if tree is None:
@@ -115,24 +116,28 @@ def preparation_unitaries(x, tree: NormTree | None = None) -> tuple[np.ndarray, 
 
 
 # Round-off of the leaf's block X / F (F the computed ||X||_F), per unit of
-# F, with u = 2^-53; fixed from the operation counts, never measured.  Each
-# real component of the entry conj(x_qc / r_q) (r_q / F) takes at most 4
-# roundings: the complex / real division (numpy may form 1 / r_q, then a
-# product), r_q / F and the final product.  The computed row norm r_q cancels,
-# so ||X - F block||_2 <= ||X - F block||_F <= gamma_4 ||X||_F, gamma_4 =
-# 4u / (1 - 4u).  F is within O(u log n) of ||X||_F and gradual underflow in
-# the block entries adds at most n 2^-1074 F, so this is <= 5u F for every n
-# under the cap.  That holds for the rows whose computed norm is positive.  A
-# nonzero row whose squared entries all underflow (|x| < 2^-537.5) has norm 0
-# and encodes as zeros, so the leaf adds n max |x_qc| over such rows, which
-# exceeds their Frobenius mass by a factor of at least 1 + 1/(2n).
+# F, with u = 2^-53; fixed from the operation counts, never measured.  For a
+# complex X each real component of the entry conj(x_qc / r_q) (r_q / F) takes
+# at most 4 roundings: the complex / real division (numpy may form 1 / r_q,
+# then a product), r_q / F and the final product.  A real X is kept in
+# float64, and its entry takes 3: the real division x_qc / r_q, r_q / F and
+# the product.  The computed row norm r_q cancels, so
+# ||X - F block||_2 <= ||X - F block||_F <= gamma_4 ||X||_F, gamma_k =
+# ku / (1 - ku), and gamma_3 < gamma_4 for a real X.  F is within O(u log n)
+# of ||X||_F and gradual underflow in the block entries adds at most
+# n 2^-1074 F, so this is <= 5u F for every n under the cap.  That holds
+# for the rows whose computed norm is positive.  A nonzero row whose squared
+# entries all underflow (|x| < 2^-537.5) has norm 0 and encodes as zeros, so
+# the leaf adds n max |x_qc| over such rows, which exceeds their Frobenius
+# mass by a factor of at least 1 + 1/(2n).
 _LEAF_ROUNDING = 5 * np.finfo(float).eps / 2
 
 
 class _DataLeaf(BlockEncoding):
     """Leaf encoding of a data matrix whose unitary is built on first read.
 
-    It holds its own copy of X, the norm tree and the encoded block.  Column
+    It holds its own copy of X in X's dtype (float64 for real data), the norm
+    tree and the encoded block, and builds its unitary in that dtype.  Column
     0 of R_q is the normalized row r_q (e_0 for a zero row) and column 0 of
     W is the row-norm state, so the block entry conj(R_q[c, 0]) W[q, 0] is
     formed from those columns alone, with the same bits as the unitary.
@@ -142,8 +147,8 @@ class _DataLeaf(BlockEncoding):
     hermitian = False
 
     def __init__(self, x):
-        x = np.array(x, dtype=complex, order="C")  # the caller keeps its own array
-        tree = build_norm_tree(x)  # validates x as as_complex_matrix does
+        x = np.array(as_array(x), order="C")  # the caller keeps its own array
+        tree = build_norm_tree(x)  # validates x as as_matrix does
         n = _square_power_of_two(x)
         frob = tree.frobenius_norm
         eps = _LEAF_ROUNDING * frob
@@ -208,7 +213,7 @@ class _Dilation(BlockEncoding):
         inner = self.children[0]
         a, s = 1 << inner.ancillas, inner.system_dim
         u = inner._dense()
-        out = np.zeros((a, 2, s, a, 2, s), dtype=complex)
+        out = np.zeros((a, 2, s, a, 2, s), dtype=u.dtype)
         out[:, 0, :, :, 1, :] = u.reshape(a, s, a, s)
         out[:, 1, :, :, 0, :] = u.conj().T.reshape(a, s, a, s)
         return out.reshape(self.dim, self.dim)

@@ -1,11 +1,14 @@
-"""Dense complex matrix substrate used by every encoding construction:
-Kronecker products, power-of-two embeddings, unitarity checks, Householder
-completions of a stack of columns, and CSV interchange.
+"""Dense matrix substrate used by every encoding construction: Kronecker
+products, power-of-two embeddings, unitarity checks, Householder completions
+of a stack of columns, and CSV interchange.
 
 Conventions:
-  * All matrices are dense ``complex128`` ndarrays, row-major.  The one
-    exception is inside the unitarity check: for a real matrix (an imaginary
-    part that is exactly zero) its temporaries are ``float64``.
+  * One dtype rule: an array is ``float64`` when its data is real and
+    ``complex128`` when its dtype is complex; matrices are dense and
+    row-major.  Validation keeps a real input real, every construction works
+    in the dtype of its inputs, and a node of mixed children takes
+    ``np.result_type`` of them, so complex arithmetic appears only where a
+    complex number does.
   * Qubit registers are big-endian: the most significant index factor is the
     leftmost register.  Ancilla registers always occupy the most significant
     positions, so the encoded block of a unitary is its leading submatrix.
@@ -67,9 +70,18 @@ def qubit_count(dim: int) -> int:
     return dim.bit_length() - 1
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Validate and convert input to a 2-D complex128 array with finite entries."""
-    arr = np.asarray(m, dtype=complex)
+def as_array(a) -> np.ndarray:
+    """``a`` as an array under the dtype rule: complex128 when its dtype is
+    complex, float64 otherwise; it copies only to convert."""
+    arr = np.asarray(a)
+    return np.asarray(arr, dtype=complex if arr.dtype.kind == "c" else float)
+
+
+def as_matrix(m) -> np.ndarray:
+    """Validate input as a non-empty, finite, C-contiguous 2-D array under the
+    dtype rule (``as_array``).  It may return ``m`` itself: a caller that
+    keeps the array copies it."""
+    arr = as_array(m)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={arr.ndim}")
     if arr.size == 0:
@@ -81,8 +93,8 @@ def as_complex_matrix(m) -> np.ndarray:
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product with the size cap enforced on the result."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
+    a = as_matrix(a)
+    b = as_matrix(b)
     out_dim = max(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
     ensure_dimension(out_dim)
     return np.kron(a, b)
@@ -94,7 +106,7 @@ def embed_power_of_two(a, dim: int | None = None) -> np.ndarray:
     ``dim`` defaults to the next power of two of the larger side.  Returns the
     input unchanged when it is already dim x dim.
     """
-    a = as_complex_matrix(a)
+    a = as_matrix(a)
     rows, cols = a.shape
     if dim is None:
         dim = next_power_of_two(max(rows, cols))
@@ -102,43 +114,42 @@ def embed_power_of_two(a, dim: int | None = None) -> np.ndarray:
         raise ValueError("embedding target smaller than the matrix")
     if rows == cols == dim:
         return a
-    out = np.zeros((dim, dim), dtype=complex)
+    out = np.zeros((dim, dim), dtype=a.dtype)
     out[:rows, :cols] = a
     return out
 
 
 def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
-    """True iff U is square and max|U^dag U - I| <= tol.
-
-    For a real U (its imaginary part exactly zero) the Gram product and its
-    temporaries are ``float64``; see ``is_unitary_matrix``.
-    """
-    return is_unitary_matrix(as_complex_matrix(u), tol)
+    """True iff U is square and max|U^dag U - I| <= tol; see
+    ``is_unitary_matrix``."""
+    return is_unitary_matrix(as_matrix(u), tol)
 
 
 def is_unitary_matrix(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    """``is_unitary`` for a matrix ``as_complex_matrix`` has already
-    returned: it converts and validates nothing again.
+    """``is_unitary`` for a matrix ``as_matrix`` has already returned: it
+    converts and validates nothing again.
 
-    When the imaginary part is exactly zero, U^dag U = R^T R for R = Re U is
-    formed as one ``float64`` product on a contiguous copy of R, and every
-    entry of it is still compared with the identity.  The temporaries (R and
-    the Gram) then take 16 d^2 bytes instead of 32 d^2.
+    The Gram product U^dag U is formed in U's dtype, and every entry of it is
+    compared with the identity.  A real U is read in place, and the Gram and
+    its absolute values share one ``float64`` buffer of 8 d^2 bytes.  A
+    complex U whose imaginary part is exactly zero is reduced to a
+    contiguous copy of its real part first, so its temporaries take 16 d^2
+    bytes instead of 32 d^2.
     """
     if u.shape[0] != u.shape[1]:
         raise ValueError("is_unitary requires a square matrix")
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    real = not u.imag.any()
-    if real:
+    if u.dtype.kind == "c" and not u.imag.any():
         u = np.ascontiguousarray(u.real)
     gram = u.conj().T @ u  # conj() of a real array is the array itself
     np.fill_diagonal(gram, gram.diagonal() - 1.0)
+    real = gram.dtype.kind == "f"
     return bool(np.max(np.abs(gram, out=gram if real else None)) <= tol)
 
 
 def is_hermitian(m, tol: float = 1e-10) -> bool:
-    m = as_complex_matrix(m)
+    m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
@@ -146,7 +157,7 @@ def is_hermitian(m, tol: float = 1e-10) -> bool:
 
 def spectral_norm(m) -> float:
     """Largest singular value."""
-    m = as_complex_matrix(m)
+    m = as_matrix(m)
     if min(m.shape) == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
@@ -154,34 +165,35 @@ def spectral_norm(m) -> float:
 
 def householder_terms(columns, dimension: int) -> tuple[np.ndarray, ...]:
     """The checked unit columns v (a k x ``dimension`` stack) and the terms
-    (phi, head, scale) of their Householder completions, one per column.
+    (phi, head, scale) of their Householder completions, one per column, all
+    in the columns' dtype (``as_array``).
 
-    phi is the phase of v[0] (1 when v[0] = 0), head is w[0] = 1 - |v[0]|
-    for w = e_0 - v/phi, and scale is 2 phi/|w|^2 (0 when w = 0).  It raises
-    ``ValueError`` unless every column has length ``dimension`` and is a unit
-    vector within 1e-10.  A scale that overflows makes its completion
-    non-finite.
+    phi is the phase of v[0] (1 when v[0] = 0; the sign of v[0] for real
+    columns), head is w[0] = 1 - |v[0]| for w = e_0 - v/phi, and scale is
+    2 phi/|w|^2 (0 when w = 0).  It raises ``ValueError`` unless every column
+    has length ``dimension`` and is a unit vector within 1e-10.  A scale that
+    overflows makes its completion non-finite.
     """
-    v = np.asarray(columns, dtype=complex)
+    v = as_array(columns)
     if v.ndim != 2 or v.shape[1] != dimension:
         raise ValueError("prescribed column has wrong dimension")
     if (np.abs(np.vecdot(v, v) - 1.0) > 1e-10).any():
         raise ValueError("prescribed column is not a unit vector within 1e-10")
     lead = np.hypot(v[:, 0].real, v[:, 0].imag)  # abs() of each entry, bit for bit
-    phi = np.ones(len(v), dtype=complex)
+    phi = np.ones(len(v), dtype=v.dtype)
     np.divide(v[:, 0], lead, out=phi, where=lead > 0.0)
     tail = np.vecdot(v[:, 1:], v[:, 1:]).real
     # 1 - |v[0]| written as tail / (1 + |v[0]|): no cancellation near v = phi e_0
     head = tail / (1.0 + lead)
     norm2 = head * head + tail
-    scale = np.zeros(len(v), dtype=complex)
+    scale = np.zeros(len(v), dtype=v.dtype)
     np.divide(2.0 * phi, norm2, out=scale, where=norm2 > 0.0)
     return v, phi, head, scale
 
 
 def householder_completions(terms) -> np.ndarray:
     """The k x d x d unitaries, one per column of ``householder_terms``,
-    whose column 0 is that column v.
+    whose column 0 is that column v, in the columns' dtype.
 
     One Householder reflection (Householder 1958): phi (I - 2 ww^dag/|w|^2)
     maps e_0 to v, and it is phi I when w = 0.  Column 0 is then stored as v
@@ -189,7 +201,7 @@ def householder_completions(terms) -> np.ndarray:
     exactly.
     """
     v, phi, head, scale = terms
-    out = phi[:, None, None] * np.eye(v.shape[1], dtype=complex)
+    out = phi[:, None, None] * np.eye(v.shape[1], dtype=v.dtype)
     w = -v / phi[:, None]
     w[:, 0] = head
     outer = w[:, :, None] * w[:, None, :].conj()
@@ -201,7 +213,7 @@ def householder_completions(terms) -> np.ndarray:
 
 def unitary_completion(column, dimension: int) -> np.ndarray:
     """Complete one unit column to a unitary: the batch of one."""
-    column = np.asarray(column, dtype=complex).reshape(1, -1)
+    column = as_array(column).reshape(1, -1)
     return householder_completions(householder_terms(column, dimension))[0]
 
 
@@ -231,27 +243,39 @@ def read_matrix_csv(path) -> np.ndarray:
     """Read a matrix from CSV: one row per line, entries comma separated.
 
     Real entries are plain numbers; complex entries use ``re+imj`` tokens.
+    The matrix is ``float64`` when every entry is real, else ``complex128``.
+    A line of plain numbers is parsed by ``float``, which accepts a subset
+    of what ``parse_complex_token`` accepts, with the same values; any other
+    line is parsed token by token, and its first bad token raises
+    ``ValueError`` as ``path:line: message``.
     """
-    rows: list[list[complex]] = []
+    rows: list[list] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            tokens = line.split(",")
             try:
-                rows.append([parse_complex_token(t) for t in line.split(",")])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                rows.append(list(map(float, tokens)))
+            except ValueError:
+                try:
+                    rows.append([parse_complex_token(t) for t in tokens])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no matrix rows found")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError(f"{path}: ragged rows; all rows must have {width} entries")
-    return as_complex_matrix(np.array(rows, dtype=complex))
+    m = np.array(rows)
+    if m.dtype.kind == "c" and not m.imag.any():
+        m = m.real  # complex syntax, real values
+    return as_matrix(m)
 
 
 def write_matrix_csv(path, matrix) -> None:
-    matrix = as_complex_matrix(matrix)
+    matrix = as_matrix(matrix)
     with open(path, "w", encoding="utf-8") as fh:
         for row in matrix:
             fh.write(",".join(format_complex(v) for v in row))

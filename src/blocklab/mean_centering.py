@@ -15,7 +15,7 @@ import numpy as np
 from .block_encoding import BlockEncoding, product
 from .centering import centering_encoding
 from .data_encoding import matrix_encoding
-from .matrix_core import as_complex_matrix, embed_power_of_two, next_power_of_two
+from .matrix_core import as_matrix, embed_power_of_two, next_power_of_two
 
 __all__ = ["CenteringMode", "mean_vectors", "classical_center", "mc_encoding"]
 
@@ -41,7 +41,7 @@ def mean_vectors(x) -> tuple[np.ndarray, np.ndarray, complex]:
     Samples are columns, so the per-sample mean of sample c averages column c
     and the per-component mean of component r averages row r.
     """
-    x = as_complex_matrix(x)
+    x = as_matrix(x)
     u = x.mean(axis=0)
     v = x.mean(axis=1)
     xbar = complex(x.mean())
@@ -52,7 +52,7 @@ def mean_vectors(x) -> tuple[np.ndarray, np.ndarray, complex]:
 
 def classical_center(x, mode: CenteringMode) -> np.ndarray:
     """Mean-subtracted matrix, computed entrywise from the mean vectors."""
-    x = as_complex_matrix(x)
+    x = as_matrix(x)
     u, v, xbar = mean_vectors(x)
     if mode is CenteringMode.CX:
         return x - u[np.newaxis, :]
@@ -71,7 +71,7 @@ def mc_encoding(x, mode: CenteringMode) -> BlockEncoding:
     (CX) and column count (XC) on the side(s) the mode requires, so the
     padded rows and columns of the block stay exactly zero.
     """
-    x = as_complex_matrix(x)
+    x = as_matrix(x)
     dim = next_power_of_two(max(2, *x.shape))
     data = matrix_encoding(embed_power_of_two(x, dim))
     if mode is CenteringMode.CX:

@@ -6,8 +6,9 @@ code with the encodings it checks; a mean always averages over the true
 samples; only ``hermitian_extension`` pads, to the power-of-two square its
 encodings act on.  ``reflection`` and ``similarity`` are real; ``scatters``,
 ``pencil_eigs`` and ``pencil_blocks`` keep their inputs' dtype (real in, real
-out); ``total_scatter``, ``hermitian_extension`` and ``ols_closed_form`` work
-in complex arithmetic.
+out); ``total_scatter``, ``hermitian_extension`` and ``ols_closed_form``
+follow the dtype rule of ``matrix_core``: real arithmetic for real inputs,
+complex otherwise.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .centering import centering_matrix
-from .matrix_core import as_complex_matrix, embed_power_of_two
+from .matrix_core import as_array, as_matrix, embed_power_of_two
 
 __all__ = ["reflection", "similarity", "scatters", "total_scatter", "hermitian_extension",
            "pencil_eigs", "pencil_blocks", "ols_closed_form"]
@@ -56,7 +57,7 @@ def scatters(ds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def total_scatter(x) -> np.ndarray:
     """X C X^dag with C centering the sample columns."""
-    x = as_complex_matrix(x)
+    x = as_matrix(x)
     return x @ centering_matrix(x.shape[1]) @ x.conj().T
 
 
@@ -67,9 +68,9 @@ def hermitian_extension(x) -> np.ndarray:
     result is Hermitian with spectrum +/- the singular values of X (plus
     zeros contributed by any padding).
     """
-    x = embed_power_of_two(as_complex_matrix(x))
+    x = embed_power_of_two(as_matrix(x))
     d = x.shape[0]
-    out = np.zeros((2 * d, 2 * d), dtype=complex)
+    out = np.zeros((2 * d, 2 * d), dtype=x.dtype)
     out[:d, d:] = x
     out[d:, :d] = x.conj().T
     return out
@@ -102,7 +103,7 @@ def pencil_blocks(m, x, y, c) -> tuple[np.ndarray, np.ndarray]:
 
 def ols_closed_form(x, y) -> np.ndarray:
     """pinv(X^dag C X) X^dag C y with C centering the rows of the design."""
-    x = as_complex_matrix(x)
-    y = np.asarray(y, dtype=complex).reshape(-1)
+    x = as_matrix(x)
+    y = as_array(y).reshape(-1)
     c = centering_matrix(x.shape[0])
     return np.linalg.pinv(x.conj().T @ c @ x, rcond=1e-12) @ (x.conj().T @ (c @ y))

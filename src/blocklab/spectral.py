@@ -13,11 +13,11 @@ comparison, products and data leaves never.  Where it fails, walk
 Phase estimation checks each operator's unitarity once, exactly: it keeps
 the last operator it accepted (a weak reference and a copy of its entries)
 and skips the O(d^3) check only for that same array with the same bits.
-It never diagonalizes the whole unitary.  It spans the Krylov space of the
-state, which the unitary leaves invariant (two dimensions from an
-eigenvector of a walk's encoded block), checks the invariance leak
-||U Q - Q H|| against a bound fixed in advance, and reads phases and weights
-from the small restricted matrix H.
+It never diagonalizes the whole unitary, and it never casts a real one to
+complex.  It spans the Krylov space of the state, which the unitary leaves
+invariant (two dimensions from an eigenvector of a walk's encoded block),
+checks the invariance leak ||U Q - Q H|| against a bound fixed in advance,
+and reads phases and weights from the small restricted matrix H.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ import scipy.linalg
 from .block_encoding import BlockEncoding
 from .matrix_core import (
     CapExceededError,
-    as_complex_matrix,
+    as_array,
+    as_matrix,
     cap_qubits,
     is_hermitian,
     is_unitary_matrix,
@@ -87,7 +88,8 @@ def walk_operator(be: BlockEncoding) -> np.ndarray:
     with every row outside the ancilla-zero block negated: a copy of U when
     the node keeps U (a leaf, or a node whose ``unitary`` was read), else the
     node's fresh build of U, negated in place and never cached.  W is
-    C-contiguous, writable and shares no memory with a kept unitary.  For
+    C-contiguous, writable, in the node's ``dtype`` (float64 for a tree of
+    real leaves) and shares no memory with a kept unitary.  For
     every eigenvalue lambda of the encoded operator, W has an eigenphase pair
     +/- arccos(lambda/alpha).
     """
@@ -146,6 +148,14 @@ def _require_unitary(u: np.ndarray) -> None:
     _accepted = (weakref.ref(u, _forget), u.copy())
 
 
+def _apply(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """U v.  A real U meets a complex v as two real products: numpy would
+    otherwise cast all of U to complex on every call."""
+    if u.dtype.kind == "f" and v.dtype.kind == "c":
+        return u @ v.real + 1j * (u @ v.imag)
+    return u @ v
+
+
 def _phase_distribution(u: np.ndarray, state: np.ndarray,
                         t_bits: int) -> tuple[np.ndarray, int, float]:
     """Exact measurement distribution of the phase register.
@@ -162,7 +172,7 @@ def _phase_distribution(u: np.ndarray, state: np.ndarray,
     dim = state.shape[0]
     basis, images = [state], []
     while True:
-        images.append(u @ basis[-1])
+        images.append(_apply(u, basis[-1]))
         if len(basis) == dim:
             break
         q = np.column_stack(basis)
@@ -216,14 +226,16 @@ def phase_estimation(
     above ``cap_qubits()`` raises ``CapExceededError`` before any allocation.
     The unitarity check (within 1e-10) is exact and runs once per operator:
     a later call on the same array with bit-identical entries skips it.
+    A real operator is never cast to complex: with a state whose imaginary
+    part is zero the whole readout runs in float64.
     """
     if t_bits < 1:
         raise ValueError("t_bits must be positive")
     if t_bits > (qubits := cap_qubits()):  # exponents compared: no 2^t_bits is formed
         raise CapExceededError(f"phase register of {t_bits} qubits exceeds the "
                                f"simulator cap of {qubits} qubits")
-    u = as_complex_matrix(u)
-    state = np.asarray(eigenstate, dtype=complex).reshape(-1)
+    u = as_matrix(u)
+    state = as_array(eigenstate).reshape(-1)
     if state.shape[0] != u.shape[0]:
         raise ValueError("eigenstate dimension does not match the unitary")
     if not np.all(np.isfinite(state)):
@@ -233,6 +245,8 @@ def phase_estimation(
         raise ValueError("eigenstate must be normalized")
     _require_unitary(u)  # last: the only O(d^3) check
 
+    if u.dtype.kind == "f" and not state.imag.any():
+        state = state.real  # a real state on a real operator: the Krylov space is real
     dist, krylov_dim, leak = _phase_distribution(u, state / norm, t_bits)
     grid = 1 << t_bits
     m = int(np.argmax(dist))

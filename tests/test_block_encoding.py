@@ -470,3 +470,109 @@ class TestHermitianLaw:
         finally:
             tracemalloc.stop()
         assert peak < be.unitary.nbytes // 64
+
+
+class _ComplexDraws:
+    """A generator whose standard normal draws are complex."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def standard_normal(self, shape):
+        return self.rng.standard_normal(shape) + 1j * self.rng.standard_normal(shape)
+
+
+class TestDtypeRule:
+    """Every node is float64 when every leaf below it is real, and complex128
+    as soon as one is complex."""
+
+    @pytest.mark.parametrize("draw", ["real", "complex"])
+    def test_composition_corpus(self, draw, monkeypatch):
+        from blocklab import suite
+
+        if draw == "complex":
+            rng = suite._rng
+            monkeypatch.setattr(suite, "_rng", lambda seed, salt: _ComplexDraws(rng(seed, salt)))
+        nodes = {}
+        stack = list(suite._composition_corpus(42))
+        while stack:
+            be = stack.pop()
+            if id(be) not in nodes:
+                nodes[id(be)] = be
+                stack.extend(be.children)
+        counts = {np.float64: 0, np.complex128: 0}
+        verdict = {}
+
+        def is_complex(be):
+            if id(be) not in verdict:
+                verdict[id(be)] = (any(is_complex(c) for c in be.children) if be.children
+                                   else bool(np.imag(be.unitary).any()))
+            return verdict[id(be)]
+
+        for be in nodes.values():
+            want = np.complex128 if is_complex(be) else np.float64
+            assert be.dtype == want
+            assert be.extract_block().dtype == want
+            assert be.unitary.dtype == want
+            counts[want] += 1
+            if draw == "complex" and not be.children and want is np.float64:
+                assert type(be).__name__ == "_ClassLeaf"  # every data leaf is complex
+        assert counts[np.float64] >= 100 and counts[np.complex128] >= 300
+
+    def test_class_leaf_times_complex_data_leaf(self):
+        rng = np.random.default_rng(31)
+        c = centering_encoding(4)
+        x = matrix_encoding(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        c_complex = BlockEncoding(c.unitary.astype(complex), c.alpha, c.ancillas, c.epsilon,
+                                  c.system_qubits)
+        assert c.dtype == np.float64 and x.dtype == np.complex128
+        for be, same in ((product(c, x), product(c_complex, x)),
+                         (product(x, c), product(x, c_complex))):
+            assert be.dtype == be.unitary.dtype == be.extract_block().dtype == np.complex128
+            assert be.unitary.tobytes() == same.unitary.tobytes()
+            assert be.extract_block().tobytes() == same.extract_block().tobytes()
+
+    def test_real_identity_and_complex_reflection(self):
+        eye = trivial_encoding(np.eye(2))
+        pauli_y = trivial_encoding(np.array([[0.0, -1j], [1j, 0.0]]))
+        assert eye.dtype == np.float64 and pauli_y.dtype == np.complex128
+        for a, b in ((eye, pauli_y), (pauli_y, eye)):
+            be = difference_encoding(a, b)
+            assert be.dtype == np.complex128
+            ua, ub = a.unitary, b.unitary
+            np.testing.assert_array_equal(
+                be.unitary, 0.5 * np.block([[ua - ub, ua + ub], [ua + ub, ua - ub]]))
+            assert be.hermitian and be.validate()
+
+
+class TestCallerArraysNotKept:
+    """An encoding or dataset holds its own copy of a float64 input, which the
+    dtype rule no longer converts (and so no longer copies) on validation."""
+
+    def test_block_encoding_and_trivial_encoding(self):
+        for build in (lambda u: BlockEncoding(u, 1.0, 0, 0.0, 1), trivial_encoding):
+            u = np.array([[0.0, 1.0], [1.0, 0.0]])
+            be = build(u)
+            u[:] = 7.0
+            np.testing.assert_array_equal(be.unitary, [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_matrix_encoding(self):
+        x = np.random.default_rng(32).standard_normal((4, 4))
+        want = matrix_encoding(x.copy())
+        be = matrix_encoding(x)
+        x[:] = 0.0
+        assert be.unitary.tobytes() == want.unitary.tobytes()
+        assert be.extract_block().tobytes() == want.extract_block().tobytes()
+        assert (be.alpha, be.epsilon) == (want.alpha, want.epsilon)
+
+    def test_labeled_dataset(self):
+        from blocklab.applications import LabeledDataset
+
+        x = np.arange(8.0).reshape(2, 4)
+        labels = np.array([0, 1, 0, 1])
+        ds = LabeledDataset(x, labels)
+        x[:] = -1.0
+        labels[:] = 5
+        np.testing.assert_array_equal(ds.x, np.arange(8.0).reshape(2, 4))
+        np.testing.assert_array_equal(ds.labels, [0, 1, 0, 1])
+        assert ds.x.dtype == np.float64

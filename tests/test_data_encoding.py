@@ -94,22 +94,22 @@ class TestMatrixEncoding:
         tree = build_norm_tree(x)
         for i in (0, 1, 3):
             np.testing.assert_array_equal(
-                rows[i][:, 0], np.conj(x[i]).astype(complex) / tree.row_norms[i])
+                rows[i][:, 0], np.conj(x[i]) / tree.row_norms[i])  # in x's dtype
         np.testing.assert_array_equal(rows[2], np.eye(4))
         np.testing.assert_array_equal(w[:, 0], tree.row_norms / tree.frobenius_norm)
 
     @staticmethod
     def _dense_product(x):
-        """U_rows^dag U_norms assembled densely: select over R_i after a
-        register swap, and W (x) I."""
+        """U_rows^dag U_norms assembled densely, in x's dtype: select over
+        R_i after a register swap, and W (x) I."""
         rows, w = preparation_unitaries(x)
         n = x.shape[0]
         dim = n * n
-        u_rows = np.zeros((dim, dim), dtype=complex)
+        u_rows = np.zeros((dim, dim), dtype=x.dtype)
         for i in range(n):
             u_rows[i * n:(i + 1) * n, i * n:(i + 1) * n] = rows[i]
         u_rows = u_rows[:, np.arange(dim).reshape(n, n).T.reshape(-1)]
-        u_norms = np.kron(w, np.eye(n, dtype=complex))
+        u_norms = np.kron(w, np.eye(n, dtype=x.dtype))
         return u_rows.conj().T @ u_norms
 
     @pytest.mark.parametrize("kind", ["real", "complex", "zero-row", "embedded"])
@@ -352,7 +352,7 @@ class TestHermitianDilation:
         # [[0, U], [U^dag, 0]] on the middle qubit, between ancillas and system
         a, s = 1 << inner.ancillas, inner.system_dim
         u = original(inner)
-        expected = np.zeros((a, 2, s, a, 2, s), dtype=complex)
+        expected = np.zeros((a, 2, s, a, 2, s), dtype=u.dtype)
         expected[:, 0, :, :, 1, :] = u.reshape(a, s, a, s)
         expected[:, 1, :, :, 0, :] = u.conj().T.reshape(a, s, a, s)
         assert mat.tobytes() == expected.reshape(be.dim, be.dim).tobytes()

@@ -8,7 +8,7 @@ import scipy.stats
 from blocklab import matrix_core
 from blocklab.matrix_core import (
     CapExceededError,
-    as_complex_matrix,
+    as_matrix,
     embed_power_of_two,
     ensure_dimension,
     format_complex,
@@ -90,11 +90,40 @@ class TestAsComplexMatrix:
         m = np.eye(2, dtype=complex)
         m[1, 0] = bad
         with pytest.raises(ValueError, match="^matrix entries must be finite$"):
-            as_complex_matrix(m)
+            as_matrix(m)
 
     def test_finite_complex_accepted(self):
         m = np.array([[1e308 + 1e308j, -0.0], [1j, 2.0]])
-        np.testing.assert_array_equal(as_complex_matrix(m), m)
+        np.testing.assert_array_equal(as_matrix(m), m)
+
+
+class TestDtypeRule:
+    """float64 when the data is real, complex128 when its dtype is complex."""
+
+    @pytest.mark.parametrize("data, dtype", [
+        (np.eye(2, dtype=int), np.float64), (np.eye(2, dtype=bool), np.float64),
+        (np.eye(2, dtype=np.float32), np.float64), ([[1.0, 2.0]], np.float64),
+        (np.eye(2, dtype=np.complex64), np.complex128), ([[1.0, 2j]], np.complex128),
+        (np.eye(2, dtype=complex), np.complex128),  # complex stays complex, imaginary part 0 or not
+    ], ids=["int", "bool", "float32", "list", "complex64", "complex-list", "real-valued-complex"])
+    def test_dtype(self, data, dtype):
+        assert as_matrix(data).dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_validated_array_is_not_copied(self, dtype):
+        m = np.eye(4, dtype=dtype)
+        assert as_matrix(m) is m
+
+    def test_non_finite_real_rejected(self):
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            as_matrix(np.array([[1.0, np.nan]]))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_embedding_and_kron_keep_the_dtype(self, dtype):
+        a = np.arange(6.0).reshape(2, 3).astype(dtype)
+        assert embed_power_of_two(a).dtype == dtype
+        assert kron(a, np.eye(2)).dtype == dtype
+        assert kron(np.eye(2), a).dtype == dtype
 
 
 class TestEmbed:
@@ -187,6 +216,20 @@ class TestIsUnitary:
 
     def test_complex_unitary_passes(self):
         assert is_unitary(np.diag(np.exp(1e-6j * np.arange(64))))
+
+    def test_float64_check_reads_in_place(self):
+        """A float64 U is checked in place: beyond U, only the float64 Gram."""
+        d = 1024
+        v = np.random.default_rng(5).standard_normal(d)
+        u = np.eye(d) - (2.0 / (v @ v)) * np.outer(v, v)
+        tracemalloc.start()
+        try:
+            ok = is_unitary(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok
+        assert peak <= 8 * d * d + (1 << 20)
 
     def test_real_check_peak_memory(self):
         """Beyond U, a real check holds only Re U and the float64 Gram."""
@@ -323,6 +366,59 @@ class TestCsv:
         path = tmp_path / "v.csv"
         path.write_text("1.0\n2.0\n3.0\n")
         np.testing.assert_array_equal(read_vector_csv(path), [1.0, 2.0, 3.0])
+
+    @staticmethod
+    def _per_token(path):
+        """The token-by-token reader: every entry through parse_complex_token."""
+        rows = []
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            if line.strip():
+                try:
+                    rows.append([parse_complex_token(t) for t in line.strip().split(",")])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        if len({len(r) for r in rows}) > 1:
+            raise ValueError(f"{path}: ragged rows; all rows must have {len(rows[0])} entries")
+        return as_matrix(np.array(rows, dtype=complex))
+
+    # one token per case, read as the 2 x 2 matrix [[1, token], [-1, 3]]
+    TOKENS = [" 2 ", "-0.0", "1e-3", "1_0", "nan", "1+2j", "1 + 2j", "", "abc", "1 0",
+              "(4)", "1-0j", "inf", "١"]
+
+    @pytest.mark.parametrize("token", TOKENS)
+    def test_token_corpus_matches_the_per_token_reader(self, tmp_path, token):
+        """Values bit for bit and error messages exactly as the token-by-token
+        reader gives them; the matrix is float64 when every entry is real."""
+        path = tmp_path / "m.csv"
+        path.write_text(f"1,{token}\n\n-1,3\n")
+        try:
+            want = self._per_token(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                read_matrix_csv(path)
+            assert str(got.value) == str(exc)
+            return
+        got = read_matrix_csv(path)
+        real = not want.imag.any()
+        assert got.dtype == (np.float64 if real else np.complex128)
+        assert got.tobytes() == (np.ascontiguousarray(want.real) if real else want).tobytes()
+
+    @pytest.mark.parametrize("text", ["1,2\n3\n", "1,2\n3,4,5\n", "1\n2+1j,3\n", "1,,2\n"])
+    def test_ragged_and_empty_match_the_per_token_reader(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as want:
+            self._per_token(path)
+        with pytest.raises(ValueError) as got:
+            read_matrix_csv(path)
+        assert str(got.value) == str(want.value)
+
+    def test_real_file_reads_float64(self, tmp_path):
+        m = np.random.default_rng(7).standard_normal((5, 3))
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, m)
+        got = read_matrix_csv(path)
+        assert got.dtype == np.float64 and got.tobytes() == m.tobytes()
 
     def test_tokens(self):
         assert parse_complex_token("1+2j") == 1 + 2j

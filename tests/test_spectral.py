@@ -183,6 +183,16 @@ class TestRealOperators:
         assert not be.unitary.imag.any()
         assert not walk_operator(be).imag.any()
 
+    @pytest.mark.parametrize("name", sorted(walk_dense_encodings()))
+    def test_real_trees_walk_in_float64(self, name):
+        """A Gram, dilation or class-leaf walk of real data is stored float64,
+        fresh or from a kept unitary."""
+        be = walk_dense_encodings()[name]()
+        assert be.dtype == np.float64
+        assert walk_operator(be).dtype == np.float64
+        assert be.unitary.dtype == np.float64
+        assert walk_operator(be).dtype == np.float64
+
     def test_similarity_encoding_is_real(self):
         # the leaf [[A, S], [S, -A]] is real and Hermitian, and so is its walk
         be = similarity_encoding(np.repeat([0, 1], [2, 4]))  # class sizes (2, 4)
@@ -190,6 +200,42 @@ class TestRealOperators:
         np.testing.assert_array_equal(be.unitary, be.unitary.T)
         assert be.validate()
         assert not walk_operator(be).imag.any()
+
+
+class TestRealKrylov:
+    """Phase estimation never casts a real operator to complex."""
+
+    @staticmethod
+    def _centering_walk_and_state(n, complex_state):
+        w = walk_operator(centering_encoding(n))  # dimension 2n, float64
+        rng = np.random.default_rng(n)
+        psi = np.zeros(w.shape[0], dtype=complex)
+        psi[:n] = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_state else 0)
+        return w, psi / np.linalg.norm(psi)
+
+    @pytest.mark.parametrize("complex_state", [False, True], ids=["complex-typed-real", "complex"])
+    def test_no_complex_copy_of_a_1024_walk(self, complex_state):
+        """The whole call, its unitarity check and its kept copy included,
+        allocates less than one complex128 copy of the walk would take."""
+        w, psi = self._centering_walk_and_state(512, complex_state)
+        assert w.dtype == np.float64 and w.shape == (1024, 1024)
+        tracemalloc.start()
+        try:
+            est = phase_estimation(w, psi, 6, method=EstimationMethod.QUBITIZATION_WALK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * w.size
+        assert est.distribution.sum() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("complex_state", [False, True], ids=["complex-typed-real", "complex"])
+    def test_real_operator_reads_as_its_complex_copy(self, complex_state):
+        w, psi = self._centering_walk_and_state(16, complex_state)
+        got = phase_estimation(w, psi, 8, method=EstimationMethod.QUBITIZATION_WALK)
+        want = phase_estimation(w.astype(complex), psi, 8,
+                                method=EstimationMethod.QUBITIZATION_WALK)
+        assert (got.phase, got.krylov_dim) == (want.phase, want.krylov_dim)
+        np.testing.assert_allclose(got.distribution, want.distribution, rtol=0, atol=1e-12)
 
 
 class TestWalkOneBuffer:

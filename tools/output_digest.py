@@ -14,8 +14,10 @@ and the SHA-256 of stdout, of stderr and of the JSON document without its
 ``timing`` block (``-`` when no document was written).  The temporary input
 directory is replaced by ``<work>`` before hashing.  One more line per
 ``perfbench/workloads.WalkDense`` op, on the inputs seed 7 generates, holds
-whether the op's check passed and the SHA-256 of the walk matrix's bytes and
-of the phase-estimation readouts' bytes (``-`` when the op reads none); these
+whether the op's check passed, the walk matrix's dtype (``float64`` for real
+data, ``complex128`` otherwise), so a storage change shows by name and not
+only as a new hash, and the SHA-256 of the walk matrix's bytes and of the
+phase-estimation readouts' bytes (``-`` when the op reads none); these
 ops read every entry of the data encodings' unitaries, where the ``cli_mix``
 argvs read only their leading blocks.
 ``--root`` names the checkout whose ``src/`` and ``perfbench/`` are used
@@ -141,6 +143,7 @@ def main(argv=None) -> int:
         for result, out in zip(walk.cycle(record), outputs):
             _, w, readouts = out if out is not None else (None, None, [])
             print(f"{result.name}\tpass={result.passed}"
+                  f"\tdtype={w.dtype if w is not None else '-'}"
                   f"\twalk={_sha(w.tobytes()) if w is not None else '-'}"
                   f"\treadouts={_sha(np.asarray(readouts).tobytes()) if readouts else '-'}")
     return 0
