@@ -213,7 +213,9 @@ def pca(x, d: int, t_bits: int = 8) -> EigenResult:
 
     Classical eigenvectors of the scatter seed the estimation; the
     returned eigenvalues are the phase-estimation readouts, which must agree
-    with the classical values within ||X||_F^2 * 2^-t_bits.
+    with the classical values within ||X||_F^2 * 2^-t_bits.  A mean that
+    swamps the spread puts a nonzero value read below that bound, and an
+    ``AssertionError`` naming alpha/lambda_1 refuses it.
     """
     x = as_matrix(x)
     be = scatter_total_encoding(x)
@@ -227,6 +229,11 @@ def pca(x, d: int, t_bits: int = 8) -> EigenResult:
     candidates = vectors[:, order]
 
     alpha = be.alpha
+    bound = alpha * 2.0 ** (-t_bits)
+    lam = classical_vals[classical_vals > _RANK_RTOL * alpha]  # the nonzero values read
+    if lam.size and lam[-1] <= bound:
+        raise AssertionError(f"resolution bound {bound:.3g} is not below the eigenvalue "
+                             f"{lam[-1]:.3g} it reads: alpha/lambda_1 = {alpha / lam[0]:.3g}")
     t_evo = 1.2 * np.pi / alpha
     u = exact_evolution(be, t_evo)
     estimates = []
@@ -238,7 +245,6 @@ def pca(x, d: int, t_bits: int = 8) -> EigenResult:
         )
         estimates.append(est.eigenvalue)
     estimates = np.array(estimates)
-    bound = alpha * 2.0 ** (-t_bits)
     if np.max(np.abs(estimates - classical_vals)) > bound:
         raise AssertionError(
             "phase-estimation eigenvalues drifted beyond the resolution bound"

@@ -128,10 +128,15 @@ def centering_encoding(classes, dim: int | None = None) -> BlockEncoding:
 
 class _ClassLeaf(BlockEncoding):
     """A class leaf, Hermitian by its law: [[A, S], [S, -A]] with A and S
-    real symmetric."""
+    real symmetric, kept as ``_class_leaf`` wrote it, without a copy."""
 
     __slots__ = ()
     hermitian = True
+
+    def __init__(self, matrix: np.ndarray, alpha: float, epsilon: float):
+        self._certify(alpha, 1, epsilon, qubit_count(matrix.shape[0]) - 1, matrix.shape[0], ())
+        matrix.setflags(write=False)
+        object.__setattr__(self, "_cache", matrix)
 
 
 def _class_leaf(slots: np.ndarray, law: str) -> BlockEncoding:
@@ -161,16 +166,19 @@ def _class_leaf(slots: np.ndarray, law: str) -> BlockEncoding:
         b, alpha = 0.0, float(n_max)
         a_g = np.full(counts.shape, 1.0 / n_max)
         s_g = (np.sqrt((n_max - counts) * (n_max + counts)) / n_max - 1.0) / counts
+    n = slots.size
     same = (slots[:, None] == slots[None, :]) & occupied[:, None]
-    a, s = np.zeros((2, slots.size))
-    a[occupied] = a_g
-    s[occupied] = s_g
-    a, s = (np.where(same, v[:, None], 0.0) for v in (a, s))
-    a[np.diag_indices(slots.size)] += b * occupied
-    s[np.diag_indices(slots.size)] += np.where(occupied, 1.0 - b, 1.0)
-    return _ClassLeaf(np.block([[a, s], [s, -a]]), alpha=alpha, ancillas=1,
-                      epsilon=_CLASS_LEAF_ROUNDING * alpha,
-                      system_qubits=qubit_count(slots.size))
+    out = np.zeros((2 * n, 2 * n))
+    a, s = out[:n, :n], out[:n, n:]  # written in place; S is then copied, -A negated
+    for quadrant, v in ((a, a_g), (s, s_g)):
+        row = np.zeros(n)
+        row[occupied] = v
+        np.copyto(quadrant, row[:, None], where=same)
+    a[np.diag_indices(n)] += b * occupied
+    s[np.diag_indices(n)] += np.where(occupied, 1.0 - b, 1.0)
+    out[n:, :n] = s
+    np.negative(a, out=out[n:, n:])
+    return _ClassLeaf(out, alpha=alpha, epsilon=_CLASS_LEAF_ROUNDING * alpha)
 
 
 def similarity_encoding(classes, dim: int | None = None) -> BlockEncoding:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -302,6 +304,21 @@ class TestPca:
         lam = np.sort(np.linalg.eigvalsh(s_t))[::-1][:2]
         bound = np.linalg.norm(x) ** 2 * 2.0 ** -8
         assert np.max(np.abs(res.eigenvalues - lam)) <= bound
+
+    @pytest.mark.parametrize("offset, resolved", [(0, True), (1, True), (10, False),
+                                                  (100, False)])
+    def test_mean_offset_resolved_or_refused(self, offset, resolved):
+        # alpha = ||X||_F^2 grows with the mean, the centered spectrum does not
+        x = np.random.default_rng(0).standard_normal((8, 8)) + offset
+        lam = np.sort(np.linalg.eigvalsh(total_scatter(x)))[::-1][:3]
+        bound = np.linalg.norm(x) ** 2 * 2.0 ** -8
+        assert bool(lam[-1] > bound) is resolved
+        if resolved:
+            assert np.max(np.abs(pca(x, d=3).eigenvalues - lam)) <= bound
+        else:
+            ratio = f"alpha/lambda_1 = {np.linalg.norm(x) ** 2 / lam[0]:.3g}"
+            with pytest.raises(AssertionError, match=re.escape(ratio)):
+                pca(x, d=3)
 
     def test_d_out_of_range(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -320,6 +322,19 @@ class TestClassLeaf:
                 err[np.ix_(idx, idx)] = 0.0
             assert not err.any()
             assert worst <= be.epsilon
+
+
+    def test_built_in_one_buffer(self):
+        """The leaf writes its unitary once and keeps it: 32 MiB kept at
+        2,048 dimensions, with no second full-size matrix on the way."""
+        tracemalloc.start()
+        try:
+            be = centering_encoding(np.zeros(1024, dtype=int))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert be.unitary.nbytes == 32 << 20 and not be.unitary.flags.writeable
+        assert peak < 48 << 20
 
 
 class TestCenteringTermsCache:

@@ -92,6 +92,19 @@ def test_pca_report(fixtures):
     assert res["degeneracies"] == []
 
 
+@pytest.mark.parametrize("offset, code", [(0, EXIT_OK), (1, EXIT_OK),
+                                          (10, EXIT_VERIFICATION), (100, EXIT_VERIFICATION)])
+def test_pca_refuses_a_swamping_mean(tmp_path, capsys, offset, code):
+    x = np.random.default_rng(0).standard_normal((8, 8)) + offset
+    write_matrix_csv(tmp_path / "x.csv", x)
+    out = tmp_path / "pca.json"
+    assert main(["pca", str(tmp_path / "x.csv"), "--d", "3", "--out", str(out)]) == code
+    if code == EXIT_OK:
+        assert json.loads(out.read_text())["results"]["pass"] is True
+    else:
+        assert "alpha/lambda_1 = " in capsys.readouterr().err and not out.exists()
+
+
 def test_lda_cca_dcca_ols(fixtures):
     tmp, paths = fixtures
     for name, argv in (

@@ -6,7 +6,11 @@ import scipy.linalg
 import scipy.stats
 
 from blocklab import matrix_core
+from blocklab.applications import scatter_total_encoding
+from blocklab.centering import centering_encoding
+from blocklab.data_encoding import hermitian_dilation, matrix_encoding
 from blocklab.matrix_core import (
+    UNITARY_TOL,
     CapExceededError,
     as_matrix,
     embed_power_of_two,
@@ -24,6 +28,9 @@ from blocklab.matrix_core import (
     unitary_completion,
     write_matrix_csv,
 )
+from blocklab.mean_centering import CenteringMode, mc_encoding
+from blocklab.spectral import walk_operator
+from blocklab.suite import _composition_corpus
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -244,6 +251,125 @@ class TestIsUnitary:
             tracemalloc.stop()
         assert ok
         assert peak <= 16 * d * d + (1 << 20)
+
+
+def dense_defect(u):
+    """max|U^dag U - I| from one dense Gram product: the reference."""
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+
+
+def split_defect(u):
+    """The same maximum over the blocks ``_direct_sum_blocks`` splits U into."""
+    blocks = matrix_core._direct_sum_blocks(u)
+    return max(map(split_defect, blocks)) if blocks is not None else dense_defect(u)
+
+
+def checked_walks():
+    """The walk of every node of criterion 4's composition corpus that is
+    Hermitian by its law (up to dimension 1,024), the four walks of the
+    benchmark's walk_dense workload and the walks of three dilations of
+    complex encodings."""
+    seen, nodes, stack = set(), [], list(_composition_corpus(42))
+    while stack:
+        be = stack.pop()
+        if id(be) not in seen:
+            seen.add(id(be))
+            stack.extend(be.children)
+            if be.hermitian and be.dim <= 1024:
+                nodes.append(be)
+    rng = np.random.default_rng(21)
+    x8, x4, xm = (rng.standard_normal((n, n)) for n in (8, 4, 8))
+    nodes += [scatter_total_encoding(x8), scatter_total_encoding(x4),
+              hermitian_dilation(mc_encoding(xm, CenteringMode.CXC)), centering_encoding(16)]
+    z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    nodes += [hermitian_dilation(be) for be in (
+        matrix_encoding(z), mc_encoding(z, CenteringMode.XC), mc_encoding(z, CenteringMode.CXC))]
+    return tuple(walk_operator(be) for be in nodes)
+
+
+def direct_sum(q1, q2, bit, anti):
+    """q1 on the rows whose ``bit`` is 0 and q2 on the others, on the columns
+    with that bit flipped when ``anti``, else kept."""
+    h = q1.shape[0]
+    q = 1 << bit
+    p = h // q
+    out = np.zeros((p, 2, q, p, 2, q), dtype=np.result_type(q1, q2))
+    out[:, 0, :, :, int(anti), :] = q1.reshape(p, q, p, q)
+    out[:, 1, :, :, 1 - int(anti), :] = q2.reshape(p, q, p, q)
+    return out.reshape(2 * h, 2 * h)
+
+
+def random_pair(dtype, h=128, seed=6):
+    group = scipy.stats.ortho_group if dtype is float else scipy.stats.unitary_group
+    rng = np.random.default_rng(seed)
+    return [group.rvs(h, random_state=rng) for _ in range(2)]
+
+
+class TestDirectSumSplit:
+    """A U that is block diagonal or block anti-diagonal on one qubit is
+    checked as its two blocks, with the dense Gram's verdict."""
+
+    @pytest.mark.parametrize("split_min", [matrix_core._SPLIT_MIN_DIM, 2])
+    def test_verdict_and_maximum_match_the_dense_gram(self, monkeypatch, split_min):
+        monkeypatch.setattr(matrix_core, "_SPLIT_MIN_DIM", split_min)
+        walks = checked_walks()
+        split = 0
+        for w in walks:
+            assert is_unitary_matrix(w) is (dense_defect(w) <= UNITARY_TOL) is True
+            assert abs(split_defect(w) - dense_defect(w)) <= 1e-14
+            split += matrix_core._direct_sum_blocks(w) is not None
+        assert len(walks) >= 200 and split >= (8 if split_min > 2 else 100), split
+        assert matrix_core._direct_sum_blocks(walks[-5]) is not None  # walk_dense's dilation
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("bit", [0, 3, 7])
+    @pytest.mark.parametrize("anti", [True, False])
+    @pytest.mark.parametrize("factor, verdict", [(1 + 1e-3, False), (1 - 1e-3, True)])
+    def test_block_scaled_to_the_tolerance(self, dtype, bit, anti, factor, verdict):
+        q1, q2 = random_pair(dtype)
+        scale = np.sqrt(1.0 + factor * UNITARY_TOL)  # (scale^2 - 1) = factor * tol
+        u = direct_sum(q1, scale * q2, bit, anti)
+        assert matrix_core._direct_sum_blocks(u) is not None
+        assert (dense_defect(u) <= UNITARY_TOL) is verdict
+        assert is_unitary_matrix(u) is verdict
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("block", [0, 1])
+    def test_perturbed_block_refused(self, dtype, block):
+        pair = random_pair(dtype)
+        pair[block][5, 7] += 1e-9
+        u = direct_sum(*pair, 3, True)
+        assert matrix_core._direct_sum_blocks(u) is not None
+        assert not is_unitary_matrix(u) and dense_defect(u) > UNITARY_TOL
+
+    @pytest.mark.parametrize("value, verdict", [(1e-300, True), (1e-6, False)])
+    def test_nonzero_in_a_zero_quarter_falls_back(self, value, verdict):
+        u = direct_sum(*random_pair(float), 3, True)
+        u[-1, -1] = value  # row and column both have bit 3 set: a zero quarter
+        assert matrix_core._direct_sum_blocks(u) is None
+        assert is_unitary_matrix(u) is verdict is (dense_defect(u) <= UNITARY_TOL)
+
+    @pytest.mark.parametrize("where", ["block", "zero quarter"])
+    def test_nan_refused(self, where):
+        u = direct_sum(*random_pair(float), 3, False)
+        u[-1, -1 if where == "block" else 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            assert is_unitary_matrix(u) is False
+
+    def test_nested_dilation_split_twice(self, monkeypatch):
+        x = np.random.default_rng(7).standard_normal((8, 8))
+        w = walk_operator(hermitian_dilation(hermitian_dilation(matrix_encoding(x))))
+        calls = []
+        split = matrix_core._direct_sum_blocks
+
+        def spy(u):
+            blocks = split(u)
+            calls.append((u.shape[0], blocks is not None))
+            return blocks
+
+        monkeypatch.setattr(matrix_core, "_direct_sum_blocks", spy)
+        assert w.shape == (256, 256) and is_unitary_matrix(w)
+        assert sorted(calls) == [(64, False)] * 4 + [(128, True)] * 2 + [(256, True)]
 
 
 class TestUnitaryCompletion:

@@ -7,8 +7,9 @@ Covers the 24 ``cli_mix`` argvs of ``perfbench/workloads.CliMix`` on the
 inputs seed 7 generates, the few ``EXTRA`` argvs on inputs seed 7 generates
 (inputs outside ``cli_mix``: classes in shuffled order and of sizes that are
 not powers of two, the scatter and dcca pipelines at sizes ``cli_mix`` leaves
-out, a well-conditioned LDA instance, ``center`` on d × n data and ``ols`` on
-a rectangular design), ``--help`` of the parser and of every
+out, a well-conditioned LDA instance, ``center`` on d × n data, ``ols`` on
+a rectangular design, and ``pca`` on data whose mean of 10 or 100 swamps
+its spread, which it refuses), ``--help`` of the parser and of every
 subcommand, and ``blocklab suite --seed 42``.  Each line holds the exit code
 and the SHA-256 of stdout, of stderr and of the JSON document without its
 ``timing`` block (``-`` when no document was written).  The temporary input
@@ -41,7 +42,8 @@ import numpy as np
 INPUT_SEED = 7
 SUITE_SEED = 42
 
-# (name, argv) with ("m", rows, cols) a matrix and ("l", sizes) labels in shuffled order
+# (name, argv) with ("m", rows, cols) a standard normal matrix, ("o", rows, cols,
+# offset) one plus a constant, and ("l", sizes) labels in shuffled order
 EXTRA = [
     ("dcca-4x7-c3.4-shuffled", ["dcca", ("m", 4, 7), ("m", 4, 7), ("l", (3, 4))]),
     ("verify-ones-n6", ["verify", "--target", "ones", "--n", "6"]),
@@ -55,6 +57,8 @@ EXTRA = [
     ("center-3x6", ["center", ("m", 3, 6)]),
     ("center-6x3-cx", ["center", ("m", 6, 3), "--mode", "cx"]),
     ("ols-12x5", ["ols", ("m", 12, 5), ("m", 12, 1)]),
+    ("pca-8x8-offset10", ["pca", ("o", 8, 8, 10.0), "--d", "3"]),
+    ("pca-8x8-offset100", ["pca", ("o", 8, 8, 100.0), "--d", "3"]),
 ]
 
 
@@ -93,6 +97,8 @@ def _extra_argv(name: str, spec: list, work: str, write_matrix_csv) -> list[str]
         path = os.path.join(work, f"{name}.{k}.csv")
         if item[0] == "m":
             write_matrix_csv(path, rng.standard_normal(item[1:]))
+        elif item[0] == "o":
+            write_matrix_csv(path, rng.standard_normal(item[1:3]) + item[3])
         else:
             labels = rng.permutation(np.repeat(np.arange(len(item[1])), item[1]))
             with open(path, "w", encoding="utf-8") as fh:
