@@ -74,30 +74,33 @@ def build_uc(log_n: int) -> np.ndarray:
 
 
 def _slots(classes, dim: int | None) -> np.ndarray:
-    """The class of each register slot (-1 for an empty one), padded to dim.
-
-    ``classes`` is a sample count n (n slots of one class) or one class id
-    per sample; ``dim`` defaults to the smallest power of two >= 2 holding
-    every sample.
-    """
+    """The class of each slot of the ``_register`` (-1 for an empty one), for a
+    sample count n (n slots of one class) or one class id per sample."""
     if isinstance(classes, (int, np.integer)):
-        if classes < 1:
-            raise ValueError("a class layout needs at least one sample")
-        labels = np.zeros(int(classes), dtype=int)
+        labels = np.zeros(max(int(classes), 0), dtype=int)  # n < 1 is refused by _register
     else:
         labels = np.asarray(classes).reshape(-1)
         if labels.dtype.kind not in "iu" or labels.size == 0 or labels.min() < -1 \
                 or labels.max() < 0:
             raise ValueError("slot classes must be integers >= -1 with a sample in one")
-    if dim is None:
-        dim = max(2, next_power_of_two(labels.size))
-    if not is_power_of_two(dim) or dim < max(2, labels.size):
-        raise ValueError("the slot register must be a power of two >= 2 "
-                         "holding every sample")
-    ensure_dimension(dim)
-    slots = np.full(dim, -1)
+    slots = np.full(_register(labels.size, dim), -1)
     slots[: labels.size] = labels
     return slots
+
+
+def _register(n: int, dim: int | None) -> int:
+    """The slot register for n samples, ``dim`` or by default the smallest
+    power of two >= 2 holding them; it and the 2 dim class leaf on it are
+    checked against the size cap, in that order, in one read."""
+    if n < 1:
+        raise ValueError("a class layout needs at least one sample")
+    if dim is None:
+        dim = max(2, next_power_of_two(n))
+    if not is_power_of_two(dim) or dim < max(2, n):
+        raise ValueError("the slot register must be a power of two >= 2 "
+                         "holding every sample")
+    ensure_dimension(dim, 2 * dim)
+    return dim
 
 
 @functools.lru_cache(maxsize=None)
@@ -119,11 +122,9 @@ def centering_encoding(classes, dim: int | None = None) -> BlockEncoding:
     real symmetric unitary; it declares the a-priori round-off bound
     ``_CLASS_LEAF_ROUNDING``.
     """
-    slots = _slots(classes, dim)
-    ensure_dimension(2 * slots.size)  # a cached leaf is not certified again
-    if isinstance(classes, (int, np.integer)):
-        return _one_class_centering(int(classes), slots.size)
-    return _class_leaf(slots, "center")
+    if isinstance(classes, (int, np.integer)):  # a cached leaf is not certified again
+        return _one_class_centering(int(classes), _register(int(classes), dim))
+    return _class_leaf(_slots(classes, dim), "center")
 
 
 class _ClassLeaf(BlockEncoding):

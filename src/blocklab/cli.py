@@ -194,7 +194,8 @@ def _cmd_pca(args: argparse.Namespace) -> tuple[int, dict]:
     dim = result.eigenvectors.shape[0]
     classical = np.sort(np.linalg.eigvalsh(embed_power_of_two(total_scatter(x), dim)))[::-1]
     classical = classical[: args.d]
-    bound = float(np.linalg.norm(x) ** 2 * 2.0 ** (-args.t_bits))
+    alpha = float(np.linalg.norm(x) ** 2)
+    bound = alpha * 2.0 ** (-args.t_bits)
     delta = float(np.max(np.abs(result.eigenvalues - classical)))
     doc = _base_doc(args)
     doc["params"] = {"d": args.d, "t_bits": args.t_bits}
@@ -203,6 +204,7 @@ def _cmd_pca(args: argparse.Namespace) -> tuple[int, dict]:
         "eigenvalues_classical": classical,
         "max_delta": delta,
         "resolution_bound": bound,
+        "alpha_over_lambda_1": alpha / classical[0] if classical[0] > 0 else None,
         "pass": delta <= bound,
         "eigenvectors": result.eigenvectors.T,
         "degeneracies": result.degeneracies,

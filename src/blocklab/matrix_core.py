@@ -47,13 +47,13 @@ def cap_qubits() -> int:
     return value
 
 
-def ensure_dimension(dim: int) -> None:
-    """Raise CapExceededError if a dim x dim dense unitary is over budget."""
+def ensure_dimension(*dims: int) -> None:
+    """Raise CapExceededError for the first dim x dim dense unitary over budget."""
     qubits = cap_qubits()  # one read per call: the variable may change between calls
-    if dim > 1 << qubits:
-        raise CapExceededError(
-            f"dimension {dim} exceeds the simulator cap 2**{qubits} = {1 << qubits}"
-        )
+    for dim in dims:
+        if dim > 1 << qubits:
+            raise CapExceededError(f"dimension {dim} exceeds the simulator cap "
+                                   f"2**{qubits} = {1 << qubits}")
 
 
 def is_power_of_two(n: int) -> bool:
@@ -190,11 +190,8 @@ def is_hermitian(m, tol: float = 1e-10) -> bool:
 
 
 def spectral_norm(m) -> float:
-    """Largest singular value."""
-    m = as_matrix(m)
-    if min(m.shape) == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+    """Largest singular value, the bits of ``np.linalg.norm(m, 2)``."""
+    return float(np.linalg.svd(as_matrix(m), compute_uv=False)[0])
 
 
 def householder_terms(columns, dimension: int) -> tuple[np.ndarray, ...]:
@@ -213,7 +210,8 @@ def householder_terms(columns, dimension: int) -> tuple[np.ndarray, ...]:
         raise ValueError("prescribed column has wrong dimension")
     if (np.abs(np.vecdot(v, v) - 1.0) > 1e-10).any():
         raise ValueError("prescribed column is not a unit vector within 1e-10")
-    lead = np.hypot(v[:, 0].real, v[:, 0].imag)  # abs() of each entry, bit for bit
+    # abs() of each entry, bit for bit: hypot(re, im), and |v[0]| for a real one
+    lead = np.abs(v[:, 0]) if v.dtype.kind == "f" else np.hypot(v[:, 0].real, v[:, 0].imag)
     phi = np.ones(len(v), dtype=v.dtype)
     np.divide(v[:, 0], lead, out=phi, where=lead > 0.0)
     tail = np.vecdot(v[:, 1:], v[:, 1:]).real

@@ -14,8 +14,8 @@ import numpy as np
 
 from .block_encoding import BlockEncoding, product
 from .centering import centering_encoding
-from .data_encoding import matrix_encoding
-from .matrix_core import as_matrix, embed_power_of_two, next_power_of_two
+from .data_encoding import embedded_encoding
+from .matrix_core import as_matrix, next_power_of_two
 
 __all__ = ["CenteringMode", "mean_vectors", "classical_center", "mc_encoding"]
 
@@ -41,19 +41,20 @@ def mean_vectors(x) -> tuple[np.ndarray, np.ndarray, complex]:
     Samples are columns, so the per-sample mean of sample c averages column c
     and the per-component mean of component r averages row r.
     """
-    x = as_matrix(x)
-    u = x.mean(axis=0)
-    v = x.mean(axis=1)
-    xbar = complex(x.mean())
-    if xbar.imag == 0.0:
-        xbar = xbar.real
-    return u, v, xbar
+    return _means(as_matrix(x))
+
+
+def _means(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex]:
+    """``mean_vectors`` of a checked matrix: sums over counts, ``np.mean``'s bits."""
+    xbar = complex(np.add.reduce(x, axis=None) / x.size)
+    return (np.add.reduce(x, axis=0) / x.shape[0], np.add.reduce(x, axis=1) / x.shape[1],
+            xbar.real if xbar.imag == 0.0 else xbar)
 
 
 def classical_center(x, mode: CenteringMode) -> np.ndarray:
     """Mean-subtracted matrix, computed entrywise from the mean vectors."""
     x = as_matrix(x)
-    u, v, xbar = mean_vectors(x)
+    u, v, xbar = _means(x)
     if mode is CenteringMode.CX:
         return x - u[np.newaxis, :]
     if mode is CenteringMode.XC:
@@ -73,7 +74,7 @@ def mc_encoding(x, mode: CenteringMode) -> BlockEncoding:
     """
     x = as_matrix(x)
     dim = next_power_of_two(max(2, *x.shape))
-    data = matrix_encoding(embed_power_of_two(x, dim))
+    data = embedded_encoding(x, dim)
     if mode is CenteringMode.CX:
         return product(centering_encoding(x.shape[0], dim), data)
     if mode is CenteringMode.XC:

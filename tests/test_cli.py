@@ -100,7 +100,11 @@ def test_pca_refuses_a_swamping_mean(tmp_path, capsys, offset, code):
     out = tmp_path / "pca.json"
     assert main(["pca", str(tmp_path / "x.csv"), "--d", "3", "--out", str(out)]) == code
     if code == EXIT_OK:
-        assert json.loads(out.read_text())["results"]["pass"] is True
+        res = json.loads(out.read_text())["results"]
+        assert res["pass"] is True
+        lam_1 = np.linalg.eigvalsh(x @ (np.eye(8) - 1.0 / 8) @ x.T)[-1]
+        assert res["alpha_over_lambda_1"] == pytest.approx(np.linalg.norm(x) ** 2 / lam_1,
+                                                           rel=1e-12)
     else:
         assert "alpha/lambda_1 = " in capsys.readouterr().err and not out.exists()
 
@@ -377,3 +381,16 @@ def test_jsonable_array_bytes_match_the_per_entry_rule(value):
 
 def test_jsonable_keeps_negative_zero_and_subnormals():
     assert json.dumps(cli._jsonable(np.array([-0.0, 5e-324, 3]))) == "[-0.0, 5e-324, 3.0]"
+
+
+def test_pca_reports_alpha_over_lambda_1(fixtures):
+    tmp, paths = fixtures
+    _, doc = run_json(["pca", str(paths["x"]), "--d", "2"], tmp / "pca.json")
+    res = doc["results"]
+    alpha = res["resolution_bound"] * 2.0 ** 8
+    assert res["alpha_over_lambda_1"] == alpha / res["eigenvalues_classical"][0]
+    # constant data has no spread: lambda_1 is 0 and the ratio is null
+    code, doc = run_json(["pca", str(paths["const"]), "--d", "2"], tmp / "const.json")
+    assert code == EXIT_OK
+    assert doc["results"]["eigenvalues_classical"][0] == 0.0
+    assert doc["results"]["alpha_over_lambda_1"] is None

@@ -88,6 +88,11 @@ def test_ensure_dimension_reads_the_cap_once(monkeypatch):
     with pytest.raises(CapExceededError, match=r"^dimension 16 exceeds the simulator cap 2\*\*3 = 8$"):
         ensure_dimension(16)
     assert len(reads) == 1
+    # several dimensions: one read, checked in order, the first one over named
+    ensure_dimension(4, 8)
+    with pytest.raises(CapExceededError, match=r"^dimension 32 exceeds"):
+        ensure_dimension(8, 32, 16)
+    assert len(reads) == 3
 
 
 class TestAsComplexMatrix:
