@@ -36,7 +36,7 @@ from .block_encoding import (
     product,
 )
 from .centering import centering_encoding, similarity_root
-from .data_encoding import embedded_encoding
+from .data_encoding import matrix_encoding
 from .matrix_core import (
     as_array,
     as_matrix,
@@ -153,7 +153,7 @@ def _scatter(x: np.ndarray, classes, root: BlockEncoding | None = None) -> Block
     E^1/2 on that system makes B = E^1/2 C X^dag, so the node encodes
     X C E C X^dag at alpha times ``root.alpha``^2."""
     dim = next_power_of_two(max(2, *x.shape))
-    data = embedded_encoding(x, dim)
+    data = matrix_encoding(embed_power_of_two(x, dim))
     b = product(centering_encoding(classes, dim), adjoint_encoding(data))
     return gram_encoding(b if root is None else product(root, b))
 

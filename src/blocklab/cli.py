@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from .applications import LabeledDataset, cca, dcca, lda, ols, pca
+from .applications import _RANK_RTOL, LabeledDataset, cca, dcca, lda, ols, pca
 from .block_encoding import BlockEncoding, trivial_encoding, verify
 from .centering import build_uc, centering_encoding, centering_matrix, similarity_encoding
 from .data_encoding import matrix_encoding
@@ -204,7 +204,7 @@ def _cmd_pca(args: argparse.Namespace) -> tuple[int, dict]:
         "eigenvalues_classical": classical,
         "max_delta": delta,
         "resolution_bound": bound,
-        "alpha_over_lambda_1": alpha / classical[0] if classical[0] > 0 else None,
+        "alpha_over_lambda_1": alpha / classical[0] if classical[0] > _RANK_RTOL * alpha else None,
         "pass": delta <= bound,
         "eigenvectors": result.eigenvectors.T,
         "degeneracies": result.degeneracies,

@@ -24,6 +24,7 @@ import numpy as np
 
 from .block_encoding import BlockEncoding
 from .matrix_core import (
+    as_array,
     as_matrix,
     ensure_dimension,
     householder_completions,
@@ -62,11 +63,7 @@ def _pairwise_sums(sq: np.ndarray) -> np.ndarray:
 
 def build_norm_tree(x) -> NormTree:
     """Deterministic partial-sum structure for the preparation amplitudes."""
-    return _norm_tree(as_matrix(x))
-
-
-def _norm_tree(x: np.ndarray) -> NormTree:
-    """``build_norm_tree`` of a matrix ``as_matrix`` has already returned."""
+    x = as_matrix(x)
     row_norm_sq = _pairwise_sums(np.abs(x) ** 2)
     frobenius = float(np.sqrt(_pairwise_sums(row_norm_sq[np.newaxis, :])[0]))
     if frobenius == 0.0:
@@ -113,7 +110,7 @@ def preparation_unitaries(x, tree: NormTree | None = None) -> tuple[np.ndarray, 
     n = _square_power_of_two(x)
     ensure_dimension(n * n)
     if tree is None:
-        tree = _norm_tree(x)
+        tree = build_norm_tree(x)
     completions = householder_completions(_preparation_terms(x, tree))
     return completions[:-1], completions[-1]
 
@@ -139,19 +136,19 @@ _LEAF_ROUNDING = 5 * np.finfo(float).eps / 2
 class _DataLeaf(BlockEncoding):
     """Leaf encoding of a data matrix whose unitary is built on first read.
 
-    It keeps the checked X it is given (``as_matrix``; the caller copies) in
-    X's dtype (float64 for real data), the norm tree and the encoded block,
-    and builds its unitary in that dtype.  Column 0 of R_q is the normalized
-    row r_q (e_0 for a zero row) and column 0 of W is the row-norm state, so
-    the block entry conj(R_q[c, 0]) W[q, 0] is formed from those columns
-    alone, with the same bits as the unitary.
+    It holds its own copy of X in X's dtype (float64 for real data), the norm
+    tree and the encoded block, and builds its unitary in that dtype.  Column
+    0 of R_q is the normalized row r_q (e_0 for a zero row) and column 0 of
+    W is the row-norm state, so the block entry conj(R_q[c, 0]) W[q, 0] is
+    formed from those columns alone, with the same bits as the unitary.
     """
 
     __slots__ = ("_x", "_tree", "_corner")
     hermitian = False
 
-    def __init__(self, x: np.ndarray):
-        tree = _norm_tree(x)
+    def __init__(self, x):
+        x = np.array(as_array(x), order="C")  # the caller keeps its own array
+        tree = build_norm_tree(x)  # validates x as as_matrix does
         n = _square_power_of_two(x)
         frob = tree.frobenius_norm
         eps = _LEAF_ROUNDING * frob
@@ -190,15 +187,7 @@ def matrix_encoding(x) -> BlockEncoding:
     n max |x_qc| over any nonzero row whose norm underflows to 0 and which
     therefore encodes as zeros.
     """
-    return _DataLeaf(np.array(as_matrix(x)))  # the caller keeps its own array
-
-
-def embedded_encoding(x: np.ndarray, dim: int) -> BlockEncoding:
-    """``matrix_encoding(embed_power_of_two(x, dim))`` of a matrix
-    ``as_matrix`` has returned, which it does not validate again."""
-    square = np.zeros((dim, dim), dtype=x.dtype)
-    square[: x.shape[0], : x.shape[1]] = x
-    return _DataLeaf(square)
+    return _DataLeaf(x)
 
 
 class _Dilation(BlockEncoding):

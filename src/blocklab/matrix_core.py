@@ -210,8 +210,7 @@ def householder_terms(columns, dimension: int) -> tuple[np.ndarray, ...]:
         raise ValueError("prescribed column has wrong dimension")
     if (np.abs(np.vecdot(v, v) - 1.0) > 1e-10).any():
         raise ValueError("prescribed column is not a unit vector within 1e-10")
-    # abs() of each entry, bit for bit: hypot(re, im), and |v[0]| for a real one
-    lead = np.abs(v[:, 0]) if v.dtype.kind == "f" else np.hypot(v[:, 0].real, v[:, 0].imag)
+    lead = np.hypot(v[:, 0].real, v[:, 0].imag)  # abs() of each entry, bit for bit
     phi = np.ones(len(v), dtype=v.dtype)
     np.divide(v[:, 0], lead, out=phi, where=lead > 0.0)
     tail = np.vecdot(v[:, 1:], v[:, 1:]).real

@@ -14,8 +14,8 @@ import numpy as np
 
 from .block_encoding import BlockEncoding, product
 from .centering import centering_encoding
-from .data_encoding import embedded_encoding
-from .matrix_core import as_matrix, next_power_of_two
+from .data_encoding import matrix_encoding
+from .matrix_core import as_matrix, embed_power_of_two, next_power_of_two
 
 __all__ = ["CenteringMode", "mean_vectors", "classical_center", "mc_encoding"]
 
@@ -74,7 +74,7 @@ def mc_encoding(x, mode: CenteringMode) -> BlockEncoding:
     """
     x = as_matrix(x)
     dim = next_power_of_two(max(2, *x.shape))
-    data = embedded_encoding(x, dim)
+    data = matrix_encoding(embed_power_of_two(x, dim))
     if mode is CenteringMode.CX:
         return product(centering_encoding(x.shape[0], dim), data)
     if mode is CenteringMode.XC:

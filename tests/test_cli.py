@@ -394,3 +394,11 @@ def test_pca_reports_alpha_over_lambda_1(fixtures):
     assert code == EXIT_OK
     assert doc["results"]["eigenvalues_classical"][0] == 0.0
     assert doc["results"]["alpha_over_lambda_1"] is None
+    # 0.1 over 3 samples does not cancel exactly: lambda_1 is round-off, below
+    # the rank cutoff pca reads with, and the ratio is still null
+    inexact = tmp / "inexact.csv"
+    write_matrix_csv(inexact, np.full((3, 3), 0.1))
+    code, doc = run_json(["pca", str(inexact), "--d", "2"], tmp / "inexact.json")
+    assert code == EXIT_OK
+    assert doc["results"]["eigenvalues_classical"][0] != 0.0
+    assert doc["results"]["alpha_over_lambda_1"] is None

@@ -10,11 +10,10 @@ from blocklab import matrix_core
 from blocklab.centering import centering_encoding
 from blocklab.data_encoding import (
     build_norm_tree,
-    embedded_encoding,
     matrix_encoding,
     preparation_unitaries,
 )
-from blocklab.matrix_core import CapExceededError, embed_power_of_two, spectral_norm
+from blocklab.matrix_core import CapExceededError, spectral_norm
 from blocklab.mean_centering import CenteringMode, classical_center, mc_encoding, mean_vectors
 
 
@@ -130,22 +129,7 @@ def test_classical_center_uses_the_same_means(x):
     assert _same_bits(classical_center(x, CenteringMode.CXC), expected)
 
 
-@pytest.mark.parametrize("shape", [(3, 3), (4, 4), (3, 7), (8, 5), (16, 16)])
-@pytest.mark.parametrize("kind", ["real", "complex"])
-def test_embedded_leaf_equals_the_leaf_of_the_embedded_matrix(shape, kind):
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal(shape)
-    if kind == "complex":
-        x = x + 1j * rng.standard_normal(shape)
-    dim = max(2, 1 << (max(shape) - 1).bit_length())
-    lean = embedded_encoding(x, dim)
-    full = matrix_encoding(embed_power_of_two(x, dim))
-    assert (lean.alpha, lean.epsilon, lean.dim) == (full.alpha, full.epsilon, full.dim)
-    assert _same_bits(lean.extract_block(), full.extract_block())
-    assert _same_bits(lean.unitary, full.unitary)
-
-
-def test_embedded_leaf_keeps_its_own_copy():
+def test_centered_leaf_keeps_its_own_copy():
     x = np.random.default_rng(12).standard_normal((4, 4))
     kept = x.copy()
     be = mc_encoding(x, CenteringMode.CXC)

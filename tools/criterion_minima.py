@@ -1,12 +1,12 @@
 """Print each battery criterion's fastest runtime and the p50/p90 of those
 minima, as the benchmark's battery workload computes its latencies.
 
-    python3 tools/criterion_minima.py [--root DIR] [--passes K] [--seed N]
+    python3 tools/criterion_minima.py [--root DIR] [--passes K]
 
 Runs K whole ``blocklab.suite.run_battery`` passes in one process through
-``perfbench/workloads.Battery``, with BLAS on one thread, and takes the
-minima and percentiles with ``perfbench/run.py``'s own ``fastest_per_op``
-and ``_percentile``.  ``--root`` names the checkout whose ``src/`` and
+``perfbench/workloads.Battery``, at the benchmark's seed 1 and with BLAS on
+one thread, and takes the minima and percentiles with ``perfbench/run.py``'s
+own ``fastest_per_op`` and ``_percentile``.  ``--root`` names the checkout whose ``src/`` and
 ``perfbench/`` are used (default: this one), so one copy of this script can
 print two checkouts side by side.  It is a quick look at where the battery's
 time goes and backs no claim: a claim needs the alternating runs of
@@ -26,7 +26,6 @@ def main(argv=None) -> int:
     parser.add_argument("--root", default=str(Path(__file__).resolve().parent.parent),
                         help="checkout whose src/ and perfbench/ are used")
     parser.add_argument("--passes", type=int, default=5, help="battery passes (at least 2)")
-    parser.add_argument("--seed", type=int, default=1, help="battery seed")
     args = parser.parse_args(argv)
     if args.passes < 2:
         parser.error("--passes must be at least 2")
@@ -38,13 +37,13 @@ def main(argv=None) -> int:
     from workloads import Battery
 
     battery = Battery()
-    battery.setup(bench.load_blocklab(), args.seed, "")
+    battery.setup(bench.load_blocklab(), 1, "")
     results = []
     for _ in range(args.passes):
         results += battery.cycle(bench._plain)
     names = list(dict.fromkeys(r.name for r in results))
     minima = bench.fastest_per_op(results)
-    print(f"root {root}  seed {args.seed}  {args.passes} passes")
+    print(f"root {root}  {args.passes} passes")
     for name, best in zip(names, minima):
         print(f"{name:<14} {1e3 * best:9.2f} ms")
     print(f"{'p50':<14} {1e3 * bench._percentile(minima, 50):9.2f} ms")
