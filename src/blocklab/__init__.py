@@ -27,15 +27,16 @@ from .block_encoding import (
     trivial_encoding,
     verify,
 )
-from .centering import build_uc, centering_encoding, centering_matrix, similarity_encoding
+from .centering import build_uc, centering_encoding, similarity_encoding
 from .data_encoding import (
     NormTree,
     build_norm_tree,
     hermitian_dilation,
     matrix_encoding,
 )
-from .mean_centering import CenteringMode, classical_center, mc_encoding, mean_vectors
-from .oracles import hermitian_extension
+from .mean_centering import mc_encoding
+from .oracles import (CenteringMode, centering_matrix, classical_center, hermitian_extension,
+                      mean_vectors)
 from .spectral import (
     EstimationMethod,
     PhaseEstimate,

@@ -42,9 +42,10 @@ from .matrix_core import (
     as_matrix,
     embed_power_of_two,
     is_hermitian,
-    next_power_of_two,
+    register_dim,
 )
-from .oracles import ols_closed_form, total_scatter
+from .mean_centering import mc_encoding
+from .oracles import CenteringMode, ols_closed_form, total_scatter
 from .spectral import EstimationMethod, exact_evolution, phase_estimation
 
 __all__ = [
@@ -152,7 +153,7 @@ def _scatter(x: np.ndarray, classes, root: BlockEncoding | None = None) -> Block
     sample columns of the power-of-two system.  A ``root`` encoding of
     E^1/2 on that system makes B = E^1/2 C X^dag, so the node encodes
     X C E C X^dag at alpha times ``root.alpha``^2."""
-    dim = next_power_of_two(max(2, *x.shape))
+    dim = register_dim(*x.shape)
     data = matrix_encoding(embed_power_of_two(x, dim))
     b = product(centering_encoding(classes, dim), adjoint_encoding(data))
     return gram_encoding(b if root is None else product(root, b))
@@ -185,7 +186,7 @@ def _views(x, y) -> tuple[np.ndarray, np.ndarray, int]:
     y = as_matrix(y)
     if x.shape != y.shape:
         raise ValueError("paired data matrices must share a shape")
-    return x, y, next_power_of_two(max(2, *x.shape))
+    return x, y, register_dim(*x.shape)
 
 
 def paired_scatter_encoding(x, y) -> BlockEncoding:
@@ -342,7 +343,7 @@ def class_correlation_encoding(ds_x: LabeledDataset, ds_y: LabeledDataset) -> Bl
     if not np.array_equal(ds_x.labels, ds_y.labels):
         raise ValueError("both views must carry the same label for every sample")
     x, y = ds_x.x, ds_y.x
-    dim = next_power_of_two(max(2, *x.shape, *y.shape))
+    dim = register_dim(*x.shape, *y.shape)
     root = similarity_root(_class_ids(ds_x), 2 * dim)
     top, bottom = embed_power_of_two(x, dim), embed_power_of_two(y, dim)
     grams = [_scatter(np.vstack([top, sign * bottom]), x.shape[1], root) for sign in (1, -1)]
@@ -374,8 +375,6 @@ def ols(x, y_vec) -> RegressionResult:
     within 1e-8; rank deficiency is resolved by the pseudo-inverse and
     reported via the effective rank.
     """
-    from .mean_centering import CenteringMode, mc_encoding
-
     x = as_matrix(x)
     y = as_array(y_vec).reshape(-1)
     if y.shape[0] != x.shape[0]:

@@ -20,10 +20,9 @@ import functools
 import numpy as np
 
 from .block_encoding import BlockEncoding
-from .matrix_core import ensure_dimension, is_power_of_two, kron, next_power_of_two, qubit_count
+from .matrix_core import ensure_dimension, is_power_of_two, kron, qubit_count, register_dim
 
 __all__ = [
-    "centering_matrix",
     "build_uc",
     "centering_encoding",
     "similarity_encoding",
@@ -46,13 +45,6 @@ _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 # each at most u, so its norm is at most 2u.  Classes are orthogonal, and
 # off-class entries and empty slots are exact zeros.
 _CLASS_LEAF_ROUNDING = 5 * np.finfo(float).eps / 2
-
-
-def centering_matrix(n: int) -> np.ndarray:
-    """The real projector I - (1/n) ee^T that removes means on multiplication."""
-    if n < 1:
-        raise ValueError("dimension must be positive")
-    return np.eye(n) - np.full((n, n), 1.0 / n)
 
 
 def build_uc(log_n: int) -> np.ndarray:
@@ -89,13 +81,13 @@ def _slots(classes, dim: int | None) -> np.ndarray:
 
 
 def _register(n: int, dim: int | None) -> int:
-    """The slot register for n samples, ``dim`` or by default the smallest
-    power of two >= 2 holding them; it and the 2 dim class leaf on it are
-    checked against the size cap, in that order, in one read."""
+    """The slot register for n samples, ``dim`` or by default
+    ``register_dim(n)``; it and the 2 dim class leaf on it are checked
+    against the size cap, in that order, in one read."""
     if n < 1:
         raise ValueError("a class layout needs at least one sample")
     if dim is None:
-        dim = max(2, next_power_of_two(n))
+        dim = register_dim(n)
     if not is_power_of_two(dim) or dim < max(2, n):
         raise ValueError("the slot register must be a power of two >= 2 "
                          "holding every sample")
@@ -116,11 +108,11 @@ def centering_encoding(classes, dim: int | None = None) -> BlockEncoding:
     P_g projects onto the register slots of class g and u_g is the uniform
     state over them, so C removes each class mean over the true samples and
     is exactly zero on empty slots.  ``classes`` is a sample count n (one
-    class; the block is ``centering_matrix(n)`` zero-embedded) or the class
-    of each slot, -1 for an empty one; slots past them, up to ``dim``, are
-    empty.  C is a projector, so the leaf [[C, I - C], [I - C, -C]] is a
-    real symmetric unitary; it declares the a-priori round-off bound
-    ``_CLASS_LEAF_ROUNDING``.
+    class; the block is ``oracles.centering_matrix(n)`` zero-embedded) or
+    the class of each slot, -1 for an empty one; slots past them, up to
+    ``dim``, are empty.  C is a projector, so the leaf
+    [[C, I - C], [I - C, -C]] is a real symmetric unitary; it declares the
+    a-priori round-off bound ``_CLASS_LEAF_ROUNDING``.
     """
     if isinstance(classes, (int, np.integer)):  # a cached leaf is not certified again
         return _one_class_centering(int(classes), _register(int(classes), dim))

@@ -20,21 +20,25 @@ import numpy as np
 
 from .applications import _RANK_RTOL, LabeledDataset, cca, dcca, lda, ols, pca
 from .block_encoding import BlockEncoding, trivial_encoding, verify
-from .centering import build_uc, centering_encoding, centering_matrix, similarity_encoding
+from .centering import build_uc, centering_encoding, similarity_encoding
 from .data_encoding import matrix_encoding
 from .matrix_core import (
     CapExceededError,
     embed_power_of_two,
-    format_complex,
+    jsonable,
     read_matrix_csv,
     read_vector_csv,
     qubit_count,
     write_matrix_csv,
 )
-from .mean_centering import CenteringMode, classical_center, mc_encoding
+from .mean_centering import mc_encoding
 from .oracles import (
+    CenteringMode,
+    cca_pencil,
+    centering_matrix,
+    classical_center,
+    dcca_pencil,
     ols_closed_form,
-    pencil_blocks,
     pencil_eigs,
     reflection,
     scatters,
@@ -58,31 +62,6 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        if not value.imag.any():  # the floats _entry gives, -0.0 included
-            return value.real.astype(float, copy=False).tolist()
-        if value.ndim == 2:
-            return [[_entry(v) for v in row] for row in value]
-        return [_entry(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, complex):
-        return _entry(value)
-    return value
-
-
-def _entry(v):
-    v = complex(v)
-    if v.imag == 0.0:
-        return v.real
-    return format_complex(v)
-
-
 def _encoding_meta(name: str, be: BlockEncoding) -> dict:
     return {
         "name": name,
@@ -98,7 +77,7 @@ def _emit(doc: dict, out: str | None, started: float) -> None:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "wall_time_s": time.perf_counter() - started,
     }
-    text = json.dumps(_jsonable(doc), sort_keys=True, indent=2)
+    text = json.dumps(jsonable(doc), sort_keys=True, indent=2)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -133,10 +112,9 @@ def _cmd_center(args: argparse.Namespace) -> tuple[int, dict]:
     mode = CenteringMode.parse(args.mode)
     centered = classical_center(x, mode)
     be = mc_encoding(x, mode)
-    tol = args.tol if args.tol is not None else 1e-8
-    report = verify(be, embed_power_of_two(centered, be.system_dim), tol=tol)
+    report = verify(be, embed_power_of_two(centered, be.system_dim), tol=args.tol)
     doc = _base_doc(args)
-    doc["params"] = {"mode": mode.value, "tol": tol}
+    doc["params"] = {"mode": mode.value, "tol": args.tol}
     doc["encodings"] = [_encoding_meta("centered-matrix", be)]
     doc["verification"] = report.to_dict()
     doc["matrix"] = centered
@@ -148,10 +126,9 @@ def _cmd_center(args: argparse.Namespace) -> tuple[int, dict]:
 def _cmd_encode(args: argparse.Namespace) -> tuple[int, dict]:
     x = embed_power_of_two(read_matrix_csv(args.matrix))
     be = matrix_encoding(x)
-    tol = args.tol if args.tol is not None else 1e-9
-    report = verify(be, x, tol=tol)
+    report = verify(be, x, tol=args.tol)
     doc = _base_doc(args)
-    doc["params"] = {"tol": tol}
+    doc["params"] = {"tol": args.tol}
     doc["encodings"] = [_encoding_meta("data-matrix", be)]
     doc["verification"] = report.to_dict()
     return (EXIT_OK if report.passed else EXIT_VERIFICATION), doc
@@ -159,7 +136,6 @@ def _cmd_encode(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     target_name = args.target.lower()
-    tol = args.tol if args.tol is not None else 1e-12
     if target_name == "c":
         be = centering_encoding(args.n)
         target = embed_power_of_two(centering_matrix(args.n), be.system_dim)
@@ -179,9 +155,9 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
         target = embed_power_of_two(similarity(labels), be.system_dim)
     else:
         raise ValueError(f"unknown verify target {args.target!r}")
-    report = verify(be, target, tol=tol)
+    report = verify(be, target, tol=args.tol)
     doc = _base_doc(args)
-    doc["params"] = {"target": target_name, "n": args.n, "tol": tol,
+    doc["params"] = {"target": target_name, "n": args.n, "tol": args.tol,
                      "classes": args.classes}
     doc["encodings"] = [_encoding_meta(target_name, be)]
     doc["verification"] = report.to_dict()
@@ -214,19 +190,18 @@ def _cmd_pca(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _pencil_doc(args: argparse.Namespace, result, a_cl, b_cl) -> tuple[int, dict]:
     oracle_vals, _ = pencil_eigs(a_cl, b_cl, args.d)
-    tol = args.tol if args.tol is not None else 1e-6
     delta = float(np.max(np.abs(result.eigenvalues - oracle_vals)))
     doc = _base_doc(args)
-    doc["params"] = {"d": args.d, "tol": tol}
+    doc["params"] = {"d": args.d, "tol": args.tol}
     doc["results"] = {
         "eigenvalues": result.eigenvalues,
         "eigenvalues_oracle": oracle_vals,
         "max_delta": delta,
-        "pass": delta <= tol,
+        "pass": delta <= args.tol,
         "eigenvectors": result.eigenvectors.T,
         "degeneracies": result.degeneracies,
     }
-    return (EXIT_OK if delta <= tol else EXIT_VERIFICATION), doc
+    return (EXIT_OK if delta <= args.tol else EXIT_VERIFICATION), doc
 
 
 def _cmd_lda(args: argparse.Namespace) -> tuple[int, dict]:
@@ -239,10 +214,7 @@ def _cmd_lda(args: argparse.Namespace) -> tuple[int, dict]:
 def _cmd_cca(args: argparse.Namespace) -> tuple[int, dict]:
     x = read_matrix_csv(args.matrix_x)
     y = read_matrix_csv(args.matrix_y)
-    result = cca(x, y, args.d)
-    c = centering_matrix(x.shape[1])
-    h_x, h_y = pencil_blocks(x @ c @ y.conj().T, x, y, c)
-    return _pencil_doc(args, result, h_x, h_y)
+    return _pencil_doc(args, cca(x, y, args.d), *cca_pencil(x, y))
 
 
 def _cmd_dcca(args: argparse.Namespace) -> tuple[int, dict]:
@@ -251,10 +223,7 @@ def _cmd_dcca(args: argparse.Namespace) -> tuple[int, dict]:
     labels = _read_labels(args.labels)
     ds_x = LabeledDataset(x, labels)
     ds_y = LabeledDataset(y, labels)
-    result = dcca(ds_x, ds_y, args.d)
-    c = centering_matrix(x.shape[1])
-    h_d, h_y = pencil_blocks(x @ c @ similarity(labels) @ c @ y.conj().T, x, y, c)
-    return _pencil_doc(args, result, h_d, h_y)
+    return _pencil_doc(args, dcca(ds_x, ds_y, args.d), *dcca_pencil(x, y, labels))
 
 
 def _cmd_ols(args: argparse.Namespace) -> tuple[int, dict]:
@@ -262,18 +231,17 @@ def _cmd_ols(args: argparse.Namespace) -> tuple[int, dict]:
     y = read_vector_csv(args.target_file)
     reg = ols(x, y)
     closed = ols_closed_form(x, y)
-    tol = args.tol if args.tol is not None else 1e-8
     delta = float(np.max(np.abs(reg.beta_hat - closed)))
     doc = _base_doc(args)
-    doc["params"] = {"tol": tol}
+    doc["params"] = {"tol": args.tol}
     doc["results"] = {
         "beta": reg.beta_hat,
         "residual_norm": reg.residual_norm,
         "effective_rank": reg.effective_rank,
         "closed_form_delta": delta,
-        "pass": delta <= tol,
+        "pass": delta <= args.tol,
     }
-    return (EXIT_OK if delta <= tol else EXIT_VERIFICATION), doc
+    return (EXIT_OK if delta <= args.tol else EXIT_VERIFICATION), doc
 
 
 def _cmd_suite(args: argparse.Namespace) -> tuple[int, dict]:
@@ -308,27 +276,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"blocklab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+    def common(p, tol=None):  # the default --tol of a subcommand that reads one
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol, help="tolerance override")
         p.add_argument("--seed", type=int, default=42, help="seed recorded in the report")
-        if out:
-            p.add_argument("--out", default=None, help="write the JSON document here")
+        p.add_argument("--out", default=None, help="write the JSON document here")
 
     p = sub.add_parser("center", help="mean-center a matrix and verify the encoding")
     p.add_argument("matrix")
     p.add_argument("--mode", choices=["cx", "xc", "cxc"], default="cxc")
     p.add_argument("--matrix-out", default=None, help="write the centered matrix as CSV")
-    common(p)
+    common(p, tol=1e-8)
 
     p = sub.add_parser("encode", help="block-encode a matrix and verify it")
     p.add_argument("matrix")
-    common(p)
+    common(p, tol=1e-9)
 
     p = sub.add_parser("verify", help="verify a named construction against its target")
     p.add_argument("--target", choices=["c", "uc", "ones", "similarity"], default="c")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--classes", default="", help="comma-separated class sizes")
-    common(p)
+    common(p, tol=1e-12)
 
     p = sub.add_parser("pca", help="principal components via phase estimation")
     p.add_argument("matrix")
@@ -340,25 +308,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("labels")
     p.add_argument("--d", type=int, default=2)
-    common(p)
+    common(p, tol=1e-6)
 
     p = sub.add_parser("cca", help="canonical correlation directions")
     p.add_argument("matrix_x")
     p.add_argument("matrix_y")
     p.add_argument("--d", type=int, default=2)
-    common(p)
+    common(p, tol=1e-6)
 
     p = sub.add_parser("dcca", help="class-aware canonical correlation directions")
     p.add_argument("matrix_x")
     p.add_argument("matrix_y")
     p.add_argument("labels")
     p.add_argument("--d", type=int, default=2)
-    common(p)
+    common(p, tol=1e-6)
 
     p = sub.add_parser("ols", help="least squares on the centered design")
     p.add_argument("matrix")
     p.add_argument("target_file", metavar="target")
-    common(p)
+    common(p, tol=1e-8)
 
     p = sub.add_parser("suite", help="run the full acceptance battery")
     common(p)

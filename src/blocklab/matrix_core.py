@@ -66,6 +66,11 @@ def next_power_of_two(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
+def register_dim(*sizes: int) -> int:
+    """The power-of-two register, at least 2, that holds every size."""
+    return next_power_of_two(max(2, *sizes))
+
+
 def qubit_count(dim: int) -> int:
     """Exact log2 of a power-of-two dimension."""
     if not is_power_of_two(dim):
@@ -106,13 +111,13 @@ def kron(a, b) -> np.ndarray:
 def embed_power_of_two(a, dim: int | None = None) -> np.ndarray:
     """Embed a matrix as the leading block of a dim x dim square.
 
-    ``dim`` defaults to the next power of two of the larger side.  Returns the
-    input unchanged when it is already dim x dim.
+    ``dim`` defaults to ``register_dim`` of both sides.  Returns the input
+    unchanged when it is already dim x dim.
     """
     a = as_matrix(a)
     rows, cols = a.shape
     if dim is None:
-        dim = next_power_of_two(max(rows, cols))
+        dim = register_dim(rows, cols)
     elif rows > dim or cols > dim:
         raise ValueError("embedding target smaller than the matrix")
     if rows == cols == dim:
@@ -268,6 +273,34 @@ def format_complex(value: complex) -> str:
         return repr(value.real)
     sign = "+" if value.imag >= 0 else "-"
     return f"{value.real!r}{sign}{abs(value.imag)!r}j"
+
+
+def jsonable(value):
+    """``value`` with its numpy scalars and arrays and its complex numbers as the
+    built-in types ``json.dumps`` writes, and its dict keys as strings."""
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        if not value.imag.any():  # the floats _json_entry gives, -0.0 included
+            return value.real.astype(float, copy=False).tolist()
+        if value.ndim == 2:
+            return [[_json_entry(v) for v in row] for row in value]
+        return [_json_entry(v) for v in value]
+    if isinstance(value, (np.bool_, np.floating, np.integer)):
+        return value.item()
+    if isinstance(value, complex):
+        return _json_entry(value)
+    return value
+
+
+def _json_entry(v):
+    """A real value as a float, any other as ``format_complex`` text."""
+    v = complex(v)
+    if v.imag == 0.0:
+        return v.real
+    return format_complex(v)
 
 
 def read_matrix_csv(path) -> np.ndarray:

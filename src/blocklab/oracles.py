@@ -2,24 +2,82 @@
 check block encodings against.
 
 Each function is a dense, direct formula on the unpadded data and shares no
-code with the encodings it checks; a mean always averages over the true
-samples; only ``hermitian_extension`` pads, to the power-of-two square its
-encodings act on.  ``reflection`` and ``similarity`` are real; ``scatters``,
-``pencil_eigs`` and ``pencil_blocks`` keep their inputs' dtype (real in, real
-out); ``total_scatter``, ``hermitian_extension`` and ``ols_closed_form``
-follow the dtype rule of ``matrix_core``: real arithmetic for real inputs,
-complex otherwise.
+code with the encodings it checks: this module imports no encoding module,
+only ``matrix_core``.  A mean always averages over the true samples; only
+``hermitian_extension`` pads, to the power-of-two square its encodings act
+on.  ``centering_matrix``, ``reflection`` and ``similarity`` are real;
+``scatters``, ``pencil_eigs``, ``cca_pencil`` and ``dcca_pencil`` keep their
+inputs' dtype (real in, real out); ``total_scatter``, ``hermitian_extension``,
+``ols_closed_form``, ``mean_vectors`` and ``classical_center`` follow the
+dtype rule of ``matrix_core``: real arithmetic for real inputs, complex
+otherwise.
 """
 
 from __future__ import annotations
 
+from enum import Enum
+
 import numpy as np
 
-from .centering import centering_matrix
 from .matrix_core import as_array, as_matrix, embed_power_of_two
 
-__all__ = ["reflection", "similarity", "scatters", "total_scatter", "hermitian_extension",
-           "pencil_eigs", "pencil_blocks", "ols_closed_form"]
+__all__ = ["centering_matrix", "CenteringMode", "mean_vectors", "classical_center",
+           "reflection", "similarity", "scatters", "total_scatter", "hermitian_extension",
+           "pencil_eigs", "cca_pencil", "dcca_pencil", "ols_closed_form"]
+
+
+def centering_matrix(n: int) -> np.ndarray:
+    """The real projector I - (1/n) ee^T that removes means on multiplication."""
+    if n < 1:
+        raise ValueError("dimension must be positive")
+    return np.eye(n) - np.full((n, n), 1.0 / n)
+
+
+class CenteringMode(Enum):
+    """Which side(s) the centering projector multiplies the data matrix on:
+    CX, XC or CXC.  On the storage convention (entry (r, c) = component r of
+    sample c) they subtract the per-sample means, the per-component means,
+    and both plus the grand mean."""
+
+    CX = "cx"
+    XC = "xc"
+    CXC = "cxc"
+
+    @classmethod
+    def parse(cls, text: str) -> "CenteringMode":
+        try:
+            return cls(text.strip().lower())
+        except ValueError as exc:
+            raise ValueError(f"unknown centering mode {text!r}; use cx, xc or cxc") from exc
+
+
+def mean_vectors(x) -> tuple[np.ndarray, np.ndarray, complex]:
+    """Per-sample means, per-component means, and the grand mean.
+
+    Samples are columns, so the per-sample mean of sample c averages column c
+    and the per-component mean of component r averages row r.
+    """
+    return _means(as_matrix(x))
+
+
+def _means(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex]:
+    """``mean_vectors`` of a checked matrix: sums over counts, ``np.mean``'s bits."""
+    xbar = complex(np.add.reduce(x, axis=None) / x.size)
+    return (np.add.reduce(x, axis=0) / x.shape[0], np.add.reduce(x, axis=1) / x.shape[1],
+            xbar.real if xbar.imag == 0.0 else xbar)
+
+
+def classical_center(x, mode: CenteringMode) -> np.ndarray:
+    """Mean-subtracted matrix, computed entrywise from the mean vectors."""
+    x = as_matrix(x)
+    u, v, xbar = _means(x)
+    if mode is CenteringMode.CX:
+        return x - u[np.newaxis, :]
+    if mode is CenteringMode.XC:
+        return x - v[:, np.newaxis]
+    if mode is CenteringMode.CXC:
+        return x - u[np.newaxis, :] - v[:, np.newaxis] + xbar
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def reflection(n: int) -> np.ndarray:
@@ -89,8 +147,22 @@ def pencil_eigs(a: np.ndarray, b: np.ndarray, d: int) -> tuple[np.ndarray, np.nd
     return vals[order], picked
 
 
-def pencil_blocks(m, x, y, c) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical-correlation pencil ([[0, M], [M^dag, 0]], diag(X C X^dag, Y C Y^dag))."""
+def cca_pencil(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical-correlation pencil of M = X C Y^dag, C centering the samples."""
+    x, y = as_matrix(x), as_matrix(y)
+    c = centering_matrix(x.shape[1])
+    return _pencil(x @ c @ y.conj().T, x, y, c)
+
+
+def dcca_pencil(x, y, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical-correlation pencil of M = X C E C Y^dag, E the label similarity."""
+    x, y = as_matrix(x), as_matrix(y)
+    c = centering_matrix(x.shape[1])
+    return _pencil(x @ c @ similarity(labels) @ c @ y.conj().T, x, y, c)
+
+
+def _pencil(m, x, y, c) -> tuple[np.ndarray, np.ndarray]:
+    """([[0, M], [M^dag, 0]], diag(X C X^dag, Y C Y^dag))."""
     dim = m.shape[0]
     h_a = np.zeros((2 * dim, 2 * dim), dtype=np.result_type(m, x, y, c))
     h_a[:dim, dim:] = m

@@ -18,13 +18,14 @@ from blocklab.applications import (
     scatter_within_encoding,
 )
 from blocklab.block_encoding import extract_block, trivial_encoding, verify
-from blocklab.centering import centering_matrix
 from blocklab.data_encoding import matrix_encoding
 from blocklab.matrix_core import is_unitary, next_power_of_two
 from blocklab.oracles import (
+    cca_pencil,
+    centering_matrix,
+    dcca_pencil,
     hermitian_extension,
     ols_closed_form,
-    pencil_blocks,
     pencil_eigs,
     scatters,
     similarity,
@@ -469,8 +470,7 @@ class TestCca:
         assert h_y.kind == "gram" and h_y.system_dim == 2 * dim
         padded = [np.zeros((dim, shape[1])) for _ in range(2)]
         padded[0][:shape[0]], padded[1][:shape[0]] = x, y
-        c = centering_matrix(shape[1])
-        _, target = pencil_blocks(padded[0] @ c @ padded[1].T, *padded, c)
+        _, target = cca_pencil(*padded)
         blk = h_y.alpha * extract_block(h_y)
         assert np.max(np.abs(blk - target)) <= 1e-12
         assert not blk[:dim, dim:].any() and not blk[dim:, :dim].any()
@@ -484,8 +484,7 @@ class TestCca:
         x, y = rng.standard_normal(shape), rng.standard_normal(shape)
         d = 2
         res = cca(x, y, d)
-        c = centering_matrix(shape[1])
-        h_x, h_y = pencil_blocks(x @ c @ y.T, x, y, c)
+        h_x, h_y = cca_pencil(x, y)
         oracle_vals, oracle_vecs = pencil_eigs(h_x, h_y, d)
         np.testing.assert_allclose(res.eigenvalues, oracle_vals, atol=1e-8)
         if not res.degeneracies:
@@ -512,8 +511,7 @@ class TestCca:
         x[:3] = rng.standard_normal((3, 8))
         y[:3] = rng.standard_normal((3, 8))
         res = cca(x, y, d=2)
-        c = centering_matrix(8)
-        h_x, h_y = pencil_blocks(x @ c @ y.T, x, y, c)
+        h_x, h_y = cca_pencil(x, y)
         oracle_vals, oracle_vecs = pencil_eigs(h_x, h_y, 2)
         np.testing.assert_allclose(res.eigenvalues, oracle_vals, atol=1e-6)
         angles = scipy.linalg.subspace_angles(res.eigenvectors[:, :1],
@@ -573,9 +571,7 @@ class TestDcca:
         ds_x = LabeledDataset(x, labels)
         ds_y = LabeledDataset(x, labels)  # shared view
         res = dcca(ds_x, ds_y, d=2)
-        c = centering_matrix(8)
-        e = similarity(labels)
-        h_d, h_y = pencil_blocks(x @ c @ e @ c @ x.T, x, x, c)
+        h_d, h_y = dcca_pencil(x, x, labels)
         oracle_vals, _ = pencil_eigs(h_d, h_y, 2)
         np.testing.assert_allclose(res.eigenvalues, oracle_vals, atol=1e-6)
 
@@ -603,9 +599,7 @@ class TestDcca:
         ds_y = LabeledDataset(y, labels)
         res = dcca(ds_x, ds_y, d=2)
 
-        c = centering_matrix(6)
-        e = similarity(labels)
-        h_d, h_y = pencil_blocks(x @ c @ e @ c @ y.T, x, y, c)
+        h_d, h_y = dcca_pencil(x, y, labels)
         oracle_vals, _ = pencil_eigs(h_d, h_y, 2)
         np.testing.assert_allclose(res.eigenvalues, oracle_vals, atol=1e-6)
 

@@ -7,12 +7,11 @@ from blocklab.block_encoding import extract_block, verify
 from blocklab.centering import (
     build_uc,
     centering_encoding,
-    centering_matrix,
     similarity_encoding,
     similarity_root,
 )
 from blocklab.matrix_core import CapExceededError, is_unitary
-from blocklab.oracles import similarity
+from blocklab.oracles import centering_matrix, similarity
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 

@@ -7,7 +7,7 @@ import pytest
 
 from blocklab import __version__, cli
 from blocklab.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_VERIFICATION, main
-from blocklab.matrix_core import write_matrix_csv
+from blocklab.matrix_core import _json_entry, jsonable, write_matrix_csv
 
 
 @pytest.fixture
@@ -130,6 +130,27 @@ def test_parse_failure_exit_code(fixtures, capsys):
     bad = tmp / "bad.csv"
     bad.write_text("1,zzz\n")
     assert main(["encode", str(bad)]) == EXIT_PARSE
+
+
+def test_encode_accepts_a_one_by_one_matrix(tmp_path):
+    # embedded into the 2 x 2 register, as center, pca and ols embed it
+    path = tmp_path / "one.csv"
+    write_matrix_csv(path, np.array([[2.5]]))
+    code, doc = run_json(["encode", str(path)], tmp_path / "one.json")
+    assert code == EXIT_OK
+    assert doc["verification"]["pass"] is True
+    assert doc["encodings"][0]["alpha"] == 2.5
+    assert doc["encodings"][0]["system_qubits"] == 1
+
+
+@pytest.mark.parametrize("argv", [["pca", "x"], ["suite"]])
+def test_tol_is_refused_where_nothing_reads_it(fixtures, argv, capsys):
+    _, paths = fixtures
+    argv = [str(paths["x"]) if a == "x" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol", "1"])
+    assert exc.value.code == EXIT_PARSE
+    assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -373,14 +394,14 @@ def test_main_builds_the_parser_once(fixtures, monkeypatch):
 ], ids=["real-1d", "real-2d-negzero-subnormal", "integer", "complex-1d", "mixed-2d",
         "complex-dtype-zero-imag"])
 def test_jsonable_array_bytes_match_the_per_entry_rule(value):
-    per_entry = ([[cli._entry(v) for v in row] for row in value] if value.ndim == 2
-                 else [cli._entry(v) for v in value])
+    per_entry = ([[_json_entry(v) for v in row] for row in value] if value.ndim == 2
+                 else [_json_entry(v) for v in value])
     expected = json.dumps({"a": per_entry}, sort_keys=True, indent=2)
-    assert json.dumps(cli._jsonable({"a": value}), sort_keys=True, indent=2) == expected
+    assert json.dumps(jsonable({"a": value}), sort_keys=True, indent=2) == expected
 
 
 def test_jsonable_keeps_negative_zero_and_subnormals():
-    assert json.dumps(cli._jsonable(np.array([-0.0, 5e-324, 3]))) == "[-0.0, 5e-324, 3.0]"
+    assert json.dumps(jsonable(np.array([-0.0, 5e-324, 3]))) == "[-0.0, 5e-324, 3.0]"
 
 
 def test_pca_reports_alpha_over_lambda_1(fixtures):

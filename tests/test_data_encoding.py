@@ -287,8 +287,17 @@ class TestLazyLeaf:
 
 class TestHermitianExtension:
     def test_scalar(self):
-        np.testing.assert_array_equal(hermitian_extension(np.array([[1.0]])),
-                                      [[0, 1], [1, 0]])
+        # a 1 x 1 matrix is embedded into the 2 x 2 register its encodings act on
+        expected = np.zeros((4, 4))
+        expected[0, 2] = expected[2, 0] = 1.0
+        np.testing.assert_array_equal(hermitian_extension(np.array([[1.0]])), expected)
+
+    def test_scalar_matches_the_dilation_of_its_encoding(self):
+        x = np.array([[-2.5]])
+        be = hermitian_dilation(matrix_encoding(embed_power_of_two(x)))
+        ext = hermitian_extension(x)
+        assert ext.shape == (be.system_dim, be.system_dim) == (4, 4)
+        np.testing.assert_allclose(be.alpha * extract_block(be), ext, atol=1e-12)
 
     def test_identity(self):
         ext = hermitian_extension(np.eye(2))

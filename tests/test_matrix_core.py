@@ -20,9 +20,11 @@ from blocklab.matrix_core import (
     householder_terms,
     is_unitary,
     is_unitary_matrix,
+    jsonable,
     kron,
     parse_complex_token,
     read_matrix_csv,
+    register_dim,
     read_vector_csv,
     spectral_norm,
     unitary_completion,
@@ -174,6 +176,15 @@ class TestEmbed:
     def test_already_dim_square_unchanged(self):
         a = np.random.default_rng(3).standard_normal((8, 8))
         np.testing.assert_array_equal(embed_power_of_two(a, 8), a)
+
+    def test_one_by_one_takes_the_register_floor(self):
+        out = embed_power_of_two(np.array([[3.0]]))
+        np.testing.assert_array_equal(out, [[3.0, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("sizes, dim", [((1,), 2), ((2,), 2), ((3,), 4), ((1, 1), 2),
+                                            ((1, 5), 8), ((4, 4), 4), ((3, 6, 2, 9), 16)])
+    def test_register_dim(self, sizes, dim):
+        assert register_dim(*sizes) == dim
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(2)
@@ -556,3 +567,9 @@ class TestCsv:
         assert parse_complex_token(" -3.5 ") == -3.5
         assert format_complex(1 - 0.25j) == "1.0-0.25j"
         assert format_complex(2.0) == "2.0"
+
+
+def test_jsonable_converts_numpy_scalars_and_keys():
+    doc = jsonable({"ok": np.bool_(True), 3: (np.int64(2), np.float64(-0.0), 1 - 2j)})
+    assert doc == {"ok": True, "3": [2, -0.0, "1.0-2.0j"]}
+    assert [type(v) for v in doc["3"]] == [int, float, str] and type(doc["ok"]) is bool

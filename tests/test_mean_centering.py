@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from blocklab.block_encoding import extract_block
-from blocklab.centering import centering_matrix
 from blocklab.data_encoding import matrix_encoding
 from blocklab.mean_centering import (
     CenteringMode,
@@ -10,6 +9,7 @@ from blocklab.mean_centering import (
     mc_encoding,
     mean_vectors,
 )
+from blocklab.oracles import centering_matrix
 
 X22 = np.array([[1.0, 2.0], [3.0, 4.0]])
 

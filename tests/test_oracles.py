@@ -1,10 +1,15 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
+from blocklab import mean_centering, oracles
 from blocklab.applications import LabeledDataset
 from blocklab.oracles import (
+    cca_pencil,
+    dcca_pencil,
     ols_closed_form,
-    pencil_blocks,
     pencil_eigs,
     reflection,
     scatters,
@@ -51,13 +56,13 @@ def test_pencil_eigs_diagonal(b_diag, expected):
     np.testing.assert_allclose(np.linalg.norm(vecs, axis=0), 1.0, atol=1e-12)
 
 
-def test_pencil_blocks_hermitian_and_real():
+def test_cca_pencil_hermitian_and_real():
     rng = np.random.default_rng(12)
     x = rng.standard_normal((3, 6))
     y = rng.standard_normal((3, 6))
     c = projector(6)
     m = x @ c @ y.T
-    h_a, h_b = pencil_blocks(m, x, y, c)
+    h_a, h_b = cca_pencil(x, y)
     assert h_a.dtype == h_b.dtype == np.float64
     assert h_a.shape == h_b.shape == (6, 6)
     np.testing.assert_array_equal(h_a, h_a.T)
@@ -67,10 +72,51 @@ def test_pencil_blocks_hermitian_and_real():
     np.testing.assert_array_equal(h_b[:3, 3:], 0.0)
 
     xc = x + 1j * rng.standard_normal((3, 6))
-    h_a, h_b = pencil_blocks(xc @ c @ y.T, xc, y, c)
+    h_a, h_b = cca_pencil(xc, y)
     assert np.iscomplexobj(h_a) and np.iscomplexobj(h_b)
     np.testing.assert_array_equal(h_a, h_a.conj().T)
     np.testing.assert_allclose(h_b, h_b.conj().T, atol=1e-12)
+
+
+def test_dcca_pencil_hermitian_and_real():
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((3, 6))
+    y = rng.standard_normal((3, 6))
+    labels = np.array([1, 0, 1, 2, 0, 1])
+    c = projector(6)
+    e = (labels[:, None] == labels[None, :]).astype(float)
+    m = x @ c @ e @ c @ y.T
+    h_a, h_b = dcca_pencil(x, y, labels)
+    assert h_a.dtype == h_b.dtype == np.float64
+    assert h_a.shape == h_b.shape == (6, 6)
+    np.testing.assert_array_equal(h_a, h_a.T)
+    np.testing.assert_allclose(h_b, h_b.T, atol=1e-12)
+    np.testing.assert_array_equal(h_a[:3, 3:], m)
+    np.testing.assert_array_equal(h_a[:3, :3], 0.0)
+    np.testing.assert_array_equal(h_b, cca_pencil(x, y)[1])
+
+    xc = x + 1j * rng.standard_normal((3, 6))
+    h_a, h_b = dcca_pencil(xc, y, labels)
+    assert np.iscomplexobj(h_a) and np.iscomplexobj(h_b)
+    np.testing.assert_array_equal(h_a, h_a.conj().T)
+    np.testing.assert_allclose(h_b, h_b.conj().T, atol=1e-12)
+
+
+def test_oracles_import_no_encoding_module():
+    tree = ast.parse(inspect.getsource(oracles))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert {name for name in imported if name.startswith(".") or name.startswith("blocklab")} \
+        == {".matrix_core"}
+
+
+def test_mean_centering_reexports_the_oracles():
+    for name in ("CenteringMode", "classical_center", "mean_vectors"):
+        assert getattr(mean_centering, name) is getattr(oracles, name), name
 
 
 @pytest.mark.parametrize("shape", [(12, 12), (4, 6)])

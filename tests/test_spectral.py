@@ -16,11 +16,11 @@ from blocklab.block_encoding import (
     product,
     trivial_encoding,
 )
-from blocklab.centering import centering_encoding, centering_matrix, similarity_encoding
+from blocklab.centering import centering_encoding, similarity_encoding
 from blocklab.data_encoding import hermitian_dilation, matrix_encoding
 from blocklab.matrix_core import CapExceededError, is_unitary
 from blocklab.mean_centering import CenteringMode, mc_encoding
-from blocklab.oracles import hermitian_extension
+from blocklab.oracles import centering_matrix, hermitian_extension
 from blocklab.spectral import (
     EstimationMethod,
     exact_evolution,

@@ -4,12 +4,12 @@ with ``diff``.
     python3 tools/output_digest.py [--root DIR]
 
 Covers the 24 ``cli_mix`` argvs of ``perfbench/workloads.CliMix`` on the
-inputs seed 7 generates, the few ``EXTRA`` argvs on inputs seed 7 generates
+inputs seed 7 generates, the 15 ``EXTRA`` argvs on inputs seed 7 generates
 (inputs outside ``cli_mix``: classes in shuffled order and of sizes that are
 not powers of two, the scatter and dcca pipelines at sizes ``cli_mix`` leaves
 out, a well-conditioned LDA instance, ``center`` on d × n data, ``ols`` on
-a rectangular design, and ``pca`` on data whose mean of 10 or 100 swamps
-its spread, which it refuses), ``--help`` of the parser and of every
+a rectangular design, ``pca`` on data whose mean of 10 or 100 swamps
+its spread, which it refuses, and ``encode`` on a 1 × 1 matrix), ``--help`` of the parser and of every
 subcommand, and ``blocklab suite --seed 42``.  Each line holds the exit code
 and the SHA-256 of stdout, of stderr and of the JSON document without its
 ``timing`` block (``-`` when no document was written).  The temporary input
@@ -59,6 +59,7 @@ EXTRA = [
     ("ols-12x5", ["ols", ("m", 12, 5), ("m", 12, 1)]),
     ("pca-8x8-offset10", ["pca", ("o", 8, 8, 10.0), "--d", "3"]),
     ("pca-8x8-offset100", ["pca", ("o", 8, 8, 100.0), "--d", "3"]),
+    ("encode-1x1", ["encode", ("m", 1, 1)]),
 ]
 
 
