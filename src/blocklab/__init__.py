@@ -40,7 +40,6 @@ from .oracles import (CenteringMode, centering_matrix, classical_center, hermiti
 from .spectral import (
     EstimationMethod,
     PhaseEstimate,
-    exact_evolution,
     phase_estimation,
     walk_operator,
 )

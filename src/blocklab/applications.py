@@ -46,7 +46,7 @@ from .matrix_core import (
 )
 from .mean_centering import mc_encoding
 from .oracles import CenteringMode, ols_closed_form, total_scatter
-from .spectral import EstimationMethod, exact_evolution, phase_estimation
+from .spectral import evolution_readout
 
 __all__ = [
     "LabeledDataset",
@@ -210,7 +210,8 @@ def paired_scatter_encoding(x, y) -> BlockEncoding:
 # ---------------------------------------------------------------------------
 
 def pca(x, d: int, t_bits: int = 8) -> EigenResult:
-    """Top-d principal directions of the total scatter via phase estimation.
+    """Top-d principal directions of the total scatter via phase estimation
+    on its exact evolution e^{iAt}, t = 1.2*pi/alpha, read in closed form.
 
     Classical eigenvectors of the scatter seed the estimation; the
     returned eigenvalues are the phase-estimation readouts, which must agree
@@ -235,17 +236,7 @@ def pca(x, d: int, t_bits: int = 8) -> EigenResult:
     if lam.size and lam[-1] <= bound:
         raise AssertionError(f"resolution bound {bound:.3g} is not below the eigenvalue "
                              f"{lam[-1]:.3g} it reads: alpha/lambda_1 = {alpha / lam[0]:.3g}")
-    t_evo = 1.2 * np.pi / alpha
-    u = exact_evolution(be, t_evo)
-    estimates = []
-    for j in range(d):
-        est = phase_estimation(
-            u, candidates[:, j], t_bits,
-            method=EstimationMethod.EXACT_EVOLUTION,
-            alpha=alpha, evolution_time=t_evo, nonnegative_spectrum=True,
-        )
-        estimates.append(est.eigenvalue)
-    estimates = np.array(estimates)
+    estimates = evolution_readout(be, candidates, t_bits, 1.2 * np.pi / alpha)
     if np.max(np.abs(estimates - classical_vals)) > bound:
         raise AssertionError(
             "phase-estimation eigenvalues drifted beyond the resolution bound"

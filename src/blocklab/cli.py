@@ -25,6 +25,7 @@ from .data_encoding import matrix_encoding
 from .matrix_core import (
     CapExceededError,
     embed_power_of_two,
+    is_power_of_two,
     jsonable,
     read_matrix_csv,
     read_vector_csv,
@@ -140,6 +141,9 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
         be = centering_encoding(args.n)
         target = embed_power_of_two(centering_matrix(args.n), be.system_dim)
     elif target_name == "uc":
+        if args.n < 2 or not is_power_of_two(args.n):
+            raise ValueError(f"--target uc is the unpadded reflection, which exists only for "
+                             f"n = 2^k >= 2, not n = {args.n}")
         uc = build_uc(qubit_count(args.n))
         be = trivial_encoding(uc)
         target = reflection(args.n)

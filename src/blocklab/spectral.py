@@ -1,8 +1,8 @@
-"""Eigeninformation extraction from Hermitian block encodings: an exact
-evolution operator, a reflection walk written into one buffer (the node's
-fresh unitary, or a copy of the one it keeps), its eigenphases carrying the
-spectrum as cos(theta) = lambda/alpha, and a deterministic phase estimation
-that computes the full distribution.
+"""Eigeninformation extraction from Hermitian block encodings: a reflection
+walk written into one buffer (the node's fresh unitary, or a copy of the one
+it keeps), its eigenphases carrying the spectrum as cos(theta) = lambda/alpha,
+a phase estimation that computes the full distribution, and the same
+distribution for the exact evolution e^{iAt} in closed form, with no unitary.
 
 The walk rests on each node's ``hermitian`` law: Gram and dilation nodes
 always hold it, differences and adjoints by their children, the class
@@ -43,8 +43,8 @@ __all__ = [
     "EstimationMethod",
     "PhaseEstimate",
     "walk_operator",
-    "exact_evolution",
     "phase_estimation",
+    "evolution_readout",
 ]
 
 _HERMITIAN_BLOCK_TOL = 1e-8
@@ -55,7 +55,6 @@ _KRYLOV_LEAK_BOUND = 1e-12
 
 
 class EstimationMethod(Enum):
-    EXACT_EVOLUTION = "exact-evolution"
     QUBITIZATION_WALK = "qubitization-walk"
 
 
@@ -63,9 +62,9 @@ class EstimationMethod(Enum):
 class PhaseEstimate:
     """Result of simulated phase estimation.
 
-    ``phase`` lies in [0, 1) on a 2^bits grid; ``eigenvalue`` is the value
-    reconstructed for the given method and scale factor.  ``distribution`` is
-    the exact probability over all grid points.  ``krylov_dim`` is the
+    ``phase`` is the walk readout, folded to [0, 1/2] on a 2^bits grid, and
+    ``eigenvalue`` is alpha * cos(2*pi*phase).  ``distribution`` is the
+    exact probability over all grid points.  ``krylov_dim`` is the
     dimension of the invariant Krylov space of the state the distribution was
     computed in, and ``leak`` its invariance residual ||U Q - Q H||_2.
     """
@@ -102,18 +101,6 @@ def walk_operator(be: BlockEncoding) -> np.ndarray:
         w = w.copy()
     w[be.system_dim:] *= -1.0
     return w
-
-
-def exact_evolution(be: BlockEncoding, t: float) -> np.ndarray:
-    """exp(i t A) for the encoded Hermitian operator A = alpha * block.
-
-    Computed by exact diagonalization, so the result is unitary to round-off.
-    """
-    a = be.alpha * be.extract_block()
-    if not is_hermitian(a, _HERMITIAN_BLOCK_TOL):
-        raise ValueError("encoded block is not Hermitian within 1e-8")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
-    return (v * np.exp(1j * t * w)) @ v.conj().T
 
 
 # The last operator phase estimation accepted, as (weak reference, private
@@ -192,6 +179,12 @@ def _phase_distribution(u: np.ndarray, state: np.ndarray,
     tmat, z = scipy.linalg.schur(h, output="complex")
     phases = np.mod(np.angle(np.diag(tmat)) / (2.0 * np.pi), 1.0)
     weights = np.abs(z.conj().T @ (q.conj().T @ state)) ** 2
+    return _dirichlet_mixture(phases, weights, t_bits), len(basis), leak
+
+
+def _dirichlet_mixture(phases: np.ndarray, weights: np.ndarray, t_bits: int) -> np.ndarray:
+    """Squared Dirichlet kernels centered on the phases, mixed by the weights;
+    ``AssertionError`` unless the distribution sums to 1 (a lost weight, a NaN)."""
     grid = 1 << t_bits
     delta = phases[:, None] - np.arange(grid) / grid
     sin_d = np.sin(np.pi * delta)
@@ -201,7 +194,16 @@ def _phase_distribution(u: np.ndarray, state: np.ndarray,
     total = dist.sum()
     if not abs(total - 1.0) <= 1e-9:
         raise AssertionError(f"phase distribution sums to {total}, expected 1")
-    return dist, len(basis), leak
+    return dist
+
+
+def _check_register(t_bits: int) -> None:
+    """Refuse t_bits < 1 or above ``cap_qubits()`` before any 2^t_bits is formed."""
+    if t_bits < 1:
+        raise ValueError("t_bits must be positive")
+    if t_bits > (qubits := cap_qubits()):
+        raise CapExceededError(f"phase register of {t_bits} qubits exceeds the "
+                               f"simulator cap of {qubits} qubits")
 
 
 def phase_estimation(
@@ -209,31 +211,22 @@ def phase_estimation(
     eigenstate,
     t_bits: int,
     *,
-    method: EstimationMethod = EstimationMethod.EXACT_EVOLUTION,
+    method: EstimationMethod = EstimationMethod.QUBITIZATION_WALK,
     alpha: float = 1.0,
-    evolution_time: float | None = None,
-    nonnegative_spectrum: bool = False,
 ) -> PhaseEstimate:
-    """Phase estimation with the full output distribution computed exactly.
+    """Phase estimation on a walk operator, with the full output distribution
+    computed exactly.
 
-    The returned phase is the distribution argmax.  The eigenvalue
-    reconstruction depends on the method: for exact evolution e^{iAt} it is
-    2*pi*phase/t with phases above 1/2 wrapped to negative values unless
-    ``nonnegative_spectrum`` is set; for the walk operator it is
-    alpha * cos(2*pi*phase), with the readout folded to phase <= 1/2 because
-    the walk's eigenphases come in +/- pairs of equal weight.  Reconstructed
-    values are clipped to the certified range [-alpha, alpha].  ``t_bits``
-    above ``cap_qubits()`` raises ``CapExceededError`` before any allocation.
+    The readout is the distribution argmax folded to phase <= 1/2, because
+    the walk's eigenphases come in +/- pairs of equal weight, and the
+    eigenvalue is alpha * cos(2*pi*phase).  ``t_bits`` above ``cap_qubits()``
+    raises ``CapExceededError`` before any allocation.
     The unitarity check (within 1e-10) is exact and runs once per operator:
     a later call on the same array with bit-identical entries skips it.
     A real operator is never cast to complex: with a state whose imaginary
     part is zero the whole readout runs in float64.
     """
-    if t_bits < 1:
-        raise ValueError("t_bits must be positive")
-    if t_bits > (qubits := cap_qubits()):  # exponents compared: no 2^t_bits is formed
-        raise CapExceededError(f"phase register of {t_bits} qubits exceeds the "
-                               f"simulator cap of {qubits} qubits")
+    _check_register(t_bits)
     u = as_matrix(u)
     state = as_array(eigenstate).reshape(-1)
     if state.shape[0] != u.shape[0]:
@@ -250,18 +243,30 @@ def phase_estimation(
     dist, krylov_dim, leak = _phase_distribution(u, state / norm, t_bits)
     grid = 1 << t_bits
     m = int(np.argmax(dist))
-
-    if method is EstimationMethod.QUBITIZATION_WALK:
-        phase = min(m, grid - m) / grid
-        eigenvalue = alpha * np.cos(2.0 * np.pi * phase)
-    else:
-        phase = m / grid
-        t_evo = evolution_time if evolution_time is not None else 1.0 / alpha
-        if t_evo == 0:
-            raise ValueError("evolution time must be nonzero")
-        signed = phase if (nonnegative_spectrum or phase <= 0.5) else phase - 1.0
-        eigenvalue = 2.0 * np.pi * signed / t_evo
-    eigenvalue = float(np.clip(eigenvalue, -alpha, alpha))
-    return PhaseEstimate(phase=phase, bits=t_bits, eigenvalue=eigenvalue,
+    phase = min(m, grid - m) / grid
+    return PhaseEstimate(phase=phase, bits=t_bits,
+                         eigenvalue=float(alpha * np.cos(2.0 * np.pi * phase)),
                          method=method, distribution=dist, krylov_dim=krylov_dim,
                          leak=leak)
+
+
+def evolution_readout(be: BlockEncoding, states, t_bits: int, t: float) -> np.ndarray:
+    """Phase estimation on e^{iAt}, A = alpha * block, from each column of
+    ``states`` (system_dim x k), in closed form: one ``eigh`` of A gives the
+    phases t*lambda_j/2pi mod 1, and each state mixes the components whose
+    amplitude <v_j|psi> exceeds the Arnoldi breakdown threshold (those a
+    Krylov run would span).  Each readout, 2*pi*argmax/(2^t_bits * t), assumes
+    a spectrum in [0, 2*pi/t) and is clipped to [-alpha, alpha].  A block not
+    Hermitian within 1e-8 raises ``ValueError``, after the t_bits checks.
+    """
+    _check_register(t_bits)
+    a = be.alpha * be.extract_block()
+    if not is_hermitian(a, _HERMITIAN_BLOCK_TOL):
+        raise ValueError("encoded block is not Hermitian within 1e-8")
+    lam, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    phases = np.mod(t * lam / (2.0 * np.pi), 1.0)
+    m = []
+    for amp in (v.conj().T @ states).T:
+        keep = np.abs(amp) > _KRYLOV_BREAKDOWN
+        m.append(np.argmax(_dirichlet_mixture(phases[keep], np.abs(amp[keep]) ** 2, t_bits)))
+    return np.clip(2.0 * np.pi * (np.array(m) / (1 << t_bits)) / t, -be.alpha, be.alpha)

@@ -486,6 +486,7 @@ def criterion_9(seed: int) -> CriterionOutcome:
     worst = 0.0
     deficient = 0
     ok = True
+    c = centering_matrix(8)
     for i in range(50):
         x = rng.standard_normal((8, 8))
         if i % 10 == 0:
@@ -493,7 +494,6 @@ def criterion_9(seed: int) -> CriterionOutcome:
             x[:, 6] = x[:, 2]
         y = rng.standard_normal(8)
         reg = ols(x, y)
-        c = centering_matrix(8)
         gap = np.max(np.abs(reg.beta_hat - ols_closed_form(x, y)))
         worst = max(worst, _f(gap))
         if reg.effective_rank < 7:

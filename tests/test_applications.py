@@ -19,7 +19,7 @@ from blocklab.applications import (
 )
 from blocklab.block_encoding import extract_block, trivial_encoding, verify
 from blocklab.data_encoding import matrix_encoding
-from blocklab.matrix_core import is_unitary, next_power_of_two
+from blocklab.matrix_core import embed_power_of_two, is_unitary, next_power_of_two
 from blocklab.oracles import (
     cca_pencil,
     centering_matrix,
@@ -31,7 +31,7 @@ from blocklab.oracles import (
     similarity,
     total_scatter,
 )
-from blocklab.spectral import walk_operator
+from blocklab.spectral import phase_estimation, walk_operator
 
 
 def two_cluster_dataset(rng, n=8, gap=6.0):
@@ -279,7 +279,53 @@ def _zero_encoding():
     return product(product(ce, sim), ce)
 
 
+def dense_evolution_readouts(x, d, t_bits):
+    """pca's readouts by the dense route: phase estimation on the unitary
+    V e^{i Lambda t} V^dag, built from eigh of alpha * block, from each of
+    the top-d classical seeds, each read as 2*pi*argmax/(2^t_bits * t) and
+    clipped to [-alpha, alpha]; in descending order."""
+    be = scatter_total_encoding(x)
+    a = be.alpha * be.extract_block()
+    lam, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    t = 1.2 * np.pi / be.alpha
+    u = (v * np.exp(1j * t * lam)) @ v.conj().T
+    values, vectors = np.linalg.eigh(embed_power_of_two(total_scatter(x), be.system_dim))
+    grid = 1 << t_bits
+    reads = [2.0 * np.pi * (np.argmax(phase_estimation(u, vectors[:, j], t_bits).distribution)
+                            / grid) / t
+             for j in np.argsort(values)[::-1][:d]]
+    return np.sort(np.clip(reads, -be.alpha, be.alpha))[::-1]
+
+
+def _pca_reference_case(kind, shape, offset):
+    rng = np.random.default_rng(sum(shape) + 10 * offset)
+    if kind == "cluster":  # zero-mean orthogonal rows: scatter eigenvalues 8, 8, 8, 2
+        return np.diag([1.0, 1.0, 1.0, 0.5]) @ scipy.linalg.hadamard(8)[1:5] + offset
+    x = rng.standard_normal(shape)
+    if kind == "complex":
+        x = x + 1j * rng.standard_normal(shape)
+    return x + offset
+
+
 class TestPca:
+    @pytest.mark.parametrize("kind, shape, offset, d, t_bits", [
+        ("real", (8, 8), 0, 3, 8),
+        ("real", (8, 8), 1, 3, 12),
+        ("complex", (8, 8), 0, 4, 12),
+        ("complex", (8, 8), 1, 2, 8),
+        ("real", (5, 12), 0, 3, 4),
+        ("real", (12, 5), 1, 1, 8),
+        ("complex", (3, 16), 1, 2, 4),
+        ("complex", (16, 3), 0, 3, 12),
+        ("real", (32, 32), 0, 5, 12),
+        ("cluster", (4, 8), 0, 4, 8),
+        ("cluster", (4, 8), 1, 3, 12),
+    ], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v))
+    def test_readouts_equal_the_dense_evolution_route(self, kind, shape, offset, d, t_bits):
+        x = _pca_reference_case(kind, shape, offset)
+        got = pca(x, d=d, t_bits=t_bits).eigenvalues
+        assert got.tobytes() == dense_evolution_readouts(x, d, t_bits).tobytes()
+
     def test_prescribed_singular_values(self):
         rng = np.random.default_rng(10)
         n = 8

@@ -185,6 +185,29 @@ def test_phase_register_over_the_cap_exit_code(fixtures, monkeypatch, capsys):
     assert not (tmp / "pca.json").exists()
 
 
+def test_pca_t_bits_zero_on_constant_data(fixtures, capsys):
+    # constant data reads no nonzero eigenvalue, so no resolution bound refuses it first
+    tmp, paths = fixtures
+    assert main(["pca", str(paths["const"]), "--t-bits", "0",
+                 "--out", str(tmp / "pca.json")]) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: t_bits must be positive\n"
+    assert not (tmp / "pca.json").exists()
+
+
+@pytest.mark.parametrize("n, code", [(1, EXIT_PARSE), (3, EXIT_PARSE), (12, EXIT_PARSE),
+                                     (2, EXIT_OK), (16, EXIT_OK)])
+def test_verify_uc_only_for_powers_of_two(tmp_path, capsys, n, code):
+    out = tmp_path / "v.json"
+    assert main(["verify", "--target", "uc", "--n", str(n), "--out", str(out)]) == code
+    if code == EXIT_PARSE:
+        assert capsys.readouterr().err == (
+            f"error: --target uc is the unpadded reflection, which exists only for "
+            f"n = 2^k >= 2, not n = {n}\n")
+        assert not out.exists()
+    else:
+        assert json.loads(out.read_text())["verification"]["pass"] is True
+
+
 def test_verification_failure_exit_code(fixtures):
     tmp, paths = fixtures
     # a zero tolerance cannot be met by the floating-point pencil comparison

@@ -23,7 +23,7 @@ from blocklab.mean_centering import CenteringMode, mc_encoding
 from blocklab.oracles import centering_matrix, hermitian_extension
 from blocklab.spectral import (
     EstimationMethod,
-    exact_evolution,
+    evolution_readout,
     phase_estimation,
     walk_operator,
 )
@@ -349,39 +349,31 @@ class TestWalkLayout:
 
 
 class TestExactEvolution:
-    def test_zero_time_is_identity(self):
-        be = trivial_encoding(np.diag([1.0, -1.0]))
-        np.testing.assert_allclose(exact_evolution(be, 0.0), np.eye(2), atol=1e-14)
+    """Phase estimation on e^{iAt}, read in closed form by ``evolution_readout``."""
 
     def test_diagonal_half_turn(self):
+        # at t = pi both eigenvalues +/-1 sit at phase 1/2: the readout assumes
+        # a spectrum in [0, 2 pi / t) and reads 1 for each
         be = trivial_encoding(np.diag([1.0, -1.0]))
-        np.testing.assert_allclose(exact_evolution(be, np.pi), -np.eye(2),
-                                   atol=1e-12)
+        np.testing.assert_array_equal(evolution_readout(be, np.eye(2), 6, np.pi), [1.0, 1.0])
 
     def test_eigenvalue_phases(self):
         rng = np.random.default_rng(4)
         be, target = hermitian_test_encoding(rng)
         t = 0.37
-        u = exact_evolution(be, t)
-        expected = np.sort(t * np.linalg.eigvalsh(target))
-        observed = np.sort(np.angle(np.linalg.eigvals(u)))
-        np.testing.assert_allclose(observed, expected, atol=1e-9)
-
-    def test_group_law(self):
-        rng = np.random.default_rng(5)
-        be, _ = hermitian_test_encoding(rng)
-        u = exact_evolution(be, 0.3) @ exact_evolution(be, 0.5)
-        np.testing.assert_allclose(u, exact_evolution(be, 0.8), atol=1e-9)
-
-    def test_output_unitary(self):
-        rng = np.random.default_rng(6)
-        be, _ = hermitian_test_encoding(rng)
-        assert is_unitary(exact_evolution(be, 1.7), 1e-10)
+        lam, vec = np.linalg.eigh(target)
+        states = np.zeros((be.system_dim, lam.size))
+        states[:target.shape[0]] = vec
+        got = evolution_readout(be, states, 10, t)
+        want = np.mod(lam, 2 * np.pi / t)  # the spectrum in [0, 2 pi / t)
+        inside = want <= be.alpha
+        assert np.max(np.abs(got[inside] - want[inside])) <= 2 * np.pi / t * 2.0 ** -11
+        np.testing.assert_array_equal(got[~inside], be.alpha)
 
     def test_non_hermitian_rejected(self):
         rng = np.random.default_rng(7)
         with pytest.raises(ValueError, match="Hermitian"):
-            exact_evolution(matrix_encoding(rng.standard_normal((4, 4))), 1.0)
+            evolution_readout(matrix_encoding(rng.standard_normal((4, 4))), np.eye(4), 4, 1.0)
 
 
 class TestPhaseEstimation:
@@ -406,8 +398,8 @@ class TestPhaseEstimation:
 
     def test_distribution_is_normalized(self):
         rng = np.random.default_rng(8)
-        be, _ = hermitian_test_encoding(rng)
-        u = exact_evolution(be, 0.2)
+        _, target = hermitian_test_encoding(rng)
+        u = scipy.linalg.expm(0.2j * target)
         state = np.zeros(u.shape[0], dtype=complex)
         state[0] = 1.0
         est = phase_estimation(u, state, 7)
@@ -426,25 +418,16 @@ class TestPhaseEstimation:
         assert abs(est.eigenvalue - lam[-1]) <= resolution
         assert abs(est.eigenvalue) <= be.alpha
 
-    def test_evolution_method_signed_eigenvalue(self):
-        be = trivial_encoding(np.diag([1.0, -1.0]))
-        u = exact_evolution(be, 1.0)
-        est = phase_estimation(u, np.array([0.0, 1.0]), 10, alpha=1.0,
-                               evolution_time=1.0)
-        assert abs(est.eigenvalue - (-1.0)) <= 2 * np.pi * 2.0 ** -10
-
     def test_eigenvalue_within_alpha(self):
+        # at t = 1/alpha a negative eigenvalue reads near 2 pi alpha, clipped to alpha
         rng = np.random.default_rng(10)
         be, target = hermitian_test_encoding(rng)
-        t_evo = 1.0 / be.alpha
-        u = exact_evolution(be, t_evo)
         lam, vec = np.linalg.eigh(target)
-        for j in (0, target.shape[0] - 1):
-            psi = np.zeros(u.shape[0], dtype=complex)
-            psi[: target.shape[0]] = vec[:, j]
-            est = phase_estimation(u, psi, 8, alpha=be.alpha,
-                                   evolution_time=t_evo)
-            assert abs(est.eigenvalue) <= be.alpha
+        states = np.zeros((be.system_dim, 2))
+        states[:target.shape[0]] = vec[:, [0, -1]]
+        got = evolution_readout(be, states, 8, 1.0 / be.alpha)
+        assert lam[0] < 0 and got[0] == be.alpha
+        assert np.all(np.abs(got) <= be.alpha)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
@@ -468,6 +451,10 @@ class TestPhaseEstimation:
             with pytest.raises(CapExceededError, match=(
                     f"^phase register of {t_bits} qubits exceeds the simulator cap of 4 qubits$")):
                 phase_estimation(None, None, t_bits)
+            with pytest.raises(CapExceededError, match="^phase register of"):
+                evolution_readout(None, None, t_bits, 1.0)
+        with pytest.raises(ValueError, match="^t_bits must be positive$"):
+            evolution_readout(None, None, 0, 1.0)
         assert phase_estimation(np.eye(2), np.array([1.0, 0.0]), 4).distribution.size == 16
 
     def test_unnormalized_state_rejected(self):

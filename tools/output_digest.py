@@ -4,12 +4,13 @@ with ``diff``.
     python3 tools/output_digest.py [--root DIR]
 
 Covers the 24 ``cli_mix`` argvs of ``perfbench/workloads.CliMix`` on the
-inputs seed 7 generates, the 15 ``EXTRA`` argvs on inputs seed 7 generates
+inputs seed 7 generates, the 17 ``EXTRA`` argvs on inputs seed 7 generates
 (inputs outside ``cli_mix``: classes in shuffled order and of sizes that are
 not powers of two, the scatter and dcca pipelines at sizes ``cli_mix`` leaves
 out, a well-conditioned LDA instance, ``center`` on d × n data, ``ols`` on
 a rectangular design, ``pca`` on data whose mean of 10 or 100 swamps
-its spread, which it refuses, and ``encode`` on a 1 × 1 matrix), ``--help`` of the parser and of every
+its spread, which it refuses, ``encode`` on a 1 × 1 matrix, and ``pca`` with a
+4-bit register on 8 × 8 data and a 12-bit one on 16 × 16), ``--help`` of the parser and of every
 subcommand, and ``blocklab suite --seed 42``.  Each line holds the exit code
 and the SHA-256 of stdout, of stderr and of the JSON document without its
 ``timing`` block (``-`` when no document was written).  The temporary input
@@ -60,6 +61,8 @@ EXTRA = [
     ("pca-8x8-offset10", ["pca", ("o", 8, 8, 10.0), "--d", "3"]),
     ("pca-8x8-offset100", ["pca", ("o", 8, 8, 100.0), "--d", "3"]),
     ("encode-1x1", ["encode", ("m", 1, 1)]),
+    ("pca-8x8-t4", ["pca", ("m", 8, 8), "--t-bits", "4"]),
+    ("pca-16x16-t12", ["pca", ("m", 16, 16), "--t-bits", "12"]),
 ]
 
 
