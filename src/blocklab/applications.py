@@ -46,7 +46,7 @@ from .matrix_core import (
 )
 from .mean_centering import mc_encoding
 from .oracles import CenteringMode, ols_closed_form, total_scatter
-from .spectral import evolution_readout
+from .spectral import _check_register, evolution_readout
 
 __all__ = [
     "LabeledDataset",
@@ -217,8 +217,10 @@ def pca(x, d: int, t_bits: int = 8) -> EigenResult:
     returned eigenvalues are the phase-estimation readouts, which must agree
     with the classical values within ||X||_F^2 * 2^-t_bits.  A mean that
     swamps the spread puts a nonzero value read below that bound, and an
-    ``AssertionError`` naming alpha/lambda_1 refuses it.
+    ``AssertionError`` naming alpha/lambda_1 refuses it.  ``t_bits`` is
+    checked first, as phase estimation checks it.
     """
+    _check_register(t_bits)
     x = as_matrix(x)
     be = scatter_total_encoding(x)
     dim = be.system_dim

@@ -19,7 +19,13 @@ from blocklab.applications import (
 )
 from blocklab.block_encoding import extract_block, trivial_encoding, verify
 from blocklab.data_encoding import matrix_encoding
-from blocklab.matrix_core import embed_power_of_two, is_unitary, next_power_of_two
+from blocklab.matrix_core import (
+    CapExceededError,
+    cap_qubits,
+    embed_power_of_two,
+    is_unitary,
+    next_power_of_two,
+)
 from blocklab.oracles import (
     cca_pencil,
     centering_matrix,
@@ -308,6 +314,18 @@ def _pca_reference_case(kind, shape, offset):
 
 
 class TestPca:
+    @pytest.mark.parametrize("t_bits", [0, -1, "above the cap"])
+    def test_register_checked_before_the_resolution_bound(self, t_bits):
+        """On data with spread, a bad register is refused as such, not by the
+        alpha/lambda_1 bound that 2^-t_bits would fail."""
+        x = np.random.default_rng(26).standard_normal((8, 8))
+        if t_bits == "above the cap":
+            with pytest.raises(CapExceededError, match="phase register"):
+                pca(x, 3, t_bits=cap_qubits() + 1)
+        else:
+            with pytest.raises(ValueError, match="^t_bits must be positive$"):
+                pca(x, 3, t_bits=t_bits)
+
     @pytest.mark.parametrize("kind, shape, offset, d, t_bits", [
         ("real", (8, 8), 0, 3, 8),
         ("real", (8, 8), 1, 3, 12),

@@ -4,6 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from blocklab.applications import (
+    LabeledDataset,
+    class_correlation_encoding,
+    paired_scatter_encoding,
+    scatter_total_encoding,
+    scatter_within_encoding,
+)
 from blocklab.block_encoding import (
     BlockEncoding,
     adjoint_encoding,
@@ -17,7 +24,7 @@ from blocklab.block_encoding import (
 from blocklab.centering import build_uc, centering_encoding, similarity_encoding, similarity_root
 from blocklab.data_encoding import hermitian_dilation, matrix_encoding
 from blocklab.matrix_core import is_unitary
-from blocklab.suite import _composition_corpus
+from blocklab.suite import NODE_KINDS, _composition_corpus
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -310,6 +317,30 @@ class TestGram:
         expected = 0.5 * np.block([[v + eye, v - eye], [v - eye, v + eye]])
         np.testing.assert_allclose(gram_encoding(be).unitary, expected, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_built_without_its_childs_unitary(self, kind, monkeypatch):
+        """A Gram node reads its child's rows law: nothing under it is
+        materialized, and G is the one built from the child's unitary."""
+        references = []
+        for child in _scatter_children(kind, 4):
+            m = np.array(child.unitary[: child.system_dim])
+            g = m.conj().T @ m
+            references.append((g.conj().T + g) * 0.5)
+        children = _scatter_children(kind, 4)
+
+        def refuse(node):
+            raise AssertionError(f"a {node.kind} node under a Gram node was materialized")
+
+        stack = list(children)
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children)
+            if hasattr(type(node), "_materialize"):
+                monkeypatch.setattr(type(node), "_materialize", refuse)
+        for child, expected in zip(children, references):
+            u = gram_encoding(child).unitary
+            np.testing.assert_array_equal(u[: child.dim, : child.dim], expected)
+
     def test_encodes_the_gram_matrix_of_the_target(self):
         rng = np.random.default_rng(22)
         b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -401,6 +432,45 @@ def corpus_nodes(max_dim):
             if be.dim <= max_dim:
                 nodes.append(be)
     return nodes
+
+
+def _scatter_children(kind, n):
+    """The Gram children of the total, within-class and paired scatters, and
+    of DCCA's two Gram nodes, on one draw."""
+    rng = np.random.default_rng(25)
+    draws = [rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n))
+                                           if kind == "complex" else 0.0) for _ in range(2)]
+    labels = np.arange(n) % 2
+    ds_x, ds_y = (LabeledDataset(x, labels) for x in draws)
+    grams = [scatter_total_encoding(draws[0]), scatter_within_encoding(ds_x),
+             paired_scatter_encoding(*draws)]
+    grams += class_correlation_encoding(ds_x, ds_y).children
+    return [g.children[0] for g in grams]
+
+
+class TestRowsAndColsLaws:
+    """Each node's ancilla-zero rows and columns, by its closed-form law."""
+
+    def test_slices_of_the_unitary_over_the_corpus(self):
+        nodes = corpus_nodes(256)
+        assert len(nodes) >= 500 and {be.kind for be in nodes} == NODE_KINDS
+        for be in nodes:
+            s = be.system_dim
+            rows, cols = be._rows(), be._cols()
+            assert rows.shape == (s, be.dim) and cols.shape == (be.dim, s)
+            np.testing.assert_allclose(rows, be.unitary[:s], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(cols, be.unitary[:, :s], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_bit_equal_for_the_scatter_children(self, kind, n):
+        """A scatter's Gram node reads the same M as the slice of its child's
+        unitary, bit for bit, so its walk keeps its bits."""
+        for child in _scatter_children(kind, n):
+            s = child.system_dim
+            rows, cols = child._rows(), child._cols()
+            assert rows.tobytes() == child.unitary[:s].tobytes()
+            assert cols.tobytes() == np.ascontiguousarray(child.unitary[:, :s]).tobytes()
 
 
 class TestHermitianLaw:

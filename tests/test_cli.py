@@ -7,7 +7,7 @@ import pytest
 
 from blocklab import __version__, cli
 from blocklab.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_VERIFICATION, main
-from blocklab.matrix_core import _json_entry, jsonable, write_matrix_csv
+from blocklab.matrix_core import _json_entry, cap_qubits, jsonable, write_matrix_csv
 
 
 @pytest.fixture
@@ -191,6 +191,21 @@ def test_pca_t_bits_zero_on_constant_data(fixtures, capsys):
     assert main(["pca", str(paths["const"]), "--t-bits", "0",
                  "--out", str(tmp / "pca.json")]) == EXIT_PARSE
     assert capsys.readouterr().err == "error: t_bits must be positive\n"
+    assert not (tmp / "pca.json").exists()
+
+
+@pytest.mark.parametrize("t_bits, code", [(0, EXIT_PARSE), (-1, EXIT_PARSE), (None, EXIT_CAP)])
+def test_pca_t_bits_refused_before_the_resolution_bound(fixtures, capsys, t_bits, code):
+    # on data with spread, 2^-t_bits would fail the resolution bound first
+    tmp, paths = fixtures
+    t_bits = cap_qubits() + 1 if t_bits is None else t_bits
+    assert main(["pca", str(paths["x"]), "--t-bits", str(t_bits),
+                 "--out", str(tmp / "pca.json")]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_PARSE:
+        assert err == "error: t_bits must be positive\n"
+    else:
+        assert "phase register" in err
     assert not (tmp / "pca.json").exists()
 
 

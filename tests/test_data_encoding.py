@@ -271,6 +271,9 @@ class TestLazyLeaf:
         assert peak < 4 * 2 ** 20
 
     def test_materialized_once_under_a_walk(self, monkeypatch):
+        """A scatter's Gram walk reads the leaf's ancilla-zero columns and
+        never its unitary; the dilation walk of a product that holds the leaf
+        builds that unitary once."""
         x = np.random.default_rng(17).standard_normal((4, 4))
         leaf_type = type(matrix_encoding(np.eye(2)))
         original = leaf_type._materialize
@@ -282,6 +285,8 @@ class TestLazyLeaf:
 
         monkeypatch.setattr(leaf_type, "_materialize", counting)
         walk_operator(scatter_total_encoding(x))
+        assert len(calls) == 0
+        walk_operator(hermitian_dilation(mc_encoding(x, CenteringMode.CXC)))
         assert len(calls) == 1
 
 

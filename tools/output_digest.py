@@ -20,8 +20,9 @@ whether the op's check passed, the walk matrix's dtype (``float64`` for real
 data, ``complex128`` otherwise), so a storage change shows by name and not
 only as a new hash, and the SHA-256 of the walk matrix's bytes and of the
 phase-estimation readouts' bytes (``-`` when the op reads none); these
-ops read every entry of the data encodings' unitaries, where the ``cli_mix``
-argvs read only their leading blocks.
+ops read the data encodings' unitaries beyond the leading blocks the
+``cli_mix`` argvs read: every entry through the dilation walk, the
+ancilla-zero columns through the scatter walks.
 ``--root`` names the checkout whose ``src/`` and ``perfbench/`` are used
 (default: this one).
 """
