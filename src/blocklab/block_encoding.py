@@ -15,18 +15,15 @@ dilation of ``data_encoding``) holds its child encodings in ``children``,
 derives its own (alpha, ancillas, epsilon) and dimension from them by its
 composition law, and materializes the full unitary only on demand; the
 encoded block is always available cheaply through the exact corner law of
-the node.  Two more read-only laws give, in closed form from the children's,
-a node's ancilla-zero rows ``_rows()`` (system_dim x dim) and columns
-``_cols()`` (dim x system_dim) of its unitary: a product contracts its
-children's rows (columns) over the shared system index, an adjoint takes its
-child's columns (rows) conjugate-transposed, a difference is
-1/2 [r_A - r_B, r_A + r_B], a Gram node reads the leading rows of
-[[G, G - I], [G - I, G]] from G = M^dag M, M its child's rows, and a leaf
-slices the matrix it keeps; the data leaf and the dilation of
-``data_encoding`` carry their own (a dilation places its child's rows and
-columns on the two halves of its middle qubit).  A Gram node builds its unitary from
-those rows, so it never builds its child's.  Tests cross-check those laws
-against the materialized unitaries.
+the node.  Two more read-only laws give a node's ancilla-zero rows
+``_rows()`` (system_dim x dim) and columns ``_cols()`` (dim x system_dim) of
+its unitary: by default the slices of its dense unitary; a product's rows
+contract its children's rows over the shared system index, an adjoint's rows
+are its child's columns conjugate-transposed, and the data leaf forms its
+columns from its completions.  A Gram node builds its unitary from its
+child's rows, so above a product of leaves and adjoints of the data leaf it
+never builds its child's unitary.  Tests cross-check those laws against the
+materialized unitaries.
 A node's ``dtype`` (its block's and its unitary's) follows the dtype rule of
 ``matrix_core``: a leaf keeps its matrix's, and a composite takes
 ``np.result_type`` of its children's, so a tree of real leaves is real.
@@ -171,11 +168,11 @@ class BlockEncoding:
 
     def _rows(self) -> np.ndarray:
         """The system_dim x dim ancilla-zero rows of the unitary."""
-        return self._cache[: self.system_dim]
+        return self._dense()[: self.system_dim]
 
     def _cols(self) -> np.ndarray:
         """The dim x system_dim ancilla-zero columns of the unitary."""
-        return self._cache[:, : self.system_dim]
+        return self._dense()[:, : self.system_dim]
 
     def validate(self, tol: float = 1e-10) -> bool:
         """Materialize and check unitarity (intended for tests and small sizes)."""
@@ -254,14 +251,6 @@ class _Product(BlockEncoding):
                            axes=([2], [0]))
         return out.transpose(0, 2, 1, 3).reshape(s, self.dim)
 
-    def _cols(self) -> np.ndarray:
-        left, right = self.children
-        s, la, ra = self.system_dim, 1 << left.ancillas, 1 << right.ancillas
-        # out[l, x, r, x'] = sum_y U[l, x, 0, y] V[r, y, 0, x']
-        out = np.tensordot(left._cols().reshape(la, s, s), right._cols().reshape(ra, s, s),
-                           axes=([2], [1]))
-        return out.transpose(2, 0, 1, 3).reshape(self.dim, s)
-
 
 class _Difference(BlockEncoding):
     """(H (x) I)(|0><0| (x) U_A - |1><1| (x) U_B)(H (x) I), the selector H on
@@ -311,14 +300,6 @@ class _Difference(BlockEncoding):
         a, b = self.children
         return 0.5 * (a._block() - b._block())
 
-    def _rows(self) -> np.ndarray:
-        r_a, r_b = (child._rows() for child in self.children)
-        return np.hstack([r_a - r_b, r_a + r_b]) * 0.5
-
-    def _cols(self) -> np.ndarray:
-        c_a, c_b = (child._cols() for child in self.children)
-        return np.vstack([c_a - c_b, c_a + c_b]) * 0.5
-
 
 class _Adjoint(BlockEncoding):
     """The adjoint unitary; it encodes the adjoint target with the same
@@ -344,19 +325,16 @@ class _Adjoint(BlockEncoding):
     def _rows(self) -> np.ndarray:
         return self.children[0]._cols().conj().T
 
-    def _cols(self) -> np.ndarray:
-        return self.children[0]._rows().conj().T
-
 
 class _Gram(BlockEncoding):
     """The (1/2, 1/2) combination of V = U^dag (2 Pi_0 - I) U and I on one
     more ancilla, in closed form.
 
-    With M the ancilla-zero rows of U (its rows law, so U itself is never
-    built) and G = M^dag M, V = 2G - I, so the combination is
-    [[G, G - I], [G - I, G]]: Hermitian, and an involution because G is a
-    projector.  It encodes B^dag B for the target B of U, at
-    alpha_B^2; from ||B|| <= alpha_B + eps_B the error is
+    With M the ancilla-zero rows of U (its rows law, so U itself is built
+    only where no closed form gives them) and G = M^dag M, V = 2G - I, so
+    the combination is [[G, G - I], [G - I, G]]: Hermitian, and an
+    involution because G is a projector.  It encodes B^dag B for the target
+    B of U, at alpha_B^2; from ||B|| <= alpha_B + eps_B the error is
     eps_B (2 alpha_B + eps_B).  Corner law: b^dag b for the block b of U.
     """
 
@@ -372,7 +350,7 @@ class _Gram(BlockEncoding):
     def _materialize(self) -> np.ndarray:
         inner = self.children[0]
         d = inner.dim
-        m = np.ascontiguousarray(inner._rows())
+        m = np.array(inner._rows())  # a copy: a dense fallback's U is not kept
         g = m.conj().T @ m
         out = np.empty((2 * d, 2 * d), dtype=g.dtype)
         top = out[:d, :d]
@@ -389,14 +367,6 @@ class _Gram(BlockEncoding):
     def _block(self) -> np.ndarray:
         b = self.children[0]._block()
         return b.conj().T @ b
-
-    def _rows(self) -> np.ndarray:
-        m = self.children[0]._rows()
-        top = m[:, : self.system_dim].conj().T @ m  # the leading rows of G
-        return np.hstack([top, top - np.eye(*top.shape)])
-
-    def _cols(self) -> np.ndarray:
-        return self._rows().conj().T  # the unitary is Hermitian
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ encoding unitary U_rows^dag U_norms written out entrywise from them (scale
 The data encoding is a lazy leaf: it holds its own copy of X, the norm tree
 and the encoded block X / ||X||_F, built in one vectorised O(n^2) pass from
 column 0 of each completion.  The n^2 x n^2 unitary is written out on its
-first read and kept; its ancilla-zero rows and columns are formed from the
-completions without it, so a Gram node above the leaf never builds it.
+first read and kept; its ancilla-zero columns are formed from the
+completions without it, so a Gram walk of a scatter never builds it.
 Construction runs every check the completions run, so it rejects what
 building the unitary would.  The leaf declares the a-priori round-off bound
 5u ||X||_F (u = 2^-53) as its eps, plus n max |x_qc| over any nonzero row
@@ -173,11 +173,6 @@ class _DataLeaf(BlockEncoding):
     def _dense(self) -> np.ndarray:
         return self.unitary  # kept, so every parent node shares one build
 
-    def _rows(self) -> np.ndarray:
-        rows, w = preparation_unitaries(self._x, self._tree)
-        # entry (q, (j, c)) is conj(R_q[c, 0]) W[q, j]
-        return np.einsum("qc,qj->qjc", rows[:, :, 0].conj(), w).reshape(self.system_dim, self.dim)
-
     def _cols(self) -> np.ndarray:
         rows, w = preparation_unitaries(self._x, self._tree)
         # entry ((p, q), c) is conj(R_q[c, p]) W[q, 0]
@@ -234,18 +229,6 @@ class _Dilation(BlockEncoding):
         b = self.children[0]._block()
         zero = np.zeros_like(b)
         return np.block([[zero, b], [b.conj().T, zero]])
-
-    def _rows(self) -> np.ndarray:
-        inner = self.children[0]
-        a, s = 1 << inner.ancillas, inner.system_dim
-        rows, cols = inner._rows(), inner._cols()
-        out = np.zeros((2, s, a, 2, s), dtype=rows.dtype)
-        out[0, :, :, 1, :] = rows.reshape(s, a, s)
-        out[1, :, :, 0, :] = cols.conj().T.reshape(s, a, s)
-        return out.reshape(self.system_dim, self.dim)
-
-    def _cols(self) -> np.ndarray:
-        return self._rows().conj().T  # the unitary is Hermitian
 
 
 def hermitian_dilation(be: BlockEncoding) -> BlockEncoding:

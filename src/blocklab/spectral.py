@@ -11,13 +11,12 @@ comparison, products and data leaves never.  Where it fails, walk
 ``hermitian_dilation`` or ``gram_encoding``.
 
 Phase estimation runs one exact unitarity check per call and keeps nothing
-between calls; a caller that reads many states from one walk passes them as
-one d x k block, which costs one check and one Arnoldi.  It never
-diagonalizes the whole unitary, and it never casts a real one to complex.
-It spans the Krylov space of the states, which the unitary leaves invariant
-(two dimensions from an eigenvector of a walk's encoded block), checks the
-invariance leak ||U Q - Q H|| against a bound fixed in advance, and reads
-phases and weights from the small restricted matrix H.
+between calls.  It never diagonalizes the whole unitary, and it never casts
+a real one to complex.  It spans the Krylov space of the state, which the
+unitary leaves invariant (two dimensions from an eigenvector of a walk's
+encoded block), checks the invariance leak ||U Q - Q H|| against a bound
+fixed in advance, and reads phases and weights from the small restricted
+matrix H.
 """
 
 from __future__ import annotations
@@ -65,9 +64,8 @@ class PhaseEstimate:
     ``phase`` is the walk readout, folded to [0, 1/2] on a 2^bits grid, and
     ``eigenvalue`` is alpha * cos(2*pi*phase).  ``distribution`` is the
     exact probability over all grid points.  ``krylov_dim`` is the
-    dimension of the invariant Krylov space the distribution was computed in
-    (the union space of a block of states), and ``leak`` its invariance
-    residual ||U Q - Q H||_2.
+    dimension of the invariant Krylov space of the state the distribution was
+    computed in, and ``leak`` its invariance residual ||U Q - Q H||_2.
     """
 
     phase: float
@@ -112,42 +110,33 @@ def _apply(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u @ v
 
 
-def _phase_distribution(u: np.ndarray, states: np.ndarray,
+def _phase_distribution(u: np.ndarray, state: np.ndarray,
                         t_bits: int) -> tuple[np.ndarray, int, float]:
-    """Exact measurement distributions of the phase register, one per state.
+    """Exact measurement distribution of the phase register.
 
-    ``states`` is one unit vector, or a d x k block of them.  Arnoldi with
-    full reorthogonalization spans the union Krylov space Q of the states:
-    each state, then each image U q of a new basis vector (the images of one
-    step's vectors taken in one product), joins Q after Gram-Schmidt twice
-    unless its norm falls to the breakdown threshold, until Q fills the
-    space.  Q is then U-invariant: the leak ||U Q - Q H||_2 of H = Q^dag U Q
-    must stay within the fixed bound.  A Schur decomposition of the m x m
-    matrix H gives the phases and an orthonormal eigenbasis Z; each
-    eigencomponent contributes the squared Dirichlet kernel centered on its
-    phase, weighted by |Z^dag Q^dag psi|^2.  Returns the distribution (k x
-    2^t_bits for a block), m and the leak.
+    Arnoldi with full reorthogonalization spans the Krylov space Q of the
+    normalized state until a new vector's norm falls to the breakdown
+    threshold or Q fills the space.  Q is then U-invariant: the leak
+    ||U Q - Q H||_2 of H = Q^dag U Q must stay within the fixed bound.  A
+    Schur decomposition of the k x k matrix H gives the phases and an
+    orthonormal eigenbasis Z; each eigencomponent contributes the squared
+    Dirichlet kernel centered on its phase, weighted by |Z^dag Q^dag psi|^2.
+    Returns the distribution, k and the leak.
     """
-    dim = states.shape[0]
-    basis, images = [], []
-    pending = list(np.atleast_2d(states.T))  # the states, then each step's images
+    dim = state.shape[0]
+    basis, images = [state], []
     while True:
-        for w in pending:
-            if len(basis) == dim:
-                break
-            if basis:
-                q = np.column_stack(basis)
-                for _ in range(2):  # Gram-Schmidt twice keeps Q orthonormal to round-off
-                    w = w - q @ (q.conj().T @ w)
-                beta = np.linalg.norm(w)
-                if beta <= _KRYLOV_BREAKDOWN:
-                    continue
-                w = w / beta
-            basis.append(w)
-        if len(images) == len(basis):
+        images.append(_apply(u, basis[-1]))
+        if len(basis) == dim:
             break
-        pending = list(_apply(u, np.column_stack(basis[len(images):])).T)
-        images += pending
+        q = np.column_stack(basis)
+        w = images[-1]
+        for _ in range(2):  # Gram-Schmidt twice keeps Q orthonormal to round-off
+            w = w - q @ (q.conj().T @ w)
+        beta = np.linalg.norm(w)
+        if beta <= _KRYLOV_BREAKDOWN:
+            break
+        basis.append(w / beta)
     q, uq = np.column_stack(basis), np.column_stack(images)
     h = q.conj().T @ uq
     leak = spectral_norm(uq - q @ h)
@@ -156,23 +145,21 @@ def _phase_distribution(u: np.ndarray, states: np.ndarray,
 
     tmat, z = scipy.linalg.schur(h, output="complex")
     phases = np.mod(np.angle(np.diag(tmat)) / (2.0 * np.pi), 1.0)
-    weights = np.abs(z.conj().T @ (q.conj().T @ states)) ** 2
-    return _dirichlet_mixture(phases, weights.T, t_bits), len(basis), leak
+    weights = np.abs(z.conj().T @ (q.conj().T @ state)) ** 2
+    return _dirichlet_mixture(phases, weights, t_bits), len(basis), leak
 
 
 def _dirichlet_mixture(phases: np.ndarray, weights: np.ndarray, t_bits: int) -> np.ndarray:
-    """Squared Dirichlet kernels centered on the phases, mixed by the weights
-    (one row of weights per distribution); ``AssertionError`` unless every
-    distribution sums to 1 (a lost weight, a NaN)."""
+    """Squared Dirichlet kernels centered on the phases, mixed by the weights;
+    ``AssertionError`` unless the distribution sums to 1 (a lost weight, a NaN)."""
     grid = 1 << t_bits
     delta = phases[:, None] - np.arange(grid) / grid
     sin_d = np.sin(np.pi * delta)
     exact = np.abs(sin_d) < 1e-12
     num = np.sin(np.pi * grid * delta) ** 2
     dist = weights @ np.where(exact, 1.0, num / np.where(exact, 1.0, sin_d**2) / grid**2)
-    total = dist.sum(axis=-1)
-    worst = abs(total - 1.0) if dist.ndim == 1 else abs(total - 1.0).max()
-    if not worst <= 1e-9:
+    total = dist.sum()
+    if not abs(total - 1.0) <= 1e-9:
         raise AssertionError(f"phase distribution sums to {total}, expected 1")
     return dist
 
@@ -188,52 +175,47 @@ def _check_register(t_bits: int) -> None:
 
 def phase_estimation(
     u,
-    states,
+    eigenstate,
     t_bits: int,
     *,
     method: EstimationMethod = EstimationMethod.QUBITIZATION_WALK,
     alpha: float = 1.0,
-) -> PhaseEstimate | list[PhaseEstimate]:
+) -> PhaseEstimate:
     """Phase estimation on a walk operator, with the full output distribution
     computed exactly.
 
-    ``states`` is one vector, which gives one ``PhaseEstimate``, or a d x k
-    block of states (columns), which gives k estimates from one unitarity
-    check and one Arnoldi over their union Krylov space; their
-    ``krylov_dim`` and ``leak`` are that space's.  Each readout is its
-    distribution's argmax folded to phase <= 1/2, because the walk's
-    eigenphases come in +/- pairs of equal weight, and the eigenvalue is
-    alpha * cos(2*pi*phase).  ``t_bits`` above ``cap_qubits()`` raises
-    ``CapExceededError`` before any allocation.  Every call runs the exact
-    unitarity check (within 1e-10) once, after the states are checked.
-    A real operator is never cast to complex: with states whose imaginary
+    The readout is the distribution argmax folded to phase <= 1/2, because
+    the walk's eigenphases come in +/- pairs of equal weight, and the
+    eigenvalue is alpha * cos(2*pi*phase).  ``t_bits`` above ``cap_qubits()``
+    raises ``CapExceededError`` before any allocation.
+    Every call runs the exact unitarity check (within 1e-10) once, after the
+    state is checked; nothing is kept between calls.
+    A real operator is never cast to complex: with a state whose imaginary
     part is zero the whole readout runs in float64.
     """
     _check_register(t_bits)
     u = as_matrix(u)
-    states = as_array(states)
-    if states.ndim not in (1, 2) or states.shape[0] != u.shape[0] or states.size == 0:
+    state = as_array(eigenstate).reshape(-1)
+    if state.shape[0] != u.shape[0]:
         raise ValueError("eigenstate dimension does not match the unitary")
-    if not np.all(np.isfinite(states)):
+    if not np.all(np.isfinite(state)):
         raise ValueError("eigenstate entries must be finite")
-    norm = np.array([np.linalg.norm(psi) for psi in np.atleast_2d(states.T)])
-    if np.any(np.abs(norm - 1.0) > 1e-10):
+    norm = np.linalg.norm(state)
+    if abs(norm - 1.0) > 1e-10:
         raise ValueError("eigenstate must be normalized")
     if not is_unitary_matrix(u, 1e-10):  # last: the only O(d^3) check
         raise ValueError("phase estimation requires a unitary operator")
 
-    if u.dtype.kind == "f" and not states.imag.any():
-        states = states.real  # real states on a real operator: the Krylov space is real
-    dist, krylov_dim, leak = _phase_distribution(u, states / norm, t_bits)
+    if u.dtype.kind == "f" and not state.imag.any():
+        state = state.real  # a real state on a real operator: the Krylov space is real
+    dist, krylov_dim, leak = _phase_distribution(u, state / norm, t_bits)
     grid = 1 << t_bits
-    estimates = []
-    for row in np.atleast_2d(dist):
-        m = int(np.argmax(row))
-        phase = min(m, grid - m) / grid
-        estimates.append(PhaseEstimate(
-            phase=phase, bits=t_bits, eigenvalue=float(alpha * np.cos(2.0 * np.pi * phase)),
-            method=method, distribution=row, krylov_dim=krylov_dim, leak=leak))
-    return estimates[0] if states.ndim == 1 else estimates
+    m = int(np.argmax(dist))
+    phase = min(m, grid - m) / grid
+    return PhaseEstimate(phase=phase, bits=t_bits,
+                         eigenvalue=float(alpha * np.cos(2.0 * np.pi * phase)),
+                         method=method, distribution=dist, krylov_dim=krylov_dim,
+                         leak=leak)
 
 
 def evolution_readout(be: BlockEncoding, states, t_bits: int, t: float) -> np.ndarray:

@@ -449,7 +449,8 @@ def _scatter_children(kind, n):
 
 
 class TestRowsAndColsLaws:
-    """Each node's ancilla-zero rows and columns, by its closed-form law."""
+    """Each node's ancilla-zero rows and columns, by its closed form where it
+    has one and by the slice of its dense unitary elsewhere."""
 
     def test_slices_of_the_unitary_over_the_corpus(self):
         nodes = corpus_nodes(256)

@@ -524,15 +524,13 @@ def scatter_walk_and_states(n=4):
 
 class TestUnitarityCheckedOnce:
     """Every phase estimation call runs the exact unitarity check once and
-    keeps nothing; a block of states shares its one check."""
+    keeps nothing."""
 
     def test_one_check_for_three_states(self, unitarity_checks):
         w, states = scatter_walk_and_states()
         for psi in states[:3]:
             phase_estimation(w, psi, 6)
         assert len(unitarity_checks) == 3
-        phase_estimation(w, states[:3].T, 6)
-        assert len(unitarity_checks) == 4
         assert all(u is w for u in unitarity_checks)
 
     def test_mutated_operator_checked_again_and_refused(self, unitarity_checks):
@@ -575,51 +573,6 @@ class TestUnitarityCheckedOnce:
         second = phase_estimation(twin, states[0], 6)
         assert [u is v for u, v in zip(unitarity_checks, (w, twin))] == [True, True]
         np.testing.assert_array_equal(first.distribution, second.distribution)
-
-
-class TestBlockOfStates:
-    """A d x k block of states reads what k vector calls read, from one
-    union Krylov space."""
-
-    @pytest.mark.parametrize("n, k", [(4, 2), (4, 4), (8, 3), (8, 8)])
-    def test_block_matches_the_vector_calls(self, n, k):
-        w, states = scatter_walk_and_states(n)
-        block = states[:k].T
-        got = phase_estimation(w, block, 7)
-        assert isinstance(got, list) and len(got) == k
-        for est, psi in zip(got, states[:k]):
-            want = phase_estimation(w, psi, 7)
-            np.testing.assert_allclose(est.distribution, want.distribution, rtol=0, atol=1e-12)
-            assert est.phase == want.phase and est.leak <= 1e-12
-        assert got[0].krylov_dim == got[-1].krylov_dim <= 2 * k + 2
-
-    def test_mixed_states_share_one_space(self):
-        """Two states in the span of the same pair of walk eigenvectors add
-        nothing to each other's Krylov space."""
-        w, states = scatter_walk_and_states(4)
-        mix = np.stack([states[0], (states[0] + states[1]) / np.sqrt(2.0), states[1]], axis=1)
-        got = phase_estimation(w, mix, 8)
-        assert got[0].krylov_dim == 4
-        for est, psi in zip(got, mix.T):
-            np.testing.assert_allclose(est.distribution, phase_estimation(w, psi, 8).distribution,
-                                       rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("kind", ["real", "complex"])
-    def test_one_column_block_has_the_vector_bits(self, kind):
-        w, states = scatter_walk_and_states(8)
-        psi = states[2] * np.exp(0.3j) if kind == "complex" else states[2].real.copy()
-        [block] = phase_estimation(w, psi[:, None], 8, alpha=3.0)
-        vector = phase_estimation(w, psi, 8, alpha=3.0)
-        assert block.distribution.tobytes() == vector.distribution.tobytes()
-        assert (block.phase, block.eigenvalue, block.krylov_dim, block.leak) == (
-            vector.phase, vector.eigenvalue, vector.krylov_dim, vector.leak)
-
-    def test_every_column_must_be_normalized(self):
-        w, states = scatter_walk_and_states()
-        block = states[:2].T.copy()
-        block[:, 1] *= 2.0
-        with pytest.raises(ValueError, match="normalized"):
-            phase_estimation(w, block, 6)
 
 
 def schur_distribution(u, state, t_bits):
