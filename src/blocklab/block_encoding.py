@@ -397,7 +397,7 @@ def verify(be: BlockEncoding, target, tol: float = 1e-9) -> VerificationReport:
             f"target shape {target.shape} does not match system dimension "
             f"{be.system_dim}; embed it first"
         )
-    if tol < 0:
+    if not tol >= 0:  # NaN too
         raise ValueError("tolerance must be nonnegative")
     dist = spectral_norm(target - be.alpha * be.extract_block())
     passed = dist <= max(be.epsilon, tol)

@@ -347,6 +347,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        if not 0.0 <= getattr(args, "tol", 0.0) < np.inf:  # NaN fails both
+            raise ValueError("--tol must be a finite number >= 0")
         code, doc = _HANDLERS[args.command](args)
         _emit(doc, args.out, started)
         return code

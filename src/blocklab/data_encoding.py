@@ -3,11 +3,12 @@ the preparation states, the per-register row and norm completions, the
 encoding unitary U_rows^dag U_norms written out entrywise from them (scale
 ||X||_F), and the Hermitian dilation node of an encoding.
 
-The data encoding is a lazy leaf: it holds its own copy of X, the norm tree
-and the encoded block X / ||X||_F, built in one vectorised O(n^2) pass from
-column 0 of each completion.  The n^2 x n^2 unitary is written out on its
-first read and kept; its ancilla-zero columns are formed from the
-completions without it, so a Gram walk of a scatter never builds it.
+The data encoding is a lazy leaf: it holds the Householder terms of its
+completions, computed once, and the encoded block X / ||X||_F, built in one
+vectorised O(n^2) pass from column 0 of each completion, and no copy of X.
+The n^2 x n^2 unitary is written out on its first read and kept; its
+ancilla-zero columns are formed from the completions without it, so a Gram
+walk of a scatter never builds it.
 Construction runs every check the completions run, so it rejects what
 building the unitary would.  The leaf declares the a-priori round-off bound
 5u ||X||_F (u = 2^-53) as its eps, plus n max |x_qc| over any nonzero row
@@ -28,7 +29,6 @@ from .block_encoding import BlockEncoding
 from .matrix_core import (
     as_array,
     as_matrix,
-    ensure_dimension,
     householder_completions,
     householder_terms,
     is_power_of_two,
@@ -73,15 +73,6 @@ def build_norm_tree(x) -> NormTree:
     return NormTree(row_norms=np.sqrt(row_norm_sq), frobenius_norm=frobenius)
 
 
-def _square_power_of_two(x: np.ndarray) -> int:
-    """n for an n x n matrix with n = 2^k >= 2."""
-    n = x.shape[0]
-    if x.shape[0] != x.shape[1] or not is_power_of_two(n) or n < 2:
-        raise ValueError("preparation requires a square power-of-two matrix "
-                         "of dimension >= 2; embed first")
-    return n
-
-
 def _preparation_terms(x: np.ndarray, tree: NormTree) -> tuple[np.ndarray, ...]:
     """Householder terms of the conjugated, normalized rows of ``x`` (e_0
     for a zero row) and, last, the row-norm state; it also raises when a
@@ -98,23 +89,17 @@ def _preparation_terms(x: np.ndarray, tree: NormTree) -> tuple[np.ndarray, ...]:
     return terms
 
 
-def preparation_unitaries(x, tree: NormTree | None = None) -> tuple[np.ndarray, np.ndarray]:
+def preparation_unitaries(x) -> tuple[np.ndarray, np.ndarray]:
     """The per-register completions (R, W) behind the two preparation unitaries.
 
     ``R[i]`` is the completion of the conjugated, normalized row i (the
     identity for a zero row) and ``W`` the completion of the row-norm column,
     so the prescribed columns are met exactly and the rest is deterministic.
     On a (row x column) register pair they prepare |0>|i> -> |i>|r_i> and
-    |0>|j> -> (row-norm state)|j>.  ``tree`` is the norm tree of ``x`` when
-    the caller has built it already.
+    |0>|j> -> (row-norm state)|j>.  They are the completions of the data
+    leaf of ``x``, so this refuses what ``matrix_encoding`` refuses.
     """
-    x = as_matrix(x)
-    n = _square_power_of_two(x)
-    ensure_dimension(n * n)
-    if tree is None:
-        tree = build_norm_tree(x)
-    completions = householder_completions(_preparation_terms(x, tree))
-    return completions[:-1], completions[-1]
+    return _DataLeaf(x)._completions()
 
 
 # Round-off of the leaf's block X / F (F the computed ||X||_F), per unit of
@@ -138,35 +123,45 @@ _LEAF_ROUNDING = 5 * np.finfo(float).eps / 2
 class _DataLeaf(BlockEncoding):
     """Leaf encoding of a data matrix whose unitary is built on first read.
 
-    It holds its own copy of X in X's dtype (float64 for real data), the norm
-    tree and the encoded block, and builds its unitary in that dtype.  Column
-    0 of R_q is the normalized row r_q (e_0 for a zero row) and column 0 of
-    W is the row-norm state, so the block entry conj(R_q[c, 0]) W[q, 0] is
-    formed from those columns alone, with the same bits as the unitary.
+    It holds the read-only terms of its one ``_preparation_terms`` pass, in
+    X's dtype (float64 for real data), and the encoded block, not X; its
+    completions are formed from those terms.  Column 0 of R_q is the
+    normalized row r_q (e_0 for a zero row) and column 0 of W is the row-norm
+    state, so the block entry conj(R_q[c, 0]) W[q, 0] is formed from those
+    columns alone, with the same bits as the unitary.
     """
 
-    __slots__ = ("_x", "_tree", "_corner")
+    __slots__ = ("_terms", "_corner")
     hermitian = False
 
     def __init__(self, x):
-        x = np.array(as_array(x), order="C")  # the caller keeps its own array
+        x = as_array(x)
         tree = build_norm_tree(x)  # validates x as as_matrix does
-        n = _square_power_of_two(x)
+        n = x.shape[0]
+        if x.shape[1] != n or not is_power_of_two(n) or n < 2:
+            raise ValueError("preparation requires a square power-of-two matrix "
+                             "of dimension >= 2; embed first")
         frob = tree.frobenius_norm
         eps = _LEAF_ROUNDING * frob
         lost = tree.row_norms == 0.0  # zero rows, and rows whose |x|^2 all underflow
         if lost.any():
             eps += n * float(np.abs(x[lost]).max())
         self._certify(frob, qubit_count(n), eps, qubit_count(n), n * n, ())
-        v = _preparation_terms(x, tree)[0]
-        corner = np.einsum("qc,q->qc", v[:-1].conj(), v[-1])
+        terms = _preparation_terms(x, tree)  # fresh arrays: the caller keeps its own x
+        for term in terms:
+            term.setflags(write=False)
+        corner = np.einsum("qc,q->qc", terms[0][:-1].conj(), terms[0][-1])
         corner.setflags(write=False)
-        object.__setattr__(self, "_x", x)
-        object.__setattr__(self, "_tree", tree)
+        object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_corner", corner)
 
+    def _completions(self) -> tuple[np.ndarray, np.ndarray]:
+        """The row completions R (n x n x n) and the norm completion W."""
+        completions = householder_completions(self._terms)
+        return completions[:-1], completions[-1]
+
     def _materialize(self) -> np.ndarray:
-        rows, w = preparation_unitaries(self._x, self._tree)
+        rows, w = self._completions()
         # order="C" lays the output out row-major, so reshape makes no second copy
         return np.einsum("qcp,qj->pqjc", rows.conj(), w, order="C").reshape(self.dim, self.dim)
 
@@ -174,7 +169,7 @@ class _DataLeaf(BlockEncoding):
         return self.unitary  # kept, so every parent node shares one build
 
     def _cols(self) -> np.ndarray:
-        rows, w = preparation_unitaries(self._x, self._tree)
+        rows, w = self._completions()
         # entry ((p, q), c) is conj(R_q[c, p]) W[q, 0]
         return np.einsum("qcp,q->pqc", rows.conj(), w[:, 0]).reshape(self.dim, self.system_dim)
 

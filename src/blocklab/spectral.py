@@ -2,7 +2,7 @@
 walk written into one buffer (the node's fresh unitary, or a copy of the one
 it keeps), its eigenphases carrying the spectrum as cos(theta) = lambda/alpha,
 a phase estimation that computes the full distribution, and the same
-distribution for the exact evolution e^{iAt} in closed form, with no unitary.
+distribution of e^{iAt} in closed form: no unitary, one kernel per call.
 
 The walk rests on each node's ``hermitian`` law: Gram and dilation nodes
 always hold it, differences and adjoints by their children, the class
@@ -146,21 +146,21 @@ def _phase_distribution(u: np.ndarray, state: np.ndarray,
     tmat, z = scipy.linalg.schur(h, output="complex")
     phases = np.mod(np.angle(np.diag(tmat)) / (2.0 * np.pi), 1.0)
     weights = np.abs(z.conj().T @ (q.conj().T @ state)) ** 2
-    return _dirichlet_mixture(phases, weights, t_bits), len(basis), leak
+    return _dirichlet_mixture(phases, weights[None], t_bits)[0], len(basis), leak
 
 
 def _dirichlet_mixture(phases: np.ndarray, weights: np.ndarray, t_bits: int) -> np.ndarray:
-    """Squared Dirichlet kernels centered on the phases, mixed by the weights;
-    ``AssertionError`` unless the distribution sums to 1 (a lost weight, a NaN)."""
+    """Squared Dirichlet kernels centered on the phases, mixed by each weight row;
+    ``AssertionError`` unless every row sums to 1 (a lost weight, a NaN)."""
     grid = 1 << t_bits
     delta = phases[:, None] - np.arange(grid) / grid
     sin_d = np.sin(np.pi * delta)
     exact = np.abs(sin_d) < 1e-12
     num = np.sin(np.pi * grid * delta) ** 2
     dist = weights @ np.where(exact, 1.0, num / np.where(exact, 1.0, sin_d**2) / grid**2)
-    total = dist.sum()
-    if not abs(total - 1.0) <= 1e-9:
-        raise AssertionError(f"phase distribution sums to {total}, expected 1")
+    for total in dist.sum(axis=1):
+        if not abs(total - 1.0) <= 1e-9:
+            raise AssertionError(f"phase distribution sums to {total}, expected 1")
     return dist
 
 
@@ -223,18 +223,30 @@ def evolution_readout(be: BlockEncoding, states, t_bits: int, t: float) -> np.nd
     ``states`` (system_dim x k), in closed form: one ``eigh`` of A gives the
     phases t*lambda_j/2pi mod 1, and each state mixes the components whose
     amplitude <v_j|psi> exceeds the Arnoldi breakdown threshold (those a
-    Krylov run would span).  Each readout, 2*pi*argmax/(2^t_bits * t), assumes
-    a spectrum in [0, 2*pi/t) and is clipped to [-alpha, alpha].  A block not
-    Hermitian within 1e-8 raises ``ValueError``, after the t_bits checks.
+    Krylov run would span), all k from one kernel over the phases any state
+    keeps.  Each readout, 2*pi*argmax/(2^t_bits * t), assumes a spectrum in
+    [0, 2*pi/t) and is clipped to [-alpha, alpha].  After the t_bits checks
+    it raises ``ValueError`` for a t that is not finite and positive, for
+    states that are not finite unit columns (within 1e-10) of length
+    system_dim, and for a block not Hermitian within 1e-8.
     """
     _check_register(t_bits)
+    if not 0.0 < t < np.inf:
+        raise ValueError("t must be finite and positive")
+    states = as_array(states)
+    if states.ndim != 2 or states.shape[0] != be.system_dim:
+        raise ValueError(f"states must be a {be.system_dim} x k matrix of columns")
+    if not np.isfinite(states).all():
+        raise ValueError("states must be finite")
+    if (np.abs(np.linalg.norm(states, axis=0) - 1.0) > 1e-10).any():
+        raise ValueError("states must be unit columns within 1e-10")
     a = be.alpha * be.extract_block()
     if not is_hermitian(a, _HERMITIAN_BLOCK_TOL):
         raise ValueError("encoded block is not Hermitian within 1e-8")
     lam, v = np.linalg.eigh((a + a.conj().T) / 2.0)
-    phases = np.mod(t * lam / (2.0 * np.pi), 1.0)
-    m = []
-    for amp in (v.conj().T @ states).T:
-        keep = np.abs(amp) > _KRYLOV_BREAKDOWN
-        m.append(np.argmax(_dirichlet_mixture(phases[keep], np.abs(amp[keep]) ** 2, t_bits)))
-    return np.clip(2.0 * np.pi * (np.array(m) / (1 << t_bits)) / t, -be.alpha, be.alpha)
+    amp = np.abs(v.conj().T @ states)
+    amp[amp <= _KRYLOV_BREAKDOWN] = 0.0
+    kept = amp.any(axis=1)
+    phases = np.mod(t * lam[kept] / (2.0 * np.pi), 1.0)
+    m = np.argmax(_dirichlet_mixture(phases, amp[kept].T ** 2, t_bits), axis=1)
+    return np.clip(2.0 * np.pi * (m / (1 << t_bits)) / t, -be.alpha, be.alpha)

@@ -97,6 +97,11 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify(trivial_encoding(np.eye(2)), np.eye(4))
 
+    @pytest.mark.parametrize("tol", [-1.0, np.nan])
+    def test_negative_or_nan_tolerance_refused(self, tol):
+        with pytest.raises(ValueError, match="^tolerance must be nonnegative$"):
+            verify(trivial_encoding(np.eye(2)), np.eye(2), tol=tol)
+
     def test_json_fields(self):
         d = verify(trivial_encoding(np.eye(2)), np.eye(2)).to_dict()
         assert set(d) == {"alpha", "ancillas", "epsilon_declared",

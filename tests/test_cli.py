@@ -153,6 +153,20 @@ def test_tol_is_refused_where_nothing_reads_it(fixtures, argv, capsys):
     assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ["center", "x"], ["encode", "x"], ["verify"], ["lda", "x", "labels"], ["cca", "x", "y"],
+    ["dcca", "x", "y", "labels"], ["ols", "x", "yvec"],
+])
+def test_tol_must_be_finite_and_nonnegative(fixtures, argv, tol, capsys):
+    tmp, paths = fixtures
+    out = tmp / "doc.json"
+    argv = [str(paths[a]) if a in paths else a for a in argv]
+    assert main(argv + [f"--tol={tol}", "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: --tol must be a finite number >= 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_encode_rejects_unencodable_rows(tmp_path, capsys):
     tiny = np.ones((4, 4))

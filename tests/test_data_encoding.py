@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from blocklab import data_encoding
 from blocklab.applications import scatter_total_encoding
 from blocklab.block_encoding import extract_block, product, trivial_encoding
 from blocklab.data_encoding import (
@@ -257,6 +258,31 @@ class TestLazyLeaf:
         blk = matrix_encoding(np.eye(4)).extract_block()
         with pytest.raises(ValueError):
             blk[0, 0] = 1.0
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_holds_its_terms_and_no_memory_of_x(self, dtype):
+        x = np.random.default_rng(16).standard_normal((4, 4)).astype(dtype)
+        be = matrix_encoding(x)
+        held = [*be._terms, be._corner, be.extract_block(), be._cols(), be.unitary]
+        assert not any(np.shares_memory(a, x) for a in held)
+        assert not any(term.flags.writeable for term in be._terms)
+
+    @pytest.mark.parametrize("route", ["leaf", "scatter-walk", "dilation-walk"])
+    def test_terms_computed_once_per_leaf(self, route, monkeypatch):
+        calls = []
+        terms = data_encoding._preparation_terms
+        monkeypatch.setattr(data_encoding, "_preparation_terms",
+                            lambda x, tree: calls.append(x.shape) or terms(x, tree))
+        x = np.random.default_rng(17).standard_normal((8, 8))
+        if route == "leaf":
+            be = matrix_encoding(x)
+            for _ in range(2):
+                be.extract_block(), be._cols(), be.unitary
+        elif route == "scatter-walk":
+            walk_operator(scatter_total_encoding(x))
+        else:
+            walk_operator(hermitian_dilation(mc_encoding(x, CenteringMode.CXC)))
+        assert calls == [(8, 8)]
 
     def test_corner_pipeline_stays_small(self, monkeypatch):
         monkeypatch.delenv("BLOCKLAB_CAP_QUBITS", raising=False)

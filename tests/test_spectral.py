@@ -347,6 +347,40 @@ class TestWalkLayout:
                 assert node._cache is None, node.kind
 
 
+def per_seed_readouts(be, states, t_bits, t):
+    """evolution_readout with one Dirichlet kernel per seed, over the phases
+    that seed keeps."""
+    a = be.alpha * be.extract_block()
+    lam, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    phases = np.mod(t * lam / (2.0 * np.pi), 1.0)
+    grid = 1 << t_bits
+    m = []
+    for amp in (v.conj().T @ states).T:
+        keep = np.abs(amp) > spectral._KRYLOV_BREAKDOWN
+        delta = phases[keep][:, None] - np.arange(grid) / grid
+        sin_d = np.sin(np.pi * delta)
+        exact = np.abs(sin_d) < 1e-12
+        num = np.sin(np.pi * grid * delta) ** 2
+        kernel = np.where(exact, 1.0, num / np.where(exact, 1.0, sin_d**2) / grid**2)
+        m.append(np.argmax(np.abs(amp[keep]) ** 2 @ kernel))
+    return np.clip(2.0 * np.pi * (np.array(m) / grid) / t, -be.alpha, be.alpha)
+
+
+def readout_seeds(kind, rng):
+    """pca's scatter encoding and seeds: the top three eigenvectors of an 8 x 8
+    scatter, five generic complex states, or every eigenvector of a 12 x 12
+    scatter, whose 16-dimensional register holds a degenerate zero cluster."""
+    x = rng.standard_normal((12, 12) if kind == "zero-cluster" else (8, 8))
+    be = scatter_total_encoding(x)
+    _, vectors = np.linalg.eigh(be.alpha * be.extract_block())
+    if kind == "eigenvectors":
+        return be, vectors[:, ::-1][:, :3]
+    if kind == "generic":
+        states = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
+        return be, states / np.linalg.norm(states, axis=0)
+    return be, vectors
+
+
 class TestExactEvolution:
     """Phase estimation on e^{iAt}, read in closed form by ``evolution_readout``."""
 
@@ -373,6 +407,36 @@ class TestExactEvolution:
         rng = np.random.default_rng(7)
         with pytest.raises(ValueError, match="Hermitian"):
             evolution_readout(matrix_encoding(rng.standard_normal((4, 4))), np.eye(4), 4, 1.0)
+
+    @pytest.mark.parametrize("t_bits", [4, 8, 12])
+    @pytest.mark.parametrize("kind", ["eigenvectors", "generic", "zero-cluster"])
+    def test_one_kernel_gives_the_per_seed_readouts(self, kind, t_bits, monkeypatch):
+        be, states = readout_seeds(kind, np.random.default_rng(t_bits))
+        t = 1.2 * np.pi / be.alpha
+        calls = []
+        mixture = spectral._dirichlet_mixture
+        monkeypatch.setattr(spectral, "_dirichlet_mixture",
+                            lambda *args: calls.append(args) or mixture(*args))
+        got = evolution_readout(be, states, t_bits, t)
+        assert len(calls) == 1 and calls[0][1].shape[0] == states.shape[1]
+        assert got.tobytes() == per_seed_readouts(be, states, t_bits, t).tobytes()
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf])
+    def test_time_must_be_finite_and_positive(self, t):
+        be, _ = hermitian_test_encoding(np.random.default_rng(11))
+        with pytest.raises(ValueError, match="^t must be finite and positive$"):
+            evolution_readout(be, np.eye(be.system_dim), 4, t)
+
+    @pytest.mark.parametrize("states, message", [
+        (np.eye(8)[0], "^states must be a 8 x k matrix of columns$"),
+        (np.eye(4), "^states must be a 8 x k matrix of columns$"),
+        (np.full((8, 1), np.nan), "^states must be finite$"),
+        (np.full((8, 1), 3.0 / np.sqrt(8)), "^states must be unit columns within 1e-10$"),
+    ], ids=["1-D", "mis-sized", "non-finite", "unnormalized"])
+    def test_states_must_be_unit_columns(self, states, message):
+        be, _ = hermitian_test_encoding(np.random.default_rng(11))
+        with pytest.raises(ValueError, match=message):
+            evolution_readout(be, states, 4, 1.0)
 
 
 class TestPhaseEstimation:

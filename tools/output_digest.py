@@ -22,7 +22,17 @@ only as a new hash, and the SHA-256 of the walk matrix's bytes and of the
 phase-estimation readouts' bytes (``-`` when the op reads none); these
 ops read the data encodings' unitaries beyond the leading blocks the
 ``cli_mix`` argvs read: every entry through the dilation walk, the
-ancilla-zero columns through the scatter walks.
+ancilla-zero columns through the scatter walks.  Two last lines each hold
+one SHA-256 over a seeded corpus, drawn at seed 7, and how many of its
+instances raised: ``corpus-pca`` over 1,500 ``pca`` calls (data of 1 to 32
+rows and columns, square, tall and wide, real and complex, offsets 0, 1 and
+10, ``d`` in 1, 2, 3 and the row count, ``t_bits`` in 4, 8 and 12), hashing
+the readouts, eigenvectors and degeneracies, or the exception's type and
+message; ``corpus-data-leaf`` over 600 ``matrix_encoding`` leaves at n in 2,
+4, 8 and 16 (real and complex, some with zero rows and rows whose squares
+partly or wholly underflow), hashing each leaf's block, ancilla-zero columns
+and unitary, and for n <= 8 the walk of the data's total scatter, or the
+exception's type and message.
 ``--root`` names the checkout whose ``src/`` and ``perfbench/`` are used
 (default: this one).
 """
@@ -43,6 +53,8 @@ import numpy as np
 
 INPUT_SEED = 7
 SUITE_SEED = 42
+CORPUS_PCA = 1500
+CORPUS_LEAVES = 600
 
 # (name, argv) with ("m", rows, cols) a standard normal matrix, ("o", rows, cols,
 # offset) one plus a constant, and ("l", sizes) labels in shuffled order
@@ -69,6 +81,62 @@ EXTRA = [
 
 def _sha(data: str | bytes) -> str:
     return hashlib.sha256(data.encode("utf-8") if isinstance(data, str) else data).hexdigest()
+
+
+def _outcome(digest, read) -> bool:
+    """Feed the bytes of each array ``read()`` returns, or the type and
+    message of what it raises, into ``digest``; whether it raised."""
+    try:
+        parts = read()
+    except (ValueError, ArithmeticError, AssertionError) as exc:  # what blocklab refuses with
+        digest.update(f"{type(exc).__name__}: {exc}".encode("utf-8"))
+        return True
+    for part in parts:
+        part = np.asarray(part)
+        digest.update(f"{part.dtype}{part.shape}".encode("utf-8") + part.tobytes())
+    return False
+
+
+def _corpus_pca(pca) -> str:
+    rng = np.random.default_rng(INPUT_SEED)
+    digest, raised = hashlib.sha256(), 0
+    for _ in range(CORPUS_PCA):
+        short, long = sorted(rng.integers(1, 33, size=2))
+        rows, cols = [(long, long), (long, short), (short, long)][rng.integers(3)]
+        x = rng.standard_normal((rows, cols))
+        if rng.integers(2):
+            x = x + 1j * rng.standard_normal((rows, cols))
+        x = x + rng.choice([0.0, 1.0, 10.0])
+        d = int(rng.choice([1, 2, 3, rows]))
+        t_bits = int(rng.choice([4, 8, 12]))
+
+        def read():
+            result = pca(x, d, t_bits)
+            return result.eigenvalues, result.eigenvectors, np.array(result.degeneracies)
+
+        raised += _outcome(digest, read)
+    return f"draws={CORPUS_PCA}\traised={raised}\tsha={digest.hexdigest()}"
+
+
+def _corpus_data_leaf(matrix_encoding, scatter_total_encoding, walk_operator) -> str:
+    rng = np.random.default_rng(INPUT_SEED)
+    digest, raised = hashlib.sha256(), 0
+    for _ in range(CORPUS_LEAVES):
+        n = int(rng.choice([2, 4, 8, 16]))
+        x = rng.standard_normal((n, n))
+        if rng.integers(2):
+            x = x + 1j * rng.standard_normal((n, n))
+        for scale in (0.0, 1e-160, 1e-170):  # a zero row; squares partly, wholly underflowing
+            if rng.random() < 0.25:
+                x[rng.integers(n)] *= scale
+
+        def read():
+            be = matrix_encoding(x)
+            parts = [be.extract_block(), be._cols(), be.unitary]
+            return parts + [walk_operator(scatter_total_encoding(x))] if n <= 8 else parts
+
+        raised += _outcome(digest, read)
+    return f"leaves={CORPUS_LEAVES}\traised={raised}\tsha={digest.hexdigest()}"
 
 
 def _run(main, argv: list[str], out: str | None, work: str) -> str:
@@ -157,6 +225,10 @@ def main(argv=None) -> int:
                   f"\tdtype={w.dtype if w is not None else '-'}"
                   f"\twalk={_sha(w.tobytes()) if w is not None else '-'}"
                   f"\treadouts={_sha(np.asarray(readouts).tobytes()) if readouts else '-'}")
+    print(f"corpus-pca\t{_corpus_pca(applications.pca)}")
+    leaves = _corpus_data_leaf(data_encoding.matrix_encoding,
+                               applications.scatter_total_encoding, spectral.walk_operator)
+    print(f"corpus-data-leaf\t{leaves}")
     return 0
 
 
