@@ -28,6 +28,13 @@ A node's ``dtype`` (its block's and its unitary's) follows the dtype rule of
 ``matrix_core``: a leaf keeps its matrix's, and a composite takes
 ``np.result_type`` of its children's, so a tree of real leaves is real.
 
+Every node's read-only ``defect`` law gives a bound delta >=
+||U^dag U - I||_2 on the unitary it computes, fixed before any
+measurement as ``epsilon`` is, and never computed at construction: a
+priori for the class and data leaves, from the children's for a
+composite, and measured once and kept for a leaf built from a caller's
+matrix.  A walk carries it, so phase estimation needs no dense Gram.
+
 Every node's read-only ``hermitian`` law says whether its unitary is
 Hermitian by construction, as a walk needs: always for Gram and dilation
 nodes, for a difference when both children are, for an adjoint when its
@@ -64,6 +71,20 @@ __all__ = [
 ]
 
 
+_U = np.finfo(float).eps / 2  # the unit round-off u = 2^-53
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = ku / (1 - ku), the round-off of a k-term product or sum."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _perturbed(delta: float, e: float) -> float:
+    """A defect bound for U + E, from delta >= ||U^dag U - I||_2 and
+    ||E||_2 <= e: delta + 2 ||U|| e + e^2, with ||U||^2 <= 1 + delta."""
+    return delta + 2.0 * np.sqrt(1.0 + delta) * e + e * e
+
+
 # ---------------------------------------------------------------------------
 # Core data types
 # ---------------------------------------------------------------------------
@@ -80,11 +101,23 @@ class BlockEncoding:
     of the matrix, in its dtype (``matrix_core.as_matrix``).  Composite
     nodes subclass it and supply ``_materialize`` (the dense unitary),
     ``_block`` (the encoded block by the node's corner law) and
-    ``hermitian`` (the node's Hermitian law); so does a lazy leaf, which has
-    no children.
+    ``hermitian`` (the node's Hermitian law), and ``_defect`` (its
+    defect law); so does a lazy leaf, which has no children.
+
+    Beside ``epsilon`` each node declares ``defect``, a bound
+    delta >= ||U^dag U - I||_2 on the unitary it actually computes, round-off
+    included, by its kind's law (u = 2^-53, gamma_k = ku / (1 - ku)):
+    ``delta_L + delta_R + delta_L delta_R`` plus the ``tensordot`` rounding
+    for a product, ``max(delta_A, delta_B)`` plus the rounding of the 1/2
+    combination for a difference, the child's delta for an adjoint or a
+    dilation, ``4 ||G^2 - G||`` from the child's delta for a Gram, a
+    constant per kind for the class and data leaves, and, for a leaf built
+    from a caller's matrix, ||fl(U^dag U) - I||_2 plus ``dim u``, measured on
+    first read and kept.
     """
 
-    __slots__ = ("alpha", "ancillas", "epsilon", "system_qubits", "dim", "children", "_cache")
+    __slots__ = ("alpha", "ancillas", "epsilon", "system_qubits", "dim", "children", "_cache",
+                 "_measured")
     kind = "leaf"
 
     def __init__(self, unitary, alpha: float, ancillas: int, epsilon: float,
@@ -95,6 +128,7 @@ class BlockEncoding:
         self._certify(alpha, ancillas, epsilon, system_qubits, matrix.shape[0], ())
         matrix.setflags(write=False)
         object.__setattr__(self, "_cache", matrix)
+        object.__setattr__(self, "_measured", None)
 
     def _certify(self, alpha, ancillas, epsilon, system_qubits, dim, children) -> None:
         if alpha <= 0:
@@ -153,6 +187,26 @@ class BlockEncoding:
         from a matrix compares it with its adjoint exactly, unless its class
         declares the law."""
         return bool(np.array_equal(self._cache, self._cache.conj().T))
+
+    @property
+    def defect(self) -> float:
+        """A bound delta >= ||U^dag U - I||_2 on the unitary this node
+        computes, by the node's defect law; for a square U it bounds
+        ||U U^dag - I||_2 too, and, for the ancilla-zero rows M its rows law
+        gives, ||M M^dag - I||_2 and ||M||_2^2 - 1."""
+        return self._defect()
+
+    def _defect(self) -> float:
+        """A leaf built from a caller's matrix: ||fl(U^dag U) - I||_2,
+        measured on first read and kept, plus ``dim u`` for the rounding of
+        that Gram at its usual scale (its worst case, gamma_dim ||U||_F^2,
+        would refuse every unitary from dimension 1,024 up)."""
+        measured = self._measured
+        if measured is None:
+            u = self._cache
+            measured = spectral_norm(u.conj().T @ u - np.eye(self.dim)) + self.dim * _U
+            object.__setattr__(self, "_measured", measured)
+        return measured
 
     def extract_block(self) -> np.ndarray:
         """Leading system-dim block; multiply by alpha to approximate the target."""
@@ -243,6 +297,19 @@ class _Product(BlockEncoding):
         left, right = self.children
         return left._block() @ right._block()
 
+    def _defect(self) -> float:
+        """The exact product of the lifted children, A = I (x) U and B the
+        lifted V, has B^dag (A^dag A - I) B + B^dag B - I, of norm at most
+        delta_L + delta_R + delta_L delta_R; its rows, M_L (I (x) M_R) up to
+        a column order, obey the same bound.  Each entry of the ``tensordot``
+        sums s = system_dim products, so the rounding E has
+        |E| <= gamma_(s+2) |A| |B| entrywise (complex products included), and
+        || |A| ||_2 <= ||U||_F <= sqrt(dim_U (1 + delta_L)), likewise for V."""
+        left, right = self.children
+        dl, dr = left.defect, right.defect
+        e = _gamma(self.system_dim + 2) * np.sqrt(left.dim * right.dim * (1.0 + dl) * (1.0 + dr))
+        return _perturbed(dl + dr + dl * dr, e)
+
     def _rows(self) -> np.ndarray:
         left, right = self.children
         s, la, ra = self.system_dim, 1 << left.ancillas, 1 << right.ancillas
@@ -300,6 +367,14 @@ class _Difference(BlockEncoding):
         a, b = self.children
         return 0.5 * (a._block() - b._block())
 
+    def _defect(self) -> float:
+        """(H (x) I) diag(U_A, -U_B) (H (x) I) has defect max(delta_A, delta_B)
+        exactly.  Each entry of U_A +- U_B rounds once and the halving may
+        lose a subnormal bit, so |E| <= 2u |V| entrywise and
+        ||E||_2 <= 2u ||V||_F <= 2u sqrt(dim (1 + delta))."""
+        delta = max(child.defect for child in self.children)
+        return _perturbed(delta, 2.0 * _U * np.sqrt(self.dim * (1.0 + delta)))
+
 
 class _Adjoint(BlockEncoding):
     """The adjoint unitary; it encodes the adjoint target with the same
@@ -324,6 +399,11 @@ class _Adjoint(BlockEncoding):
 
     def _rows(self) -> np.ndarray:
         return self.children[0]._cols().conj().T
+
+    def _defect(self) -> float:
+        """U U^dag and U^dag U share their eigenvalues for a square U, and
+        the conjugate transpose is exact."""
+        return self.children[0].defect
 
 
 class _Gram(BlockEncoding):
@@ -367,6 +447,25 @@ class _Gram(BlockEncoding):
     def _block(self) -> np.ndarray:
         b = self.children[0]._block()
         return b.conj().T @ b
+
+    def _defect(self) -> float:
+        """V = [[G, K], [K, G]] with G exactly Hermitian and K = G - I + D,
+        D the diagonal rounding of the subtraction.  For D = 0, V^2 - I is
+        [[1, 1], [1, 1]] (x) 2 (G^2 - G), of norm 4 ||G^2 - G||; D adds at
+        most 4 ||D|| m + ||D||^2 with m >= ||G||, ||G - I||.  With
+        G = M^dag M + F: M^dag M squared minus itself is
+        M^dag (M M^dag - I) M, of norm <= (1 + delta) delta, so
+        ||G^2 - G|| <= (1 + delta) delta + (3 + 2 delta) f + f^2.  The
+        product rounds by gamma_(s+2) ||M||_F^2 <= gamma_(s+2) s (1 + delta)
+        and the symmetrizing sum by u ||G||_F <= u (sqrt(s) (1 + delta) + that)."""
+        delta = self.children[0].defect
+        s = self.system_dim
+        f = _gamma(s + 2) * s * (1.0 + delta)
+        f += _U * (np.sqrt(s) * (1.0 + delta) + f)
+        m = 1.0 + delta + f
+        d = _U * m
+        g = (1.0 + delta) * delta + (3.0 + 2.0 * delta) * f + f * f
+        return 4.0 * g + 4.0 * d * m + d * d
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,19 @@ _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 # off-class entries and empty slots are exact zeros.
 _CLASS_LEAF_ROUNDING = 5 * np.finfo(float).eps / 2
 
+# Bound on ||U^2 - I||_2 for a class leaf U = [[A, S], [S, -A]] as written,
+# with u = 2^-53; fixed from the operation counts, never measured.  Before
+# the diagonal sums round, A and S are b I + c J and (1 - b) I + c' J on
+# each class (J all ones), so they commute exactly, and U_0^2 - I is
+# A^2 + S^2 - I on both halves.  That is exactly zero off the uniform state
+# of each class and on the empty slots; on the uniform state A and S have
+# eigenvalues cos_g + e_a and sin_g + e_s, where the two to four roundings of
+# each stored number give |e_a|, |e_s| <= 4u, so the eigenvalue of
+# A^2 + S^2 - I is at most 8u (cos_g + sin_g) + 32u^2 <= 11.4u.  The one
+# rounded sum on each diagonal (b + a_g, or 1 + s_g) moves U by a diagonal
+# Delta of norm <= u, adding 2 ||U_0|| u + u^2 <= 2.1u.
+_CLASS_LEAF_DEFECT = 16 * np.finfo(float).eps / 2
+
 
 def build_uc(log_n: int) -> np.ndarray:
     """Reflection unitary H^{(x)k} (2|0><0| - I) H^{(x)k} = (2/n) ee^T - I,
@@ -112,7 +125,8 @@ def centering_encoding(classes, dim: int | None = None) -> BlockEncoding:
     the class of each slot, -1 for an empty one; slots past them, up to
     ``dim``, are empty.  C is a projector, so the leaf
     [[C, I - C], [I - C, -C]] is a real symmetric unitary; it declares the
-    a-priori round-off bound ``_CLASS_LEAF_ROUNDING``.
+    a-priori round-off bound ``_CLASS_LEAF_ROUNDING`` and the a-priori
+    defect ``_CLASS_LEAF_DEFECT``.
     """
     if isinstance(classes, (int, np.integer)):  # a cached leaf is not certified again
         return _one_class_centering(int(classes), _register(int(classes), dim))
@@ -130,6 +144,9 @@ class _ClassLeaf(BlockEncoding):
         self._certify(alpha, 1, epsilon, qubit_count(matrix.shape[0]) - 1, matrix.shape[0], ())
         matrix.setflags(write=False)
         object.__setattr__(self, "_cache", matrix)
+
+    def _defect(self) -> float:
+        return _CLASS_LEAF_DEFECT
 
 
 def _class_leaf(slots: np.ndarray, law: str) -> BlockEncoding:

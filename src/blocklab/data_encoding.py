@@ -11,9 +11,10 @@ ancilla-zero columns are formed from the completions without it, so a Gram
 walk of a scatter never builds it.
 Construction runs every check the completions run, so it rejects what
 building the unitary would.  The leaf declares the a-priori round-off bound
-5u ||X||_F (u = 2^-53) as its eps, plus n max |x_qc| over any nonzero row
-whose norm underflows to 0; nothing is measured.  Its ``hermitian`` law is
-False and the dilation's True, so it walks dilated.
+5u ||X||_F (u = 2^-53) as its eps, plus n max |x_qc| over any lost row (a
+nonzero row whose squared norm is subnormal, which encodes as zeros), and
+an a-priori defect from its completions; nothing is measured.  Its
+``hermitian`` law is False and the dilation's True, so it walks dilated.
 
 Storage convention: entry (r, c) of a stored matrix is component r of sample
 c.  Row vectors of the norm tree are rows of the stored matrix.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_encoding import BlockEncoding
+from .block_encoding import BlockEncoding, _perturbed
 from .matrix_core import (
     as_array,
     as_matrix,
@@ -64,13 +65,39 @@ def _pairwise_sums(sq: np.ndarray) -> np.ndarray:
 
 
 def build_norm_tree(x) -> NormTree:
-    """Deterministic partial-sum structure for the preparation amplitudes."""
+    """Deterministic partial-sum structure for the preparation amplitudes.
+
+    A row whose computed squared norm is subnormal, or zero, is lost: its
+    norm is taken as 0, so it encodes as zeros, and ||X||_F sums the other
+    rows.  Entries whose squares would overflow are refused before any is
+    squared, and so is a sum of squares that overflows; a nonzero matrix
+    whose every row is lost is refused as too small to normalize.
+    """
     x = as_matrix(x)
-    row_norm_sq = _pairwise_sums(np.abs(x) ** 2)
-    frobenius = float(np.sqrt(_pairwise_sums(row_norm_sq[np.newaxis, :])[0]))
+    magnitude = np.abs(x)
+    top = float(magnitude.max())
+    if top > _SQRT_MAX:
+        raise ValueError(_too_large(top))
+    row_norm_sq = _pairwise_sums(magnitude ** 2)
+    row_norm_sq[row_norm_sq < np.finfo(float).tiny] = 0.0  # lost rows
+    total = _pairwise_sums(row_norm_sq[np.newaxis, :])[0]
+    if total == np.inf:
+        raise ValueError(_too_large(top))
+    frobenius = float(np.sqrt(total))
+    if frobenius == 0.0 and top > 0.0:
+        raise ValueError(f"matrix entries up to {top:.3g} in magnitude are too small to "
+                         f"normalize: every row's squared norm underflows")
     if frobenius == 0.0:
         raise ValueError("matrix has Frobenius norm zero; nothing to encode")
     return NormTree(row_norms=np.sqrt(row_norm_sq), frobenius_norm=frobenius)
+
+
+_SQRT_MAX = float(np.sqrt(np.finfo(float).max))
+
+
+def _too_large(top: float) -> str:
+    return (f"matrix entries up to {top:.3g} in magnitude are too large to normalize: "
+            f"the sum of their squares overflows")
 
 
 def _preparation_terms(x: np.ndarray, tree: NormTree) -> tuple[np.ndarray, ...]:
@@ -113,11 +140,37 @@ def preparation_unitaries(x) -> tuple[np.ndarray, np.ndarray]:
 # ku / (1 - ku), and gamma_3 < gamma_4 for a real X.  F is within O(u log n)
 # of ||X||_F and gradual underflow in the block entries adds at most
 # n 2^-1074 F, so this is <= 5u F for every n under the cap.  That holds
-# for the rows whose computed norm is positive.  A nonzero row whose squared
-# entries all underflow (|x| < 2^-537.5) has norm 0 and encodes as zeros, so
-# the leaf adds n max |x_qc| over such rows, which exceeds their Frobenius
-# mass by a factor of at least 1 + 1/(2n).
+# for the rows kept.  A lost row (``build_norm_tree``: a nonzero row whose
+# computed squared norm is subnormal, below 2^-1022) encodes as zeros, so
+# the leaf adds n max |x_qc| over such rows, at least their Frobenius norm.
 _LEAF_ROUNDING = 5 * np.finfo(float).eps / 2
+
+
+def _leaf_defect(n: int) -> float:
+    """Bound on ||U^dag U - I||_2 for the data leaf's unitary on an n x n
+    register pair, with u = 2^-53; fixed from the operation counts, never
+    measured.
+
+    A completion is phi (I - scale w w^dag) with column 0 replaced by the
+    prescribed v, and the exact reflection of the computed w is unitary for
+    any w.  A completion is then within rho of a unitary, rho the sum of
+    (i) the rounding of the update, at most (n + 20)u relative to
+    |scale w_i w_j| (the length-(n - 1) sum in scale, the phase, the outer and
+    scaled products) and so 2(n + 20)u in norm, as |scale| ||w||^2 = 2, and
+    (ii) the replaced column, ||v - P e_0|| <= 2(eta + (n + 7)u) with
+    eta <= (n + log2 n + 8)u the norm defect of a normalized row or of the
+    row-norm column (the pairwise sums, square root and division, and
+    underflowing squares in a kept row, each under u of its squared norm).
+    So rho <= (8n + 80)u, and a completion's defect is 2 rho + rho^2.  The
+    unitary is select(R)^dag (W (x) I), each entry one product of an entry
+    of each, so the exact product has defect 2 delta_c + delta_c^2, and the
+    products round by at most 3u relative (complex ones included), which is
+    3u ||R_q||_F ||W||_F <= 3u n (1 + delta_c) in norm.
+    """
+    u = np.finfo(float).eps / 2
+    rho = (8 * n + 80) * u
+    completion = 2.0 * rho + rho * rho
+    return _perturbed(2.0 * completion + completion * completion, 3.0 * u * n * (1.0 + completion))
 
 
 class _DataLeaf(BlockEncoding):
@@ -143,7 +196,7 @@ class _DataLeaf(BlockEncoding):
                              "of dimension >= 2; embed first")
         frob = tree.frobenius_norm
         eps = _LEAF_ROUNDING * frob
-        lost = tree.row_norms == 0.0  # zero rows, and rows whose |x|^2 all underflow
+        lost = tree.row_norms == 0.0  # zero rows, and rows whose squared norm is subnormal
         if lost.any():
             eps += n * float(np.abs(x[lost]).max())
         self._certify(frob, qubit_count(n), eps, qubit_count(n), n * n, ())
@@ -176,6 +229,9 @@ class _DataLeaf(BlockEncoding):
     def _block(self) -> np.ndarray:
         return self._corner
 
+    def _defect(self) -> float:
+        return _leaf_defect(self.system_dim)
+
 
 def matrix_encoding(x) -> BlockEncoding:
     """(||X||_F, log2 n, eps) encoding of a square power-of-two matrix.
@@ -186,8 +242,10 @@ def matrix_encoding(x) -> BlockEncoding:
     directly when first read.  Its leading block is X / ||X||_F, held from
     construction; the declared eps is the a-priori round-off bound
     5u ||X||_F of that block (``_LEAF_ROUNDING``), with u = 2^-53, plus
-    n max |x_qc| over any nonzero row whose norm underflows to 0 and which
-    therefore encodes as zeros.
+    n max |x_qc| over any lost row, a nonzero row whose computed squared
+    norm is subnormal and which therefore encodes as zeros; its defect is
+    ``_leaf_defect(n)``.  Entries too large or too small to normalize are
+    refused (``build_norm_tree``).
     """
     return _DataLeaf(x)
 
@@ -224,6 +282,11 @@ class _Dilation(BlockEncoding):
         b = self.children[0]._block()
         zero = np.zeros_like(b)
         return np.block([[zero, b], [b.conj().T, zero]])
+
+    def _defect(self) -> float:
+        """diag(U U^dag, U^dag U) up to a permutation, placed exactly: the
+        child's delta."""
+        return self.children[0].defect
 
 
 def hermitian_dilation(be: BlockEncoding) -> BlockEncoding:

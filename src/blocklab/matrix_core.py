@@ -24,9 +24,6 @@ import numpy as np
 
 DEFAULT_CAP_QUBITS = 14
 UNITARY_TOL = 1e-10
-# Below this dimension one dense Gram costs less than a split into two blocks
-# (one BLAS thread: 22 against 39 us at d = 64, 107 against 68 us at 128).
-_SPLIT_MIN_DIM = 128
 
 
 class CapExceededError(Exception):
@@ -137,54 +134,23 @@ def is_unitary_matrix(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     """``is_unitary`` for a matrix ``as_matrix`` has already returned: it
     converts and validates nothing again.
 
-    Every entry of U^dag U is compared with the identity.  A U that is block
-    diagonal or anti-diagonal on one qubit (``_direct_sum_blocks``), as a
-    dilation's walk is, has U^dag U the direct sum of its two blocks' Grams
-    exactly, so each block is checked by this same rule: a quarter of the
-    flops per split.  Otherwise the Gram product is formed in U's dtype.  A
-    real U is read in place, and the Gram and its absolute values share one
-    ``float64`` buffer of 8 d^2 bytes.  A complex U whose imaginary part is
-    exactly zero is reduced to a contiguous copy of its real part first, so
-    its temporaries take 16 d^2 bytes instead of 32 d^2.
+    Every entry of U^dag U is compared with the identity; the Gram product
+    is formed in U's dtype.  A real U is read in place, and the Gram and its
+    absolute values share one ``float64`` buffer of 8 d^2 bytes.  A complex
+    U whose imaginary part is exactly zero is reduced to a contiguous copy
+    of its real part first, so its temporaries take 16 d^2 bytes instead of
+    32 d^2.
     """
     if u.shape[0] != u.shape[1]:
         raise ValueError("is_unitary requires a square matrix")
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    blocks = _direct_sum_blocks(u)
-    if blocks is not None:
-        return all(is_unitary_matrix(block, tol) for block in blocks)
     if u.dtype.kind == "c" and not u.imag.any():
         u = np.ascontiguousarray(u.real)
     gram = u.conj().T @ u  # conj() of a real array is the array itself
     np.fill_diagonal(gram, gram.diagonal() - 1.0)
     real = gram.dtype.kind == "f"
     return bool(np.max(np.abs(gram, out=gram if real else None)) <= tol)
-
-
-def _direct_sum_blocks(u: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The two nonzero d/2 x d/2 blocks of U on a qubit it never mixes or
-    always flips, or None; None below ``_SPLIT_MIN_DIM``.
-
-    Row 0 names the candidate qubits in O(d): a flipped one is set in every
-    nonzero column of row 0 (a bitwise AND), an unmixed one in none (the
-    complement of a bitwise OR).  One pass then confirms, for the highest
-    candidate, that the other two quarters are exact zeros.
-    """
-    d = u.shape[0]
-    if d < _SPLIT_MIN_DIM or not is_power_of_two(d):
-        return None
-    cols = np.flatnonzero(u[0])
-    # (candidate bits, the order of the row halves that makes U block anti-diagonal)
-    for bits, rows in ((np.bitwise_and.reduce(cols) & (d - 1), slice(None)),
-                       (~np.bitwise_or.reduce(cols, initial=0) & (d - 1), slice(None, None, -1))):
-        if bits:
-            q = 1 << (int(bits).bit_length() - 1)
-            v = u.reshape(d // (2 * q), 2, q, d // (2 * q), 2, q)[:, rows]
-            if not v.diagonal(0, 1, 4).any():  # quarters (0, 0) and (1, 1)
-                h = d // 2
-                return v[:, 0, :, :, 1, :].reshape(h, h), v[:, 1, :, :, 0, :].reshape(h, h)
-    return None
 
 
 def is_hermitian(m, tol: float = 1e-10) -> bool:

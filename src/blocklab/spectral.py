@@ -10,13 +10,16 @@ leaves of ``centering`` by theirs, any other matrix leaf by an exact
 comparison, products and data leaves never.  Where it fails, walk
 ``hermitian_dilation`` or ``gram_encoding``.
 
-Phase estimation runs one exact unitarity check per call and keeps nothing
-between calls.  It never diagonalizes the whole unitary, and it never casts
-a real one to complex.  It spans the Krylov space of the state, which the
-unitary leaves invariant (two dimensions from an eigenvector of a walk's
-encoded block), checks the invariance leak ||U Q - Q H|| against a bound
-fixed in advance, and reads phases and weights from the small restricted
-matrix H.
+A walk is a read-only ``Walk`` that carries its node's declared ``defect``
+(``block_encoding``), a bound on ||W^dag W - I||_2 fixed by the
+construction laws.  Phase estimation on a walk checks that law, and on a
+plain matrix from a caller it runs the dense unitarity check; either way it
+keeps nothing between calls.  It never diagonalizes the whole unitary, and
+it never casts a real one to complex.  It spans the Krylov space of the
+state, which the unitary leaves invariant (two dimensions from an
+eigenvector of a walk's encoded block), checks the invariance leak
+||U Q - Q H|| against a bound fixed in advance, and reads phases and
+weights from the small restricted matrix H.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .matrix_core import (
 __all__ = [
     "EstimationMethod",
     "PhaseEstimate",
+    "Walk",
     "walk_operator",
     "phase_estimation",
     "evolution_readout",
@@ -51,6 +55,9 @@ _HERMITIAN_BLOCK_TOL = 1e-8
 _KRYLOV_BREAKDOWN = 1e-13
 # Largest invariance leak ||U Q - Q H||_2 a phase distribution may rest on.
 _KRYLOV_LEAK_BOUND = 1e-12
+# Largest unitarity defect phase estimation accepts: max |U^dag U - I| for a
+# plain matrix, the declared bound on ||W^dag W - I||_2 for a walk.
+_UNITARY_TOL = 1e-10
 
 
 class EstimationMethod(Enum):
@@ -77,7 +84,47 @@ class PhaseEstimate:
     leak: float
 
 
-def walk_operator(be: BlockEncoding) -> np.ndarray:
+class Walk:
+    """The walk W = (2 Pi_0 - I) U of a node, read-only, with the node's
+    declared ``defect``: W^dag W = U^dag U exactly, as the reflection only
+    negates rows, so it bounds ||W^dag W - I||_2 too.
+
+    It holds W densely, C-contiguous, in the node's ``dtype``, and reads as
+    an operator: ``shape``, ``dtype``, ``len()`` and ``walk @ v``, which is
+    ``_apply`` (a real W meets a complex v as two real products, and is never
+    cast to complex).  ``np.asarray(walk)`` is W itself, read-only;
+    ``np.array(walk)`` is a writable copy, a plain matrix to every reader.
+    """
+
+    __slots__ = ("_w", "defect")
+
+    def __init__(self, w: np.ndarray, defect: float):
+        w.setflags(write=False)
+        object.__setattr__(self, "_w", w)
+        object.__setattr__(self, "defect", float(defect))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Walk is read-only")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._w.shape
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self._w.dtype
+
+    def __len__(self) -> int:
+        return len(self._w)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self._w, dtype=dtype, copy=copy)
+
+    def __matmul__(self, v) -> np.ndarray:
+        return _apply(self._w, v)
+
+
+def walk_operator(be: BlockEncoding) -> Walk:
     """Reflection-times-encoding walk W = (2 Pi_0 - I) U of a Hermitian U.
 
     Pi_0 projects the ancillas onto |0...0>.  U must be Hermitian by the
@@ -85,11 +132,11 @@ def walk_operator(be: BlockEncoding) -> np.ndarray:
     ``ValueError`` before U is built.  The reflection is diagonal, so W is U
     with every row outside the ancilla-zero block negated: a copy of U when
     the node keeps U (a leaf, or a node whose ``unitary`` was read), else the
-    node's fresh build of U, negated in place and never cached.  W is
-    C-contiguous, writable, in the node's ``dtype`` (float64 for a tree of
-    real leaves) and shares no memory with a kept unitary.  For
-    every eigenvalue lambda of the encoded operator, W has an eigenphase pair
-    +/- arccos(lambda/alpha).
+    node's fresh build of U, negated in place and never cached.  The
+    ``Walk`` holds that buffer read-only, in the node's ``dtype`` (float64
+    for a tree of real leaves), sharing no memory with a kept unitary, and
+    the node's ``defect``.  For every eigenvalue lambda of the encoded
+    operator, W has an eigenphase pair +/- arccos(lambda/alpha).
     """
     if not be.hermitian:
         raise ValueError(f"walk_operator needs a unitary that is Hermitian by construction, "
@@ -99,7 +146,7 @@ def walk_operator(be: BlockEncoding) -> np.ndarray:
     if w is be._cache:
         w = w.copy()
     w[be.system_dim:] *= -1.0
-    return w
+    return Walk(w, be.defect)
 
 
 def _apply(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -188,13 +235,17 @@ def phase_estimation(
     the walk's eigenphases come in +/- pairs of equal weight, and the
     eigenvalue is alpha * cos(2*pi*phase).  ``t_bits`` above ``cap_qubits()``
     raises ``CapExceededError`` before any allocation.
-    Every call runs the exact unitarity check (within 1e-10) once, after the
-    state is checked; nothing is kept between calls.
+    After the state is checked, a ``Walk`` is accepted when its declared
+    ``defect`` is at most 1e-10, with no Gram formed; any other operator runs
+    the dense unitarity check (max |U^dag U - I| within 1e-10) once.  Every
+    call checks the Krylov leak of the operator it applied, and nothing is
+    kept between calls.
     A real operator is never cast to complex: with a state whose imaginary
     part is zero the whole readout runs in float64.
     """
     _check_register(t_bits)
-    u = as_matrix(u)
+    defect = u.defect if isinstance(u, Walk) else None
+    u = as_matrix(u) if defect is None else np.asarray(u)
     state = as_array(eigenstate).reshape(-1)
     if state.shape[0] != u.shape[0]:
         raise ValueError("eigenstate dimension does not match the unitary")
@@ -203,7 +254,8 @@ def phase_estimation(
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError("eigenstate must be normalized")
-    if not is_unitary_matrix(u, 1e-10):  # last: the only O(d^3) check
+    # last: for a plain matrix, the only O(d^3) check
+    if not (is_unitary_matrix(u, _UNITARY_TOL) if defect is None else defect <= _UNITARY_TOL):
         raise ValueError("phase estimation requires a unitary operator")
 
     if u.dtype.kind == "f" and not state.imag.any():

@@ -379,7 +379,7 @@ def criterion_7(seed: int) -> CriterionOutcome:
     # quadratic eigenphase identity on the n = 8 scatter walk (eight qubits, no dilation)
     x8 = rng.standard_normal((8, 8))
     st = scatter_total_encoding(x8)
-    w = walk_operator(st)
+    w = np.asarray(walk_operator(st))  # the dense W, cast to complex with each state
     lam8, vec8 = np.linalg.eigh(total_scatter(x8))
     worst_resid = 0.0
     for j in range(8):

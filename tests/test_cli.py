@@ -169,18 +169,28 @@ def test_tol_must_be_finite_and_nonnegative(fixtures, argv, tol, capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_encode_rejects_unencodable_rows(tmp_path, capsys):
+    """A row whose squared norm is subnormal encodes as zeros; a matrix of
+    such rows, or one whose squares overflow, exits 2 with a message about
+    the input's magnitude."""
     tiny = np.ones((4, 4))
     tiny[1] = 1e-160
     huge = np.ones((4, 4))
     huge[2, 3] = 1e155
-    for name, x in (("tiny", tiny), ("all-tiny", np.full((4, 4), 1e-160)), ("huge", huge)):
+    for name, x, code, err in (
+            ("tiny", tiny, EXIT_OK, ""),
+            ("all-tiny", np.full((4, 4), 1e-160), EXIT_PARSE,
+             "error: matrix entries up to 1e-160 in magnitude are too small to normalize: "
+             "every row's squared norm underflows\n"),
+            ("huge", huge, EXIT_PARSE,
+             "error: matrix entries up to 1e+155 in magnitude are too large to normalize: "
+             "the sum of their squares overflows\n")):
         path = tmp_path / f"{name}.csv"
         write_matrix_csv(path, x)
         capsys.readouterr()
-        assert main(["encode", str(path)]) == EXIT_PARSE, name
+        assert main(["encode", str(path)]) == code, name
         captured = capsys.readouterr()
-        assert captured.err == "error: prescribed column is not a unit vector within 1e-10\n"
-        assert captured.out == ""
+        assert captured.err == err
+        assert (captured.out == "") is (code != EXIT_OK)
 
 
 def test_cap_exceeded_exit_code(fixtures, monkeypatch):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from blocklab.data_encoding import (
     matrix_encoding,
     preparation_unitaries,
 )
-from blocklab.matrix_core import CapExceededError, embed_power_of_two, is_unitary
+from blocklab.matrix_core import CapExceededError, embed_power_of_two, is_unitary, spectral_norm
 from blocklab.mean_centering import CenteringMode, mc_encoding
 from blocklab.oracles import hermitian_extension
 from blocklab.spectral import walk_operator
@@ -198,16 +199,42 @@ class TestConstructionRejects:
     """The leaf builds no completion, yet it rejects what building the
     unitary rejects, with the same exception and message."""
 
-    @pytest.mark.parametrize("index, value", [(1, 1e-160), (slice(None), 1e-160),
-                                              ((2, 3), 1e155)],
-                             ids=["tiny-row", "all-tiny", "huge-entry"])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_not_unit_rows(self, index, value):
+    @pytest.mark.parametrize("index, value, message", [
+        (1, 1e-160, None),
+        (slice(None), 1e-160, "^matrix entries up to 1e-160 in magnitude are too small to "
+                              "normalize: every row's squared norm underflows$"),
+        ((2, 3), 1e155, "^matrix entries up to 1e\\+155 in magnitude are too large to "
+                        "normalize: the sum of their squares overflows$"),
+    ], ids=["tiny-row", "all-tiny", "huge-entry"])
+    def test_not_unit_rows(self, index, value, message):
+        """A row whose squared norm is subnormal is lost and encodes as zeros,
+        within the declared eps; a matrix of lost rows, or with entries whose
+        squares overflow, is refused by a message about its magnitude, before
+        any square overflows (no RuntimeWarning)."""
         x = np.ones((4, 4))
-        x[index] = value  # |x|^2 is subnormal or overflows: a normalized row is not unit
-        with pytest.raises(ValueError,
-                           match="^prescribed column is not a unit vector within 1e-10$"):
-            matrix_encoding(x)
+        x[index] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if message is not None:
+                with pytest.raises(ValueError, match=message):
+                    matrix_encoding(x)
+                return
+            be = matrix_encoding(x)
+        np.testing.assert_array_equal(be.extract_block()[1], 0.0)
+        assert be.alpha == np.sqrt(12.0)
+        assert be.epsilon == 5 * (np.finfo(float).eps / 2) * be.alpha + 4 * 1e-160
+        assert spectral_norm(x - be.alpha * be.extract_block()) <= be.epsilon
+
+    def test_subnormal_row_norm_is_lost(self):
+        """A row whose squared norm is subnormal, though some squares are
+        not zero, is lost like a row whose squares all underflow."""
+        x = np.ones((4, 4))
+        x[2] = [1e-155, 0.0, 1e-170, 0.0]  # squared norm 1e-310: subnormal
+        tree = build_norm_tree(x)
+        assert tree.row_norms[2] == 0.0 and tree.frobenius_norm == np.sqrt(12.0)
+        be = matrix_encoding(x)
+        np.testing.assert_array_equal(be.extract_block()[2], 0.0)
+        assert be.epsilon == 5 * (np.finfo(float).eps / 2) * be.alpha + 4 * 1e-155
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_completion(self):
@@ -228,13 +255,17 @@ class TestConstructionRejects:
             "over-cap"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_completions_reject_as_the_leaf(self, x, monkeypatch):
+        """The completions refuse what the leaf refuses, with the same
+        exception and message, and build where the leaf builds."""
         monkeypatch.setenv("BLOCKLAB_CAP_QUBITS", "5")
-        raised = []
+        outcomes = []
         for build in (matrix_encoding, preparation_unitaries):
-            with pytest.raises((ValueError, CapExceededError)) as info:
+            try:
                 build(x)
-            raised.append((type(info.value), str(info.value)))
-        assert raised[0] == raised[1]
+                outcomes.append(None)
+            except (ValueError, CapExceededError) as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestLazyLeaf:

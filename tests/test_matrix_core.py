@@ -6,9 +6,6 @@ import scipy.linalg
 import scipy.stats
 
 from blocklab import matrix_core
-from blocklab.applications import scatter_total_encoding
-from blocklab.centering import centering_encoding
-from blocklab.data_encoding import hermitian_dilation, matrix_encoding
 from blocklab.matrix_core import (
     UNITARY_TOL,
     CapExceededError,
@@ -30,9 +27,6 @@ from blocklab.matrix_core import (
     unitary_completion,
     write_matrix_csv,
 )
-from blocklab.mean_centering import CenteringMode, mc_encoding
-from blocklab.spectral import walk_operator
-from blocklab.suite import _composition_corpus
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -274,35 +268,6 @@ def dense_defect(u):
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
-def split_defect(u):
-    """The same maximum over the blocks ``_direct_sum_blocks`` splits U into."""
-    blocks = matrix_core._direct_sum_blocks(u)
-    return max(map(split_defect, blocks)) if blocks is not None else dense_defect(u)
-
-
-def checked_walks():
-    """The walk of every node of criterion 4's composition corpus that is
-    Hermitian by its law (up to dimension 1,024), the four walks of the
-    benchmark's walk_dense workload and the walks of three dilations of
-    complex encodings."""
-    seen, nodes, stack = set(), [], list(_composition_corpus(42))
-    while stack:
-        be = stack.pop()
-        if id(be) not in seen:
-            seen.add(id(be))
-            stack.extend(be.children)
-            if be.hermitian and be.dim <= 1024:
-                nodes.append(be)
-    rng = np.random.default_rng(21)
-    x8, x4, xm = (rng.standard_normal((n, n)) for n in (8, 4, 8))
-    nodes += [scatter_total_encoding(x8), scatter_total_encoding(x4),
-              hermitian_dilation(mc_encoding(xm, CenteringMode.CXC)), centering_encoding(16)]
-    z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    nodes += [hermitian_dilation(be) for be in (
-        matrix_encoding(z), mc_encoding(z, CenteringMode.XC), mc_encoding(z, CenteringMode.CXC))]
-    return tuple(walk_operator(be) for be in nodes)
-
-
 def direct_sum(q1, q2, bit, anti):
     """q1 on the rows whose ``bit`` is 0 and q2 on the others, on the columns
     with that bit flipped when ``anti``, else kept."""
@@ -322,20 +287,9 @@ def random_pair(dtype, h=128, seed=6):
 
 
 class TestDirectSumSplit:
-    """A U that is block diagonal or block anti-diagonal on one qubit is
-    checked as its two blocks, with the dense Gram's verdict."""
-
-    @pytest.mark.parametrize("split_min", [matrix_core._SPLIT_MIN_DIM, 2])
-    def test_verdict_and_maximum_match_the_dense_gram(self, monkeypatch, split_min):
-        monkeypatch.setattr(matrix_core, "_SPLIT_MIN_DIM", split_min)
-        walks = checked_walks()
-        split = 0
-        for w in walks:
-            assert is_unitary_matrix(w) is (dense_defect(w) <= UNITARY_TOL) is True
-            assert abs(split_defect(w) - dense_defect(w)) <= 1e-14
-            split += matrix_core._direct_sum_blocks(w) is not None
-        assert len(walks) >= 200 and split >= (8 if split_min > 2 else 100), split
-        assert matrix_core._direct_sum_blocks(walks[-5]) is not None  # walk_dense's dilation
+    """A U that is block diagonal or block anti-diagonal on one qubit, as a
+    dilation's walk is, gets the dense Gram's verdict, at the tolerance and
+    with a defect in either block or in a zero quarter."""
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("bit", [0, 3, 7])
@@ -345,7 +299,6 @@ class TestDirectSumSplit:
         q1, q2 = random_pair(dtype)
         scale = np.sqrt(1.0 + factor * UNITARY_TOL)  # (scale^2 - 1) = factor * tol
         u = direct_sum(q1, scale * q2, bit, anti)
-        assert matrix_core._direct_sum_blocks(u) is not None
         assert (dense_defect(u) <= UNITARY_TOL) is verdict
         assert is_unitary_matrix(u) is verdict
 
@@ -355,14 +308,12 @@ class TestDirectSumSplit:
         pair = random_pair(dtype)
         pair[block][5, 7] += 1e-9
         u = direct_sum(*pair, 3, True)
-        assert matrix_core._direct_sum_blocks(u) is not None
         assert not is_unitary_matrix(u) and dense_defect(u) > UNITARY_TOL
 
     @pytest.mark.parametrize("value, verdict", [(1e-300, True), (1e-6, False)])
     def test_nonzero_in_a_zero_quarter_falls_back(self, value, verdict):
         u = direct_sum(*random_pair(float), 3, True)
         u[-1, -1] = value  # row and column both have bit 3 set: a zero quarter
-        assert matrix_core._direct_sum_blocks(u) is None
         assert is_unitary_matrix(u) is verdict is (dense_defect(u) <= UNITARY_TOL)
 
     @pytest.mark.parametrize("where", ["block", "zero quarter"])
@@ -371,21 +322,6 @@ class TestDirectSumSplit:
         u[-1, -1 if where == "block" else 0] = np.nan
         with np.errstate(invalid="ignore"):
             assert is_unitary_matrix(u) is False
-
-    def test_nested_dilation_split_twice(self, monkeypatch):
-        x = np.random.default_rng(7).standard_normal((8, 8))
-        w = walk_operator(hermitian_dilation(hermitian_dilation(matrix_encoding(x))))
-        calls = []
-        split = matrix_core._direct_sum_blocks
-
-        def spy(u):
-            blocks = split(u)
-            calls.append((u.shape[0], blocks is not None))
-            return blocks
-
-        monkeypatch.setattr(matrix_core, "_direct_sum_blocks", spy)
-        assert w.shape == (256, 256) and is_unitary_matrix(w)
-        assert sorted(calls) == [(64, False)] * 4 + [(128, True)] * 2 + [(256, True)]
 
 
 class TestUnitaryCompletion:

@@ -8,6 +8,7 @@ import scipy.stats
 from blocklab import spectral
 from blocklab.applications import scatter_total_encoding
 from blocklab.block_encoding import (
+    BlockEncoding,
     adjoint_encoding,
     difference_encoding,
     extract_block,
@@ -20,6 +21,7 @@ from blocklab.data_encoding import hermitian_dilation, matrix_encoding
 from blocklab.matrix_core import CapExceededError, is_unitary
 from blocklab.mean_centering import CenteringMode, mc_encoding
 from blocklab.oracles import centering_matrix, hermitian_extension
+from blocklab.suite import _composition_corpus
 from blocklab.spectral import (
     EstimationMethod,
     evolution_readout,
@@ -36,7 +38,7 @@ def hermitian_test_encoding(rng, n=4):
 
 def unreflect(w, system_dim):
     """The unitary U = (2 Pi_0 - I) W of a walk."""
-    out = w.copy()
+    out = np.array(w)
     out[system_dim:] *= -1.0
     return out
 
@@ -180,7 +182,7 @@ class TestRealOperators:
     def test_walk_dense_encodings_and_walks_are_real(self, name):
         be = walk_dense_encodings()[name]()
         assert not be.unitary.imag.any()
-        assert not walk_operator(be).imag.any()
+        assert not np.asarray(walk_operator(be)).imag.any()
 
     @pytest.mark.parametrize("name", sorted(walk_dense_encodings()))
     def test_real_trees_walk_in_float64(self, name):
@@ -198,7 +200,7 @@ class TestRealOperators:
         assert not be.unitary.imag.any()
         np.testing.assert_array_equal(be.unitary, be.unitary.T)
         assert be.validate()
-        assert not walk_operator(be).imag.any()
+        assert not np.asarray(walk_operator(be)).imag.any()
 
 
 class TestRealKrylov:
@@ -214,8 +216,8 @@ class TestRealKrylov:
 
     @pytest.mark.parametrize("complex_state", [False, True], ids=["complex-typed-real", "complex"])
     def test_no_complex_copy_of_a_1024_walk(self, complex_state):
-        """The whole call, its unitarity check and its kept copy included,
-        allocates less than one complex128 copy of the walk would take."""
+        """The whole call allocates less than one complex128 copy of the
+        walk would take."""
         w, psi = self._centering_walk_and_state(512, complex_state)
         assert w.dtype == np.float64 and w.shape == (1024, 1024)
         tracemalloc.start()
@@ -224,14 +226,14 @@ class TestRealKrylov:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * w.size
+        assert peak < 16 * np.asarray(w).size
         assert est.distribution.sum() == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("complex_state", [False, True], ids=["complex-typed-real", "complex"])
     def test_real_operator_reads_as_its_complex_copy(self, complex_state):
         w, psi = self._centering_walk_and_state(16, complex_state)
         got = phase_estimation(w, psi, 8, method=EstimationMethod.QUBITIZATION_WALK)
-        want = phase_estimation(w.astype(complex), psi, 8,
+        want = phase_estimation(np.asarray(w).astype(complex), psi, 8,
                                 method=EstimationMethod.QUBITIZATION_WALK)
         assert (got.phase, got.krylov_dim) == (want.phase, want.krylov_dim)
         np.testing.assert_allclose(got.distribution, want.distribution, rtol=0, atol=1e-12)
@@ -244,9 +246,9 @@ class TestWalkOneBuffer:
         assert be.hermitian
         u = be.unitary
         before = u.tobytes()
-        w = walk_operator(be)
+        w = np.asarray(walk_operator(be))
         assert w.tobytes() == walk_reference(be).tobytes()
-        assert w.flags.writeable and not np.shares_memory(w, u)
+        assert not w.flags.writeable and not np.shares_memory(w, u)
         assert be.unitary is u and u.tobytes() == before and not u.flags.writeable
 
     def test_centering_walk_is_not_dilated(self, monkeypatch):
@@ -273,7 +275,7 @@ class TestWalkOneBuffer:
         finally:
             tracemalloc.stop()
         assert w.shape == (dim, dim)
-        assert peak <= w.nbytes + (1 << 16)
+        assert peak <= np.asarray(w).nbytes + (1 << 16)
 
     def test_n8_scatter_walk_peak_memory(self):
         self.check_peak(8, 256)
@@ -292,7 +294,7 @@ class TestWalkOneBuffer:
         finally:
             tracemalloc.stop()
         assert w.shape == (1024, 1024)
-        assert peak <= 1.5 * w.nbytes
+        assert peak <= 1.5 * np.asarray(w).nbytes
 
 
 def hermitian_kinds():
@@ -320,7 +322,7 @@ def tree_nodes(be):
 
 
 class TestWalkLayout:
-    """The walk is its own C-contiguous, writable buffer with the reference
+    """The walk is its own C-contiguous, read-only buffer with the reference
     bytes, whether or not the node kept its unitary."""
 
     @pytest.mark.parametrize("read_first", [False, True], ids=["fresh", "kept"])
@@ -330,8 +332,8 @@ class TestWalkLayout:
         assert be.hermitian
         if read_first:
             be.unitary
-        w = walk_operator(be)
-        assert w.flags.c_contiguous and w.flags.writeable
+        w = np.asarray(walk_operator(be))
+        assert w.flags.c_contiguous and not w.flags.writeable
         assert w.tobytes() == walk_reference(be).tobytes()
         for node in tree_nodes(be):
             assert node._cache is None or not np.shares_memory(w, node._cache)
@@ -587,26 +589,32 @@ def scatter_walk_and_states(n=4):
 
 
 class TestUnitarityCheckedOnce:
-    """Every phase estimation call runs the exact unitarity check once and
-    keeps nothing."""
+    """A walk's declared defect replaces the dense unitarity check, and a
+    plain matrix is checked densely once per call; nothing is kept."""
 
     def test_one_check_for_three_states(self, unitarity_checks):
         w, states = scatter_walk_and_states()
+        plain = np.array(w)
         for psi in states[:3]:
-            phase_estimation(w, psi, 6)
+            assert phase_estimation(w, psi, 6).distribution.tobytes() \
+                == phase_estimation(plain, psi, 6).distribution.tobytes()
         assert len(unitarity_checks) == 3
-        assert all(u is w for u in unitarity_checks)
+        assert all(u is plain for u in unitarity_checks)
 
     def test_mutated_operator_checked_again_and_refused(self, unitarity_checks):
         w, states = scatter_walk_and_states()
+        with pytest.raises(ValueError, match="read-only"):
+            np.asarray(w)[5, 5] += 0.5
+        with pytest.raises(AttributeError, match="read-only"):
+            w.defect = 0.0
+        mutated = np.array(w)  # a writable copy: a plain matrix
+        mutated[5, 5] += 0.5
         phase_estimation(w, states[0], 6)
-        w[5, 5] += 0.5
-        with pytest.raises(ValueError, match="unitary"):
-            phase_estimation(w, states[0], 6)
+        assert len(unitarity_checks) == 0
+        for psi in states[:2]:
+            with pytest.raises(ValueError, match="unitary"):
+                phase_estimation(mutated, psi, 6)
         assert len(unitarity_checks) == 2
-        with pytest.raises(ValueError, match="unitary"):
-            phase_estimation(w, states[1], 6)
-        assert len(unitarity_checks) == 3
 
     def test_non_unitary_refused_on_every_call(self, unitarity_checks):
         u = np.diag([1.0, 2.0]).astype(complex)
@@ -627,16 +635,85 @@ class TestUnitarityCheckedOnce:
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert kept < est.distribution.nbytes + 4096 < w.nbytes // 16
+        assert kept < est.distribution.nbytes + 4096 < np.asarray(w).nbytes // 16
         assert not hasattr(spectral, "_accepted")
 
     def test_distinct_array_with_the_same_bits_checked_again(self, unitarity_checks):
         w, states = scatter_walk_and_states()
-        twin = w.copy()
+        twin = np.array(w)
         first = phase_estimation(w, states[0], 6)
         second = phase_estimation(twin, states[0], 6)
-        assert [u is v for u, v in zip(unitarity_checks, (w, twin))] == [True, True]
+        third = phase_estimation(twin, states[0], 6)
+        assert [u is twin for u in unitarity_checks] == [True, True]
         np.testing.assert_array_equal(first.distribution, second.distribution)
+        np.testing.assert_array_equal(first.distribution, third.distribution)
+
+
+def measured_defect(u):
+    """||U^dag U - I||_2 of a dense U, from its Hermitian Gram."""
+    u = np.asarray(u)
+    g = u.conj().T @ u - np.eye(u.shape[0])
+    return float(np.abs(np.linalg.eigvalsh((g + g.conj().T) / 2.0)).max())
+
+
+def law_walks():
+    """The walk of every node of criterion 4's composition corpus that is
+    Hermitian by its law (up to dimension 1,024), the four walks of the
+    benchmark's walk_dense workload and the walks of three dilations of
+    complex encodings."""
+    seen, nodes, stack = set(), [], list(_composition_corpus(42))
+    while stack:
+        be = stack.pop()
+        if id(be) not in seen:
+            seen.add(id(be))
+            stack.extend(be.children)
+            if be.hermitian and be.dim <= 1024:
+                nodes.append(be)
+    rng = np.random.default_rng(21)
+    x8, x4, xm = (rng.standard_normal((n, n)) for n in (8, 4, 8))
+    nodes += [scatter_total_encoding(x8), scatter_total_encoding(x4),
+              hermitian_dilation(mc_encoding(xm, CenteringMode.CXC)), centering_encoding(16)]
+    z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    nodes += [hermitian_dilation(be) for be in (
+        matrix_encoding(z), mc_encoding(z, CenteringMode.XC), mc_encoding(z, CenteringMode.CXC))]
+    return tuple(walk_operator(be) for be in nodes)
+
+
+class TestWalkDefect:
+    """A walk carries its node's declared defect, which bounds the measured
+    ||W^dag W - I||_2 and is small enough for phase estimation."""
+
+    def test_declared_bounds_measured_on_every_law_walk(self):
+        walks = law_walks()
+        assert len(walks) >= 200
+        for w in walks:
+            assert measured_defect(w) <= w.defect <= 1e-10
+
+    def test_walk_reads_as_an_operator(self):
+        w, states = scatter_walk_and_states()
+        dense = np.asarray(w)
+        assert (w.shape, w.dtype, len(w)) == (dense.shape, np.float64, dense.shape[0])
+        # a real walk meets a complex state as two real products, never cast
+        assert (w @ states[0]).tobytes() == spectral._apply(dense, states[0]).tobytes()
+        assert np.array(w).flags.writeable and not np.shares_memory(np.array(w), dense)
+
+    def test_non_unitary_hermitian_leaf_refused(self, unitarity_checks):
+        """A leaf from a caller's Hermitian matrix that is not unitary walks,
+        and its measured defect refuses it with the message a dense check gives."""
+        be = BlockEncoding(np.diag([1.0, 0.5, -1.0, 1.0]), alpha=1.0, ancillas=1,
+                           epsilon=0.0, system_qubits=1)
+        w = walk_operator(be)
+        assert be.hermitian and w.defect >= 0.75
+        with pytest.raises(ValueError, match="^phase estimation requires a unitary operator$"):
+            phase_estimation(w, np.eye(4)[0], 4)
+        with pytest.raises(ValueError, match="^phase estimation requires a unitary operator$"):
+            phase_estimation(np.array(w), np.eye(4)[0], 4)
+        assert len(unitarity_checks) == 1
+
+    def test_unitary_leaf_accepted_by_its_measured_defect(self):
+        w = walk_operator(trivial_encoding(np.diag([1.0, -1.0, -1.0, 1.0])))
+        assert w.defect == 4 * np.finfo(float).eps / 2  # measured 0, plus dim u
+        assert phase_estimation(w, np.eye(4)[1], 4).phase == 0.5
 
 
 def schur_distribution(u, state, t_bits):

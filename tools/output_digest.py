@@ -22,9 +22,10 @@ only as a new hash, and the SHA-256 of the walk matrix's bytes and of the
 phase-estimation readouts' bytes (``-`` when the op reads none); these
 ops read the data encodings' unitaries beyond the leading blocks the
 ``cli_mix`` argvs read: every entry through the dilation walk, the
-ancilla-zero columns through the scatter walks.  Two last lines each hold
-one SHA-256 over a seeded corpus, drawn at seed 7, and how many of its
-instances raised: ``corpus-pca`` over 1,500 ``pca`` calls (data of 1 to 32
+ancilla-zero columns through the scatter walks.  A walk is read through
+``np.asarray``, so a walk object and a plain array of the same matrix give
+the same line.  Two more lines each hold one SHA-256 over a seeded corpus,
+drawn at seed 7, and how many of its instances raised: ``corpus-pca`` over 1,500 ``pca`` calls (data of 1 to 32
 rows and columns, square, tall and wide, real and complex, offsets 0, 1 and
 10, ``d`` in 1, 2, 3 and the row count, ``t_bits`` in 4, 8 and 12), hashing
 the readouts, eigenvectors and degeneracies, or the exception's type and
@@ -32,7 +33,13 @@ message; ``corpus-data-leaf`` over 600 ``matrix_encoding`` leaves at n in 2,
 4, 8 and 16 (real and complex, some with zero rows and rows whose squares
 partly or wholly underflow), hashing each leaf's block, ancilla-zero columns
 and unitary, and for n <= 8 the walk of the data's total scatter, or the
-exception's type and message.
+exception's type and message.  The last line, ``corpus-walk-defect``, is
+plain numbers, so a change to a defect law shows in a diff: over the
+``corpus-data-leaf`` draws that build, at n <= 8, the walks of the total
+scatter and of the dilation of ``mc_encoding(x, CXC)``, it counts the
+walks, those whose measured ||W^dag W - I||_2 exceeds their declared
+``defect`` (0 where the laws hold), and the largest measured/declared ratio;
+it reads ``-`` for a checkout whose walks declare no defect.
 ``--root`` names the checkout whose ``src/`` and ``perfbench/`` are used
 (default: this one).
 """
@@ -118,7 +125,10 @@ def _corpus_pca(pca) -> str:
     return f"draws={CORPUS_PCA}\traised={raised}\tsha={digest.hexdigest()}"
 
 
-def _corpus_data_leaf(matrix_encoding, scatter_total_encoding, walk_operator) -> str:
+def _corpus_data_leaf(matrix_encoding, scatter_total_encoding, walk_operator,
+                      walked: list) -> str:
+    """The ``corpus-data-leaf`` fields; appends to ``walked`` the x of every
+    draw at n <= 8 that built."""
     rng = np.random.default_rng(INPUT_SEED)
     digest, raised = hashlib.sha256(), 0
     for _ in range(CORPUS_LEAVES):
@@ -135,8 +145,27 @@ def _corpus_data_leaf(matrix_encoding, scatter_total_encoding, walk_operator) ->
             parts = [be.extract_block(), be._cols(), be.unitary]
             return parts + [walk_operator(scatter_total_encoding(x))] if n <= 8 else parts
 
-        raised += _outcome(digest, read)
+        failed = _outcome(digest, read)
+        raised += failed
+        if n <= 8 and not failed:
+            walked.append(x)
     return f"leaves={CORPUS_LEAVES}\traised={raised}\tsha={digest.hexdigest()}"
+
+
+def _corpus_walk_defect(walks) -> str:
+    """The ``corpus-walk-defect`` fields over ``walks``: how many, how many
+    measure above their declared defect, and the largest measured/declared."""
+    above, ratio = 0, 0.0
+    for count, walk in enumerate(walks, start=1):
+        declared = getattr(walk, "defect", None)
+        if declared is None:
+            return "-"
+        w = np.asarray(walk)
+        gram = w.conj().T @ w - np.eye(w.shape[0])
+        measured = float(np.abs(np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)).max())
+        above += measured > declared
+        ratio = max(ratio, measured / declared)
+    return f"walks={count}\tabove_declared={above}\tmax_measured_over_declared={ratio:.3f}"
 
 
 def _run(main, argv: list[str], out: str | None, work: str) -> str:
@@ -223,12 +252,18 @@ def main(argv=None) -> int:
             _, w, readouts = out if out is not None else (None, None, [])
             print(f"{result.name}\tpass={result.passed}"
                   f"\tdtype={w.dtype if w is not None else '-'}"
-                  f"\twalk={_sha(w.tobytes()) if w is not None else '-'}"
+                  f"\twalk={_sha(np.asarray(w).tobytes()) if w is not None else '-'}"
                   f"\treadouts={_sha(np.asarray(readouts).tobytes()) if readouts else '-'}")
     print(f"corpus-pca\t{_corpus_pca(applications.pca)}")
+    walked = []
     leaves = _corpus_data_leaf(data_encoding.matrix_encoding,
-                               applications.scatter_total_encoding, spectral.walk_operator)
+                               applications.scatter_total_encoding, spectral.walk_operator, walked)
     print(f"corpus-data-leaf\t{leaves}")
+    cxc = mean_centering.CenteringMode.CXC
+    walks = (spectral.walk_operator(be) for x in walked for be in (
+        applications.scatter_total_encoding(x),
+        data_encoding.hermitian_dilation(mean_centering.mc_encoding(x, cxc))))
+    print(f"corpus-walk-defect\t{_corpus_walk_defect(walks)}")
     return 0
 
 
