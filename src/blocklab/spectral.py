@@ -32,6 +32,7 @@ import scipy.linalg
 
 from .block_encoding import BlockEncoding
 from .matrix_core import (
+    UNITARY_TOL,
     CapExceededError,
     as_array,
     as_matrix,
@@ -55,9 +56,6 @@ _HERMITIAN_BLOCK_TOL = 1e-8
 _KRYLOV_BREAKDOWN = 1e-13
 # Largest invariance leak ||U Q - Q H||_2 a phase distribution may rest on.
 _KRYLOV_LEAK_BOUND = 1e-12
-# Largest unitarity defect phase estimation accepts: max |U^dag U - I| for a
-# plain matrix, the declared bound on ||W^dag W - I||_2 for a walk.
-_UNITARY_TOL = 1e-10
 
 
 class EstimationMethod(Enum):
@@ -255,7 +253,7 @@ def phase_estimation(
     if abs(norm - 1.0) > 1e-10:
         raise ValueError("eigenstate must be normalized")
     # last: for a plain matrix, the only O(d^3) check
-    if not (is_unitary_matrix(u, _UNITARY_TOL) if defect is None else defect <= _UNITARY_TOL):
+    if not (is_unitary_matrix(u, UNITARY_TOL) if defect is None else defect <= UNITARY_TOL):
         raise ValueError("phase estimation requires a unitary operator")
 
     if u.dtype.kind == "f" and not state.imag.any():

@@ -652,3 +652,30 @@ class TestCallerArraysNotKept:
         np.testing.assert_array_equal(ds.x, np.arange(8.0).reshape(2, 4))
         np.testing.assert_array_equal(ds.labels, [0, 1, 0, 1])
         assert ds.x.dtype == np.float64
+
+
+def measured_defect(u):
+    """||U^dag U - I||_2 of a dense U, from its Hermitian Gram."""
+    g = u.conj().T @ u - np.eye(u.shape[0])
+    return float(np.abs(np.linalg.eigvalsh((g + g.conj().T) / 2.0)).max())
+
+
+class TestDefectLaw:
+    """Each node's declared defect bounds the measured ||U^dag U - I||_2 of
+    the unitary it computes, and is read lazily."""
+
+    def test_declared_bounds_measured_over_the_corpus(self):
+        nodes = corpus_nodes(256)
+        assert len(nodes) >= 400 and {be.kind for be in nodes} >= set(NODE_KINDS)
+        for be in nodes:
+            assert measured_defect(be.unitary) <= be.defect <= 1e-10, be.kind
+
+    def test_caller_leaf_measured_on_first_read_and_kept(self, monkeypatch):
+        u = scipy.linalg.block_diag(1.0, -1.0, 1.0, -1.0)
+        leaf = trivial_encoding(u)
+        node = gram_encoding(product(leaf, leaf))
+        assert leaf._measured is None  # nothing measured at construction
+        first = node.defect
+        assert leaf._measured == 4 * np.finfo(float).eps / 2
+        monkeypatch.setattr(np, "eye", None)  # a second measurement would fail
+        assert node.defect == first
