@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_encoding import BlockEncoding, _perturbed
+from .block_encoding import _U, BlockEncoding, _perturbed
 from .matrix_core import (
     as_array,
     as_matrix,
@@ -64,6 +64,14 @@ def _pairwise_sums(sq: np.ndarray) -> np.ndarray:
     return s[:, 0]
 
 
+_SQRT_MAX = float(np.sqrt(np.finfo(float).max))
+
+
+def _too_large(top: float) -> str:
+    return (f"matrix entries up to {top:.3g} in magnitude are too large to normalize: "
+            f"the sum of their squares overflows")
+
+
 def build_norm_tree(x) -> NormTree:
     """Deterministic partial-sum structure for the preparation amplitudes.
 
@@ -90,14 +98,6 @@ def build_norm_tree(x) -> NormTree:
     if frobenius == 0.0:
         raise ValueError("matrix has Frobenius norm zero; nothing to encode")
     return NormTree(row_norms=np.sqrt(row_norm_sq), frobenius_norm=frobenius)
-
-
-_SQRT_MAX = float(np.sqrt(np.finfo(float).max))
-
-
-def _too_large(top: float) -> str:
-    return (f"matrix entries up to {top:.3g} in magnitude are too large to normalize: "
-            f"the sum of their squares overflows")
 
 
 def _preparation_terms(x: np.ndarray, tree: NormTree) -> tuple[np.ndarray, ...]:
@@ -167,10 +167,9 @@ def _leaf_defect(n: int) -> float:
     products round by at most 3u relative (complex ones included), which is
     3u ||R_q||_F ||W||_F <= 3u n (1 + delta_c) in norm.
     """
-    u = np.finfo(float).eps / 2
-    rho = (8 * n + 80) * u
+    rho = (8 * n + 80) * _U
     completion = 2.0 * rho + rho * rho
-    return _perturbed(2.0 * completion + completion * completion, 3.0 * u * n * (1.0 + completion))
+    return _perturbed(2.0 * completion + completion * completion, 3.0 * _U * n * (1.0 + completion))
 
 
 class _DataLeaf(BlockEncoding):
